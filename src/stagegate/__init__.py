@@ -20,12 +20,13 @@ from .automaton import (
 from .context import DispatchContext, SkillResult, payload_digest
 from .dispatcher import (
     FULL,
+    Decision,
     DispatchDeps,
     DispatchResult,
     DispatchToggles,
     MockExecutor,
+    decide,
     dispatch,
-    dispatch_with_config,
 )
 from .errors import (
     BindingFault,
@@ -49,12 +50,10 @@ from .evaluation import (
     grade_traces,
 )
 from .memory import (
-    CandidateRecord,
     FileEventStore,
     GoalManager,
     GoalRecord,
     InMemoryEventStore,
-    PositionRecord,
     ProcessEvent,
     ReplayResult,
     load_trace,
@@ -90,6 +89,7 @@ from .scenarios import (
     LatentViolation,
     Scenario,
     bundle_from_dicts,
+    check_bundle,
     convert_dialogues,
     detect_latent,
     inject_illegal,

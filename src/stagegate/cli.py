@@ -1,4 +1,4 @@
-"""Command-line entry point: validate, run, replay, report, ablate.
+"""Command-line entry point: validate, run, replay, report, ablate, inject.
 
 Exit codes are stable across commands: 0 success, 1 validation failure or
 replay divergence, 2 input fault (missing or unusable artifacts), 3 runtime
@@ -16,22 +16,21 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Sequence
 
-from .automaton import automaton_from_dict, validate_definition
 from .dispatcher import DispatchToggles
 from .errors import ConfigError, IntegrityFault, StagegateError
-from .evaluation import ABLATION_CONFIGS, EvalReport, compare_configs, compute_report
+from .evaluation import ABLATION_CONFIGS, EvalReport, compare_configs, compute_report, render_report
 from .memory import FileEventStore, load_trace, replay_events
-from .registry import build_registry
-from .router import table_from_list, validate_table
 from .runner import RunResult, run_suite
 from .scenarios import (
     BUNDLE_FILES,
     DomainBundle,
+    check_bundle,
     inject_illegal,
     load_domain,
     load_suite,
+    read_json,
     save_suite,
 )
 
@@ -61,58 +60,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print(f"error: {directory} is not a directory", file=sys.stderr)
         return EXIT_INPUT
 
-    parts: dict[str, Any] = {}
-    for key, filename in BUNDLE_FILES.items():
-        path = directory / filename
-        try:
-            parts[key] = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            print(f"error: {path}: file not found", file=sys.stderr)
-            return EXIT_INPUT
-        except json.JSONDecodeError as exc:
-            print(f"error: {path}: invalid JSON: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-
-    problems: list[str] = []
-    warnings: list[str] = []
-    automaton = None
     try:
-        automaton = automaton_from_dict(parts["automaton"], name=directory.name)
-        for entry in validate_definition(automaton).entries:
-            target = problems if entry.severity == "error" else warnings
-            target.append(f"{BUNDLE_FILES['automaton']}: {entry.code}: {entry.message}")
+        parts = {key: read_json(directory / name) for key, name in BUNDLE_FILES.items()}
     except ConfigError as exc:
-        problems.append(f"{BUNDLE_FILES['automaton']}: {exc}")
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
-    if automaton is not None:
-        try:
-            registry = build_registry(parts["skills"], automaton)
-            for entry in registry.validate_against(automaton).entries:
-                problems.append(f"{BUNDLE_FILES['skills']}: {entry.code}: {entry.message}")
-            missing = sorted(s.id for s in registry if s.id not in parts["fixtures"])
-            if missing:
-                problems.append(f"{BUNDLE_FILES['fixtures']}: missing fixtures: {', '.join(missing)}")
-            try:
-                table = table_from_list(parts["patterns"])
-                for entry in validate_table(table, automaton).entries:
-                    problems.append(f"{BUNDLE_FILES['patterns']}: {entry.code}: {entry.message}")
-                routable = {p.intent for p in table}
-                for spec in registry:
-                    if spec.intent not in routable:
-                        problems.append(
-                            f"{BUNDLE_FILES['patterns']}: intent {spec.intent!r} "
-                            f"(skill {spec.id!r}) has no route"
-                        )
-            except ConfigError as exc:
-                problems.append(f"{BUNDLE_FILES['patterns']}: {exc}")
-        except StagegateError as exc:
-            problems.append(f"{BUNDLE_FILES['skills']}: {exc}")
-
-    for line in warnings:
-        print(f"warning: {line}")
-    if problems:
-        for line in problems:
-            print(f"error: {line}")
+    errors, warnings = check_bundle(directory.name, parts)
+    for part, message in warnings:
+        print(f"warning: {BUNDLE_FILES[part]}: {message}")
+    if errors:
+        for part, message in errors:
+            print(f"error: {BUNDLE_FILES[part]}: {message}")
         return EXIT_VALIDATION
     print(f"{directory.name}: bundle is valid")
     return EXIT_OK
@@ -177,9 +136,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     store = FileEventStore(out_dir / "traces")
     try:
-        run = run_suite(
-            bundle, scenarios, toggles=toggles, seed=args.seed, store=store, parallel=args.parallel
-        )
+        run = run_suite(bundle, scenarios, toggles=toggles, seed=args.seed, store=store)
         report = compute_report(run, bundle)
         _write_run_artifacts(out_dir, run, report, bundle)
     except StagegateError as exc:
@@ -269,29 +226,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return EXIT_OK
 
-    def pct(value: float | None) -> str:
-        return "n/a" if value is None else f"{100.0 * value:.1f}%"
-
-    print(f"scenarios: {payload['n_scenarios']}   messages: {payload['n_messages']}")
-    print(
-        f"TCR {pct(payload['tcr'])}   CVR {pct(payload['cvr'])}   "
-        f"STA {pct(payload['sta'])}   TRC {pct(payload['trc'])}"
-    )
-    print(
-        f"blocked: {payload['blocked_total']} (stage-gate {payload['blocked_stage_gate']}, "
-        f"precondition {payload['blocked_precondition']})"
-    )
-    blocking = payload["blocking"]
-    print(
-        f"blocking: accuracy {pct(blocking['accuracy'])}  precision {pct(blocking['precision'])}  "
-        f"recall {pct(blocking['recall'])}  f1 {pct(blocking['f1'])}"
-    )
-    print(f"{'type':<12}{'n':>5}{'TCR':>9}{'CVR':>9}{'Blk':>6}{'Vio':>6}{'PreF':>7}")
-    for name, row in sorted(payload["per_type"].items()):
-        print(
-            f"{name:<12}{row['n']:>5}{pct(row['tcr']):>9}{pct(row['cvr']):>9}"
-            f"{row['blocked']:>6}{row['violations']:>6}{row['precondition_failures']:>7}"
-        )
+    print(render_report(payload))
     return EXIT_OK
 
 
@@ -304,9 +239,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        comparison = compare_configs(
-            bundle, scenarios, ABLATION_CONFIGS, seed=args.seed, parallel=args.parallel
-        )
+        comparison = compare_configs(bundle, scenarios, ABLATION_CONFIGS, seed=args.seed)
     except StagegateError as exc:
         print(f"runtime fault: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -366,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--suite", required=True, help="suite JSON file")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=True, help="output directory for run artifacts")
-        p.add_argument("--parallel", type=int, default=1, help="concurrent scenarios")
 
     p_run = sub.add_parser("run", help="run a suite and write trace/report artifacts")
     add_run_flags(p_run)

@@ -1,9 +1,12 @@
 """State-aware dispatch: route, gate, execute, advance, audit.
 
-Every message passes the same pipeline: intent resolution, the stage
-legality gate, stage-filtered skill selection, precondition evaluation,
-execution, postcondition application, and a validated stage advance.  One
-ProcessEvent is appended per step, before the result is surfaced.
+Every message passes the same pipeline: intent resolution, then the gate
+kernel ``decide`` (stage legality, stage-filtered skill selection,
+precondition evaluation, the declared transition), then execution,
+postcondition application, and a validated stage advance.  One
+ProcessEvent is appended per step, before the result is surfaced.  The
+forward-simulation labeler folds the same ``decide``, so the gate order is
+written once.
 
 Two block classes both surface as ILLEGAL_TRANSITION and are told apart by
 sub-reason: ``pre_exec_stage_illegal`` (the stage gate fired before any
@@ -28,6 +31,8 @@ from .registry import SkillRegistry, SkillSpec, apply_postconditions
 from .router import FallbackResolver, IntentPattern, identify
 
 Executor = Callable[[SkillSpec, DispatchContext], SkillResult]
+
+BLOCK_OUTCOMES = ("ILLEGAL_TRANSITION", "PRECONDITION_FAIL")
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,81 @@ class DispatchResult:
 
     @property
     def blocked(self) -> bool:
-        return self.outcome in ("ILLEGAL_TRANSITION", "PRECONDITION_FAIL")
+        return self.outcome in BLOCK_OUTCOMES
+
+
+@dataclass(slots=True)
+class Decision:
+    """What the gates decide for one intent at one stage, before execution.
+
+    ``executes`` says whether the skill runs: a SUCCESS decision, or a
+    post-execution transition rejection (the skill runs, nothing commits).
+    ``detail`` carries the block detail for the audit result.
+    """
+
+    outcome: str
+    stage_after: StageId
+    sub_reason: str | None = None
+    skill: SkillSpec | None = None
+    pre_results: tuple[tuple[str, bool], ...] = ()
+    detail: dict[str, Any] | None = None
+
+    @property
+    def blocked(self) -> bool:
+        return self.outcome in BLOCK_OUTCOMES
+
+    @property
+    def executes(self) -> bool:
+        return self.outcome == "SUCCESS" or self.sub_reason == "post_exec_transition_rejected"
+
+
+def decide(
+    automaton: WorkflowAutomaton,
+    registry: SkillRegistry,
+    stage: StageId,
+    ctx: DispatchContext,
+    intent: str,
+    toggles: DispatchToggles = FULL,
+) -> Decision:
+    """The gate kernel: stage legality, skill selection, preconditions, transition.
+
+    Pure: nothing is executed or mutated.  The transition rule is the one
+    applied after a successful execution; the dispatcher runs the skill
+    only when ``executes`` holds, and the labeler folds this same function.
+    """
+    if intent not in automaton.binding:
+        return Decision("SKILL_NOT_FOUND", stage, "intent_unresolved")
+    if toggles.stage_check:
+        if not automaton.is_stage_legal(intent, stage):
+            return Decision(
+                "ILLEGAL_TRANSITION", stage, "pre_exec_stage_illegal",
+                detail={"rejected": {"intent": intent, "stage": stage}},
+            )
+        skill = registry.select_skill(intent, stage)
+    else:
+        skill = registry.select_by_intent(intent)
+    if skill is None:
+        return Decision("SKILL_NOT_FOUND", stage, "no_matching_skill")
+
+    pre_results: tuple[tuple[str, bool], ...] = ()
+    if toggles.precondition_check:
+        report = registry.check_preconditions(skill, ctx)
+        pre_results = report.results
+        if not report.satisfied:
+            detail: dict[str, Any] = {"first_failure": report.first_failure}
+            if report.evaluation_errors:
+                detail["evaluation_errors"] = dict(report.evaluation_errors)
+            return Decision("PRECONDITION_FAIL", stage, None, skill, pre_results, detail)
+
+    target = automaton.target_stage(intent)
+    if target is None or target == stage:
+        return Decision("SUCCESS", stage, None, skill, pre_results)
+    if not automaton.can_transition(stage, target):
+        return Decision(
+            "ILLEGAL_TRANSITION", stage, "post_exec_transition_rejected", skill, pre_results,
+            {"rejected": {"from": stage, "to": target}},
+        )
+    return Decision("SUCCESS", target, None, skill, pre_results)
 
 
 def dispatch(
@@ -82,9 +161,9 @@ def dispatch(
     """Run one message through the full pipeline for the given goal.
 
     Dispatches for the same goal are serialized; the per-goal lock is held
-    for the whole step.  Gate time (stage check + precondition evaluation)
-    and executor time are recorded separately in ``detail["timing_ns"]`` so
-    dispatcher-internal overhead stays distinguishable from execution cost.
+    for the whole step.  Gate time (the ``decide`` kernel) and executor time
+    are recorded separately in ``detail["timing_ns"]`` so dispatcher-internal
+    overhead stays distinguishable from execution cost.
     """
     manager = deps.manager
     with manager.lock(goal_id):
@@ -95,156 +174,71 @@ def _dispatch_locked(
     message: str, goal_id: str, deps: DispatchDeps, toggles: DispatchToggles
 ) -> DispatchResult:
     manager = deps.manager
-    automaton = deps.automaton
-    record = manager.goal(goal_id)
-    stage = record.current_stage
+    stage = manager.goal(goal_id).current_stage
     ctx = manager.context(goal_id)
-    timing: dict[str, int] = {}
 
     t0 = time.perf_counter_ns()
-    decision = identify(message, ctx, deps.table, deps.fallback)
-    timing["route_ns"] = time.perf_counter_ns() - t0
+    route = identify(message, ctx, deps.table, deps.fallback)
+    t1 = time.perf_counter_ns()
+    decision = decide(deps.automaton, deps.registry, stage, ctx, route.intent, toggles)
+    timing = {"route_ns": t1 - t0, "gate_ns": time.perf_counter_ns() - t1}
 
-    def finish(
-        outcome: str,
-        *,
-        stage_after: StageId | None = None,
-        skill: SkillSpec | None = None,
-        sub_reason: str | None = None,
-        pre_results: tuple[tuple[str, bool], ...] = (),
-        digest: str | None = None,
-        payload: Any = None,
-        detail: dict[str, Any] | None = None,
-    ) -> DispatchResult:
-        after = stage if stage_after is None else stage_after
-        event = None
-        full_detail = {"routing": {"intent": decision.intent, "mode": decision.mode}}
-        full_detail.update(detail or {})
-        full_detail["timing_ns"] = timing
-        if toggles.audit:
-            event = ProcessEvent(
-                seq=manager.last_seq(goal_id) + 1,
-                timestamp=time.time(),
-                goal_id=goal_id,
-                intent=decision.intent,
-                stage_before=stage,
-                stage_after=after,
-                skill_id=skill.id if skill else None,
-                outcome=outcome,
-                sub_reason=sub_reason,
-                precondition_results=pre_results,
-                payload_digest=digest,
-            )
-            manager.log_event(event, payload)
-        return DispatchResult(
-            outcome=outcome,
-            stage_before=stage,
-            stage_after=after,
-            skill_id=skill.id if skill else None,
-            detail=full_detail,
-            event=event,
-        )
-
-    if not decision.resolved or decision.intent not in automaton.binding:
-        return finish(
-            "SKILL_NOT_FOUND",
-            sub_reason="intent_unresolved",
-            detail={"error": decision.error} if decision.error else None,
-        )
-    intent = decision.intent
-
-    gate_start = time.perf_counter_ns()
-    if toggles.stage_check and not automaton.is_stage_legal(intent, stage):
-        timing["gate_ns"] = time.perf_counter_ns() - gate_start
-        return finish(
-            "ILLEGAL_TRANSITION",
-            sub_reason="pre_exec_stage_illegal",
-            detail={"rejected": {"intent": intent, "stage": stage}},
-        )
-
-    if toggles.stage_check:
-        skill = deps.registry.select_skill(intent, stage)
-    else:
-        skill = deps.registry.select_by_intent(intent)
-    if skill is None:
-        timing["gate_ns"] = time.perf_counter_ns() - gate_start
-        return finish("SKILL_NOT_FOUND", sub_reason="no_matching_skill")
-
-    pre_results: tuple[tuple[str, bool], ...] = ()
-    if toggles.precondition_check:
-        report = deps.registry.check_preconditions(skill, ctx)
-        pre_results = report.results
-        if not report.satisfied:
-            timing["gate_ns"] = time.perf_counter_ns() - gate_start
-            detail: dict[str, Any] = {"first_failure": report.first_failure}
-            if report.evaluation_errors:
-                detail["evaluation_errors"] = dict(report.evaluation_errors)
-            return finish(
-                "PRECONDITION_FAIL",
-                skill=skill,
-                sub_reason=None,
-                pre_results=pre_results,
-                detail=detail,
-            )
-    timing["gate_ns"] = time.perf_counter_ns() - gate_start
-
-    exec_start = time.perf_counter_ns()
-    try:
-        result = deps.executor(skill, ctx)
-    except Exception as exc:
-        result = SkillResult("failed", {"error": str(exc)})
-    timing["executor_ns"] = time.perf_counter_ns() - exec_start
-    digest = payload_digest(result.payload)
-
-    if not result.ok:
-        # Executor faults are not a governance outcome class: the step is a
-        # failed SUCCESS-path dispatch with no postconditions and no advance.
-        return finish(
-            "SUCCESS",
-            skill=skill,
-            sub_reason="execution_error",
-            pre_results=pre_results,
-            digest=digest,
-            detail={"executor_status": result.status},
-        )
-
-    new_ctx = apply_postconditions(skill, ctx, result)
-    target = automaton.target_stage(intent)
-    stage_after = stage
-    if target is not None and target != stage:
-        if automaton.can_transition(stage, target):
-            stage_after = target
+    outcome, sub_reason, stage_after = decision.outcome, decision.sub_reason, decision.stage_after
+    extra = decision.detail
+    digest = payload = None
+    if decision.executes:
+        exec_start = time.perf_counter_ns()
+        try:
+            result = deps.executor(decision.skill, ctx)
+        except Exception as exc:
+            result = SkillResult("failed", {"error": str(exc)})
+        timing["executor_ns"] = time.perf_counter_ns() - exec_start
+        digest = payload_digest(result.payload)
+        if not result.ok:
+            # Executor faults are not a governance outcome class: the step is
+            # a failed SUCCESS-path dispatch with no postconditions and no
+            # advance, even when the transition would have been rejected.
+            outcome, sub_reason, stage_after = "SUCCESS", "execution_error", stage
+            extra = {"executor_status": result.status}
         else:
-            return finish(
-                "ILLEGAL_TRANSITION",
-                skill=skill,
-                sub_reason="post_exec_transition_rejected",
-                pre_results=pre_results,
-                digest=digest,
-                detail={"rejected": {"from": stage, "to": target}},
-            )
+            new_ctx = apply_postconditions(decision.skill, ctx, result)
+            if outcome == "SUCCESS":
+                if stage_after != stage:
+                    manager.advance_stage(goal_id, stage, stage_after)
+                manager.commit_context(goal_id, new_ctx)
+                payload = result.payload
 
-    if stage_after != stage:
-        manager.advance_stage(goal_id, stage, stage_after)
-    manager.commit_context(goal_id, new_ctx)
-    return finish(
-        "SUCCESS",
+    detail: dict[str, Any] = {"routing": {"intent": route.intent, "mode": route.mode}}
+    if route.error:
+        detail["error"] = route.error
+    if extra:
+        detail.update(extra)
+    detail["timing_ns"] = timing
+    skill_id = decision.skill.id if decision.skill else None
+    event = None
+    if toggles.audit:
+        event = ProcessEvent(
+            seq=manager.last_seq(goal_id) + 1,
+            timestamp=time.time(),
+            goal_id=goal_id,
+            intent=route.intent,
+            stage_before=stage,
+            stage_after=stage_after,
+            skill_id=skill_id,
+            outcome=outcome,
+            sub_reason=sub_reason,
+            precondition_results=decision.pre_results,
+            payload_digest=digest,
+        )
+        manager.log_event(event, payload)
+    return DispatchResult(
+        outcome=outcome,
+        stage_before=stage,
         stage_after=stage_after,
-        skill=skill,
-        pre_results=pre_results,
-        digest=digest,
-        payload=result.payload,
+        skill_id=skill_id,
+        detail=detail,
+        event=event,
     )
-
-
-def dispatch_with_config(
-    message: str,
-    goal_id: str,
-    deps: DispatchDeps,
-    toggles: DispatchToggles,
-) -> DispatchResult:
-    """Alias kept for symmetry with the ablation harness."""
-    return dispatch(message, goal_id, deps, toggles)
 
 
 class MockExecutor:
@@ -252,18 +246,12 @@ class MockExecutor:
 
     Stands in for live endpoints: same skill + same fixtures always yields
     the identical result.  Failures can be injected per skill id to exercise
-    the execution-error path; optional latency simulates slow backends.
+    the execution-error path.
     """
 
-    def __init__(
-        self,
-        fixtures: Mapping[str, Any],
-        fail_ids: Sequence[str] = (),
-        latency_s: float = 0.0,
-    ) -> None:
+    def __init__(self, fixtures: Mapping[str, Any], fail_ids: Sequence[str] = ()) -> None:
         self.fixtures = dict(fixtures)
         self.fail_ids = set(fail_ids)
-        self.latency_s = latency_s
 
     def validate_against(self, registry: SkillRegistry) -> None:
         missing = sorted(spec.id for spec in registry if spec.id not in self.fixtures)
@@ -271,8 +259,6 @@ class MockExecutor:
             raise ConfigError(f"executor fixtures missing for skills: {', '.join(missing)}")
 
     def __call__(self, skill: SkillSpec, ctx: DispatchContext) -> SkillResult:
-        if self.latency_s:
-            time.sleep(self.latency_s)
         if skill.id in self.fail_ids:
             return SkillResult("failed", {"error": f"injected failure for {skill.id}"})
         if skill.id not in self.fixtures:

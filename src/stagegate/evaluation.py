@@ -14,14 +14,18 @@ import statistics
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-from .dispatcher import FULL, DispatchToggles
+from .dispatcher import BLOCK_OUTCOMES, FULL, DispatchToggles
 from .errors import IntegrityFault
 from .memory import ProcessEvent
 from .router import UNKNOWN
 from .runner import RunResult, StepRecord, run_suite
 from .scenarios import DomainBundle, LabeledMessage, Scenario, simulate_scenario
 
-BLOCK_OUTCOMES = ("ILLEGAL_TRANSITION", "PRECONDITION_FAIL")
+TALLY_ORDER = ("SUCCESS", "ILLEGAL_TRANSITION", "PRECONDITION_FAIL", "SKILL_NOT_FOUND")
+
+
+def _pct(value: float | None) -> str:
+    return "n/a" if value is None else f"{100.0 * value:.1f}%"
 
 
 # -- confusion arithmetic -----------------------------------------------------
@@ -125,9 +129,9 @@ class TraceDistribution:
         }
 
 
-def grade_traces(events: Iterable[ProcessEvent]) -> TraceDistribution:
-    """Per-step outcome tally over an event log."""
-    counts = {"SUCCESS": 0, "ILLEGAL_TRANSITION": 0, "PRECONDITION_FAIL": 0, "SKILL_NOT_FOUND": 0}
+def grade_traces(events: Iterable[ProcessEvent | StepRecord]) -> TraceDistribution:
+    """Per-step outcome tally over an event log, or over step records."""
+    counts = dict.fromkeys(TALLY_ORDER, 0)
     total = 0
     for event in events:
         counts[event.outcome] = counts.get(event.outcome, 0) + 1
@@ -202,37 +206,43 @@ class EvalReport:
         return out
 
     def to_text(self) -> str:
-        def pct(value: float | None) -> str:
-            return "n/a" if value is None else f"{100.0 * value:.1f}%"
+        return render_report(self.to_dict())
 
-        lines = [
-            f"scenarios: {self.n_scenarios}   messages: {self.n_messages}",
-            f"TCR {pct(self.tcr)}   CVR {pct(self.cvr)}   STA {pct(self.sta)}   TRC {pct(self.trc)}",
-            f"blocked: {self.blocked_total} "
-            f"(stage-gate {self.blocked_stage_gate}, precondition {self.blocked_precondition})",
-            (
-                f"blocking: accuracy {pct(self.blocking.accuracy)}  "
-                f"precision {pct(self.blocking.precision)}  "
-                f"recall {pct(self.blocking.recall)}  f1 {pct(self.blocking.f1)}"
-            ),
-            "trace distribution: "
-            + "  ".join(
-                f"{k}={v} ({self.distribution.percentage(k):.1f}%)"
-                for k, v in self.distribution.counts.items()
-            ),
-            f"latency: gate {self.latency_ms.get('gate', 0.0):.3f} ms"
-            f"  route {self.latency_ms.get('route', 0.0):.3f} ms"
-            f"  executor {self.latency_ms.get('executor', 0.0):.3f} ms (medians)",
-            "",
-            f"{'type':<12}{'n':>5}{'TCR':>9}{'CVR':>9}{'Blk':>6}{'Vio':>6}{'PreF':>7}",
-        ]
-        for name, row in sorted(self.per_type.items()):
-            d = row.to_dict()
-            lines.append(
-                f"{name:<12}{d['n']:>5}{pct(d['tcr']):>9}{pct(d['cvr']):>9}"
-                f"{d['blocked']:>6}{d['violations']:>6}{d['precondition_failures']:>7}"
-            )
-        return "\n".join(lines)
+
+def render_report(payload: Mapping[str, Any]) -> str:
+    """Text form of a report payload: ``EvalReport.to_dict()`` or a read-back ``report.json``.
+
+    The latency line appears only when the payload carries ``latency_ms``;
+    ``report.json`` does not, since wall-clock data stays out of it.
+    """
+    blocking = payload["blocking"]
+    raw = payload["trace_distribution"]
+    tally = TraceDistribution(dict.fromkeys(TALLY_ORDER, 0) | raw["counts"], raw["total"])
+    lines = [
+        f"scenarios: {payload['n_scenarios']}   messages: {payload['n_messages']}",
+        f"TCR {_pct(payload['tcr'])}   CVR {_pct(payload['cvr'])}   "
+        f"STA {_pct(payload['sta'])}   TRC {_pct(payload['trc'])}",
+        f"blocked: {payload['blocked_total']} (stage-gate {payload['blocked_stage_gate']}, "
+        f"precondition {payload['blocked_precondition']})",
+        f"blocking: accuracy {_pct(blocking['accuracy'])}  precision {_pct(blocking['precision'])}  "
+        f"recall {_pct(blocking['recall'])}  f1 {_pct(blocking['f1'])}",
+        "trace distribution: "
+        + "  ".join(f"{k}={v} ({tally.percentage(k):.1f}%)" for k, v in tally.counts.items()),
+    ]
+    latency = payload.get("latency_ms")
+    if latency is not None:
+        lines.append(
+            f"latency: gate {latency.get('gate', 0.0):.3f} ms"
+            f"  route {latency.get('route', 0.0):.3f} ms"
+            f"  executor {latency.get('executor', 0.0):.3f} ms (medians)"
+        )
+    lines += ["", f"{'type':<12}{'n':>5}{'TCR':>9}{'CVR':>9}{'Blk':>6}{'Vio':>6}{'PreF':>7}"]
+    for name, row in sorted(payload["per_type"].items()):
+        lines.append(
+            f"{name:<12}{row['n']:>5}{_pct(row['tcr']):>9}{_pct(row['cvr']):>9}"
+            f"{row['blocked']:>6}{row['violations']:>6}{row['precondition_failures']:>7}"
+        )
+    return "\n".join(lines)
 
 
 def _median_ms(samples: list[int]) -> float:
@@ -346,7 +356,7 @@ def compute_report(run: RunResult, bundle: DomainBundle) -> EvalReport:
         sta=None if total == 0 else sta_hits / total,
         trc=(0.0 if not run.toggles.audit else trc_steps / total) if total else None,
         blocking=compute_blocking(steps, labels),
-        distribution=grade_traces(_pseudo_events(steps)),
+        distribution=grade_traces(steps),
         blocked_total=len(blocked),
         blocked_stage_gate=stage_gate,
         blocked_precondition=precond,
@@ -358,18 +368,6 @@ def compute_report(run: RunResult, bundle: DomainBundle) -> EvalReport:
         },
         toggles=run.toggles,
     )
-
-
-def _pseudo_events(steps: Sequence[StepRecord]):
-    """Outcome tally source that works whether or not auditing was on."""
-
-    class _Shim:
-        __slots__ = ("outcome",)
-
-        def __init__(self, outcome: str) -> None:
-            self.outcome = outcome
-
-    return [_Shim(s.outcome) for s in steps]
 
 
 # -- ablation comparison -----------------------------------------------------------
@@ -414,14 +412,11 @@ class ConfigComparison:
         }
 
     def to_text(self) -> str:
-        def pct(value: float | None) -> str:
-            return "n/a" if value is None else f"{100.0 * value:.1f}%"
-
         lines = [f"{'config':<18}{'TCR':>9}{'CVR':>9}{'TRC':>9}{'Blk':>6}"]
         for name, report in self.reports.items():
             lines.append(
-                f"{name:<18}{pct(report.tcr):>9}{pct(report.cvr):>9}"
-                f"{pct(report.trc):>9}{report.blocked_total:>6}"
+                f"{name:<18}{_pct(report.tcr):>9}{_pct(report.cvr):>9}"
+                f"{_pct(report.trc):>9}{report.blocked_total:>6}"
             )
         return "\n".join(lines)
 
@@ -431,12 +426,11 @@ def compare_configs(
     scenarios: Sequence[Scenario],
     configs: Sequence[tuple[str, DispatchToggles]] = ABLATION_CONFIGS,
     seed: int = 0,
-    parallel: int = 1,
 ) -> ConfigComparison:
     """Run the same suite under each toggle set and report side by side."""
     reports: dict[str, EvalReport] = {}
     for name, toggles in configs:
-        run = run_suite(bundle, scenarios, toggles=toggles, seed=seed, parallel=parallel)
+        run = run_suite(bundle, scenarios, toggles=toggles, seed=seed)
         reports[name] = compute_report(run, bundle)
     baseline = configs[0][0]
     return ConfigComparison(reports=reports, baseline=baseline)

@@ -1,9 +1,9 @@
-"""Goal-scoped governance memory: records, append-only events, and replay.
+"""Goal-scoped governance memory: goal records, append-only events, and replay.
 
-The GoalManager owns the four record classes (goal, position, candidate,
-process event).  Stage changes go through validated advancement, every
-dispatch step appends exactly one immutable ProcessEvent, and any goal can
-be reconstructed by folding its event log from the beginning.
+The GoalManager owns each goal's record, business context and event log.
+Stage changes go through validated advancement, every dispatch step appends
+exactly one immutable ProcessEvent, and any goal can be reconstructed by
+folding its event log from the beginning.
 
 Two storage backends ship: an in-memory store for tests and a file-backed
 append-only event log (JSONL per goal, plus a JSON snapshot) for durable
@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -25,22 +25,6 @@ from .errors import ConfigError, ConflictFault, IntegrityFault, LookupFault
 from .registry import SkillRegistry, apply_effects
 
 OUTCOMES = ("SUCCESS", "SKILL_NOT_FOUND", "PRECONDITION_FAIL", "ILLEGAL_TRANSITION")
-
-# Stable key order for trace lines, so files diff cleanly across runs.
-_EVENT_FIELDS = (
-    "seq",
-    "timestamp",
-    "goal_id",
-    "intent",
-    "stage_before",
-    "stage_after",
-    "skill_id",
-    "outcome",
-    "sub_reason",
-    "precondition_results",
-    "payload_digest",
-)
-
 
 @dataclass(frozen=True)
 class ProcessEvent:
@@ -100,20 +84,6 @@ class GoalRecord:
     current_stage: StageId
     created_at: float
     status: str = "active"  # "active" | "closed"
-
-
-@dataclass(frozen=True)
-class PositionRecord:
-    id: str
-    goal_id: str
-    attributes: Mapping[str, Any] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class CandidateRecord:
-    id: str
-    goal_id: str
-    attributes: Mapping[str, Any] = field(default_factory=dict)
 
 
 class InMemoryEventStore:
@@ -231,8 +201,6 @@ class GoalManager:
         self._contexts: dict[str, DispatchContext] = {}
         self._last_seq: dict[str, int] = {}
         self._locks: dict[str, threading.RLock] = {}
-        self._positions: dict[str, list[PositionRecord]] = {}
-        self._candidates: dict[str, list[CandidateRecord]] = {}
         self._table_lock = threading.Lock()
         self._goal_counter = 0
 
@@ -240,12 +208,6 @@ class GoalManager:
 
     def add_domain(self, name: str, automaton: WorkflowAutomaton, registry: SkillRegistry) -> None:
         self._domains[name] = (automaton, registry)
-
-    def automaton_for(self, goal_id: str) -> WorkflowAutomaton:
-        return self._domains[self.goal(goal_id).domain][0]
-
-    def _registry_for(self, domain: str) -> SkillRegistry:
-        return self._domains[domain][1]
 
     # -- goal lifecycle ------------------------------------------------------
 
@@ -269,29 +231,7 @@ class GoalManager:
             self._contexts[goal_id] = DispatchContext(goal_id=goal_id)
             self._last_seq[goal_id] = 0
             self._locks[goal_id] = threading.RLock()
-            self._positions[goal_id] = []
-            self._candidates[goal_id] = []
         return record
-
-    # -- business records (positions, candidates) -----------------------------
-
-    def add_position(self, record: PositionRecord) -> None:
-        self.goal(record.goal_id)
-        with self._locks[record.goal_id]:
-            self._positions[record.goal_id].append(record)
-
-    def add_candidate(self, record: CandidateRecord) -> None:
-        self.goal(record.goal_id)
-        with self._locks[record.goal_id]:
-            self._candidates[record.goal_id].append(record)
-
-    def positions(self, goal_id: str) -> list[PositionRecord]:
-        self.goal(goal_id)
-        return list(self._positions[goal_id])
-
-    def candidates(self, goal_id: str) -> list[CandidateRecord]:
-        self.goal(goal_id)
-        return list(self._candidates[goal_id])
 
     def goal(self, goal_id: str) -> GoalRecord:
         try:
@@ -361,12 +301,6 @@ class GoalManager:
         events = self.store.events_for(goal_id)
         if outcome is not None:
             events = [e for e in events if e.outcome == outcome]
-        return events
-
-    def all_events(self) -> list[ProcessEvent]:
-        events: list[ProcessEvent] = []
-        for goal_id in self.goal_ids():
-            events.extend(self.store.events_for(goal_id))
         return events
 
     # -- replay ----------------------------------------------------------------

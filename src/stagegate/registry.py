@@ -332,25 +332,6 @@ def skill_from_dict(raw: Mapping[str, Any]) -> SkillSpec:
     )
 
 
-def skill_to_dict(spec: SkillSpec) -> dict[str, Any]:
-    post = []
-    for eff in spec.postconditions:
-        entry: dict[str, Any] = {"op": eff.op, "field": eff.field}
-        if eff.op != "set_from_result":
-            entry["value"] = eff.value
-        post.append(entry)
-    return {
-        "id": spec.id,
-        "intent": spec.intent,
-        "level": spec.level.name,
-        "stages": sorted(spec.applicable_stages) if spec.applicable_stages else "*",
-        "pre": [ref.name for ref in spec.preconditions],
-        "post": post,
-        "risk": spec.risk_class,
-        "disclosure": spec.disclosure_tier,
-    }
-
-
 def build_registry(
     skill_dicts: Sequence[Mapping[str, Any]],
     automaton: WorkflowAutomaton,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -58,15 +57,13 @@ def run_suite(
     toggles: DispatchToggles = FULL,
     seed: int = 0,
     store: InMemoryEventStore | FileEventStore | None = None,
-    parallel: int = 1,
     fail_ids: Sequence[str] = (),
 ) -> RunResult:
     """Dispatch every scenario of a suite against a fresh goal per track.
 
-    Messages within a scenario run in authored turn order (that order is the
-    deterministic interleaving schedule for concurrent scenarios); distinct
-    scenarios may run in parallel.  Results come back in suite order either
-    way, so artifacts are reproducible.
+    Scenarios run in suite order and messages within a scenario in authored
+    turn order (that order is the deterministic interleaving schedule for
+    concurrent scenarios), so artifacts are reproducible.
     """
     manager = GoalManager(store=store)
     manager.add_domain(bundle.name, bundle.automaton, bundle.registry)
@@ -88,12 +85,12 @@ def run_suite(
             manager.create_goal(bundle.name, goal_id=gid)
             goal_map[scenario.scenario_id][track] = gid
 
-    def run_one(scenario: Scenario) -> list[StepRecord]:
-        records = []
+    steps: list[StepRecord] = []
+    for scenario in scenarios:
         for msg in scenario.messages:
             gid = goal_map[scenario.scenario_id][msg.track]
             result = dispatch(msg.text, gid, deps, toggles)
-            records.append(
+            steps.append(
                 StepRecord(
                     scenario_id=scenario.scenario_id,
                     turn_index=msg.turn_index,
@@ -103,16 +100,6 @@ def run_suite(
                     result=result,
                 )
             )
-        return records
-
-    steps: list[StepRecord] = []
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            for records in pool.map(run_one, scenarios):
-                steps.extend(records)
-    else:
-        for scenario in scenarios:
-            steps.extend(run_one(scenario))
 
     manager.write_snapshots()
     return RunResult(

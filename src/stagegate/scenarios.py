@@ -3,8 +3,9 @@
 A domain bundle is a directory of four JSON files (automaton, skills,
 patterns, fixtures) that must cross-validate before anything runs.  Suites
 are labeled message sequences; ground-truth legality labels come from a
-forward simulator that folds the declarative configs directly, so labels
-never depend on the dispatcher under test.
+forward simulator that folds the gate kernel over the declarative configs
+without executing anything, so labels never depend on the executor, the
+router's fallback or the goal store of the dispatcher under test.
 """
 
 from __future__ import annotations
@@ -15,10 +16,16 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .automaton import StageId, automaton_from_dict, validate_definition
+from .automaton import (
+    StageId,
+    ValidationReport,
+    WorkflowAutomaton,
+    automaton_from_dict,
+    validate_definition,
+)
 from .context import DispatchContext
-from .dispatcher import MockExecutor
-from .errors import ConfigError, GenerationFault
+from .dispatcher import BLOCK_OUTCOMES, MockExecutor, decide
+from .errors import ConfigError, GenerationFault, StagegateError
 from .registry import SkillRegistry, apply_effects, build_registry
 from .router import (
     IntentPattern,
@@ -78,7 +85,7 @@ class DomainBundle:
 # -- domain loading ----------------------------------------------------------
 
 
-def _read_json(path: Path) -> Any:
+def read_json(path: Path) -> Any:
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -87,53 +94,66 @@ def _read_json(path: Path) -> Any:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def bundle_from_dicts(
-    name: str, parts: Mapping[str, Any], located: Mapping[str, str] | None = None
-) -> DomainBundle:
-    """Cross-validate the four bundle parts and assemble a DomainBundle.
+Problem = tuple[str, str]  # (bundle part, message)
 
-    ``located`` maps part name to a display path so the first error can be
-    pinned to a file when the parts came from disk.
+
+def _assemble(
+    name: str, parts: Mapping[str, Any]
+) -> tuple[DomainBundle | None, list[Problem], list[Problem]]:
+    """Build a bundle from its four parts, collecting every problem on the way.
+
+    Returns the bundle (None when any error was found), the errors and the
+    warnings, each as ``(part, message)`` in check order: automaton, skills,
+    patterns, routability, fixtures.
     """
-    where = dict(located or {})
+    errors: list[Problem] = []
+    warnings: list[Problem] = []
 
-    def at(part: str) -> str:
-        return where.get(part, part)
+    def note(part: str, report: ValidationReport) -> None:
+        for entry in report.entries:
+            target = errors if entry.severity == "error" else warnings
+            target.append((part, f"{entry.code}: {entry.message}"))
 
-    automaton = automaton_from_dict(parts["automaton"], name=name)
-    report = validate_definition(automaton)
-    if not report.ok:
-        first = report.errors()[0]
-        raise ConfigError(f"{at('automaton')}: {first.code}: {first.message}")
+    try:
+        automaton = automaton_from_dict(parts["automaton"], name=name)
+    except ConfigError as exc:
+        return None, [("automaton", str(exc))], []
+    note("automaton", validate_definition(automaton))
 
-    registry = build_registry(parts["skills"], automaton)
-    cross = registry.validate_against(automaton)
-    if not cross.ok:
-        first = cross.errors()[0]
-        raise ConfigError(f"{at('skills')}: {first.code}: {first.message}")
+    registry: SkillRegistry | None = None
+    try:
+        registry = build_registry(parts["skills"], automaton)
+        note("skills", registry.validate_against(automaton))
+    except StagegateError as exc:
+        errors.append(("skills", str(exc)))
 
-    table = table_from_list(parts["patterns"])
-    table_report = validate_table(table, automaton)
-    if not table_report.ok:
-        first = table_report.errors()[0]
-        raise ConfigError(f"{at('patterns')}: {first.code}: {first.message}")
+    table: tuple[IntentPattern, ...] | None = None
+    try:
+        table = table_from_list(parts["patterns"])
+        note("patterns", validate_table(table, automaton))
+    except ConfigError as exc:
+        errors.append(("patterns", str(exc)))
 
-    routable = {entry.intent for entry in table}
-    for spec in registry:
-        if spec.intent not in routable:
-            raise ConfigError(
-                f"{at('patterns')}: skill {spec.id!r} serves intent "
-                f"{spec.intent!r} which no pattern routes to"
-            )
+    if registry is not None and table is not None:
+        routable = {entry.intent for entry in table}
+        for spec in registry:
+            if spec.intent not in routable:
+                errors.append((
+                    "patterns",
+                    f"skill {spec.id!r} serves intent {spec.intent!r} which no pattern routes to",
+                ))
 
     fixtures = parts["fixtures"]
     if not isinstance(fixtures, dict):
-        raise ConfigError(f"{at('fixtures')}: expected an object keyed by skill id")
-    missing = sorted(spec.id for spec in registry if spec.id not in fixtures)
-    if missing:
-        raise ConfigError(f"{at('fixtures')}: missing fixtures for: {', '.join(missing)}")
+        errors.append(("fixtures", "expected an object keyed by skill id"))
+    elif registry is not None:
+        missing = sorted(spec.id for spec in registry if spec.id not in fixtures)
+        if missing:
+            errors.append(("fixtures", f"missing fixtures for: {', '.join(missing)}"))
 
-    return DomainBundle(
+    if errors:
+        return None, errors, warnings
+    bundle = DomainBundle(
         name=name,
         automaton=automaton,
         registry=registry,
@@ -141,6 +161,29 @@ def bundle_from_dicts(
         fixtures=dict(fixtures),
         fallback=TokenOverlapFallback(table),
     )
+    return bundle, errors, warnings
+
+
+def check_bundle(name: str, parts: Mapping[str, Any]) -> tuple[list[Problem], list[Problem]]:
+    """Every cross-validation error and warning of the four bundle parts."""
+    _, errors, warnings = _assemble(name, parts)
+    return errors, warnings
+
+
+def bundle_from_dicts(
+    name: str, parts: Mapping[str, Any], located: Mapping[str, str] | None = None
+) -> DomainBundle:
+    """Cross-validate the four bundle parts and assemble a DomainBundle.
+
+    Raises ConfigError on the first error of :func:`check_bundle`.
+    ``located`` maps part name to a display path so that error can be pinned
+    to a file when the parts came from disk.
+    """
+    bundle, errors, _ = _assemble(name, parts)
+    if bundle is None:
+        part, message = errors[0]
+        raise ConfigError(f"{(located or {}).get(part, part)}: {message}")
+    return bundle
 
 
 def load_domain(path: str | Path) -> DomainBundle:
@@ -150,7 +193,7 @@ def load_domain(path: str | Path) -> DomainBundle:
     bundle that loads is safe to dispatch against.
     """
     directory = Path(path)
-    parts = {key: _read_json(directory / fname) for key, fname in BUNDLE_FILES.items()}
+    parts = {key: read_json(directory / fname) for key, fname in BUNDLE_FILES.items()}
     located = {key: str(directory / fname) for key, fname in BUNDLE_FILES.items()}
     return bundle_from_dicts(directory.name, parts, located)
 
@@ -235,7 +278,7 @@ def _scenario_from_dict(raw: Mapping[str, Any], domain: str, bundle: DomainBundl
 
 
 def load_suite(path: str | Path, bundle: DomainBundle | None = None) -> list[Scenario]:
-    raw = _read_json(Path(path))
+    raw = read_json(Path(path))
     return suite_from_dict(raw, bundle)
 
 
@@ -302,22 +345,16 @@ class SimStep:
     stage_after: StageId
 
 
-def route_intent(bundle: DomainBundle, text: str) -> str:
-    """Pattern-only routing used by the labeler (no fallback, no dispatcher)."""
-    decision = identify(text, DispatchContext(goal_id="label"), bundle.table, fallback=None)
-    return decision.intent
-
-
 def simulate_scenario(bundle: DomainBundle, scenario: Scenario) -> list[SimStep]:
-    """Fold a scenario through the declarative rules, one track at a time.
+    """Fold the gate kernel over a scenario, one simulated goal per track.
 
-    A message is legal iff its semantic intent is stage-legal at the
-    simulated current stage and every precondition derivable from prior
-    turns holds.  Illegal or blocked turns leave the simulated state
-    untouched, mirroring the no-advance-on-block contract.
+    Each message's intent is its ``label_intent``, or else what the pattern
+    table alone routes it to (no fallback).  A message is legal iff
+    :func:`~stagegate.dispatcher.decide` does not block it; only SUCCESS
+    decisions apply the skill's effects and move the simulated stage,
+    mirroring the no-advance-on-block contract.
     """
     automaton = bundle.automaton
-    registry = bundle.registry
     stages: dict[int, StageId] = {t: automaton.initial for t in scenario.tracks()}
     contexts: dict[int, DispatchContext] = {
         t: DispatchContext(goal_id=f"sim-{scenario.scenario_id}-{t}") for t in scenario.tracks()
@@ -328,37 +365,17 @@ def simulate_scenario(bundle: DomainBundle, scenario: Scenario) -> list[SimStep]
         track = msg.track
         stage = stages[track]
         ctx = contexts[track]
-        intent = msg.label_intent or route_intent(bundle, msg.text)
-
-        if intent not in automaton.binding:
-            steps.append(SimStep(msg.turn_index, track, intent, True, "SKILL_NOT_FOUND", stage, stage))
-            continue
-        if stage not in automaton.binding[intent]:
-            steps.append(SimStep(msg.turn_index, track, intent, False, "ILLEGAL_TRANSITION", stage, stage))
-            continue
-        skill = registry.select_skill(intent, stage)
-        if skill is None:
-            steps.append(SimStep(msg.turn_index, track, intent, True, "SKILL_NOT_FOUND", stage, stage))
-            continue
-        report = registry.check_preconditions(skill, ctx)
-        if not report.satisfied:
-            steps.append(SimStep(msg.turn_index, track, intent, False, "PRECONDITION_FAIL", stage, stage))
-            continue
-
-        target = automaton.stage_map.get(intent)
-        after = stage
-        if target is not None and target != stage:
-            if automaton.can_transition(stage, target):
-                after = target
-            else:
-                steps.append(
-                    SimStep(msg.turn_index, track, intent, False, "ILLEGAL_TRANSITION", stage, stage)
-                )
-                continue
-
-        contexts[track] = apply_effects(skill, ctx, "simulated")
-        stages[track] = after
-        steps.append(SimStep(msg.turn_index, track, intent, True, "SUCCESS", stage, after))
+        intent = msg.label_intent or identify(msg.text, ctx, bundle.table).intent
+        decision = decide(automaton, bundle.registry, stage, ctx, intent)
+        if decision.outcome == "SUCCESS":
+            contexts[track] = apply_effects(decision.skill, ctx, "simulated")
+            stages[track] = decision.stage_after
+        steps.append(
+            SimStep(
+                msg.turn_index, track, intent, not decision.blocked,
+                decision.outcome, stage, decision.stage_after,
+            )
+        )
 
     return steps
 
@@ -565,7 +582,7 @@ def detect_latent(steps: Iterable[Any], scenarios: Sequence[Scenario]) -> list[L
         if scenario is None or scenario.type != "normal":
             continue
         event = step.event
-        if event is None or event.outcome not in ("ILLEGAL_TRANSITION", "PRECONDITION_FAIL"):
+        if event is None or event.outcome not in BLOCK_OUTCOMES:
             continue
         latent.append(
             LatentViolation(

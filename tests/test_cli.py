@@ -155,6 +155,10 @@ def test_report_formats(tmp_path, small_suite, capsys):
     assert main(["report", str(out_dir)]) == 0
     text = capsys.readouterr().out
     assert "TCR" in text and "Blk" in text
+    distribution = parsed["trace_distribution"]["counts"]
+    line = next(row for row in text.splitlines() if row.startswith("trace distribution: "))
+    assert f"SUCCESS={distribution['SUCCESS']} (" in line
+    assert "latency" not in text  # report.json carries no wall-clock data
 
 
 def test_report_missing_artifacts_exits_two(tmp_path):

@@ -5,15 +5,18 @@ import random
 
 import pytest
 
+from stagegate.context import DispatchContext
 from stagegate.dispatcher import (
     FULL,
     DispatchDeps,
     DispatchToggles,
     MockExecutor,
+    decide,
     dispatch,
 )
 from stagegate.errors import ConfigError, LookupFault
 from stagegate.memory import GoalManager
+from stagegate.router import UNKNOWN
 from stagegate.scenarios import bundle_from_dicts
 
 from reference import random_domain, random_messages, run_reference
@@ -288,3 +291,63 @@ def test_dispatch_timing_fields_present(hr_bundle):
     result = dispatch("create a hiring demand", gid, deps)
     timing = result.detail["timing_ns"]
     assert {"route_ns", "gate_ns", "executor_ns"} <= set(timing)
+
+
+# -- the gate kernel ----------------------------------------------------------------
+
+
+def _decide(bundle, stage, intent, toggles=FULL, state=None):
+    ctx = DispatchContext(goal_id="g", business_state=dict(state or {}))
+    decision = decide(bundle.automaton, bundle.registry, stage, ctx, intent, toggles)
+    assert ctx.business_state == dict(state or {})  # decide never mutates
+    return decision
+
+
+def test_decide_unresolved_intent_is_skill_not_found(hr_bundle):
+    decision = _decide(hr_bundle, "init", UNKNOWN)
+    assert (decision.outcome, decision.sub_reason) == ("SKILL_NOT_FOUND", "intent_unresolved")
+    assert decision.skill is None and not decision.executes
+
+
+def test_decide_stage_check_off_falls_back_to_intent_only_selection(hr_bundle):
+    assert hr_bundle.registry.select_skill("evaluate_candidate", "init") is None
+    gated = _decide(hr_bundle, "init", "evaluate_candidate")
+    assert (gated.outcome, gated.sub_reason) == ("ILLEGAL_TRANSITION", "pre_exec_stage_illegal")
+    assert gated.skill is None and gated.pre_results == ()
+    assert gated.detail == {"rejected": {"intent": "evaluate_candidate", "stage": "init"}}
+
+    ungated = _decide(hr_bundle, "init", "evaluate_candidate", DispatchToggles(stage_check=False))
+    assert ungated.outcome == "PRECONDITION_FAIL"
+    assert ungated.skill.id == "evaluate"
+    assert ungated.pre_results == (("interview_scheduled", False),)
+    assert ungated.detail == {"first_failure": "interview_scheduled"}
+    assert ungated.blocked and not ungated.executes
+
+
+def test_decide_precondition_check_off_has_empty_results(hr_bundle):
+    checked = _decide(hr_bundle, "init", "pull_candidates")
+    assert checked.outcome == "PRECONDITION_FAIL"
+    assert checked.pre_results == (("position_exists", False),)
+
+    unchecked = _decide(
+        hr_bundle, "init", "pull_candidates", DispatchToggles(precondition_check=False)
+    )
+    assert (unchecked.outcome, unchecked.stage_after) == ("SUCCESS", "src")
+    assert unchecked.skill.id == "pull_parse"
+    assert unchecked.pre_results == ()
+    assert unchecked.executes
+
+
+def test_decide_post_exec_transition_rejected_carries_skill_and_target(hr_bundle):
+    decision = _decide(hr_bundle, "off", "reopen_sourcing", DispatchToggles(stage_check=False))
+    assert decision.outcome == "ILLEGAL_TRANSITION"
+    assert decision.sub_reason == "post_exec_transition_rejected"
+    assert decision.skill.id == "reopen_sourcing"
+    assert decision.stage_after == "off"
+    assert decision.detail == {"rejected": {"from": "off", "to": "src"}}
+    assert decision.blocked and decision.executes
+
+
+def test_decide_stage_preserving_intent_stays(hr_bundle):
+    decision = _decide(hr_bundle, "int", "get_job_list")
+    assert (decision.outcome, decision.stage_after, decision.sub_reason) == ("SUCCESS", "int", None)

@@ -204,11 +204,3 @@ def test_stage_changes_trace_back_to_success_events(hr_run):
         if events:
             assert hr_run.manager.goal(gid).current_stage == stage
 
-
-def test_parallel_run_matches_sequential(hr_bundle, hr_suite):
-    subset = hr_suite[:40]
-    sequential = compute_report(run_suite(hr_bundle, subset, parallel=1), hr_bundle)
-    parallel = compute_report(run_suite(hr_bundle, subset, parallel=4), hr_bundle)
-    a, b = sequential.to_dict(), parallel.to_dict()
-    a.pop("latency_ms"), b.pop("latency_ms")
-    assert a == b

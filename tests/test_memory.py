@@ -232,23 +232,6 @@ def test_corrupt_trace_line_is_integrity_fault(tmp_path):
         load_trace(path)
 
 
-def test_position_and_candidate_records_are_goal_scoped(hr_bundle):
-    from stagegate.memory import CandidateRecord, PositionRecord
-
-    manager = _manager(hr_bundle)
-    record = manager.create_goal("hr")
-    gid = record.goal_id
-    manager.add_position(PositionRecord(id="P0001", goal_id=gid, attributes={"title": "QA"}))
-    manager.add_candidate(CandidateRecord(id="C001", goal_id=gid, attributes={"name": "A"}))
-    manager.add_candidate(CandidateRecord(id="C002", goal_id=gid, attributes={"name": "B"}))
-    assert [p.id for p in manager.positions(gid)] == ["P0001"]
-    assert [c.id for c in manager.candidates(gid)] == ["C001", "C002"]
-    with pytest.raises(LookupFault):
-        manager.add_position(PositionRecord(id="P0002", goal_id="ghost"))
-    other = manager.create_goal("hr")
-    assert manager.positions(other.goal_id) == []
-
-
 def test_concurrent_multi_goal_logging_stays_gapless(hr_bundle):
     manager = _manager(hr_bundle)
     goals = [manager.create_goal("hr").goal_id for _ in range(4)]

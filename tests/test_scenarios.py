@@ -284,6 +284,33 @@ def test_injection_fails_on_single_stage_domain():
         inject_illegal(scenario, bundle, "stage_skip", seed=0)
 
 
+def test_dispatch_and_simulation_agree_without_label_intent(hr_bundle, hr_suite):
+    """run_suite and simulate_scenario fold the same gate kernel.
+
+    Where a message carries no label_intent both route the text the same
+    way, so each step must give the same (outcome, stage_after).
+    """
+    suites = [(hr_bundle, hr_suite)]
+    for domain in SGD_DOMAINS:
+        bundle = load_domain(sgd_domain_dir(domain))
+        suites.append((bundle, load_suite(sgd_suite_path(domain), bundle)))
+    compared = 0
+    for bundle, suite in suites:
+        run = run_suite(bundle, suite)
+        simulated = {
+            (scenario.scenario_id, step.turn_index): (step.outcome, step.stage_after)
+            for scenario in suite
+            for step in simulate_scenario(bundle, scenario)
+        }
+        for step in run.steps:
+            if step.message.label_intent is not None:
+                continue
+            live = (step.outcome, step.result.stage_after)
+            assert live == simulated[(step.scenario_id, step.turn_index)], step
+            compared += 1
+    assert compared == 2613
+
+
 # -- latent detection -----------------------------------------------------------------
 
 
