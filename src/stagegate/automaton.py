@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .errors import ConfigError, LookupFault
+from .errors import ConfigError, LookupFault, parsing
 
 StageId = str
 IntentId = str
@@ -173,21 +173,21 @@ def automaton_from_dict(raw: Mapping[str, Any], name: str = "domain") -> Workflo
     Unknown top-level keys are rejected by name.  ``stage_map`` values may be
     JSON ``null`` for stage-preserving intents.
     """
-    unknown = sorted(set(raw) - set(_CONFIG_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown automaton config keys: {', '.join(unknown)}")
-    missing = sorted(set(_CONFIG_KEYS) - set(raw))
-    if missing:
-        raise ConfigError(f"missing automaton config keys: {', '.join(missing)}")
-
-    stages = tuple(str(s) for s in raw["stages"])
-    intents = tuple(str(i) for i in raw["intents"])
-    transitions = frozenset((str(a), str(b)) for a, b in raw["transitions"])
-    binding = {str(i): frozenset(str(s) for s in ss) for i, ss in raw["binding"].items()}
-    stage_map = {
-        str(i): (None if target is None else str(target))
-        for i, target in raw["stage_map"].items()
-    }
+    with parsing("automaton config"):
+        unknown = sorted(set(raw) - set(_CONFIG_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown automaton config keys: {', '.join(unknown)}")
+        missing = sorted(set(_CONFIG_KEYS) - set(raw))
+        if missing:
+            raise ConfigError(f"missing automaton config keys: {', '.join(missing)}")
+        stages = tuple(str(s) for s in raw["stages"])
+        intents = tuple(str(i) for i in raw["intents"])
+        transitions = frozenset((str(a), str(b)) for a, b in raw["transitions"])
+        binding = {str(i): frozenset(str(s) for s in ss) for i, ss in raw["binding"].items()}
+        stage_map = {
+            str(i): (None if target is None else str(target))
+            for i, target in raw["stage_map"].items()
+        }
     return WorkflowAutomaton(
         name=name,
         stages=stages,

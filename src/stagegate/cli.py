@@ -15,11 +15,12 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
 from .dispatcher import DispatchToggles
-from .errors import ConfigError, IntegrityFault, StagegateError
+from .errors import ConfigError, IntegrityFault, StagegateError, parsing
 from .evaluation import ABLATION_CONFIGS, EvalReport, compare_configs, compute_report, render_report
 from .memory import FileEventStore, load_trace, replay_events
 from .runner import RunResult, run_suite
@@ -121,11 +122,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "run_id": f"{Path(args.suite).stem}-seed{args.seed}",
         "domain": str(args.domain),
         "suite": str(args.suite),
-        "toggles": {
-            "stage_check": toggles.stage_check,
-            "precondition_check": toggles.precondition_check,
-            "audit": toggles.audit,
-        },
+        "toggles": asdict(toggles),
         "seed": args.seed,
         "started_at": time.time(),
         "output_dir": str(out_dir),
@@ -153,80 +150,69 @@ def cmd_replay(args: argparse.Namespace) -> int:
         print(f"error: {trace_path} not found", file=sys.stderr)
         return EXIT_INPUT
 
-    domain_path = args.domain
-    if domain_path is None:
-        manifest_path = trace_path.parent.parent / "manifest.json"
-        if manifest_path.exists():
-            domain_path = json.loads(manifest_path.read_text(encoding="utf-8"))["domain"]
-    if domain_path is None:
-        print("error: --domain required (no manifest.json next to traces)", file=sys.stderr)
-        return EXIT_INPUT
-
+    goal_id = trace_path.stem
+    snapshot_path = trace_path.with_name(f"{goal_id}.snapshot.json")
     try:
+        domain_path = args.domain
+        manifest_path = trace_path.parent.parent / "manifest.json"
+        if domain_path is None and manifest_path.exists():
+            manifest = read_json(manifest_path)
+            if not isinstance(manifest, dict) or "domain" not in manifest:
+                raise ConfigError(f"{manifest_path}: no 'domain' entry")
+            domain_path = manifest["domain"]
+        if domain_path is None:
+            raise ConfigError("--domain required (no manifest.json next to traces)")
         bundle = load_domain(domain_path)
+        snapshot = read_json(snapshot_path) if snapshot_path.exists() else None
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    goal_id = trace_path.stem
     try:
-        events = load_trace(trace_path)
         result = replay_events(
             goal_id=goal_id,
             domain=bundle.name,
             automaton=bundle.automaton,
             registry=bundle.registry,
-            events=events,
+            events=load_trace(trace_path),
         )
     except IntegrityFault as exc:
         seq = f" (seq {exc.seq})" if exc.seq is not None else ""
         print(f"corrupted trace{seq}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    reconstructed = {
-        "goal_id": goal_id,
-        "current_stage": result.record.current_stage,
-        "status": result.record.status,
-        "business_state": result.business_state,
-        "last_seq": result.last_seq,
-    }
-    print(json.dumps(reconstructed, indent=2, sort_keys=True))
-
-    snapshot_path = trace_path.with_name(f"{goal_id}.snapshot.json")
-    if snapshot_path.exists():
-        snapshot = json.loads(snapshot_path.read_text(encoding="utf-8"))
-        mismatches = [
-            key
-            for key, value in (
-                ("current_stage", snapshot["current_stage"]),
-                ("status", snapshot["status"]),
-                ("business_state", snapshot["business_state"]),
-                ("last_seq", snapshot["last_seq"]),
-            )
-            if reconstructed[key] != value
-        ]
-        if mismatches:
-            print(
-                f"divergence from snapshot after seq {result.last_seq}: {', '.join(mismatches)}",
-                file=sys.stderr,
-            )
-            return EXIT_VALIDATION
-        print("replay matches snapshot")
+    state = result.state()
+    print(json.dumps({"goal_id": goal_id, **state}, indent=2, sort_keys=True))
+    if snapshot is None:
+        return EXIT_OK
+    missing = [key for key in state if not isinstance(snapshot, dict) or key not in snapshot]
+    if missing:
+        print(f"error: {snapshot_path}: snapshot lacks {', '.join(missing)}", file=sys.stderr)
+        return EXIT_INPUT
+    mismatches = [key for key, value in state.items() if snapshot[key] != value]
+    if mismatches:
+        print(
+            f"divergence from snapshot after seq {result.last_seq}: {', '.join(mismatches)}",
+            file=sys.stderr,
+        )
+        return EXIT_VALIDATION
+    print("replay matches snapshot")
     return EXIT_OK
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    run_dir = Path(args.run_dir)
-    report_path = run_dir / "report.json"
-    if not report_path.exists():
-        print(f"error: {report_path} not found", file=sys.stderr)
+    report_path = Path(args.run_dir) / "report.json"
+    try:
+        payload = read_json(report_path)
+        with parsing(str(report_path)):
+            if args.format == "json":
+                text = json.dumps(payload, indent=2, sort_keys=True)
+            else:
+                text = render_report(payload)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    payload = json.loads(report_path.read_text(encoding="utf-8"))
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return EXIT_OK
-
-    print(render_report(payload))
+    print(text)
     return EXIT_OK
 
 

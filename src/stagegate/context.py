@@ -14,20 +14,14 @@ class DispatchContext:
     """Mutable business state consulted by precondition predicates.
 
     ``business_state`` evolves only through postcondition effects (or
-    goal-manager mediated writes); ``session_vars`` holds transient
-    per-conversation values that never participate in replay.
+    goal-manager mediated writes).
     """
 
     goal_id: str
     business_state: dict[str, Any] = field(default_factory=dict)
-    session_vars: dict[str, Any] = field(default_factory=dict)
 
     def clone(self) -> "DispatchContext":
-        return DispatchContext(
-            goal_id=self.goal_id,
-            business_state=copy.deepcopy(self.business_state),
-            session_vars=copy.deepcopy(self.session_vars),
-        )
+        return DispatchContext(goal_id=self.goal_id, business_state=copy.deepcopy(self.business_state))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ sub-reason: ``pre_exec_stage_illegal`` (the stage gate fired before any
 skill was selected) and ``post_exec_transition_rejected`` (the intent was
 stage-legal but its target stage is unreachable from here; the skill ran,
 but nothing is committed).  No blocked dispatch mutates business state or
-stage.
+stage.  A SUCCESS step whose executor failed (``execution_error``) or whose
+effects faulted (``postcondition_error``) commits nothing either; only a
+SUCCESS without a sub-reason moves state, live and in replay.
 """
 
 from __future__ import annotations
@@ -119,15 +121,12 @@ def decide(
     """
     if intent not in automaton.binding:
         return Decision("SKILL_NOT_FOUND", stage, "intent_unresolved")
-    if toggles.stage_check:
-        if not automaton.is_stage_legal(intent, stage):
-            return Decision(
-                "ILLEGAL_TRANSITION", stage, "pre_exec_stage_illegal",
-                detail={"rejected": {"intent": intent, "stage": stage}},
-            )
-        skill = registry.select_skill(intent, stage)
-    else:
-        skill = registry.select_by_intent(intent)
+    if toggles.stage_check and not automaton.is_stage_legal(intent, stage):
+        return Decision(
+            "ILLEGAL_TRANSITION", stage, "pre_exec_stage_illegal",
+            detail={"rejected": {"intent": intent, "stage": stage}},
+        )
+    skill = registry.select_skill(intent, stage if toggles.stage_check else None)
     if skill is None:
         return Decision("SKILL_NOT_FOUND", stage, "no_matching_skill")
 
@@ -200,9 +199,15 @@ def _dispatch_locked(
             # advance, even when the transition would have been rejected.
             outcome, sub_reason, stage_after = "SUCCESS", "execution_error", stage
             extra = {"executor_status": result.status}
-        else:
-            new_ctx = apply_postconditions(decision.skill, ctx, result)
-            if outcome == "SUCCESS":
+        elif outcome == "SUCCESS":
+            try:
+                new_ctx = apply_postconditions(decision.skill, ctx, digest)
+            except ConfigError as exc:
+                # An effect fault after execution commits nothing either; the
+                # step is still audited, so every dispatch leaves one event.
+                sub_reason, stage_after = "postcondition_error", stage
+                extra = {"postcondition_error": str(exc)}
+            else:
                 if stage_after != stage:
                     manager.advance_stage(goal_id, stage, stage_after)
                 manager.commit_context(goal_id, new_ctx)
@@ -252,11 +257,6 @@ class MockExecutor:
     def __init__(self, fixtures: Mapping[str, Any], fail_ids: Sequence[str] = ()) -> None:
         self.fixtures = dict(fixtures)
         self.fail_ids = set(fail_ids)
-
-    def validate_against(self, registry: SkillRegistry) -> None:
-        missing = sorted(spec.id for spec in registry if spec.id not in self.fixtures)
-        if missing:
-            raise ConfigError(f"executor fixtures missing for skills: {', '.join(missing)}")
 
     def __call__(self, skill: SkillSpec, ctx: DispatchContext) -> SkillResult:
         if skill.id in self.fail_ids:

@@ -7,6 +7,9 @@ continue past (bad lookups, broken configs, corrupted logs).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
 
 class StagegateError(Exception):
     """Base class for all package faults."""
@@ -14,6 +17,16 @@ class StagegateError(Exception):
 
 class ConfigError(StagegateError):
     """A config file or declarative definition is unusable."""
+
+
+@contextmanager
+def parsing(what: str) -> Iterator[None]:
+    """Turn a wrong-shape fault while parsing *what* into a ConfigError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ConfigError(f"malformed {what}: {reason}") from None
 
 
 class LookupFault(StagegateError):

@@ -11,7 +11,7 @@ executed it anyway.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 from .dispatcher import BLOCK_OUTCOMES, FULL, DispatchToggles
@@ -52,18 +52,7 @@ class BlockingMetrics:
     f1: float
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "confusion": {
-                "tp": self.confusion.tp,
-                "fp": self.confusion.fp,
-                "fn": self.confusion.fn,
-                "tn": self.confusion.tn,
-            },
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
+        return asdict(self)
 
 
 def blocking_metrics(confusion: Confusion) -> BlockingMetrics:
@@ -183,7 +172,7 @@ class EvalReport:
     toggles: DispatchToggles = FULL
 
     def to_dict(self) -> dict[str, Any]:
-        out = {
+        return {
             "n_scenarios": self.n_scenarios,
             "n_messages": self.n_messages,
             "tcr": self.tcr,
@@ -197,13 +186,8 @@ class EvalReport:
             "trace_distribution": self.distribution.to_dict(),
             "per_type": {k: v.to_dict() for k, v in sorted(self.per_type.items())},
             "latency_ms": self.latency_ms,
-            "toggles": {
-                "stage_check": self.toggles.stage_check,
-                "precondition_check": self.toggles.precondition_check,
-                "audit": self.toggles.audit,
-            },
+            "toggles": asdict(self.toggles),
         }
-        return out
 
     def to_text(self) -> str:
         return render_report(self.to_dict())
@@ -298,17 +282,10 @@ def compute_report(run: RunResult, bundle: DomainBundle) -> EvalReport:
     # to exactly the live state.
     trc_steps = 0
     if run.toggles.audit and total:
-        consistent: dict[str, bool] = {}
-        for gid in {s.goal_id for s in steps}:
-            replayed = run.manager.replay(gid)
-            live = run.manager.goal(gid)
-            live_state = run.manager.context(gid).business_state
-            consistent[gid] = (
-                replayed.record.current_stage == live.current_stage
-                and replayed.record.status == live.status
-                and replayed.business_state == live_state
-                and replayed.last_seq == run.manager.last_seq(gid)
-            )
+        consistent = {
+            gid: run.manager.replay(gid).state() == run.manager.state(gid)
+            for gid in {s.goal_id for s in steps}
+        }
         trc_steps = sum(1 for s in steps if consistent[s.goal_id])
 
     blocked = [s for s in steps if s.outcome in BLOCK_OUTCOMES]

@@ -22,9 +22,8 @@ from typing import Any, Iterable, Mapping
 from .automaton import StageId, IntentId, WorkflowAutomaton
 from .context import DispatchContext, payload_digest
 from .errors import ConfigError, ConflictFault, IntegrityFault, LookupFault
-from .registry import SkillRegistry, apply_effects
+from .registry import SkillRegistry, apply_postconditions
 
-OUTCOMES = ("SUCCESS", "SKILL_NOT_FOUND", "PRECONDITION_FAIL", "ILLEGAL_TRANSITION")
 
 @dataclass(frozen=True)
 class ProcessEvent:
@@ -149,16 +148,8 @@ class FileEventStore:
     def goal_ids(self) -> list[str]:
         return sorted(p.stem for p in self.directory.glob("*.jsonl"))
 
-    def write_snapshot(self, record: GoalRecord, business_state: Mapping[str, Any], last_seq: int) -> None:
-        snapshot = {
-            "goal_id": record.goal_id,
-            "domain": record.domain,
-            "current_stage": record.current_stage,
-            "status": record.status,
-            "business_state": dict(business_state),
-            "last_seq": last_seq,
-        }
-        path = self._snapshot_path(record.goal_id)
+    def write_snapshot(self, goal_id: str, snapshot: Mapping[str, Any]) -> None:
+        path = self._snapshot_path(goal_id)
         path.write_text(json.dumps(snapshot, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
@@ -170,9 +161,19 @@ def load_trace(path: str | Path) -> list[ProcessEvent]:
             continue
         try:
             events.append(ProcessEvent.from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise IntegrityFault(f"unparseable trace line {lineno} in {path}: {exc}") from exc
     return events
+
+
+def goal_state(record: GoalRecord, business_state: dict[str, Any], last_seq: int) -> dict[str, Any]:
+    """A goal's observable state: what snapshots store and replay must reproduce."""
+    return {
+        "current_stage": record.current_stage,
+        "status": record.status,
+        "business_state": business_state,
+        "last_seq": last_seq,
+    }
 
 
 @dataclass
@@ -180,6 +181,9 @@ class ReplayResult:
     record: GoalRecord
     business_state: dict[str, Any]
     last_seq: int
+
+    def state(self) -> dict[str, Any]:
+        return goal_state(self.record, self.business_state, self.last_seq)
 
 
 class GoalManager:
@@ -259,6 +263,12 @@ class GoalManager:
         self.goal(goal_id)
         return self._last_seq[goal_id]
 
+    def state(self, goal_id: str) -> dict[str, Any]:
+        """The goal's live observable state (a copy), as ``goal_state`` shapes it."""
+        return goal_state(
+            self.goal(goal_id), self.context(goal_id).business_state, self._last_seq[goal_id]
+        )
+
     # -- validated mutation --------------------------------------------------
 
     def advance_stage(self, goal_id: str, from_stage: StageId, to_stage: StageId) -> None:
@@ -324,10 +334,8 @@ class GoalManager:
         if not isinstance(self.store, FileEventStore):
             return
         for goal_id in self.goal_ids():
-            record = self.goal(goal_id)
-            self.store.write_snapshot(
-                record, self._contexts[goal_id].business_state, self._last_seq[goal_id]
-            )
+            snapshot = {"goal_id": goal_id, "domain": self.goal(goal_id).domain}
+            self.store.write_snapshot(goal_id, snapshot | self.state(goal_id))
 
 
 def replay_events(
@@ -341,10 +349,12 @@ def replay_events(
 ) -> ReplayResult:
     """Fold an event log into a reconstructed goal record and business state.
 
-    Only SUCCESS events move state: the stage follows ``stage_after`` and
-    business flags are re-derived from the skill's declarative postcondition
-    effects.  Integrity violations (seq gap, broken stage chain, digest
-    mismatch where payloads are retained) name the first bad seq.
+    Only SUCCESS events without a sub-reason move state (an executor or
+    effect fault committed nothing live): the stage follows ``stage_after``
+    and business flags are re-derived from the skill's declarative
+    postcondition effects.  Integrity violations (seq gap, broken stage
+    chain, digest mismatch where payloads are retained) name the first bad
+    seq.
     """
     stage = automaton.initial
     ctx = DispatchContext(goal_id=goal_id)
@@ -365,7 +375,7 @@ def replay_events(
             raise IntegrityFault(
                 f"blocked event at seq {event.seq} changes stage", seq=event.seq
             )
-        if event.outcome == "SUCCESS" and event.sub_reason != "execution_error":
+        if event.outcome == "SUCCESS" and event.sub_reason is None:
             if event.skill_id is not None:
                 skill = registry.get(event.skill_id)
                 if skill is None:
@@ -379,7 +389,7 @@ def replay_events(
                         raise IntegrityFault(
                             f"payload digest mismatch at seq {event.seq}", seq=event.seq
                         )
-                ctx = apply_effects(skill, ctx, event.payload_digest or "")
+                ctx = apply_postconditions(skill, ctx, event.payload_digest or "")
             stage = event.stage_after
         last_seq = event.seq
 

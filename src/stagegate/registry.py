@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from .automaton import StageId, IntentId, ValidationEntry, ValidationReport, WorkflowAutomaton
-from .context import DispatchContext, SkillResult, payload_digest
-from .errors import BindingFault, ConfigError, ConflictFault
+from .context import DispatchContext
+from .errors import BindingFault, ConfigError, ConflictFault, parsing
 
 _SKILL_KEYS = ("id", "intent", "level", "stages", "pre", "post", "risk", "disclosure")
 _EFFECT_OPS = ("set", "append", "set_from_result")
@@ -148,19 +148,12 @@ class SkillRegistry:
         self._skills.append(spec)
         self._by_id[spec.id] = spec
 
-    def select_skill(self, intent: IntentId, stage: StageId) -> SkillSpec | None:
-        """Unique skill serving *intent* that applies at *stage*.
+    def select_skill(self, intent: IntentId, stage: StageId | None = None) -> SkillSpec | None:
+        """Unique skill serving *intent* that applies at *stage* (any stage when None).
 
         When several match, the lowest risk level wins; ties break by
         registration order, so selection stays deterministic and auditable.
         """
-        return self._select(intent, stage)
-
-    def select_by_intent(self, intent: IntentId) -> SkillSpec | None:
-        """Stage-agnostic selection used when the stage gate is disabled."""
-        return self._select(intent, None)
-
-    def _select(self, intent: IntentId, stage: StageId | None) -> SkillSpec | None:
         best: tuple[int, int] | None = None
         chosen: SkillSpec | None = None
         for index, spec in enumerate(self._skills):
@@ -274,19 +267,14 @@ class SkillRegistry:
         return ValidationReport(tuple(entries))
 
 
-def apply_postconditions(
-    skill: SkillSpec, ctx: DispatchContext, result: SkillResult
-) -> DispatchContext:
+def apply_postconditions(skill: SkillSpec, ctx: DispatchContext, result_digest: str) -> DispatchContext:
     """Return a context with the skill's effects applied, in declared order.
 
-    The input context is never mutated; callers commit the returned copy
-    only when the whole dispatch succeeds.
+    The one effect rule, shared by dispatch, the labeler and replay;
+    ``set_from_result`` stores *result_digest*.  The input context is never
+    mutated; callers commit the returned copy only when the whole dispatch
+    succeeds.
     """
-    return apply_effects(skill, ctx, payload_digest(result.payload))
-
-
-def apply_effects(skill: SkillSpec, ctx: DispatchContext, result_digest: str) -> DispatchContext:
-    """Effect application against a known result digest (shared with replay)."""
     updated = ctx.clone()
     state = updated.business_state
     for effect in skill.postconditions:
@@ -309,27 +297,29 @@ def apply_effects(skill: SkillSpec, ctx: DispatchContext, result_digest: str) ->
 
 def skill_from_dict(raw: Mapping[str, Any]) -> SkillSpec:
     """Parse one skill config object (``stages`` may be ``"*"`` for all)."""
-    unknown = sorted(set(raw) - set(_SKILL_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown skill config keys: {', '.join(unknown)}")
-    for key in ("id", "intent", "level"):
-        if key not in raw:
-            raise ConfigError(f"skill config missing key: {key}")
-    stages_raw = raw.get("stages", "*")
-    stages = frozenset() if stages_raw == "*" else frozenset(str(s) for s in stages_raw)
-    effects = []
-    for eff in raw.get("post", []):
-        effects.append(Effect(op=eff["op"], field=eff["field"], value=eff.get("value")))
-    return SkillSpec(
-        id=str(raw["id"]),
-        intent=str(raw["intent"]),
-        level=RiskLevel.parse(str(raw["level"])),
-        applicable_stages=stages,
-        preconditions=tuple(PredicateRef(str(name)) for name in raw.get("pre", [])),
-        postconditions=tuple(effects),
-        risk_class=str(raw.get("risk", "")),
-        disclosure_tier=str(raw.get("disclosure", "bound")),
-    )
+    with parsing("skill config"):
+        unknown = sorted(set(raw) - set(_SKILL_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown skill config keys: {', '.join(unknown)}")
+        for key in ("id", "intent", "level"):
+            if key not in raw:
+                raise ConfigError(f"skill config missing key: {key}")
+        stages_raw = raw.get("stages", "*")
+        stages = frozenset() if stages_raw == "*" else frozenset(str(s) for s in stages_raw)
+        effects = tuple(
+            Effect(op=eff["op"], field=eff["field"], value=eff.get("value"))
+            for eff in raw.get("post", [])
+        )
+        return SkillSpec(
+            id=str(raw["id"]),
+            intent=str(raw["intent"]),
+            level=RiskLevel.parse(str(raw["level"])),
+            applicable_stages=stages,
+            preconditions=tuple(PredicateRef(str(name)) for name in raw.get("pre", [])),
+            postconditions=effects,
+            risk_class=str(raw.get("risk", "")),
+            disclosure_tier=str(raw.get("disclosure", "bound")),
+        )
 
 
 def build_registry(

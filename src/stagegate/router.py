@@ -15,11 +15,13 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .automaton import ValidationEntry, ValidationReport, WorkflowAutomaton
 from .context import DispatchContext
-from .errors import ConfigError
+from .errors import ConfigError, parsing
 
 UNKNOWN = "<unknown>"
 
 _TERMINAL_PUNCT = ".!?;:,"
+
+FALLBACK_THRESHOLD = 0.6  # least Jaccard overlap the shipped fallback resolves on
 
 
 def normalize(message: str) -> str:
@@ -74,10 +76,6 @@ class RoutingDecision:
     matched_pattern: str | None = None
     error: str | None = None
 
-    @property
-    def resolved(self) -> bool:
-        return self.intent != UNKNOWN
-
 
 FallbackResolver = Callable[[str, DispatchContext], RoutingDecision]
 
@@ -130,13 +128,12 @@ class TokenOverlapFallback:
     """Shipped fallback stub: fuzzy match by token overlap.
 
     Scores each pattern by Jaccard overlap with the message tokens and
-    resolves when the best score clears the threshold.  Deterministic, so
-    suite runs stay reproducible offline.
+    resolves when the best score reaches ``FALLBACK_THRESHOLD``.
+    Deterministic, so suite runs stay reproducible offline.
     """
 
-    def __init__(self, table: Sequence[IntentPattern], threshold: float = 0.6) -> None:
+    def __init__(self, table: Sequence[IntentPattern]) -> None:
         self.table = tuple(table)
-        self.threshold = threshold
 
     def __call__(self, message: str, ctx: DispatchContext) -> RoutingDecision:
         tokens = set(normalize(message).split())
@@ -152,7 +149,7 @@ class TokenOverlapFallback:
             score = len(tokens & expr_tokens) / len(tokens | expr_tokens)
             if score > best_score:
                 best_score, best_intent, best_pattern = score, intent, expr.text
-        if best_intent is not None and best_score >= self.threshold:
+        if best_intent is not None and best_score >= FALLBACK_THRESHOLD:
             return RoutingDecision(
                 intent=best_intent, mode="fallback",
                 confidence=round(best_score, 4), matched_pattern=best_pattern,
@@ -194,16 +191,17 @@ def validate_table(
 def table_from_list(raw: Iterable[Mapping[str, Any]]) -> tuple[IntentPattern, ...]:
     """Parse the pattern table file form: [{intent, patterns, priority}]."""
     table = []
-    for item in raw:
-        if "intent" not in item or "patterns" not in item:
-            raise ConfigError("pattern entry needs 'intent' and 'patterns'")
-        table.append(
-            IntentPattern(
-                intent=str(item["intent"]),
-                patterns=tuple(MatchExpr.parse(str(p)) for p in item["patterns"]),
-                priority=int(item.get("priority", 0)),
+    with parsing("pattern table"):
+        for item in raw:
+            if "intent" not in item or "patterns" not in item:
+                raise ConfigError("pattern entry needs 'intent' and 'patterns'")
+            table.append(
+                IntentPattern(
+                    intent=str(item["intent"]),
+                    patterns=tuple(MatchExpr.parse(str(p)) for p in item["patterns"]),
+                    priority=int(item.get("priority", 0)),
+                )
             )
-        )
     return tuple(table)
 
 

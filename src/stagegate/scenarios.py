@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -25,8 +25,8 @@ from .automaton import (
 )
 from .context import DispatchContext
 from .dispatcher import BLOCK_OUTCOMES, MockExecutor, decide
-from .errors import ConfigError, GenerationFault, StagegateError
-from .registry import SkillRegistry, apply_effects, build_registry
+from .errors import ConfigError, GenerationFault, StagegateError, parsing
+from .registry import SkillRegistry, apply_postconditions, build_registry
 from .router import (
     IntentPattern,
     TokenOverlapFallback,
@@ -61,7 +61,7 @@ class Scenario:
     domain: str
     type: str
     messages: tuple[LabeledMessage, ...]
-    expected_final_stage: Mapping[int, StageId]
+    expected_final_stage: Mapping[int, StageId] = field(default_factory=dict)  # set by label_scenario
 
     def tracks(self) -> list[int]:
         return sorted({m.track for m in self.messages})
@@ -77,9 +77,7 @@ class DomainBundle:
     fallback: TokenOverlapFallback | None = None
 
     def build_executor(self, fail_ids: Sequence[str] = ()) -> MockExecutor:
-        executor = MockExecutor(self.fixtures, fail_ids=fail_ids)
-        executor.validate_against(self.registry)
-        return executor
+        return MockExecutor(self.fixtures, fail_ids=fail_ids)
 
 
 # -- domain loading ----------------------------------------------------------
@@ -283,10 +281,11 @@ def load_suite(path: str | Path, bundle: DomainBundle | None = None) -> list[Sce
 
 
 def suite_from_dict(raw: Mapping[str, Any], bundle: DomainBundle | None = None) -> list[Scenario]:
-    domain = str(raw.get("domain", ""))
-    if bundle is not None and domain and domain != bundle.name:
-        raise ConfigError(f"suite declares domain {domain!r} but bundle is {bundle.name!r}")
-    scenarios = [_scenario_from_dict(item, domain, bundle) for item in raw.get("scenarios", [])]
+    with parsing("suite"):
+        domain = str(raw.get("domain", ""))
+        if bundle is not None and domain and domain != bundle.name:
+            raise ConfigError(f"suite declares domain {domain!r} but bundle is {bundle.name!r}")
+        scenarios = [_scenario_from_dict(item, domain, bundle) for item in raw.get("scenarios", [])]
     seen: set[str] = set()
     for scenario in scenarios:
         if scenario.scenario_id in seen:
@@ -368,7 +367,7 @@ def simulate_scenario(bundle: DomainBundle, scenario: Scenario) -> list[SimStep]
         intent = msg.label_intent or identify(msg.text, ctx, bundle.table).intent
         decision = decide(automaton, bundle.registry, stage, ctx, intent)
         if decision.outcome == "SUCCESS":
-            contexts[track] = apply_effects(decision.skill, ctx, "simulated")
+            contexts[track] = apply_postconditions(decision.skill, ctx, "simulated")
             stages[track] = decision.stage_after
         steps.append(
             SimStep(
@@ -381,20 +380,14 @@ def simulate_scenario(bundle: DomainBundle, scenario: Scenario) -> list[SimStep]
 
 
 def label_scenario(bundle: DomainBundle, scenario: Scenario) -> Scenario:
-    """Re-derive expected_legal labels from the forward simulation."""
-    steps = {s.turn_index: s for s in simulate_scenario(bundle, scenario)}
-    messages = tuple(
-        replace(msg, expected_legal=steps[msg.turn_index].legal) for msg in scenario.messages
-    )
-    return replace(scenario, messages=messages)
-
-
-def expected_final_stages(bundle: DomainBundle, scenario: Scenario) -> dict[int, StageId]:
-    """Final per-track stages the simulation predicts (suite self-checks)."""
-    stages = {t: bundle.automaton.initial for t in scenario.tracks()}
-    for step in simulate_scenario(bundle, scenario):
-        stages[step.track] = step.stage_after
-    return stages
+    """Set expected_legal and expected_final_stage from one forward simulation."""
+    steps = simulate_scenario(bundle, scenario)
+    legal = {step.turn_index: step.legal for step in steps}
+    final = {track: bundle.automaton.initial for track in scenario.tracks()}
+    for step in steps:
+        final[step.track] = step.stage_after
+    messages = tuple(replace(msg, expected_legal=legal[msg.turn_index]) for msg in scenario.messages)
+    return replace(scenario, messages=messages, expected_final_stage=final)
 
 
 # -- adversarial variants --------------------------------------------------------
@@ -541,17 +534,8 @@ def convert_dialogues(
             )
         if not messages:
             raise ConfigError(f"dialogue {did!r} has no USER turns")
-        scenario = Scenario(
-            scenario_id=did,
-            domain=bundle.name,
-            type="normal",
-            messages=tuple(messages),
-            expected_final_stage={0: bundle.automaton.initial},
-        )
-        scenario = label_scenario(bundle, scenario)
-        scenarios.append(
-            replace(scenario, expected_final_stage=expected_final_stages(bundle, scenario))
-        )
+        scenario = Scenario(did, bundle.name, "normal", tuple(messages))
+        scenarios.append(label_scenario(bundle, scenario))
     return scenarios
 
 

@@ -27,7 +27,6 @@ from .scenarios import (
     LabeledMessage,
     Scenario,
     bundle_from_dicts,
-    expected_final_stages,
     label_scenario,
     simulate_scenario,
 )
@@ -388,6 +387,7 @@ _HR_ROLLBACK_OFFER = ["create_demand", "pull_candidates", "screen_resume",
                       "reopen_interview"]
 _HR_MULTI_SHORT = ["create_demand", "pull_candidates", "compare_candidates"]
 _HR_MULTI_FULL = ["create_demand", "pull_candidates", "screen_resume", "compare_candidates"]
+_HR_CONCURRENT = [(0, "create_demand"), (1, "create_demand"), (0, "close_process")]
 
 
 def _phrase(rng: random.Random, intent: str) -> str:
@@ -402,19 +402,24 @@ def _hr_scenario(
     stype: str,
     turns: Sequence[Any],
 ) -> Scenario:
+    """One labeled hiring scenario from a template of turns.
+
+    A turn is an intent (a random phrasing of it), ``("PF", intent)`` (the
+    same, marking a precondition failure), ``("IT", text)`` (literal text),
+    ``("FN", text, label_intent)`` (literal text labeled by its semantic
+    intent) or ``(track, intent)`` (a phrasing sent to a concurrent goal).
+    """
     messages = []
     for position, turn in enumerate(turns):
-        label_intent = None
-        if isinstance(turn, tuple):
-            if turn[0] == "IT":
-                text = turn[1]
-            elif turn[0] == "PF":
-                text = _phrase(rng, turn[1])
-            else:  # FN
-                text = turn[1]
-                label_intent = turn[2]
-        else:
+        track, label_intent = 0, None
+        if isinstance(turn, str):
             text = _phrase(rng, turn)
+        elif isinstance(turn[0], int):
+            track, text = turn[0], _phrase(rng, turn[1])
+        elif turn[0] == "PF":
+            text = _phrase(rng, turn[1])
+        else:
+            text, label_intent = turn[1], (turn[2] if turn[0] == "FN" else None)
         messages.append(
             LabeledMessage(
                 text=text,
@@ -422,55 +427,10 @@ def _hr_scenario(
                 scenario_id=scenario_id,
                 turn_index=position,
                 label_intent=label_intent,
-            )
-        )
-    scenario = Scenario(
-        scenario_id=scenario_id,
-        domain=bundle.name,
-        type=stype,
-        messages=tuple(messages),
-        expected_final_stage={0: bundle.automaton.initial},
-    )
-    scenario = label_scenario(bundle, scenario)
-    finals = expected_final_stages(bundle, scenario)
-    return Scenario(
-        scenario_id=scenario.scenario_id,
-        domain=scenario.domain,
-        type=scenario.type,
-        messages=scenario.messages,
-        expected_final_stage=finals,
-    )
-
-
-def _hr_concurrent_scenario(bundle: DomainBundle, rng: random.Random, scenario_id: str) -> Scenario:
-    plan = [(0, "create_demand"), (1, "create_demand"), (0, "close_process")]
-    messages = []
-    for position, (track, intent) in enumerate(plan):
-        messages.append(
-            LabeledMessage(
-                text=_phrase(rng, intent),
-                expected_legal=True,
-                scenario_id=scenario_id,
-                turn_index=position,
                 track=track,
             )
         )
-    scenario = Scenario(
-        scenario_id=scenario_id,
-        domain=bundle.name,
-        type="concurrent",
-        messages=tuple(messages),
-        expected_final_stage={0: "init", 1: "init"},
-    )
-    scenario = label_scenario(bundle, scenario)
-    finals = expected_final_stages(bundle, scenario)
-    return Scenario(
-        scenario_id=scenario.scenario_id,
-        domain=scenario.domain,
-        type=scenario.type,
-        messages=scenario.messages,
-        expected_final_stage=finals,
-    )
+    return label_scenario(bundle, Scenario(scenario_id, bundle.name, stype, tuple(messages)))
 
 
 def build_hr_suite(bundle: DomainBundle | None = None, seed: int = 1207) -> list[Scenario]:
@@ -499,7 +459,9 @@ def build_hr_suite(bundle: DomainBundle | None = None, seed: int = 1207) -> list
         scenarios.append(_hr_scenario(bundle, rng, f"abort-{i + 1:03d}", "abort", ["close_process"]))
 
     for i in range(30):
-        scenarios.append(_hr_concurrent_scenario(bundle, rng, f"concurrent-{i + 1:03d}"))
+        scenarios.append(
+            _hr_scenario(bundle, rng, f"concurrent-{i + 1:03d}", "concurrent", _HR_CONCURRENT)
+        )
 
     _check_hr_suite(bundle, scenarios)
     return scenarios
@@ -661,16 +623,7 @@ def build_sgd_suite(domain: str, bundle: DomainBundle | None = None, seed: int =
             LabeledMessage(text=text, expected_legal=True, scenario_id=sid, turn_index=j)
             for j, text in enumerate(texts)
         )
-        scenario = Scenario(
-            scenario_id=sid, domain=domain, type="normal",
-            messages=messages, expected_final_stage={0: bundle.automaton.initial},
-        )
-        scenario = label_scenario(bundle, scenario)
-        finals = expected_final_stages(bundle, scenario)
-        scenarios.append(
-            Scenario(scenario_id=sid, domain=domain, type="normal",
-                     messages=scenario.messages, expected_final_stage=finals)
-        )
+        scenarios.append(label_scenario(bundle, Scenario(sid, domain, "normal", messages)))
 
     for i in range(20):
         sid = f"{domain}-illegal-{i + 1:03d}"

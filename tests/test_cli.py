@@ -209,3 +209,113 @@ def test_run_against_sgd_domain(tmp_path):
     report = json.loads((out_dir / "report.json").read_text())
     assert report["n_scenarios"] == 120
     assert report["blocked_total"] == 20
+
+
+# -- malformed artifacts ------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory, small_suite):
+    out_dir = tmp_path_factory.mktemp("finished") / "run"
+    assert main(["run", "--domain", str(hr_domain_dir()), "--suite", str(small_suite),
+                 "--out", str(out_dir)]) == 0
+    return out_dir
+
+
+def _edit_json(path: Path, edit) -> None:
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+
+
+def _trace(run: Path) -> Path:
+    return run / "traces" / "normal-001-t0.jsonl"
+
+
+def _replay_with_first_line(run: Path, first_line) -> list[str]:
+    lines = _trace(run).read_text().splitlines()
+    _trace(run).write_text("\n".join([first_line(lines[0])] + lines[1:]) + "\n")
+    return ["replay", str(_trace(run))]
+
+
+def _replay_with_snapshot(run: Path, text: str | None = None, drop: str | None = None) -> list[str]:
+    snapshot = _trace(run).with_name("normal-001-t0.snapshot.json")
+    if text is not None:
+        snapshot.write_text(text)
+    else:
+        _edit_json(snapshot, lambda data: data.pop(drop))
+    return ["replay", str(_trace(run))]
+
+
+def _replay_without_manifest_domain(run: Path) -> list[str]:
+    _edit_json(run / "manifest.json", lambda data: data.pop("domain"))
+    return ["replay", str(_trace(run))]
+
+
+def _report_unparseable(run: Path) -> list[str]:
+    (run / "report.json").write_text("{")
+    return ["report", str(run)]
+
+
+def _run_suite_text(run: Path, text: str) -> list[str]:
+    (run / "suite.json").write_text(text)
+    return ["run", "--domain", str(hr_domain_dir()), "--suite", str(run / "suite.json"),
+            "--out", str(run / "rerun")]
+
+
+def _run_message_without_text(run: Path) -> list[str]:
+    suite = json.loads(hr_suite_path().read_text())
+    del suite["scenarios"][0]["messages"][0]["text"]
+    return _run_suite_text(run, json.dumps(suite))
+
+
+def _validate_edited(run: Path, name: str, edit) -> list[str]:
+    domain = run / "domain"
+    shutil.copytree(hr_domain_dir(), domain)
+    _edit_json(domain / name, edit)
+    return ["validate", str(domain)]
+
+
+def _drop_effect_op(skills) -> None:
+    del next(skill for skill in skills if skill["post"])["post"][0]["op"]
+
+
+def _one_element_transition(automaton) -> None:
+    automaton["transitions"][0] = ["init"]
+
+
+# case -> (break a copy of a finished run and return the command line,
+#          exit code, start of the line that must report it)
+MALFORMED = {
+    "replay-unparseable-snapshot": (
+        lambda run: _replay_with_snapshot(run, text="{not json"), 2, "error: "),
+    "replay-snapshot-without-status": (
+        lambda run: _replay_with_snapshot(run, drop="status"), 2, "error: "),
+    "replay-manifest-without-domain": (_replay_without_manifest_domain, 2, "error: "),
+    "replay-string-seq": (
+        lambda run: _replay_with_first_line(run, lambda line: line.replace('"seq":1,', '"seq":"x",')),
+        2, "corrupted trace"),
+    "replay-array-line": (
+        lambda run: _replay_with_first_line(run, lambda line: "[1, 2]"), 2, "corrupted trace"),
+    "report-unparseable": (_report_unparseable, 2, "error: "),
+    "run-message-without-text": (_run_message_without_text, 2, "error: "),
+    "run-suite-is-array": (lambda run: _run_suite_text(run, "[]"), 2, "error: "),
+    "validate-effect-without-op": (
+        lambda run: _validate_edited(run, "skills.json", _drop_effect_op), 1, "error: skills.json: "),
+    "validate-one-element-transition": (
+        lambda run: _validate_edited(run, "automaton.json", _one_element_transition),
+        1, "error: automaton.json: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_artifacts_exit_without_traceback(case, tmp_path, finished_run, capsys):
+    """Input faults exit 2; a malformed bundle fails validate (exit 1) naming its file."""
+    breaker, code, reported = MALFORMED[case]
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    argv = breaker(run)
+    capsys.readouterr()
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert any(row.startswith(reported) for row in (captured.out + captured.err).splitlines())

@@ -10,14 +10,14 @@ from stagegate.dispatcher import (
     FULL,
     DispatchDeps,
     DispatchToggles,
-    MockExecutor,
     decide,
     dispatch,
 )
 from stagegate.errors import ConfigError, LookupFault
 from stagegate.memory import GoalManager
 from stagegate.router import UNKNOWN
-from stagegate.scenarios import bundle_from_dicts
+from stagegate.scenarios import bundle_from_dicts, check_bundle
+from stagegate.suites import sgd_domain_dicts
 
 from reference import random_domain, random_messages, run_reference
 
@@ -161,10 +161,46 @@ def test_mock_executor_is_deterministic(hr_bundle):
     assert len(first.payload["positions"]) == 48
 
 
-def test_mock_executor_fixture_validation(hr_bundle):
-    executor = MockExecutor({"get_job_list": {}})
-    with pytest.raises(ConfigError):
-        executor.validate_against(hr_bundle.registry)
+def test_bundle_without_a_skill_fixture_is_rejected():
+    parts = sgd_domain_dicts("Banks_1")
+    del parts["fixtures"]["transfer_money"]
+    errors, _ = check_bundle("Banks_1", parts)
+    assert errors == [("fixtures", "missing fixtures for: transfer_money")]
+    with pytest.raises(ConfigError, match="missing fixtures for: transfer_money"):
+        bundle_from_dicts("Banks_1", parts)
+
+
+def _append_fault_parts():
+    """Two stages; the only skill appends to a field nothing initializes."""
+    return {
+        "automaton": {
+            "stages": ["a", "b"], "initial": "a", "transitions": [["a", "b"]],
+            "intents": ["go"], "binding": {"go": ["a"]}, "stage_map": {"go": "b"},
+        },
+        "skills": [{"id": "go", "intent": "go", "level": "L1", "stages": ["a"],
+                    "post": [{"op": "append", "field": "log", "value": 1}]}],
+        "patterns": [{"intent": "go", "patterns": ["go"]}],
+        "fixtures": {"go": {"done": True}},
+    }
+
+
+def test_effect_fault_after_execution_logs_one_event_and_commits_nothing():
+    parts = _append_fault_parts()
+    assert check_bundle("fault", parts) == ([], [])
+    bundle = bundle_from_dicts("fault", parts)
+    deps = _deps(bundle)
+    gid = _goal(deps, "fault")
+    before = deps.manager.state(gid)
+    result = dispatch("go", gid, deps)
+    events = deps.manager.list_events(gid)
+    assert len(events) == 1 and events[0] == result.event
+    assert (result.outcome, result.event.sub_reason) == ("SUCCESS", "postcondition_error")
+    assert result.stage_after == "a" and result.event.stage_after == "a"
+    assert "log" in result.detail["postcondition_error"]
+    assert "error" not in result.detail  # the router's key is left alone
+    after = deps.manager.state(gid)
+    assert after == before | {"last_seq": 1}
+    assert deps.manager.replay(gid).state() == after
 
 
 def test_injected_failure_keeps_state_and_stage(hr_bundle):

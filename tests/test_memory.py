@@ -214,6 +214,9 @@ def test_file_store_round_trip_and_snapshot(tmp_path, hr_bundle):
     snapshot = json.loads((tmp_path / "file-goal.snapshot.json").read_text())
     assert snapshot["current_stage"] == "init"
     assert snapshot["last_seq"] == 1
+    state = manager.state("file-goal")
+    assert set(snapshot) == {"goal_id", "domain", *state}
+    assert {key: snapshot[key] for key in state} == state
 
 
 def test_trace_line_key_order_is_stable(hr_bundle):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stagegate.automaton import automaton_from_dict
-from stagegate.context import DispatchContext, SkillResult
+from stagegate.context import DispatchContext, payload_digest
 from stagegate.errors import BindingFault, ConfigError, ConflictFault
 from stagegate.registry import (
     Effect,
@@ -223,7 +223,7 @@ def test_postconditions_apply_in_order_and_do_not_mutate_input():
         post=(Effect("set", "a", 1), Effect("set", "a", 2), Effect("set", "b", True)),
     )
     ctx = DispatchContext(goal_id="g")
-    updated = apply_postconditions(spec, ctx, SkillResult("ok", {}))
+    updated = apply_postconditions(spec, ctx, payload_digest({}))
     assert updated.business_state == {"a": 2, "b": True}
     assert ctx.business_state == {}
 
@@ -231,29 +231,29 @@ def test_postconditions_apply_in_order_and_do_not_mutate_input():
 def test_empty_postconditions_leave_context_structurally_equal():
     spec = _spec("s", "q", RiskLevel.L1, ())
     ctx = DispatchContext(goal_id="g", business_state={"x": [1, 2]})
-    updated = apply_postconditions(spec, ctx, SkillResult("ok", None))
+    updated = apply_postconditions(spec, ctx, payload_digest(None))
     assert updated.business_state == ctx.business_state
 
 
 def test_flag_set_effects_are_idempotent():
     spec = _spec("s", "q", RiskLevel.L1, (), post=(Effect("set", "flag", True),))
     ctx = DispatchContext(goal_id="g")
-    once = apply_postconditions(spec, ctx, SkillResult("ok", None))
-    twice = apply_postconditions(spec, once, SkillResult("ok", None))
+    once = apply_postconditions(spec, ctx, payload_digest(None))
+    twice = apply_postconditions(spec, once, payload_digest(None))
     assert once.business_state == twice.business_state
 
 
 def test_append_to_undefined_field_names_the_field():
     spec = _spec("s", "q", RiskLevel.L1, (), post=(Effect("append", "missing_list", 1),))
     with pytest.raises(ConfigError, match="missing_list"):
-        apply_postconditions(spec, DispatchContext(goal_id="g"), SkillResult("ok", None))
+        apply_postconditions(spec, DispatchContext(goal_id="g"), payload_digest(None))
 
 
 def test_set_from_result_stores_payload_digest():
     spec = _spec("s", "q", RiskLevel.L1, (), post=(Effect("set_from_result", "ref"),))
-    a = apply_postconditions(spec, DispatchContext(goal_id="g"), SkillResult("ok", {"x": 1}))
-    b = apply_postconditions(spec, DispatchContext(goal_id="g"), SkillResult("ok", {"x": 1}))
-    c = apply_postconditions(spec, DispatchContext(goal_id="g"), SkillResult("ok", {"x": 2}))
+    a = apply_postconditions(spec, DispatchContext(goal_id="g"), payload_digest({"x": 1}))
+    b = apply_postconditions(spec, DispatchContext(goal_id="g"), payload_digest({"x": 1}))
+    c = apply_postconditions(spec, DispatchContext(goal_id="g"), payload_digest({"x": 2}))
     assert a.business_state["ref"] == b.business_state["ref"]
     assert a.business_state["ref"] != c.business_state["ref"]
 
