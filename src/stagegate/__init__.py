@@ -14,7 +14,6 @@ from .automaton import (
     ValidationReport,
     WorkflowAutomaton,
     automaton_from_dict,
-    automaton_to_dict,
     validate_definition,
 )
 from .context import DispatchContext, SkillResult, payload_digest
@@ -53,9 +52,9 @@ from .memory import (
     FileEventStore,
     GoalManager,
     GoalRecord,
+    GoalState,
     InMemoryEventStore,
     ProcessEvent,
-    ReplayResult,
     load_trace,
     replay_events,
 )

@@ -42,9 +42,6 @@ class ValidationReport:
     def empty(self) -> bool:
         return not self.entries
 
-    def errors(self) -> list[ValidationEntry]:
-        return [e for e in self.entries if e.severity == "error"]
-
     def __str__(self) -> str:
         if not self.entries:
             return "clean"
@@ -94,11 +91,6 @@ class WorkflowAutomaton:
         """Post-success stage for *intent*; None for stage-preserving intents."""
         self._require_intent(intent)
         return self.stage_map[intent]
-
-    def legal_intents(self, stage: StageId) -> set[IntentId]:
-        """All intents whose binding includes *stage*."""
-        self._require_stage(stage)
-        return {i for i in self.intents if stage in self.binding.get(i, frozenset())}
 
     def terminal_stages(self) -> set[StageId]:
         """Stages with no outgoing transition (workflow can only stay or stop)."""
@@ -198,14 +190,3 @@ def automaton_from_dict(raw: Mapping[str, Any], name: str = "domain") -> Workflo
         stage_map=stage_map,
     )
 
-
-def automaton_to_dict(definition: WorkflowAutomaton) -> dict[str, Any]:
-    """Inverse of :func:`automaton_from_dict` (key order normalized)."""
-    return {
-        "stages": list(definition.stages),
-        "initial": definition.initial,
-        "transitions": [list(pair) for pair in sorted(definition.transitions)],
-        "intents": list(definition.intents),
-        "binding": {i: sorted(definition.binding[i]) for i in definition.intents},
-        "stage_map": {i: definition.stage_map[i] for i in definition.intents},
-    }

@@ -23,7 +23,7 @@ from .dispatcher import DispatchToggles
 from .errors import ConfigError, IntegrityFault, StagegateError, parsing
 from .evaluation import ABLATION_CONFIGS, EvalReport, compare_configs, compute_report, render_report
 from .memory import FileEventStore, load_trace, replay_events
-from .runner import RunResult, run_suite
+from .runner import RunResult, goal_id_for, run_suite
 from .scenarios import (
     BUNDLE_FILES,
     DomainBundle,
@@ -97,7 +97,7 @@ def _write_run_artifacts(
         "scenarios": {
             s.scenario_id: {
                 "type": s.type,
-                "goals": {str(t): g for t, g in sorted(run.goal_map[s.scenario_id].items())},
+                "goals": {str(t): goal_id_for(s, t) for t in s.tracks()},
                 "expected_final_stage": {str(t): st for t, st in sorted(s.expected_final_stage.items())},
             }
             for s in run.scenarios
@@ -179,6 +179,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
     except IntegrityFault as exc:
         seq = f" (seq {exc.seq})" if exc.seq is not None else ""
         print(f"corrupted trace{seq}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:
+        print(f"error: {trace_path}: unreadable: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_INPUT
 
     state = result.state()

@@ -6,15 +6,14 @@ exactly one immutable ProcessEvent, and any goal can be reconstructed by
 folding its event log from the beginning.
 
 Two storage backends ship: an in-memory store for tests and a file-backed
-append-only event log (JSONL per goal, plus a JSON snapshot) for durable
-runs.  The interface leaves room for a SQL backend.
+append-only event log (JSONL per goal, plus a JSON snapshot) that outlives
+the process.  The interface leaves room for a SQL backend.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping
@@ -81,8 +80,7 @@ class GoalRecord:
     goal_id: str
     domain: str
     current_stage: StageId
-    created_at: float
-    status: str = "active"  # "active" | "closed"
+    status: str  # "active" | "closed", as goal_status derives it
 
 
 class InMemoryEventStore:
@@ -106,16 +104,14 @@ class InMemoryEventStore:
     def payload_for(self, goal_id: str, seq: int) -> Any:
         return self._payloads.get((goal_id, seq))
 
-    def goal_ids(self) -> list[str]:
-        with self._lock:
-            return sorted(self._events)
-
 
 class FileEventStore:
     """Append-only JSONL trace per goal with a JSON snapshot alongside.
 
-    A completed append is flushed before returning, so an event is durable
-    before the dispatch result surfaces to the caller.
+    A completed append is flushed to the operating system before returning,
+    so other readers of the file see the event, and it survives a crash of
+    this process, before the dispatch result surfaces to the caller.  There
+    is no ``fsync``: a crash of the machine may still lose it.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -145,9 +141,6 @@ class FileEventStore:
     def payload_for(self, goal_id: str, seq: int) -> Any:
         return None
 
-    def goal_ids(self) -> list[str]:
-        return sorted(p.stem for p in self.directory.glob("*.jsonl"))
-
     def write_snapshot(self, goal_id: str, snapshot: Mapping[str, Any]) -> None:
         path = self._snapshot_path(goal_id)
         path.write_text(json.dumps(snapshot, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -155,8 +148,12 @@ class FileEventStore:
 
 def load_trace(path: str | Path) -> list[ProcessEvent]:
     """Read a JSONL trace file into events (no integrity checks here)."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise IntegrityFault(f"undecodable trace {path}: {exc}") from None
     events = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -166,24 +163,27 @@ def load_trace(path: str | Path) -> list[ProcessEvent]:
     return events
 
 
-def goal_state(record: GoalRecord, business_state: dict[str, Any], last_seq: int) -> dict[str, Any]:
-    """A goal's observable state: what snapshots store and replay must reproduce."""
-    return {
-        "current_stage": record.current_stage,
-        "status": record.status,
-        "business_state": business_state,
-        "last_seq": last_seq,
-    }
+def goal_status(automaton: WorkflowAutomaton, stage: StageId) -> str:
+    """A goal is closed exactly when its stage is terminal, from creation on."""
+    return "closed" if stage in automaton.terminal_stages() else "active"
 
 
 @dataclass
-class ReplayResult:
+class GoalState:
+    """One goal's state, live in the GoalManager or rebuilt by replay."""
+
     record: GoalRecord
     business_state: dict[str, Any]
     last_seq: int
 
     def state(self) -> dict[str, Any]:
-        return goal_state(self.record, self.business_state, self.last_seq)
+        """The observable state that snapshots store and replay must reproduce."""
+        return {
+            "current_stage": self.record.current_stage,
+            "status": self.record.status,
+            "business_state": self.business_state,
+            "last_seq": self.last_seq,
+        }
 
 
 class GoalManager:
@@ -194,16 +194,10 @@ class GoalManager:
     advancement) and registry (to re-derive business state during replay).
     """
 
-    def __init__(
-        self,
-        store: InMemoryEventStore | FileEventStore | None = None,
-        domains: Mapping[str, tuple[WorkflowAutomaton, SkillRegistry]] | None = None,
-    ) -> None:
+    def __init__(self, store: InMemoryEventStore | FileEventStore | None = None) -> None:
         self.store = store or InMemoryEventStore()
-        self._domains: dict[str, tuple[WorkflowAutomaton, SkillRegistry]] = dict(domains or {})
-        self._goals: dict[str, GoalRecord] = {}
-        self._contexts: dict[str, DispatchContext] = {}
-        self._last_seq: dict[str, int] = {}
+        self._domains: dict[str, tuple[WorkflowAutomaton, SkillRegistry]] = {}
+        self._states: dict[str, GoalState] = {}
         self._locks: dict[str, threading.RLock] = {}
         self._table_lock = threading.Lock()
         self._goal_counter = 0
@@ -223,51 +217,44 @@ class GoalManager:
             if goal_id is None:
                 self._goal_counter += 1
                 goal_id = f"{domain}-{self._goal_counter:04d}"
-            if goal_id in self._goals:
+            if goal_id in self._states:
                 raise ConflictFault(f"goal id already exists: {goal_id!r}")
-            record = GoalRecord(
-                goal_id=goal_id,
-                domain=domain,
-                current_stage=automaton.initial,
-                created_at=time.time(),
-            )
-            self._goals[goal_id] = record
-            self._contexts[goal_id] = DispatchContext(goal_id=goal_id)
-            self._last_seq[goal_id] = 0
+            stage = automaton.initial
+            record = GoalRecord(goal_id, domain, stage, goal_status(automaton, stage))
+            self._states[goal_id] = GoalState(record, {}, 0)
             self._locks[goal_id] = threading.RLock()
         return record
 
-    def goal(self, goal_id: str) -> GoalRecord:
+    def _state(self, goal_id: str) -> GoalState:
         try:
-            return self._goals[goal_id]
+            return self._states[goal_id]
         except KeyError:
             raise LookupFault("goal", goal_id) from None
 
+    def goal(self, goal_id: str) -> GoalRecord:
+        return self._state(goal_id).record
+
     def goal_ids(self) -> list[str]:
-        return sorted(self._goals)
+        return sorted(self._states)
 
     def lock(self, goal_id: str) -> threading.RLock:
-        self.goal(goal_id)
+        self._state(goal_id)
         return self._locks[goal_id]
 
     def context(self, goal_id: str) -> DispatchContext:
         """Copy of the goal's live context; commit changes via commit_context."""
-        self.goal(goal_id)
-        return self._contexts[goal_id].clone()
+        return DispatchContext(goal_id, self._state(goal_id).business_state).clone()
 
     def commit_context(self, goal_id: str, ctx: DispatchContext) -> None:
-        self.goal(goal_id)
-        self._contexts[goal_id] = ctx.clone()
+        self._state(goal_id).business_state = ctx.clone().business_state
 
     def last_seq(self, goal_id: str) -> int:
-        self.goal(goal_id)
-        return self._last_seq[goal_id]
+        return self._state(goal_id).last_seq
 
     def state(self, goal_id: str) -> dict[str, Any]:
-        """The goal's live observable state (a copy), as ``goal_state`` shapes it."""
-        return goal_state(
-            self.goal(goal_id), self.context(goal_id).business_state, self._last_seq[goal_id]
-        )
+        """The goal's live observable state, with a copy of its business state."""
+        live = self._state(goal_id)
+        return GoalState(live.record, self.context(goal_id).business_state, live.last_seq).state()
 
     # -- validated mutation --------------------------------------------------
 
@@ -290,21 +277,20 @@ class GoalManager:
                     f"transition {from_stage!r} -> {to_stage!r} is not declared legal"
                 )
             record.current_stage = to_stage
-            if to_stage in automaton.terminal_stages():
-                record.status = "closed"
+            record.status = goal_status(automaton, to_stage)
 
     def log_event(self, event: ProcessEvent, payload: Any = None) -> None:
-        """Durably append one event; seq must be exactly previous + 1."""
-        self.goal(event.goal_id)
+        """Append one event to the store; seq must be exactly previous + 1."""
+        live = self._state(event.goal_id)
         with self._locks[event.goal_id]:
-            expected = self._last_seq[event.goal_id] + 1
+            expected = live.last_seq + 1
             if event.seq != expected:
                 raise IntegrityFault(
                     f"event seq {event.seq} for goal {event.goal_id!r}, expected {expected}",
                     seq=event.seq,
                 )
             self.store.append(event, payload)
-            self._last_seq[event.goal_id] = event.seq
+            live.last_seq = event.seq
 
     def list_events(self, goal_id: str, outcome: str | None = None) -> list[ProcessEvent]:
         self.goal(goal_id)
@@ -315,18 +301,16 @@ class GoalManager:
 
     # -- replay ----------------------------------------------------------------
 
-    def replay(self, goal_id: str) -> ReplayResult:
+    def replay(self, goal_id: str) -> GoalState:
         """Rebuild the goal's state purely from its event log."""
         record = self.goal(goal_id)
         automaton, registry = self._domains[record.domain]
-        events = self.store.events_for(goal_id)
         return replay_events(
             goal_id=goal_id,
             domain=record.domain,
             automaton=automaton,
             registry=registry,
-            events=events,
-            created_at=record.created_at,
+            events=self.store.events_for(goal_id),
             payload_lookup=self.store.payload_for,
         )
 
@@ -344,10 +328,9 @@ def replay_events(
     automaton: WorkflowAutomaton,
     registry: SkillRegistry,
     events: Iterable[ProcessEvent],
-    created_at: float = 0.0,
     payload_lookup=None,
-) -> ReplayResult:
-    """Fold an event log into a reconstructed goal record and business state.
+) -> GoalState:
+    """Fold an event log into a reconstructed goal state.
 
     Only SUCCESS events without a sub-reason move state (an executor or
     effect fault committed nothing live): the stage follows ``stage_after``
@@ -393,11 +376,5 @@ def replay_events(
             stage = event.stage_after
         last_seq = event.seq
 
-    record = GoalRecord(
-        goal_id=goal_id,
-        domain=domain,
-        current_stage=stage,
-        created_at=created_at,
-        status="closed" if stage in automaton.terminal_stages() else "active",
-    )
-    return ReplayResult(record=record, business_state=ctx.business_state, last_seq=last_seq)
+    record = GoalRecord(goal_id, domain, stage, goal_status(automaton, stage))
+    return GoalState(record, ctx.business_state, last_seq)

@@ -236,9 +236,18 @@ class SkillRegistry:
 
         A skill must never apply at a stage where its intent is illegal: the
         binding is the governing contract and per-skill stages refine it.
+        An ``append`` needs some skill to initialize its field with ``set``.
         """
         entries: list[ValidationEntry] = []
+        initialized = {e.field for spec in self._skills for e in spec.postconditions if e.op == "set"}
         for spec in self._skills:
+            for effect in spec.postconditions:
+                if effect.op == "append" and effect.field not in initialized:
+                    entries.append(
+                        ValidationEntry("error", "append_uninitialized_field",
+                                        f"skill {spec.id!r} appends to {effect.field!r}, which no "
+                                        f"skill initializes with 'set'")
+                    )
             applies_everywhere = (
                 not spec.applicable_stages
                 or spec.applicable_stages == frozenset(automaton.stages)

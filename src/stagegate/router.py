@@ -204,17 +204,3 @@ def table_from_list(raw: Iterable[Mapping[str, Any]]) -> tuple[IntentPattern, ..
             )
     return tuple(table)
 
-
-def table_to_list(table: Sequence[IntentPattern]) -> list[dict[str, Any]]:
-    out = []
-    for entry in table:
-        patterns = []
-        for expr in entry.patterns:
-            if expr.kind == "exact":
-                patterns.append("=" + expr.text)
-            elif expr.kind == "tokens":
-                patterns.append("&" + expr.text)
-            else:
-                patterns.append(expr.text)
-        out.append({"intent": entry.intent, "patterns": patterns, "priority": entry.priority})
-    return out

@@ -16,7 +16,6 @@ class StepRecord:
 
     scenario_id: str
     turn_index: int
-    track: int
     goal_id: str
     message: LabeledMessage
     result: DispatchResult
@@ -38,7 +37,6 @@ class RunResult:
     scenarios: list[Scenario]
     steps: list[StepRecord]
     manager: GoalManager
-    goal_map: dict[str, dict[int, str]]
 
     def events(self) -> list[ProcessEvent]:
         return [s.event for s in self.steps if s.event is not None]
@@ -77,24 +75,19 @@ def run_suite(
         fallback=bundle.fallback,
     )
 
-    goal_map: dict[str, dict[int, str]] = {}
     for scenario in scenarios:
-        goal_map[scenario.scenario_id] = {}
         for track in scenario.tracks():
-            gid = goal_id_for(scenario, track)
-            manager.create_goal(bundle.name, goal_id=gid)
-            goal_map[scenario.scenario_id][track] = gid
+            manager.create_goal(bundle.name, goal_id=goal_id_for(scenario, track))
 
     steps: list[StepRecord] = []
     for scenario in scenarios:
         for msg in scenario.messages:
-            gid = goal_map[scenario.scenario_id][msg.track]
+            gid = goal_id_for(scenario, msg.track)
             result = dispatch(msg.text, gid, deps, toggles)
             steps.append(
                 StepRecord(
                     scenario_id=scenario.scenario_id,
                     turn_index=msg.turn_index,
-                    track=msg.track,
                     goal_id=gid,
                     message=msg,
                     result=result,
@@ -109,5 +102,4 @@ def run_suite(
         scenarios=list(scenarios),
         steps=steps,
         manager=manager,
-        goal_map=goal_map,
     )

@@ -84,12 +84,15 @@ class DomainBundle:
 
 
 def read_json(path: Path) -> Any:
+    """Parse a JSON file; a missing, unreadable or undecodable one is a ConfigError."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"{path}: file not found") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: unreadable: {exc}") from None
 
 
 Problem = tuple[str, str]  # (bundle part, message)
@@ -433,12 +436,11 @@ def inject_illegal(
     candidates: list[tuple[int, str]] = []
     if strategy == "premature_terminal":
         terminals = automaton.terminal_stages()
-        position = 0
         here = stage_at.get(0, automaton.initial)
         for intent in automaton.intents:
             target = automaton.stage_map.get(intent)
             if target in terminals and here not in automaton.binding[intent]:
-                candidates.append((position, intent))
+                candidates.append((0, intent))
     else:
         for position in sorted(stage_at):
             here = stage_at[position]
@@ -464,21 +466,10 @@ def inject_illegal(
         turn_index=position,
         track=track0,
     )
-    new_messages: list[LabeledMessage] = []
-    for msg in scenario.messages[:position]:
-        new_messages.append(msg)
-    new_messages.append(injected)
-    for msg in scenario.messages[position:]:
-        new_messages.append(replace(msg, turn_index=msg.turn_index + 1))
-    for i, msg in enumerate(new_messages):
-        new_messages[i] = replace(msg, turn_index=i)
-
-    return replace(
-        scenario,
-        scenario_id=f"{scenario.scenario_id}-inj",
-        type="illegal",
-        messages=tuple(new_messages),
-    )
+    sid = f"{scenario.scenario_id}-inj"
+    spliced = [*scenario.messages[:position], injected, *scenario.messages[position:]]
+    messages = tuple(replace(msg, scenario_id=sid, turn_index=i) for i, msg in enumerate(spliced))
+    return replace(scenario, scenario_id=sid, type="illegal", messages=messages)
 
 
 # -- schema-guided dialogue conversion ---------------------------------------------

@@ -627,18 +627,10 @@ def build_sgd_suite(domain: str, bundle: DomainBundle | None = None, seed: int =
 
     for i in range(20):
         sid = f"{domain}-illegal-{i + 1:03d}"
-        messages = (
-            LabeledMessage(
-                text=pick(act_texts), expected_legal=False, scenario_id=sid, turn_index=0
-            ),
+        message = LabeledMessage(
+            text=pick(act_texts), expected_legal=False, scenario_id=sid, turn_index=0
         )
-        scenarios.append(
-            Scenario(
-                scenario_id=sid, domain=domain, type="illegal",
-                messages=messages,
-                expected_final_stage={0: bundle.automaton.initial},
-            )
-        )
+        scenarios.append(label_scenario(bundle, Scenario(sid, domain, "illegal", (message,))))
 
     total_turns = sum(len(s.messages) for s in scenarios)
     if total_turns != SGD_NORMAL_TURNS[domain] + 20:

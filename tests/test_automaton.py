@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from stagegate.automaton import (
     WorkflowAutomaton,
     automaton_from_dict,
-    automaton_to_dict,
     validate_definition,
 )
 from stagegate.errors import ConfigError, LookupFault
@@ -17,18 +16,19 @@ from stagegate.errors import ConfigError, LookupFault
 from reference import random_domain
 
 
+def _tiny_dict() -> dict:
+    return {
+        "stages": ["a", "b", "c"],
+        "initial": "a",
+        "transitions": [["a", "b"], ["b", "c"], ["b", "a"]],
+        "intents": ["go", "stay", "query"],
+        "binding": {"go": ["a", "b"], "stay": ["b"], "query": ["a", "b", "c"]},
+        "stage_map": {"go": "b", "stay": "b", "query": None},
+    }
+
+
 def _tiny() -> WorkflowAutomaton:
-    return automaton_from_dict(
-        {
-            "stages": ["a", "b", "c"],
-            "initial": "a",
-            "transitions": [["a", "b"], ["b", "c"], ["b", "a"]],
-            "intents": ["go", "stay", "query"],
-            "binding": {"go": ["a", "b"], "stay": ["b"], "query": ["a", "b", "c"]},
-            "stage_map": {"go": "b", "stay": "b", "query": None},
-        },
-        name="tiny",
-    )
+    return automaton_from_dict(_tiny_dict(), name="tiny")
 
 
 def test_hr_definition_validates_clean(hr_bundle):
@@ -103,8 +103,6 @@ def test_unknown_lookups_raise():
         auto.is_stage_legal("go", "zz")
     with pytest.raises(LookupFault):
         auto.target_stage("nope")
-    with pytest.raises(LookupFault):
-        auto.legal_intents("zz")
 
 
 def test_transition_reflexivity_and_membership():
@@ -140,36 +138,6 @@ def test_transition_grid_matches_bruteforce():
                 assert auto.can_transition(a, b) == expected
 
 
-def test_legal_intents_is_inverse_of_binding():
-    rng = random.Random(9)
-    for _ in range(25):
-        domain = random_domain(rng)
-        auto = automaton_from_dict(domain["automaton"], name="rnd")
-        for stage in auto.stages:
-            expected = {i for i in auto.intents if auto.is_stage_legal(i, stage)}
-            assert auto.legal_intents(stage) == expected
-        covered = set()
-        for stage in auto.stages:
-            covered |= auto.legal_intents(stage)
-        nonempty = {i for i in auto.intents if auto.binding[i]}
-        assert covered == nonempty
-
-
-def test_stage_with_no_bound_intents_yields_empty_set():
-    auto = automaton_from_dict(
-        {
-            "stages": ["a", "b"],
-            "initial": "a",
-            "transitions": [],
-            "intents": ["x"],
-            "binding": {"x": ["a"]},
-            "stage_map": {"x": None},
-        },
-        name="t",
-    )
-    assert auto.legal_intents("b") == set()
-
-
 def test_target_stage_lookup():
     auto = _tiny()
     assert auto.target_stage("go") == "b"
@@ -198,23 +166,17 @@ def test_hr_rollback_edges_are_directional(hr_bundle):
 
 
 def test_config_rejects_unknown_keys():
-    raw = automaton_to_dict(_tiny())
+    raw = _tiny_dict()
     raw["extra_key"] = 1
     with pytest.raises(ConfigError, match="extra_key"):
         automaton_from_dict(raw)
 
 
 def test_config_rejects_missing_keys():
-    raw = automaton_to_dict(_tiny())
+    raw = _tiny_dict()
     del raw["binding"]
     with pytest.raises(ConfigError, match="binding"):
         automaton_from_dict(raw)
-
-
-def test_config_round_trip():
-    auto = _tiny()
-    again = automaton_from_dict(automaton_to_dict(auto), name="tiny")
-    assert automaton_to_dict(again) == automaton_to_dict(auto)
 
 
 def test_terminal_stages_have_no_outgoing_edges(hr_bundle):

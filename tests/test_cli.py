@@ -252,13 +252,35 @@ def _replay_without_manifest_domain(run: Path) -> list[str]:
     return ["replay", str(_trace(run))]
 
 
+def _replay_invalid_utf8(run: Path) -> list[str]:
+    _trace(run).write_bytes(b"\xff\xfe" + _trace(run).read_bytes())
+    return ["replay", str(_trace(run))]
+
+
+def _replay_trace_is_directory(run: Path) -> list[str]:
+    (run / "traces" / "ghost.jsonl").mkdir()
+    return ["replay", str(run / "traces" / "ghost.jsonl")]
+
+
 def _report_unparseable(run: Path) -> list[str]:
     (run / "report.json").write_text("{")
     return ["report", str(run)]
 
 
+def _report_is_directory(run: Path) -> list[str]:
+    (run / "report.json").unlink()
+    (run / "report.json").mkdir()
+    return ["report", str(run)]
+
+
 def _run_suite_text(run: Path, text: str) -> list[str]:
     (run / "suite.json").write_text(text)
+    return ["run", "--domain", str(hr_domain_dir()), "--suite", str(run / "suite.json"),
+            "--out", str(run / "rerun")]
+
+
+def _run_suite_invalid_utf8(run: Path) -> list[str]:
+    (run / "suite.json").write_bytes(b"\xff" + hr_suite_path().read_bytes())
     return ["run", "--domain", str(hr_domain_dir()), "--suite", str(run / "suite.json"),
             "--out", str(run / "rerun")]
 
@@ -297,7 +319,11 @@ MALFORMED = {
         2, "corrupted trace"),
     "replay-array-line": (
         lambda run: _replay_with_first_line(run, lambda line: "[1, 2]"), 2, "corrupted trace"),
+    "replay-invalid-utf8": (_replay_invalid_utf8, 2, "corrupted trace"),
+    "replay-trace-is-directory": (_replay_trace_is_directory, 2, "error: "),
     "report-unparseable": (_report_unparseable, 2, "error: "),
+    "report-is-directory": (_report_is_directory, 2, "error: "),
+    "run-suite-invalid-utf8": (_run_suite_invalid_utf8, 2, "error: "),
     "run-message-without-text": (_run_message_without_text, 2, "error: "),
     "run-suite-is-array": (lambda run: _run_suite_text(run, "[]"), 2, "error: "),
     "validate-effect-without-op": (

@@ -171,17 +171,30 @@ def test_bundle_without_a_skill_fixture_is_rejected():
 
 
 def _append_fault_parts():
-    """Two stages; the only skill appends to a field nothing initializes."""
+    """Two stages; "go" appends to a field that only the never-dispatched "start" sets."""
     return {
         "automaton": {
             "stages": ["a", "b"], "initial": "a", "transitions": [["a", "b"]],
-            "intents": ["go"], "binding": {"go": ["a"]}, "stage_map": {"go": "b"},
+            "intents": ["go", "start"], "binding": {"go": ["a"], "start": ["b"]},
+            "stage_map": {"go": "b", "start": None},
         },
         "skills": [{"id": "go", "intent": "go", "level": "L1", "stages": ["a"],
-                    "post": [{"op": "append", "field": "log", "value": 1}]}],
-        "patterns": [{"intent": "go", "patterns": ["go"]}],
-        "fixtures": {"go": {"done": True}},
+                    "post": [{"op": "append", "field": "log", "value": 1}]},
+                   {"id": "start", "intent": "start", "level": "L1", "stages": ["b"],
+                    "post": [{"op": "set", "field": "log", "value": []}]}],
+        "patterns": [{"intent": "go", "patterns": ["go"]}, {"intent": "start", "patterns": ["start"]}],
+        "fixtures": {"go": {"done": True}, "start": {"done": True}},
     }
+
+
+def test_append_to_a_field_no_skill_sets_is_rejected():
+    parts = _append_fault_parts()
+    del parts["skills"][1]  # the only skill that sets "log"
+    errors, _ = check_bundle("fault", parts)
+    message = "append_uninitialized_field: skill 'go' appends to 'log', which no skill initializes with 'set'"
+    assert errors == [("skills", message)]
+    with pytest.raises(ConfigError, match="append_uninitialized_field"):
+        bundle_from_dicts("fault", parts)
 
 
 def test_effect_fault_after_execution_logs_one_event_and_commits_nothing():

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import random
 import threading
 import time
 
 import pytest
 
+from stagegate.automaton import automaton_from_dict
+from stagegate.dispatcher import DispatchDeps, dispatch
 from stagegate.errors import ConfigError, ConflictFault, IntegrityFault, LookupFault
 from stagegate.memory import (
     FileEventStore,
@@ -14,6 +17,9 @@ from stagegate.memory import (
     load_trace,
     replay_events,
 )
+from stagegate.scenarios import bundle_from_dicts
+
+from reference import random_domain, random_messages
 
 
 def _manager(hr_bundle, store=None):
@@ -147,6 +153,38 @@ def test_replay_folds_success_events(hr_bundle):
     assert result.business_state["position_exists"] is True
     assert result.business_state["candidates_pulled"] is True
     assert result.last_seq == 2
+
+
+def test_goal_on_a_one_stage_automaton_is_closed_from_creation():
+    automaton = automaton_from_dict(
+        {"stages": ["only"], "initial": "only", "transitions": [], "intents": ["q"],
+         "binding": {"q": ["only"]}, "stage_map": {"q": None}},
+        name="one",
+    )
+    manager = GoalManager()
+    manager.add_domain("one", automaton, None)
+    assert manager.create_goal("one").status == "closed"
+
+
+def test_replay_reproduces_live_state_on_random_domains():
+    """Every goal replays to its live state, including goals created at a terminal stage."""
+    mismatches = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        domain = random_domain(rng)
+        bundle = bundle_from_dicts("rnd", domain)
+        manager = GoalManager()
+        manager.add_domain("rnd", bundle.automaton, bundle.registry)
+        deps = DispatchDeps(
+            automaton=bundle.automaton, registry=bundle.registry, table=bundle.table,
+            manager=manager, executor=bundle.build_executor(), fallback=bundle.fallback,
+        )
+        gid = manager.create_goal("rnd").goal_id
+        for message in random_messages(rng, domain, 30):
+            dispatch(message, gid, deps)
+        if manager.replay(gid).state() != manager.state(gid):
+            mismatches.append(seed)
+    assert mismatches == []
 
 
 def test_replay_prefix_reconstructs_prefix_state(hr_bundle):

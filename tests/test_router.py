@@ -10,7 +10,6 @@ from stagegate.router import (
     identify,
     normalize,
     table_from_list,
-    table_to_list,
     validate_table,
 )
 
@@ -138,12 +137,6 @@ def test_validate_table_reports_ambiguity_and_foreign_intents():
 
 def test_shipped_hr_table_validates_clean(hr_bundle):
     assert validate_table(hr_bundle.table, hr_bundle.automaton).empty
-
-
-def test_table_round_trip(hr_bundle):
-    as_list = table_to_list(hr_bundle.table)
-    again = table_from_list(as_list)
-    assert again == hr_bundle.table
 
 
 def test_pattern_mode_agreement_over_shipped_suite(hr_bundle, hr_suite):

@@ -193,6 +193,7 @@ def test_injection_is_deterministic_and_labeled_illegal():
     assert len(a.messages) == len(normal.messages) + 1
     assert sum(1 for m in a.messages if not m.expected_legal) >= 1
     assert [m.turn_index for m in a.messages] == list(range(len(a.messages)))
+    assert {m.scenario_id for m in a.messages} == {a.scenario_id}  # labels align with steps
 
 
 def test_premature_terminal_opens_with_the_blocked_action():
