@@ -74,6 +74,7 @@ from .router import (
     UNKNOWN,
     IntentPattern,
     MatchExpr,
+    PatternTable,
     RoutingDecision,
     TokenOverlapFallback,
     identify,

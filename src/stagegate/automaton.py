@@ -12,7 +12,7 @@ are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .errors import ConfigError, LookupFault, parsing
@@ -66,6 +66,11 @@ class WorkflowAutomaton:
     intents: tuple[IntentId, ...]
     binding: Mapping[IntentId, frozenset[StageId]]
     stage_map: Mapping[IntentId, StageId | None]
+    _terminal: frozenset[StageId] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        outgoing = {f for f, t in self.transitions if f != t}
+        object.__setattr__(self, "_terminal", frozenset(s for s in self.stages if s not in outgoing))
 
     def _require_stage(self, stage: StageId) -> None:
         if stage not in self.stages:
@@ -92,10 +97,9 @@ class WorkflowAutomaton:
         self._require_intent(intent)
         return self.stage_map[intent]
 
-    def terminal_stages(self) -> set[StageId]:
+    def terminal_stages(self) -> frozenset[StageId]:
         """Stages with no outgoing transition (workflow can only stay or stop)."""
-        outgoing = {f for f, t in self.transitions if f != t}
-        return {s for s in self.stages if s not in outgoing}
+        return self._terminal
 
 
 def validate_definition(definition: WorkflowAutomaton) -> ValidationReport:

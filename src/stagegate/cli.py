@@ -120,7 +120,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     toggles = _toggles_from_args(args)
     manifest = {
         "run_id": f"{Path(args.suite).stem}-seed{args.seed}",
-        "domain": str(args.domain),
+        "domain": str(Path(args.domain).resolve()),  # replay may run from elsewhere
         "suite": str(args.suite),
         "toggles": asdict(toggles),
         "seed": args.seed,

@@ -30,7 +30,7 @@ from .context import DispatchContext, SkillResult, payload_digest
 from .errors import ConfigError
 from .memory import GoalManager, ProcessEvent
 from .registry import SkillRegistry, SkillSpec, apply_postconditions
-from .router import FallbackResolver, IntentPattern, identify
+from .router import FallbackResolver, PatternTable, identify
 
 Executor = Callable[[SkillSpec, DispatchContext], SkillResult]
 
@@ -60,7 +60,7 @@ FULL = DispatchToggles()
 class DispatchDeps:
     automaton: WorkflowAutomaton
     registry: SkillRegistry
-    table: tuple[IntentPattern, ...]
+    table: PatternTable
     manager: GoalManager
     executor: Executor
     fallback: FallbackResolver | None = None

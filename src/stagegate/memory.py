@@ -246,7 +246,14 @@ class GoalManager:
         return DispatchContext(goal_id, self._state(goal_id).business_state).clone()
 
     def commit_context(self, goal_id: str, ctx: DispatchContext) -> None:
-        self._state(goal_id).business_state = ctx.clone().business_state
+        """Make *ctx*'s business state the goal's live state, taking ownership.
+
+        No copy is made: the caller hands over a context no one else holds
+        (the dispatcher commits the private copy ``apply_postconditions``
+        returned) and must not touch it afterwards.  Readers still get
+        copies, through ``context`` and ``state``.
+        """
+        self._state(goal_id).business_state = ctx.business_state
 
     def last_seq(self, goal_id: str) -> int:
         return self._state(goal_id).last_seq

@@ -117,12 +117,17 @@ class PredicateCatalog:
 
 
 class SkillRegistry:
-    """Holds skills in registration order; immutable once the build phase ends."""
+    """Holds skills in registration order; immutable once the build phase ends.
+
+    Each intent's skills are also kept in selection order, (risk level,
+    registration), as they are registered.
+    """
 
     def __init__(self, catalog: PredicateCatalog) -> None:
         self.catalog = catalog
         self._skills: list[SkillSpec] = []
         self._by_id: dict[str, SkillSpec] = {}
+        self._by_intent: dict[IntentId, list[SkillSpec]] = {}
 
     def __len__(self) -> int:
         return len(self._skills)
@@ -147,6 +152,9 @@ class SkillRegistry:
                 raise BindingFault(ref.name)
         self._skills.append(spec)
         self._by_id[spec.id] = spec
+        candidates = self._by_intent.setdefault(spec.intent, [])
+        candidates.append(spec)
+        candidates.sort(key=lambda s: s.level)  # stable: registration order breaks ties
 
     def select_skill(self, intent: IntentId, stage: StageId | None = None) -> SkillSpec | None:
         """Unique skill serving *intent* that applies at *stage* (any stage when None).
@@ -154,18 +162,10 @@ class SkillRegistry:
         When several match, the lowest risk level wins; ties break by
         registration order, so selection stays deterministic and auditable.
         """
-        best: tuple[int, int] | None = None
-        chosen: SkillSpec | None = None
-        for index, spec in enumerate(self._skills):
-            if spec.intent != intent:
-                continue
-            if stage is not None and not spec.applies_at(stage):
-                continue
-            key = (int(spec.level), index)
-            if best is None or key < best:
-                best = key
-                chosen = spec
-        return chosen
+        for spec in self._by_intent.get(intent, ()):
+            if stage is None or spec.applies_at(stage):
+                return spec
+        return None
 
     def check_preconditions(self, skill: SkillSpec, ctx: DispatchContext) -> PreconditionReport:
         """Evaluate every guard of *skill* against *ctx* without mutating it.

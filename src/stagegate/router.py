@@ -5,13 +5,16 @@ or token set) scanned by priority then specificity, so identical inputs
 always produce identical decisions.  Ambiguous messages can be handed to a
 pluggable resolver; the shipped fallback is a table-driven token-overlap
 matcher so suites run fully offline.
+
+A table is compiled once, by :func:`table_from_list`: the scan order and
+each pattern's token set are built at load, and routing only walks them.
 """
 
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .automaton import ValidationEntry, ValidationReport, WorkflowAutomaton
 from .context import DispatchContext
@@ -41,6 +44,10 @@ class MatchExpr:
 
     kind: str  # "exact" | "substring" | "tokens"
     text: str
+    tokens: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tokens", frozenset(self.text.split()))
 
     @classmethod
     def parse(cls, raw: str) -> "MatchExpr":
@@ -57,8 +64,7 @@ class MatchExpr:
             return normalized_message == self.text
         if self.kind == "substring":
             return self.text in normalized_message
-        tokens = set(self.text.split())
-        return tokens <= set(normalized_message.split())
+        return self.tokens <= set(normalized_message.split())
 
 
 @dataclass(frozen=True)
@@ -80,25 +86,37 @@ class RoutingDecision:
 FallbackResolver = Callable[[str, DispatchContext], RoutingDecision]
 
 
-def _scan_order(table: Sequence[IntentPattern]) -> list[tuple[int, int, str, str, MatchExpr]]:
-    """Flatten the table into deterministic scan order.
+@dataclass(frozen=True)
+class PatternTable:
+    """One bundle's pattern table, compiled once and immutable after.
 
-    Higher priority first, then longer (more specific) patterns; remaining
-    ties break lexicographically so decisions are stable across table
+    Iterating yields the authored entries in authored order.  ``scan`` holds
+    every (intent, expression) pair in the one deterministic scan order:
+    higher priority first, then longer (more specific) patterns; remaining
+    ties break by text, then intent, so decisions are stable across table
     serializations.
     """
-    flat = []
-    for entry in table:
-        for expr in entry.patterns:
-            flat.append((-entry.priority, -len(expr.text), expr.text, entry.intent, expr))
-    flat.sort(key=lambda item: item[:4])
-    return flat
+
+    entries: tuple[IntentPattern, ...]
+    scan: tuple[tuple[str, MatchExpr], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        flat = [
+            (-entry.priority, -len(expr.text), expr.text, entry.intent, expr)
+            for entry in self.entries
+            for expr in entry.patterns
+        ]
+        flat.sort(key=lambda item: item[:4])
+        object.__setattr__(self, "scan", tuple((intent, expr) for *_, intent, expr in flat))
+
+    def __iter__(self) -> Iterator[IntentPattern]:
+        return iter(self.entries)
 
 
 def identify(
     message: str,
     ctx: DispatchContext,
-    table: Sequence[IntentPattern],
+    table: PatternTable,
     fallback: FallbackResolver | None = None,
 ) -> RoutingDecision:
     """Resolve a message to an intent, or UNKNOWN.
@@ -109,7 +127,7 @@ def identify(
     """
     norm = normalize(message)
     if norm:
-        for _, _, _, intent, expr in _scan_order(table):
+        for intent, expr in table.scan:
             if expr.matches(norm):
                 return RoutingDecision(
                     intent=intent, mode="pattern", confidence=1.0, matched_pattern=expr.text
@@ -132,8 +150,8 @@ class TokenOverlapFallback:
     Deterministic, so suite runs stay reproducible offline.
     """
 
-    def __init__(self, table: Sequence[IntentPattern]) -> None:
-        self.table = tuple(table)
+    def __init__(self, table: PatternTable) -> None:
+        self.table = table
 
     def __call__(self, message: str, ctx: DispatchContext) -> RoutingDecision:
         tokens = set(normalize(message).split())
@@ -142,11 +160,11 @@ class TokenOverlapFallback:
         best_score = 0.0
         best_intent: str | None = None
         best_pattern: str | None = None
-        for _, _, _, intent, expr in _scan_order(self.table):
-            expr_tokens = set(expr.text.split())
-            if not expr_tokens:
-                continue
-            score = len(tokens & expr_tokens) / len(tokens | expr_tokens)
+        for intent, expr in self.table.scan:
+            shared = len(tokens & expr.tokens)
+            if not shared:
+                continue  # scores 0, which never beats best_score; so do empty patterns
+            score = shared / (len(tokens) + len(expr.tokens) - shared)
             if score > best_score:
                 best_score, best_intent, best_pattern = score, intent, expr.text
         if best_intent is not None and best_score >= FALLBACK_THRESHOLD:
@@ -158,7 +176,7 @@ class TokenOverlapFallback:
 
 
 def validate_table(
-    table: Sequence[IntentPattern], automaton: WorkflowAutomaton | None = None
+    table: Iterable[IntentPattern], automaton: WorkflowAutomaton | None = None
 ) -> ValidationReport:
     """Report ambiguous pattern pairs and intents absent from the automaton."""
     entries: list[ValidationEntry] = []
@@ -188,8 +206,8 @@ def validate_table(
     return ValidationReport(tuple(entries))
 
 
-def table_from_list(raw: Iterable[Mapping[str, Any]]) -> tuple[IntentPattern, ...]:
-    """Parse the pattern table file form: [{intent, patterns, priority}]."""
+def table_from_list(raw: Iterable[Mapping[str, Any]]) -> PatternTable:
+    """Parse and compile the pattern table file form: [{intent, patterns, priority}]."""
     table = []
     with parsing("pattern table"):
         for item in raw:
@@ -202,5 +220,5 @@ def table_from_list(raw: Iterable[Mapping[str, Any]]) -> tuple[IntentPattern, ..
                     priority=int(item.get("priority", 0)),
                 )
             )
-    return tuple(table)
+    return PatternTable(tuple(table))
 

@@ -28,7 +28,7 @@ from .dispatcher import BLOCK_OUTCOMES, MockExecutor, decide
 from .errors import ConfigError, GenerationFault, StagegateError, parsing
 from .registry import SkillRegistry, apply_postconditions, build_registry
 from .router import (
-    IntentPattern,
+    PatternTable,
     TokenOverlapFallback,
     identify,
     table_from_list,
@@ -72,7 +72,7 @@ class DomainBundle:
     name: str
     automaton: WorkflowAutomaton
     registry: SkillRegistry
-    table: tuple[IntentPattern, ...]
+    table: PatternTable
     fixtures: dict[str, Any]
     fallback: TokenOverlapFallback | None = None
 
@@ -128,7 +128,7 @@ def _assemble(
     except StagegateError as exc:
         errors.append(("skills", str(exc)))
 
-    table: tuple[IntentPattern, ...] | None = None
+    table: PatternTable | None = None
     try:
         table = table_from_list(parts["patterns"])
         note("patterns", validate_table(table, automaton))

@@ -211,6 +211,21 @@ def test_run_against_sgd_domain(tmp_path):
     assert report["blocked_total"] == 20
 
 
+def test_replay_from_another_directory_after_a_relative_domain(tmp_path, monkeypatch, capsys):
+    """The manifest keeps the resolved domain path, not the one typed."""
+    work = tmp_path / "a"
+    shutil.copytree(sgd_domain_dir("Buses_1"), work / "Buses_1")
+    monkeypatch.chdir(work)
+    assert main(["run", "--domain", "Buses_1", "--suite", str(sgd_suite_path("Buses_1")),
+                 "--out", "t/rr"]) == 0
+    monkeypatch.chdir(tmp_path)
+    traces = sorted(Path("a/t/rr/traces").glob("*.jsonl"))
+    assert traces
+    capsys.readouterr()
+    assert main(["replay", str(traces[0])]) == 0
+    assert "replay matches snapshot" in capsys.readouterr().out
+
+
 # -- malformed artifacts ------------------------------------------------------------
 
 

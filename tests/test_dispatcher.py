@@ -16,8 +16,8 @@ from stagegate.dispatcher import (
 from stagegate.errors import ConfigError, LookupFault
 from stagegate.memory import GoalManager
 from stagegate.router import UNKNOWN
-from stagegate.scenarios import bundle_from_dicts, check_bundle
-from stagegate.suites import sgd_domain_dicts
+from stagegate.scenarios import bundle_from_dicts, check_bundle, load_domain
+from stagegate.suites import hr_domain_dir, sgd_domain_dicts
 
 from reference import random_domain, random_messages, run_reference
 
@@ -237,6 +237,45 @@ def test_executor_exception_is_contained(hr_bundle):
     result = dispatch("create a hiring demand", gid, deps)
     assert result.outcome == "SUCCESS"
     assert result.event.sub_reason == "execution_error"
+
+
+def test_contexts_handed_out_stay_detached_from_goal_state():
+    """The executor and predicates get copies: what they keep reaches no goal state.
+
+    ``commit_context`` takes ownership of the context it is given, so the
+    copy ``GoalManager.context`` makes is all that stands between a context
+    kept past ``dispatch`` and the goal's live state.
+    """
+    bundle = load_domain(hr_domain_dir())  # private catalog: a predicate is replaced below
+    kept = []
+
+    def keeping_predicate(ctx):
+        kept.append(ctx)
+        return bool(ctx.business_state.get("candidates_pulled", False))
+
+    bundle.registry.catalog.register("candidates_pulled", keeping_predicate)
+    executor = bundle.build_executor()
+
+    def keeping_executor(skill, ctx):
+        kept.append(ctx)
+        return executor(skill, ctx)
+
+    deps = _deps(bundle, executor=keeping_executor)
+    gid = _goal(deps, "hr")
+    for text in ("create a hiring demand", "pull candidates", "screen resumes",
+                 "schedule interview", "reopen sourcing"):
+        assert dispatch(text, gid, deps).outcome == "SUCCESS"
+    # Blocked, so nothing is committed after the predicate saw the context.
+    assert dispatch("compare candidates", gid, deps).outcome == "PRECONDITION_FAIL"
+    live = deps.manager.state(gid)
+    assert deps.manager.replay(gid).state() == live
+    assert len(kept) == 7  # five executor calls, two predicate calls
+
+    for ctx in kept:
+        ctx.business_state.clear()
+        ctx.business_state["tampered"] = True
+    assert deps.manager.state(gid) == live
+    assert deps.manager.replay(gid).state() == live
 
 
 # -- toggles ----------------------------------------------------------------------

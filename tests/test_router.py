@@ -2,16 +2,24 @@ from __future__ import annotations
 
 import time
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from stagegate.automaton import automaton_from_dict
 from stagegate.context import DispatchContext
 from stagegate.router import (
+    FALLBACK_THRESHOLD,
     UNKNOWN,
     MatchExpr,
+    RoutingDecision,
+    TokenOverlapFallback,
     identify,
     normalize,
     table_from_list,
     validate_table,
 )
+from stagegate.scenarios import read_json
+from stagegate.suites import hr_domain_dir
 
 CTX = DispatchContext(goal_id="g")
 
@@ -167,14 +175,15 @@ def test_pattern_mode_agreement_over_shipped_suite(hr_bundle, hr_suite):
     assert pattern_hits / total >= 0.975
 
 
-def test_identify_latency_under_one_ms(hr_bundle):
+def test_identify_latency_under_one_ms():
     # Warm up, then check the median of single identifies over a 100-pattern table.
-    table = list(hr_bundle.table)
+    raw = read_json(hr_domain_dir() / "patterns.json")
     extra = [
         {"intent": "ask_missing", "patterns": [f"filler pattern number {i}"], "priority": 0}
-        for i in range(100 - sum(len(e.patterns) for e in table))
+        for i in range(100 - sum(len(item["patterns"]) for item in raw))
     ]
-    big = tuple(table) + table_from_list(extra)
+    big = table_from_list(raw + extra)
+    assert sum(len(e.patterns) for e in big) == 100
     for _ in range(10):
         identify("schedule interview", CTX, big)
     samples = []
@@ -185,3 +194,73 @@ def test_identify_latency_under_one_ms(hr_bundle):
     samples.sort()
     median_ms = samples[len(samples) // 2] / 1e6
     assert median_ms < 1.0, f"median identify latency {median_ms:.3f} ms"
+
+
+# -- compiled table vs a per-call reference ---------------------------------------
+
+_WORDS = ("ab", "cd", "ef", "gh", "abc", "cde", "x")  # short: ties in length and text abound
+_UNRESOLVED = RoutingDecision(intent=UNKNOWN, mode="fallback", confidence=0.0)
+
+
+def _reference_identify(message, entries, with_fallback):
+    """Route by sorting the raw entries on every call, with matching and scoring of its own."""
+    flat = sorted(
+        ((-entry.priority, -len(expr.text), expr.text, entry.intent, expr)
+         for entry in entries
+         for expr in entry.patterns),
+        key=lambda item: item[:4],
+    )
+    norm = normalize(message)
+    if norm:
+        for *_, intent, expr in flat:
+            if not expr.text:
+                continue
+            if expr.kind == "exact":
+                hit = norm == expr.text
+            elif expr.kind == "substring":
+                hit = expr.text in norm
+            else:
+                hit = set(expr.text.split()) <= set(norm.split())
+            if hit:
+                return RoutingDecision(intent, "pattern", 1.0, matched_pattern=expr.text)
+    tokens = set(norm.split())
+    if not with_fallback or not tokens:
+        return _UNRESOLVED
+    best_score, best_intent, best_pattern = 0.0, None, None
+    for *_, intent, expr in flat:
+        expr_tokens = set(expr.text.split())
+        if not expr_tokens:
+            continue
+        score = len(tokens & expr_tokens) / len(tokens | expr_tokens)
+        if score > best_score:
+            best_score, best_intent, best_pattern = score, intent, expr.text
+    if best_intent is not None and best_score >= FALLBACK_THRESHOLD:
+        return RoutingDecision(best_intent, "fallback", round(best_score, 4), best_pattern)
+    return _UNRESOLVED
+
+
+_phrase = st.lists(st.sampled_from(_WORDS), max_size=3).map(" ".join)
+_raw_pattern = st.tuples(st.sampled_from(("", "=", "&")), _phrase).map("".join)
+_raw_table = st.lists(
+    st.fixed_dictionaries({
+        "intent": st.sampled_from(("i1", "i2", "i3", "i4")),
+        "patterns": st.lists(_raw_pattern, max_size=4),
+        "priority": st.integers(0, 2),
+    }),
+    max_size=8,
+)
+_message = st.tuples(
+    st.lists(st.sampled_from(_WORDS + ("zz",)), max_size=5).map(" ".join),
+    st.sampled_from(("", "!", " ?")),
+    st.booleans(),
+).map(lambda parts: (parts[0].upper() if parts[2] else parts[0]) + parts[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=_raw_table, messages=st.lists(_message, min_size=1, max_size=6))
+def test_compiled_table_routes_like_a_per_call_sort(raw, messages):
+    table = table_from_list(raw)
+    fallback = TokenOverlapFallback(table)
+    for message in messages:
+        assert identify(message, CTX, table) == _reference_identify(message, table, False)
+        assert identify(message, CTX, table, fallback) == _reference_identify(message, table, True)
