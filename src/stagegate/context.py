@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -11,17 +10,18 @@ from typing import Any
 
 @dataclass
 class DispatchContext:
-    """Mutable business state consulted by precondition predicates.
+    """Business state consulted by precondition predicates.
 
-    ``business_state`` evolves only through postcondition effects (or
-    goal-manager mediated writes).
+    ``business_state`` is a flat dict of JSON scalars that evolves only
+    through postcondition effects (or goal-manager mediated writes), so a
+    shallow copy is a full copy.
     """
 
     goal_id: str
     business_state: dict[str, Any] = field(default_factory=dict)
 
     def clone(self) -> "DispatchContext":
-        return DispatchContext(goal_id=self.goal_id, business_state=copy.deepcopy(self.business_state))
+        return DispatchContext(goal_id=self.goal_id, business_state=dict(self.business_state))
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,13 @@ sub-reason: ``pre_exec_stage_illegal`` (the stage gate fired before any
 skill was selected) and ``post_exec_transition_rejected`` (the intent was
 stage-legal but its target stage is unreachable from here; the skill ran,
 but nothing is committed).  No blocked dispatch mutates business state or
-stage.  A SUCCESS step whose executor failed (``execution_error``) or whose
-effects faulted (``postcondition_error``) commits nothing either; only a
-SUCCESS without a sub-reason moves state, live and in replay.
+stage.  A SUCCESS step whose executor failed (``execution_error``) commits
+nothing either; only a SUCCESS without a sub-reason moves state, live and in
+replay.  Effects cannot fault: a bundle that loads sets only JSON scalars.
 """
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
@@ -200,18 +199,10 @@ def _dispatch_locked(
             outcome, sub_reason, stage_after = "SUCCESS", "execution_error", stage
             extra = {"executor_status": result.status}
         elif outcome == "SUCCESS":
-            try:
-                new_ctx = apply_postconditions(decision.skill, ctx, digest)
-            except ConfigError as exc:
-                # An effect fault after execution commits nothing either; the
-                # step is still audited, so every dispatch leaves one event.
-                sub_reason, stage_after = "postcondition_error", stage
-                extra = {"postcondition_error": str(exc)}
-            else:
-                if stage_after != stage:
-                    manager.advance_stage(goal_id, stage, stage_after)
-                manager.commit_context(goal_id, new_ctx)
-                payload = result.payload
+            if stage_after != stage:
+                manager.advance_stage(goal_id, stage, stage_after)
+            manager.commit_context(goal_id, apply_postconditions(decision.skill, ctx, digest))
+            payload = result.payload
 
     detail: dict[str, Any] = {"routing": {"intent": route.intent, "mode": route.mode}}
     if route.error:
@@ -251,7 +242,8 @@ class MockExecutor:
 
     Stands in for live endpoints: same skill + same fixtures always yields
     the identical result.  Failures can be injected per skill id to exercise
-    the execution-error path.
+    the execution-error path.  Payloads are handed out uncopied: the
+    pipeline only digests and retains them, it never mutates them.
     """
 
     def __init__(self, fixtures: Mapping[str, Any], fail_ids: Sequence[str] = ()) -> None:
@@ -263,4 +255,4 @@ class MockExecutor:
             return SkillResult("failed", {"error": f"injected failure for {skill.id}"})
         if skill.id not in self.fixtures:
             raise ConfigError(f"no fixture for skill {skill.id!r}")
-        return SkillResult("ok", copy.deepcopy(self.fixtures[skill.id]))
+        return SkillResult("ok", self.fixtures[skill.id])

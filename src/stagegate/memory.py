@@ -23,6 +23,21 @@ from .context import DispatchContext, payload_digest
 from .errors import ConfigError, ConflictFault, IntegrityFault, LookupFault
 from .registry import SkillRegistry, apply_postconditions
 
+_STR, _STR_OR_NULL = (str,), (str, type(None))
+# event field -> the exact JSON types ``ProcessEvent.to_dict`` writes for it
+_EVENT_FIELD_TYPES = {
+    "seq": (int,), "timestamp": (int, float), "goal_id": _STR, "intent": _STR,
+    "stage_before": _STR, "stage_after": _STR, "skill_id": _STR_OR_NULL, "outcome": _STR,
+    "sub_reason": _STR_OR_NULL, "payload_digest": _STR_OR_NULL,
+}
+
+
+def _typed(value: Any, types: tuple[type, ...], name: str) -> Any:
+    """*value* itself when its exact type is one of *types*; nothing is coerced."""
+    if type(value) not in types:
+        raise TypeError(f"{name} has type {type(value).__name__}")
+    return value
+
 
 @dataclass(frozen=True)
 class ProcessEvent:
@@ -57,19 +72,14 @@ class ProcessEvent:
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "ProcessEvent":
-        return cls(
-            seq=int(raw["seq"]),
-            timestamp=float(raw["timestamp"]),
-            goal_id=str(raw["goal_id"]),
-            intent=str(raw["intent"]),
-            stage_before=str(raw["stage_before"]),
-            stage_after=str(raw["stage_after"]),
-            skill_id=raw.get("skill_id"),
-            outcome=str(raw["outcome"]),
-            sub_reason=raw.get("sub_reason"),
-            precondition_results=tuple((str(n), bool(p)) for n, p in raw.get("precondition_results", [])),
-            payload_digest=raw.get("payload_digest"),
+        """Inverse of ``to_dict``: every field at the type it writes, else TypeError."""
+        fields = {key: _typed(raw[key], types, key) for key, types in _EVENT_FIELD_TYPES.items()}
+        pre = _typed(raw["precondition_results"], (list,), "precondition_results")
+        fields["precondition_results"] = tuple(
+            (_typed(n, _STR, "precondition name"), _typed(p, (bool,), "precondition result"))
+            for n, p in pre
         )
+        return cls(**fields)
 
     def to_line(self) -> str:
         return json.dumps(self.to_dict(), separators=(",", ":"))
@@ -339,8 +349,8 @@ def replay_events(
 ) -> GoalState:
     """Fold an event log into a reconstructed goal state.
 
-    Only SUCCESS events without a sub-reason move state (an executor or
-    effect fault committed nothing live): the stage follows ``stage_after``
+    Only SUCCESS events without a sub-reason move state (an executor
+    failure committed nothing live): the stage follows ``stage_after``
     and business flags are re-derived from the skill's declarative
     postcondition effects.  Integrity violations (seq gap, broken stage
     chain, digest mismatch where payloads are retained) name the first bad

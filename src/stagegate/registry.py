@@ -17,7 +17,8 @@ from .context import DispatchContext
 from .errors import BindingFault, ConfigError, ConflictFault, parsing
 
 _SKILL_KEYS = ("id", "intent", "level", "stages", "pre", "post", "risk", "disclosure")
-_EFFECT_OPS = ("set", "append", "set_from_result")
+_EFFECT_OPS = ("set", "set_from_result")
+_SCALARS = (str, int, float, bool, type(None))
 
 
 class RiskLevel(enum.IntEnum):
@@ -45,9 +46,10 @@ class PredicateRef:
 class Effect:
     """One declarative context mutation applied after successful execution.
 
-    ``set`` writes a literal value, ``append`` extends a list field, and
-    ``set_from_result`` stores the digest of the skill result payload so the
-    reference survives replay.
+    ``set`` writes a literal JSON scalar and ``set_from_result`` stores the
+    digest of the skill result payload, so the reference survives replay.
+    Business state is therefore a flat dict of scalars, and effects can
+    neither fail nor alias one another.
     """
 
     op: str
@@ -57,6 +59,10 @@ class Effect:
     def __post_init__(self) -> None:
         if self.op not in _EFFECT_OPS:
             raise ConfigError(f"unknown postcondition op: {self.op!r}")
+        if not isinstance(self.field, str):
+            raise ConfigError(f"postcondition field must be a string, not {self.field!r}")
+        if self.op == "set" and not isinstance(self.value, _SCALARS):
+            raise ConfigError(f"postcondition {self.field!r} sets a non-scalar value: {self.value!r}")
 
 
 @dataclass(frozen=True)
@@ -236,18 +242,10 @@ class SkillRegistry:
 
         A skill must never apply at a stage where its intent is illegal: the
         binding is the governing contract and per-skill stages refine it.
-        An ``append`` needs some skill to initialize its field with ``set``.
+        Effect shapes are checked earlier, when each ``Effect`` is parsed.
         """
         entries: list[ValidationEntry] = []
-        initialized = {e.field for spec in self._skills for e in spec.postconditions if e.op == "set"}
         for spec in self._skills:
-            for effect in spec.postconditions:
-                if effect.op == "append" and effect.field not in initialized:
-                    entries.append(
-                        ValidationEntry("error", "append_uninitialized_field",
-                                        f"skill {spec.id!r} appends to {effect.field!r}, which no "
-                                        f"skill initializes with 'set'")
-                    )
             applies_everywhere = (
                 not spec.applicable_stages
                 or spec.applicable_stages == frozenset(automaton.stages)
@@ -280,27 +278,14 @@ def apply_postconditions(skill: SkillSpec, ctx: DispatchContext, result_digest: 
     """Return a context with the skill's effects applied, in declared order.
 
     The one effect rule, shared by dispatch, the labeler and replay;
-    ``set_from_result`` stores *result_digest*.  The input context is never
-    mutated; callers commit the returned copy only when the whole dispatch
-    succeeds.
+    ``set_from_result`` stores *result_digest*.  Total: it cannot fail.  The
+    input context is never mutated; callers commit the returned copy only
+    when the whole dispatch succeeds.
     """
     updated = ctx.clone()
     state = updated.business_state
     for effect in skill.postconditions:
-        if effect.op == "set":
-            state[effect.field] = effect.value
-        elif effect.op == "append":
-            if effect.field not in state:
-                raise ConfigError(
-                    f"postcondition of {skill.id!r} appends to undefined field {effect.field!r}"
-                )
-            if not isinstance(state[effect.field], list):
-                raise ConfigError(
-                    f"postcondition of {skill.id!r} appends to non-list field {effect.field!r}"
-                )
-            state[effect.field].append(effect.value)
-        else:  # set_from_result
-            state[effect.field] = result_digest
+        state[effect.field] = effect.value if effect.op == "set" else result_digest
     return updated
 
 

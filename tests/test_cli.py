@@ -321,6 +321,14 @@ def _one_element_transition(automaton) -> None:
     automaton["transitions"][0] = ["init"]
 
 
+def _first_effect(skills) -> dict:
+    return next(skill for skill in skills if skill["post"])["post"][0]
+
+
+def _with_field(line: str, key: str, value) -> str:
+    return json.dumps(json.loads(line) | {key: value})
+
+
 # case -> (break a copy of a finished run and return the command line,
 #          exit code, start of the line that must report it)
 MALFORMED = {
@@ -331,6 +339,12 @@ MALFORMED = {
     "replay-manifest-without-domain": (_replay_without_manifest_domain, 2, "error: "),
     "replay-string-seq": (
         lambda run: _replay_with_first_line(run, lambda line: line.replace('"seq":1,', '"seq":"x",')),
+        2, "corrupted trace"),
+    "replay-list-skill-id": (
+        lambda run: _replay_with_first_line(run, lambda line: _with_field(line, "skill_id", ["x"])),
+        2, "corrupted trace"),
+    "replay-list-payload-digest": (
+        lambda run: _replay_with_first_line(run, lambda line: _with_field(line, "payload_digest", ["x"])),
         2, "corrupted trace"),
     "replay-array-line": (
         lambda run: _replay_with_first_line(run, lambda line: "[1, 2]"), 2, "corrupted trace"),
@@ -343,6 +357,12 @@ MALFORMED = {
     "run-suite-is-array": (lambda run: _run_suite_text(run, "[]"), 2, "error: "),
     "validate-effect-without-op": (
         lambda run: _validate_edited(run, "skills.json", _drop_effect_op), 1, "error: skills.json: "),
+    "validate-list-effect-field": (
+        lambda run: _validate_edited(run, "skills.json", lambda s: _first_effect(s).update(field=["x"])),
+        1, "error: skills.json: "),
+    "validate-list-set-value": (
+        lambda run: _validate_edited(run, "skills.json", lambda s: _first_effect(s).update(value=[1])),
+        1, "error: skills.json: "),
     "validate-one-element-transition": (
         lambda run: _validate_edited(run, "automaton.json", _one_element_transition),
         1, "error: automaton.json: "),

@@ -4,8 +4,10 @@ import copy
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stagegate.context import DispatchContext
+from stagegate.context import DispatchContext, payload_digest
 from stagegate.dispatcher import (
     FULL,
     DispatchDeps,
@@ -16,8 +18,9 @@ from stagegate.dispatcher import (
 from stagegate.errors import ConfigError, LookupFault
 from stagegate.memory import GoalManager
 from stagegate.router import UNKNOWN
-from stagegate.scenarios import bundle_from_dicts, check_bundle, load_domain
-from stagegate.suites import hr_domain_dir, sgd_domain_dicts
+from stagegate.runner import run_suite
+from stagegate.scenarios import bundle_from_dicts, check_bundle, load_domain, load_suite
+from stagegate.suites import hr_domain_dir, hr_suite_path, sgd_domain_dicts
 
 from reference import random_domain, random_messages, run_reference
 
@@ -170,50 +173,52 @@ def test_bundle_without_a_skill_fixture_is_rejected():
         bundle_from_dicts("Banks_1", parts)
 
 
-def _append_fault_parts():
-    """Two stages; "go" appends to a field that only the never-dispatched "start" sets."""
-    return {
-        "automaton": {
-            "stages": ["a", "b"], "initial": "a", "transitions": [["a", "b"]],
-            "intents": ["go", "start"], "binding": {"go": ["a"], "start": ["b"]},
-            "stage_map": {"go": "b", "start": None},
-        },
+def test_uncopied_payloads_keep_their_digests_after_a_suite_run():
+    """The executor hands out its fixtures themselves; nothing downstream may mutate them."""
+    bundle = load_domain(hr_domain_dir())
+    fixtures_digest = payload_digest(bundle.fixtures)
+    run = run_suite(bundle, load_suite(hr_suite_path(), bundle))
+    committed = [e for e in run.events() if e.outcome == "SUCCESS" and e.sub_reason is None]
+    assert len(committed) == 860
+    for event in committed:
+        payload = run.manager.store.payload_for(event.goal_id, event.seq)
+        assert payload_digest(payload) == event.payload_digest
+    assert payload_digest(bundle.fixtures) == fixtures_digest
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(field=JSON, value=JSON)
+def test_a_set_effect_loads_exactly_when_it_writes_a_scalar_to_a_named_field(field, value):
+    parts = {
+        "automaton": {"stages": ["a", "b"], "initial": "a", "transitions": [["a", "b"]],
+                      "intents": ["go"], "binding": {"go": ["a"]}, "stage_map": {"go": "b"}},
         "skills": [{"id": "go", "intent": "go", "level": "L1", "stages": ["a"],
-                    "post": [{"op": "append", "field": "log", "value": 1}]},
-                   {"id": "start", "intent": "start", "level": "L1", "stages": ["b"],
-                    "post": [{"op": "set", "field": "log", "value": []}]}],
-        "patterns": [{"intent": "go", "patterns": ["go"]}, {"intent": "start", "patterns": ["start"]}],
-        "fixtures": {"go": {"done": True}, "start": {"done": True}},
+                    "post": [{"op": "set", "field": field, "value": value}]}],
+        "patterns": [{"intent": "go", "patterns": ["go"]}],
+        "fixtures": {"go": {"done": True}},
     }
-
-
-def test_append_to_a_field_no_skill_sets_is_rejected():
-    parts = _append_fault_parts()
-    del parts["skills"][1]  # the only skill that sets "log"
-    errors, _ = check_bundle("fault", parts)
-    message = "append_uninitialized_field: skill 'go' appends to 'log', which no skill initializes with 'set'"
-    assert errors == [("skills", message)]
-    with pytest.raises(ConfigError, match="append_uninitialized_field"):
-        bundle_from_dicts("fault", parts)
-
-
-def test_effect_fault_after_execution_logs_one_event_and_commits_nothing():
-    parts = _append_fault_parts()
-    assert check_bundle("fault", parts) == ([], [])
-    bundle = bundle_from_dicts("fault", parts)
-    deps = _deps(bundle)
-    gid = _goal(deps, "fault")
-    before = deps.manager.state(gid)
-    result = dispatch("go", gid, deps)
-    events = deps.manager.list_events(gid)
-    assert len(events) == 1 and events[0] == result.event
-    assert (result.outcome, result.event.sub_reason) == ("SUCCESS", "postcondition_error")
-    assert result.stage_after == "a" and result.event.stage_after == "a"
-    assert "log" in result.detail["postcondition_error"]
-    assert "error" not in result.detail  # the router's key is left alone
-    after = deps.manager.state(gid)
-    assert after == before | {"last_seq": 1}
-    assert deps.manager.replay(gid).state() == after
+    loads = isinstance(field, str) and isinstance(value, (str, int, float, bool, type(None)))
+    errors, _ = check_bundle("effect", parts)
+    assert (errors == []) == loads
+    if not loads:
+        assert [part for part, _ in errors] == ["skills"]
+        with pytest.raises(ConfigError):
+            bundle_from_dicts("effect", parts)
+        return
+    deps = _deps(bundle_from_dicts("effect", parts))
+    gid = _goal(deps, "effect")
+    assert dispatch("go", gid, deps).outcome == "SUCCESS"
+    live = deps.manager.state(gid)
+    assert live["business_state"] == {field: value}
+    assert deps.manager.replay(gid).state() == live
 
 
 def test_injected_failure_keeps_state_and_stage(hr_bundle):

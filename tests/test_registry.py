@@ -243,12 +243,6 @@ def test_flag_set_effects_are_idempotent():
     assert once.business_state == twice.business_state
 
 
-def test_append_to_undefined_field_names_the_field():
-    spec = _spec("s", "q", RiskLevel.L1, (), post=(Effect("append", "missing_list", 1),))
-    with pytest.raises(ConfigError, match="missing_list"):
-        apply_postconditions(spec, DispatchContext(goal_id="g"), payload_digest(None))
-
-
 def test_set_from_result_stores_payload_digest():
     spec = _spec("s", "q", RiskLevel.L1, (), post=(Effect("set_from_result", "ref"),))
     a = apply_postconditions(spec, DispatchContext(goal_id="g"), payload_digest({"x": 1}))
