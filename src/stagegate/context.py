@@ -36,7 +36,9 @@ class SkillResult:
         return self.status == "ok"
 
 
+_CANON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str).encode
+
+
 def payload_digest(payload: Any) -> str:
     """Stable content hash of a canonicalized skill-result payload."""
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_CANON(payload).encode("utf-8")).hexdigest()

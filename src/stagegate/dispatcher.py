@@ -4,9 +4,9 @@ Every message passes the same pipeline: intent resolution, then the gate
 kernel ``decide`` (stage legality, stage-filtered skill selection,
 precondition evaluation, the declared transition), then execution,
 postcondition application, and a validated stage advance.  One
-ProcessEvent is appended per step, before the result is surfaced.  The
-forward-simulation labeler folds the same ``decide``, so the gate order is
-written once.
+ProcessEvent is appended per step, before any state moves, so a store that
+fails to append leaves the goal as it was.  The forward-simulation labeler
+folds the same ``decide``, so the gate order is written once.
 
 Two block classes both surface as ILLEGAL_TRANSITION and are told apart by
 sub-reason: ``pre_exec_stage_illegal`` (the stage gate fired before any
@@ -183,7 +183,7 @@ def _dispatch_locked(
 
     outcome, sub_reason, stage_after = decision.outcome, decision.sub_reason, decision.stage_after
     extra = decision.detail
-    digest = payload = None
+    digest = payload = to_commit = None
     if decision.executes:
         exec_start = time.perf_counter_ns()
         try:
@@ -199,9 +199,7 @@ def _dispatch_locked(
             outcome, sub_reason, stage_after = "SUCCESS", "execution_error", stage
             extra = {"executor_status": result.status}
         elif outcome == "SUCCESS":
-            if stage_after != stage:
-                manager.advance_stage(goal_id, stage, stage_after)
-            manager.commit_context(goal_id, apply_postconditions(decision.skill, ctx, digest))
+            to_commit = apply_postconditions(decision.skill, ctx, digest)
             payload = result.payload
 
     detail: dict[str, Any] = {"routing": {"intent": route.intent, "mode": route.mode}}
@@ -227,6 +225,11 @@ def _dispatch_locked(
             payload_digest=digest,
         )
         manager.log_event(event, payload)
+    # Write-ahead: state moves only once its event, when audited, is in the store.
+    if to_commit is not None:
+        if stage_after != stage:
+            manager.advance_stage(goal_id, stage, stage_after)
+        manager.commit_context(goal_id, to_commit)
     return DispatchResult(
         outcome=outcome,
         stage_before=stage,

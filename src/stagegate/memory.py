@@ -13,6 +13,7 @@ the process.  The interface leaves room for a SQL backend.
 from __future__ import annotations
 
 import json
+import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +31,23 @@ _EVENT_FIELD_TYPES = {
     "stage_before": _STR, "stage_after": _STR, "skill_id": _STR_OR_NULL, "outcome": _STR,
     "sub_reason": _STR_OR_NULL, "payload_digest": _STR_OR_NULL,
 }
+
+
+# one shared encoder: ``json.dumps`` with any option set builds a new one per call
+_LINE = json.JSONEncoder(separators=(",", ":")).encode
+_APPEND = os.O_WRONLY | os.O_CREAT | os.O_APPEND
+_REPLACE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+
+
+def _write(path: str, flags: int, data: bytes) -> None:
+    """Write all of *data* to *path*; a new file gets 0o666 less the umask, as with ``open``."""
+    fd = os.open(path, flags, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
 
 
 def _typed(value: Any, types: tuple[type, ...], name: str) -> Any:
@@ -82,7 +100,7 @@ class ProcessEvent:
         return cls(**fields)
 
     def to_line(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"))
+        return _LINE(self.to_dict())
 
 
 @dataclass
@@ -118,33 +136,27 @@ class InMemoryEventStore:
 class FileEventStore:
     """Append-only JSONL trace per goal with a JSON snapshot alongside.
 
-    A completed append is flushed to the operating system before returning,
-    so other readers of the file see the event, and it survives a crash of
-    this process, before the dispatch result surfaces to the caller.  There
-    is no ``fsync``: a crash of the machine may still lose it.
+    Each event is one ``write(2)`` of its whole line at the end of the trace
+    file (opened ``O_APPEND`` for that write alone), made before the dispatch
+    result surfaces to the caller, so other readers of the file see the event
+    and it survives a crash of this process.  There is no ``fsync``: a crash
+    of the machine may still lose it.
     """
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self._prefix = os.path.join(self.directory, "")
         self._lock = threading.Lock()
 
-    def _trace_path(self, goal_id: str) -> Path:
-        return self.directory / f"{goal_id}.jsonl"
-
-    def _snapshot_path(self, goal_id: str) -> Path:
-        return self.directory / f"{goal_id}.snapshot.json"
-
     def append(self, event: ProcessEvent, payload: Any = None) -> None:
-        line = event.to_line()
+        data = (event.to_line() + "\n").encode()
         with self._lock:
-            with self._trace_path(event.goal_id).open("a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-                fh.flush()
+            _write(f"{self._prefix}{event.goal_id}.jsonl", _APPEND, data)
 
     def events_for(self, goal_id: str) -> list[ProcessEvent]:
-        path = self._trace_path(goal_id)
-        if not path.exists():
+        path = f"{self._prefix}{goal_id}.jsonl"
+        if not os.path.exists(path):
             return []
         return load_trace(path)
 
@@ -152,8 +164,8 @@ class FileEventStore:
         return None
 
     def write_snapshot(self, goal_id: str, snapshot: Mapping[str, Any]) -> None:
-        path = self._snapshot_path(goal_id)
-        path.write_text(json.dumps(snapshot, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        text = json.dumps(snapshot, sort_keys=True, indent=2) + "\n"
+        _write(f"{self._prefix}{goal_id}.snapshot.json", _REPLACE, text.encode())
 
 
 def load_trace(path: str | Path) -> list[ProcessEvent]:
@@ -353,13 +365,15 @@ def replay_events(
     failure committed nothing live): the stage follows ``stage_after``
     and business flags are re-derived from the skill's declarative
     postcondition effects.  Integrity violations (seq gap, broken stage
-    chain, digest mismatch where payloads are retained) name the first bad
-    seq.
+    chain, an event of another goal, digest mismatch where payloads are
+    retained) name the first bad seq.
     """
     stage = automaton.initial
     ctx = DispatchContext(goal_id=goal_id)
     last_seq = 0
     for event in events:
+        if event.goal_id != goal_id:
+            raise IntegrityFault(f"seq {event.seq} is from goal {event.goal_id!r}", seq=event.seq)
         if event.seq != last_seq + 1:
             raise IntegrityFault(
                 f"seq gap in goal {goal_id!r}: got {event.seq}, expected {last_seq + 1}",

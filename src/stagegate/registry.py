@@ -298,7 +298,10 @@ def skill_from_dict(raw: Mapping[str, Any]) -> SkillSpec:
         for key in ("id", "intent", "level"):
             if key not in raw:
                 raise ConfigError(f"skill config missing key: {key}")
-        stages_raw = raw.get("stages", "*")
+        stages_raw, pre_raw = raw.get("stages", "*"), raw.get("pre", [])
+        if isinstance(pre_raw, str) or (isinstance(stages_raw, str) and stages_raw != "*"):
+            key = "pre" if isinstance(pre_raw, str) else "stages"
+            raise ConfigError(f"skill {raw['id']!r}: {key!r} must be a list, not a string")
         stages = frozenset() if stages_raw == "*" else frozenset(str(s) for s in stages_raw)
         effects = tuple(
             Effect(op=eff["op"], field=eff["field"], value=eff.get("value"))
@@ -309,7 +312,7 @@ def skill_from_dict(raw: Mapping[str, Any]) -> SkillSpec:
             intent=str(raw["intent"]),
             level=RiskLevel.parse(str(raw["level"])),
             applicable_stages=stages,
-            preconditions=tuple(PredicateRef(str(name)) for name in raw.get("pre", [])),
+            preconditions=tuple(PredicateRef(str(name)) for name in pre_raw),
             postconditions=effects,
             risk_class=str(raw.get("risk", "")),
             disclosure_tier=str(raw.get("disclosure", "bound")),

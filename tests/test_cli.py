@@ -325,6 +325,12 @@ def _first_effect(skills) -> dict:
     return next(skill for skill in skills if skill["post"])["post"][0]
 
 
+def _validate_skill_edit(run: Path, skill_id: str, **fields) -> list[str]:
+    def edit(skills) -> None:
+        next(skill for skill in skills if skill["id"] == skill_id).update(fields)
+    return _validate_edited(run, "skills.json", edit)
+
+
 def _with_field(line: str, key: str, value) -> str:
     return json.dumps(json.loads(line) | {key: value})
 
@@ -346,6 +352,9 @@ MALFORMED = {
     "replay-list-payload-digest": (
         lambda run: _replay_with_first_line(run, lambda line: _with_field(line, "payload_digest", ["x"])),
         2, "corrupted trace"),
+    "replay-foreign-goal-id": (
+        lambda run: _replay_with_first_line(run, lambda line: _with_field(line, "goal_id", "someone-else")),
+        2, "corrupted trace"),
     "replay-array-line": (
         lambda run: _replay_with_first_line(run, lambda line: "[1, 2]"), 2, "corrupted trace"),
     "replay-invalid-utf8": (_replay_invalid_utf8, 2, "corrupted trace"),
@@ -363,6 +372,12 @@ MALFORMED = {
     "validate-list-set-value": (
         lambda run: _validate_edited(run, "skills.json", lambda s: _first_effect(s).update(value=[1])),
         1, "error: skills.json: "),
+    "validate-string-pre": (
+        lambda run: _validate_skill_edit(run, "pull_parse", pre="position_exists"),
+        1, "error: skills.json: skill 'pull_parse': 'pre'"),
+    "validate-string-stages": (
+        lambda run: _validate_skill_edit(run, "create_demand", stages="init"),
+        1, "error: skills.json: skill 'create_demand': 'stages'"),
     "validate-one-element-transition": (
         lambda run: _validate_edited(run, "automaton.json", _one_element_transition),
         1, "error: automaton.json: "),

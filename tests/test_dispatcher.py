@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import copy
+import errno
+import os
 import random
 
 import pytest
@@ -16,7 +18,7 @@ from stagegate.dispatcher import (
     dispatch,
 )
 from stagegate.errors import ConfigError, LookupFault
-from stagegate.memory import GoalManager
+from stagegate.memory import GoalManager, InMemoryEventStore
 from stagegate.router import UNKNOWN
 from stagegate.runner import run_suite
 from stagegate.scenarios import bundle_from_dicts, check_bundle, load_domain, load_suite
@@ -231,6 +233,32 @@ def test_injected_failure_keeps_state_and_stage(hr_bundle):
     assert deps.manager.context(gid).business_state == {}
     # the flow is still blocked downstream because postconditions never ran
     assert dispatch("pull candidates", gid, deps).outcome == "PRECONDITION_FAIL"
+
+
+class _FillingStore(InMemoryEventStore):
+    """An in-memory store whose appends fail once it is marked full."""
+
+    full = False
+
+    def append(self, event, payload=None):
+        if self.full:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        super().append(event, payload)
+
+
+def test_a_failed_append_leaves_the_goal_unchanged(hr_bundle):
+    deps = _deps(hr_bundle)
+    deps.manager.store = store = _FillingStore()
+    gid = _goal(deps, "hr")
+    for message in FLOW[:2]:
+        dispatch(message, gid, deps)
+    before = deps.manager.state(gid)
+    store.full = True
+    for message in ["create a new hiring demand", *FLOW[2:]]:
+        with pytest.raises(OSError):
+            dispatch(message, gid, deps)
+        assert deps.manager.state(gid) == before, message
+    assert deps.manager.replay(gid).state() == before
 
 
 def test_executor_exception_is_contained(hr_bundle):

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import random
+import stat
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from stagegate.automaton import automaton_from_dict
+from stagegate.context import payload_digest
 from stagegate.dispatcher import DispatchDeps, dispatch
 from stagegate.errors import ConfigError, ConflictFault, IntegrityFault, LookupFault
 from stagegate.memory import (
@@ -18,6 +24,7 @@ from stagegate.memory import (
     replay_events,
 )
 from stagegate.scenarios import bundle_from_dicts
+from stagegate.suites import SGD_DOMAINS, hr_domain_dir, sgd_domain_dir
 
 from reference import random_domain, random_messages
 
@@ -222,6 +229,13 @@ def test_replay_seq_gap_names_first_bad_seq(hr_bundle):
     assert excinfo.value.seq == 3
 
 
+def test_replay_rejects_an_event_of_another_goal(hr_bundle):
+    events = [_event("g", 1), _event("someone-else", 2)]
+    with pytest.raises(IntegrityFault) as excinfo:
+        replay_events("g", "hr", hr_bundle.automaton, hr_bundle.registry, events=events)
+    assert excinfo.value.seq == 2
+
+
 def test_replay_rejects_stage_change_on_blocked_event(hr_bundle):
     events = [
         _event("g", 1, outcome="ILLEGAL_TRANSITION", after="src", skill_id=None),
@@ -264,6 +278,88 @@ def test_trace_line_key_order_is_stable(hr_bundle):
         "seq", "timestamp", "goal_id", "intent", "stage_before", "stage_after",
         "skill_id", "outcome", "sub_reason", "precondition_results", "payload_digest",
     ]
+
+
+def test_shared_encoders_write_what_json_dumps_writes():
+    bundles = [hr_domain_dir(), *map(sgd_domain_dir, SGD_DOMAINS)]
+    payloads = [
+        payload
+        for directory in bundles
+        for payload in json.loads((directory / "fixtures.json").read_text()).values()
+    ]
+    assert len(bundles) == 9 and payloads
+    for payload in [*payloads, {"path": Path("a/b"), "n": [1.5, None, "\u00e9"]}]:
+        canon = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
+        assert payload_digest(payload) == hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    event = ProcessEvent(
+        seq=7, timestamp=1792300000.25, goal_id="g\u00e9", intent="screen_resume",
+        stage_before="src", stage_after="src", skill_id="screen_resume", outcome="SUCCESS",
+        precondition_results=(("position_exists", True), ("candidates_pulled", False)),
+        payload_digest="ab" * 32,
+    )
+    assert event.to_line() == json.dumps(event.to_dict(), separators=(",", ":"))
+
+
+def test_file_store_writes_the_line_and_the_snapshot_text_exactly(tmp_path, hr_bundle):
+    manager = _manager(hr_bundle, store=FileEventStore(tmp_path))
+    manager.create_goal("hr", goal_id="g")
+    events = [_event("g", 1), _event("g", 2)]
+    for event in events:
+        manager.log_event(event)
+    manager.store.write_snapshot("g", {"padding": "x" * 1000})
+    manager.write_snapshots()  # replaces the longer text, leaving no tail behind
+    lines = "".join(event.to_line() + "\n" for event in events)
+    assert (tmp_path / "g.jsonl").read_bytes() == lines.encode()
+    snapshot = {"goal_id": "g", "domain": "hr"} | manager.state("g")
+    text = json.dumps(snapshot, sort_keys=True, indent=2) + "\n"
+    assert (tmp_path / "g.snapshot.json").read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_file_store_modes_are_those_open_gives(tmp_path, umask):
+    store = FileEventStore(tmp_path / "store")
+    previous = os.umask(umask)
+    try:
+        store.append(_event("g", 1))
+        store.write_snapshot("g", {"last_seq": 1})
+        with open(tmp_path / "reference.jsonl", "a"):
+            pass
+    finally:
+        os.umask(previous)
+    expected = stat.S_IMODE((tmp_path / "reference.jsonl").stat().st_mode)
+    for name in ("g.jsonl", "g.snapshot.json"):
+        assert stat.S_IMODE((tmp_path / "store" / name).stat().st_mode) == expected
+
+
+def test_file_store_finishes_short_writes(tmp_path, monkeypatch):
+    store = FileEventStore(tmp_path)
+    real_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, bytes(data[:1])))
+    events = [_event("g", seq) for seq in range(1, 4)]
+    for event in events:
+        store.append(event)
+    store.write_snapshot("g", {"last_seq": 3})
+    monkeypatch.undo()
+    assert load_trace(tmp_path / "g.jsonl") == events
+    assert json.loads((tmp_path / "g.snapshot.json").read_text()) == {"last_seq": 3}
+
+
+def test_two_stores_on_one_directory_append_whole_lines(tmp_path):
+    stores = [FileEventStore(tmp_path), FileEventStore(tmp_path)]
+    events = [_event("g", seq) for seq in range(1, 21)]
+    for event in events:
+        stores[event.seq % 2].append(event)
+    assert load_trace(tmp_path / "g.jsonl") == events
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/fd")
+def test_file_store_leaves_no_descriptor_open(tmp_path):
+    store = FileEventStore(tmp_path)
+    before = len(os.listdir("/proc/self/fd"))
+    for seq in range(1, 101):
+        store.append(_event("g", seq))
+    store.write_snapshot("g", {"last_seq": 100})
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_corrupt_trace_line_is_integrity_fault(tmp_path):
