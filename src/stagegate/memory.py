@@ -155,10 +155,10 @@ class FileEventStore:
             _write(f"{self._prefix}{event.goal_id}.jsonl", _APPEND, data)
 
     def events_for(self, goal_id: str) -> list[ProcessEvent]:
-        path = f"{self._prefix}{goal_id}.jsonl"
-        if not os.path.exists(path):
-            return []
-        return load_trace(path)
+        try:
+            return load_trace(f"{self._prefix}{goal_id}.jsonl")
+        except FileNotFoundError:
+            return []  # a goal with no events has no trace file
 
     def payload_for(self, goal_id: str, seq: int) -> Any:
         return None

@@ -6,8 +6,10 @@ always produce identical decisions.  Ambiguous messages can be handed to a
 pluggable resolver; the shipped fallback is a table-driven token-overlap
 matcher so suites run fully offline.
 
-A table is compiled once, by :func:`table_from_list`: the scan order and
-each pattern's token set are built at load, and routing only walks them.
+A table is compiled once, by :func:`table_from_list`, into indexes over its
+one scan order: an exact-text dict, one list per other kind, and token
+postings.  :func:`identify` takes the first scan position any index hits, and
+the fallback scores only the patterns that share a token with the message.
 """
 
 from __future__ import annotations
@@ -95,10 +97,23 @@ class PatternTable:
     higher priority first, then longer (more specific) patterns; remaining
     ties break by text, then intent, so decisions are stable across table
     serializations.
+
+    The rest indexes ``scan`` by position, split by kind so that routing
+    never dispatches on ``MatchExpr.kind``: ``exact`` maps each exact text
+    to its first position, ``substrings`` and ``token_sets`` list
+    ``(position, text)`` and ``(position, tokens)`` in scan order, and
+    ``postings`` maps each token to the ascending positions of the patterns
+    that hold it.  Empty expressions never match, so no index holds them.
     """
 
     entries: tuple[IntentPattern, ...]
     scan: tuple[tuple[str, MatchExpr], ...] = field(init=False, repr=False, compare=False)
+    exact: dict[str, int] = field(init=False, repr=False, compare=False)
+    substrings: tuple[tuple[int, str], ...] = field(init=False, repr=False, compare=False)
+    token_sets: tuple[tuple[int, frozenset[str]], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    postings: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         flat = [
@@ -107,10 +122,33 @@ class PatternTable:
             for expr in entry.patterns
         ]
         flat.sort(key=lambda item: item[:4])
-        object.__setattr__(self, "scan", tuple((intent, expr) for *_, intent, expr in flat))
+        scan = tuple((intent, expr) for *_, intent, expr in flat)
+        exact: dict[str, int] = {}
+        substrings: list[tuple[int, str]] = []
+        token_sets: list[tuple[int, frozenset[str]]] = []
+        postings: dict[str, list[int]] = {}
+        for pos, (_, expr) in enumerate(scan):
+            if not expr.text:
+                continue
+            if expr.kind == "exact":
+                exact.setdefault(expr.text, pos)
+            elif expr.kind == "substring":
+                substrings.append((pos, expr.text))
+            else:
+                token_sets.append((pos, expr.tokens))
+            for token in expr.tokens:
+                postings.setdefault(token, []).append(pos)
+        object.__setattr__(self, "scan", scan)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "substrings", tuple(substrings))
+        object.__setattr__(self, "token_sets", tuple(token_sets))
+        object.__setattr__(self, "postings", {t: tuple(p) for t, p in postings.items()})
 
     def __iter__(self) -> Iterator[IntentPattern]:
         return iter(self.entries)
+
+
+_UNRESOLVED = RoutingDecision(intent=UNKNOWN, mode="fallback", confidence=0.0)
 
 
 def identify(
@@ -121,17 +159,35 @@ def identify(
 ) -> RoutingDecision:
     """Resolve a message to an intent, or UNKNOWN.
 
+    The decision is the first ``scan`` entry whose expression matches: the
+    exact dict, then each kind's list up to the best position found so far.
     A pattern hit always returns confidence 1.0.  The fallback resolver is
     consulted only on a miss and must never abort dispatch: a resolver fault
     degrades to UNKNOWN with the error annotated on the decision.
     """
     norm = normalize(message)
     if norm:
-        for intent, expr in table.scan:
-            if expr.matches(norm):
-                return RoutingDecision(
-                    intent=intent, mode="pattern", confidence=1.0, matched_pattern=expr.text
-                )
+        scan = table.scan
+        first = table.exact.get(norm, len(scan))
+        for pos, text in table.substrings:
+            if pos >= first:
+                break
+            if text in norm:
+                first = pos
+                break
+        if table.token_sets:
+            words = set(norm.split())
+            for pos, tokens in table.token_sets:
+                if pos >= first:
+                    break
+                if tokens <= words:
+                    first = pos
+                    break
+        if first < len(scan):
+            intent, expr = scan[first]
+            return RoutingDecision(
+                intent=intent, mode="pattern", confidence=1.0, matched_pattern=expr.text
+            )
     if fallback is not None:
         try:
             return fallback(message, ctx)
@@ -139,15 +195,18 @@ def identify(
             return RoutingDecision(
                 intent=UNKNOWN, mode="fallback", confidence=0.0, error=f"fallback_error: {exc}"
             )
-    return RoutingDecision(intent=UNKNOWN, mode="fallback", confidence=0.0)
+    return _UNRESOLVED
 
 
 class TokenOverlapFallback:
     """Shipped fallback stub: fuzzy match by token overlap.
 
-    Scores each pattern by Jaccard overlap with the message tokens and
-    resolves when the best score reaches ``FALLBACK_THRESHOLD``.
-    Deterministic, so suite runs stay reproducible offline.
+    Scores patterns by Jaccard overlap with the message tokens and resolves
+    when the best score reaches ``FALLBACK_THRESHOLD``.  Shared-token counts
+    are summed from the table's postings, so only patterns sharing a token
+    are scored; they are scored in scan order and a later one wins only on
+    a strictly higher score.  Deterministic, so suite runs stay reproducible
+    offline.
     """
 
     def __init__(self, table: PatternTable) -> None:
@@ -155,24 +214,27 @@ class TokenOverlapFallback:
 
     def __call__(self, message: str, ctx: DispatchContext) -> RoutingDecision:
         tokens = set(normalize(message).split())
-        if not tokens:
-            return RoutingDecision(intent=UNKNOWN, mode="fallback", confidence=0.0)
+        postings = self.table.postings
+        shared_at: dict[int, int] = {}
+        for token in tokens:
+            for pos in postings.get(token, ()):
+                shared_at[pos] = shared_at.get(pos, 0) + 1
+        scan = self.table.scan
+        size = len(tokens)
         best_score = 0.0
-        best_intent: str | None = None
-        best_pattern: str | None = None
-        for intent, expr in self.table.scan:
-            shared = len(tokens & expr.tokens)
-            if not shared:
-                continue  # scores 0, which never beats best_score; so do empty patterns
-            score = shared / (len(tokens) + len(expr.tokens) - shared)
+        best_pos = -1
+        for pos in sorted(shared_at):
+            shared = shared_at[pos]
+            score = shared / (size + len(scan[pos][1].tokens) - shared)
             if score > best_score:
-                best_score, best_intent, best_pattern = score, intent, expr.text
-        if best_intent is not None and best_score >= FALLBACK_THRESHOLD:
+                best_score, best_pos = score, pos
+        if best_score >= FALLBACK_THRESHOLD:
+            intent, expr = scan[best_pos]
             return RoutingDecision(
-                intent=best_intent, mode="fallback",
-                confidence=round(best_score, 4), matched_pattern=best_pattern,
+                intent=intent, mode="fallback",
+                confidence=round(best_score, 4), matched_pattern=expr.text,
             )
-        return RoutingDecision(intent=UNKNOWN, mode="fallback", confidence=0.0)
+        return _UNRESOLVED
 
 
 def validate_table(

@@ -1,4 +1,4 @@
-"""Straight-line reference interpreter and random domain generator.
+"""Straight-line reference interpreter, random domain generator and message rewording.
 
 The interpreter re-implements the dispatch contract with naive scans over
 plain config dicts: binding membership by list scan, skill selection by
@@ -173,3 +173,29 @@ def random_messages(rng: random.Random, domain: dict[str, Any], count: int) -> l
         else:
             messages.append(rng.choice(intents))
     return messages
+
+
+FILLERS = ("please", "now", "kindly", "quickly", "today", "then", "okay", "again", "asap", "maybe")
+
+
+def paraphrase(text: str, rng: random.Random) -> str:
+    """Reword a message: drop a word, swap two neighbours or insert a filler word."""
+    words = text.split()
+    op = rng.choice(("drop", "swap", "insert"))
+    if op == "drop" and len(words) > 1:
+        del words[rng.randrange(len(words))]
+    elif op == "swap" and len(words) > 1:
+        i = rng.randrange(len(words) - 1)
+        words[i], words[i + 1] = words[i + 1], words[i]
+    else:
+        words.insert(rng.randrange(len(words) + 1), rng.choice(FILLERS))
+    return " ".join(words)
+
+
+def paraphrased(texts: list[str], seeds: tuple[int, ...]) -> list[str]:
+    """Every text once per seed, each reworded by ``paraphrase`` from that seed's generator."""
+    out = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        out.extend(paraphrase(text, rng) for text in texts)
+    return out

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import stagegate
 from stagegate.cli import main
 from stagegate.suites import hr_domain_dir, hr_suite_path, sgd_domain_dir, sgd_suite_path
 
@@ -92,6 +96,63 @@ def test_run_is_deterministic_modulo_timestamps(tmp_path, small_suite):
         return lines
 
     assert stripped_traces(dirs[0]) == stripped_traces(dirs[1])
+
+
+def _python_with_hash_seed(hash_seed: int, *args: str) -> str:
+    """Run a fresh interpreter on the package and these tests' helpers; return its stdout."""
+    path = [str(Path(stagegate.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    env["PYTHONPATH"] = os.pathsep.join(path + [env.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+_ROUTE_PARAPHRASES = """
+import json
+from dataclasses import asdict
+from reference import paraphrased
+from stagegate.context import DispatchContext
+from stagegate.router import identify
+from stagegate.scenarios import load_domain, load_suite
+from stagegate.suites import hr_domain_dir, hr_suite_path
+bundle = load_domain(hr_domain_dir())
+texts = [m.text for s in load_suite(hr_suite_path(), bundle) for m in s.messages]
+ctx = DispatchContext(goal_id="g")
+decisions = [identify(t, ctx, bundle.table, bundle.fallback) for t in paraphrased(texts, (1, 2, 3))]
+print(json.dumps([asdict(d) for d in decisions]))
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """Set and dict order differ between interpreters; no output may follow them."""
+    runs = []
+    for hash_seed in (0, 1):
+        out_dir = tmp_path / f"hash{hash_seed}"
+        _python_with_hash_seed(
+            hash_seed, "-m", "stagegate.cli", "run", "--domain", str(hr_domain_dir()),
+            "--suite", str(hr_suite_path()), "--seed", "1207", "--out", str(out_dir),
+        )
+        traces = {}
+        for trace in sorted((out_dir / "traces").glob("*.jsonl")):
+            rows = [json.loads(line) for line in trace.read_text().splitlines()]
+            for row in rows:
+                row.pop("timestamp")
+            traces[trace.name] = rows
+        snapshots = {
+            path.name: path.read_bytes()
+            for path in sorted((out_dir / "traces").glob("*.snapshot.json"))
+        }
+        runs.append(((out_dir / "report.json").read_bytes(), traces, snapshots))
+    assert len(runs[0][1]) == 215
+    assert runs[0] == runs[1]
+
+    decisions = [json.loads(_python_with_hash_seed(s, "-c", _ROUTE_PARAPHRASES)) for s in (0, 1)]
+    assert len(decisions[0]) == 3 * 882
+    assert any(d["mode"] == "fallback" and d["matched_pattern"] for d in decisions[0])
+    assert decisions[0] == decisions[1]
 
 
 def test_no_stage_check_flag_increases_blocks(tmp_path, small_suite):

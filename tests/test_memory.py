@@ -362,6 +362,18 @@ def test_file_store_leaves_no_descriptor_open(tmp_path):
     assert len(os.listdir("/proc/self/fd")) == before
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/fd")
+def test_file_store_reads_an_unknown_goal_as_no_events(tmp_path):
+    store = FileEventStore(tmp_path)
+    event = _event("g", 1)
+    store.append(event)
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(100):
+        assert store.events_for("unknown") == []
+        assert store.events_for("g") == [event]
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 def test_corrupt_trace_line_is_integrity_fault(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"seq": 1, "timestamp": 0}\nnot json\n', encoding="utf-8")

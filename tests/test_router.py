@@ -18,8 +18,10 @@ from stagegate.router import (
     table_from_list,
     validate_table,
 )
-from stagegate.scenarios import read_json
-from stagegate.suites import hr_domain_dir
+from stagegate.scenarios import load_domain, load_suite, read_json
+from stagegate.suites import SGD_DOMAINS, hr_domain_dir, sgd_domain_dir, sgd_suite_path
+
+from reference import paraphrased
 
 CTX = DispatchContext(goal_id="g")
 
@@ -264,3 +266,89 @@ def test_compiled_table_routes_like_a_per_call_sort(raw, messages):
     for message in messages:
         assert identify(message, CTX, table) == _reference_identify(message, table, False)
         assert identify(message, CTX, table, fallback) == _reference_identify(message, table, True)
+
+
+# -- compiled indexes vs a full scan -----------------------------------------------
+
+
+def _first_match(message, table):
+    """(intent, text) of the first ``scan`` entry whose expression matches, or None."""
+    norm = normalize(message)
+    for intent, expr in table.scan:
+        if expr.matches(norm):
+            return intent, expr.text
+    return None
+
+
+def _full_scan_fallback(message, table):
+    """Jaccard-score every ``scan`` entry; a later entry wins only on a higher score."""
+    tokens = set(normalize(message).split())
+    best_score, best = 0.0, None
+    for intent, expr in table.scan:
+        union = tokens | expr.tokens
+        if union:
+            score = len(tokens & expr.tokens) / len(union)
+            if score > best_score:
+                best_score, best = score, (intent, expr.text)
+    if best is not None and best_score >= FALLBACK_THRESHOLD:
+        return RoutingDecision(best[0], "fallback", round(best_score, 4), best[1])
+    return _UNRESOLVED
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=_raw_table, messages=st.lists(_message, min_size=1, max_size=6))
+def test_indexes_agree_with_a_full_scan(raw, messages):
+    table = table_from_list(raw)
+    fallback = TokenOverlapFallback(table)
+    # Each pattern's own text too, so exact hits and overlapping kinds are common.
+    for message in [*messages, *(expr.text for _, expr in table.scan)]:
+        hit = _first_match(message, table)
+        decision = identify(message, CTX, table)
+        if hit is None:
+            assert decision == _UNRESOLVED
+        else:
+            assert decision == RoutingDecision(hit[0], "pattern", 1.0, matched_pattern=hit[1])
+        assert fallback(message, CTX) == _full_scan_fallback(message, table)
+
+
+def test_an_earlier_hit_of_one_kind_stops_the_later_kinds():
+    table = _table(
+        {"intent": "exact", "patterns": ["=ab cd ef"]},
+        {"intent": "tokens", "patterns": ["&cd ab"]},
+        {"intent": "substring", "patterns": ["ab"]},
+    )
+    assert [expr.kind for _, expr in table.scan] == ["exact", "tokens", "substring"]
+    assert identify("ab cd ef", CTX, table).intent == "exact"
+    assert identify("ab cd ef gh", CTX, table).intent == "tokens"
+    assert identify("ab ef", CTX, table).intent == "substring"
+
+
+def test_fallback_tie_goes_to_the_earlier_pattern_whatever_the_token_order():
+    # The first token the message's set yields is one the earlier pattern lacks.
+    first, second, third = set(["ab", "cd", "ef"])
+    table = _table(
+        {"intent": "early", "patterns": [f"{second} {third}"], "priority": 1},
+        {"intent": "late", "patterns": [f"{first} {second}"]},
+    )
+    decision = TokenOverlapFallback(table)("ab cd ef", CTX)
+    assert (decision.intent, decision.confidence) == ("early", round(2 / 3, 4))
+
+
+def test_shipped_suites_route_like_the_reference(hr_bundle, hr_suite):
+    """Every hiring message and three paraphrases of it, and every SGD message."""
+    texts = [m.text for scenario in hr_suite for m in scenario.messages]
+    cases = [(hr_bundle, texts + paraphrased(texts, (1, 2, 3)))]
+    for domain in SGD_DOMAINS:
+        bundle = load_domain(sgd_domain_dir(domain))
+        suite = load_suite(sgd_suite_path(domain), bundle)
+        cases.append((bundle, [m.text for scenario in suite for m in scenario.messages]))
+    modes = set()
+    for bundle, messages in cases:
+        for message in messages:
+            bare = identify(message, CTX, bundle.table)
+            assert bare == _reference_identify(message, bundle.table, False), message
+            routed = identify(message, CTX, bundle.table, bundle.fallback)
+            assert routed == _reference_identify(message, bundle.table, True), message
+            modes.add((routed.mode, routed.intent == UNKNOWN))
+    assert len(cases) == 9
+    assert modes == {("pattern", False), ("fallback", False), ("fallback", True)}
