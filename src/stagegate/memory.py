@@ -31,6 +31,7 @@ _EVENT_FIELD_TYPES = {
     "stage_before": _STR, "stage_after": _STR, "skill_id": _STR_OR_NULL, "outcome": _STR,
     "sub_reason": _STR_OR_NULL, "payload_digest": _STR_OR_NULL,
 }
+_FIELD_CHECKS = tuple(_EVENT_FIELD_TYPES.items())  # in field order, precondition_results aside
 
 
 # one shared encoder: ``json.dumps`` with any option set builds a new one per call
@@ -46,6 +47,15 @@ def _write(path: str, flags: int, data: bytes) -> None:
         view = memoryview(data)
         while view:
             view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
+
+def _read(path: str | Path) -> bytes:
+    """All of *path*'s bytes, read through one descriptor until ``os.read`` returns none."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        return b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
     finally:
         os.close(fd)
 
@@ -91,13 +101,18 @@ class ProcessEvent:
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "ProcessEvent":
         """Inverse of ``to_dict``: every field at the type it writes, else TypeError."""
-        fields = {key: _typed(raw[key], types, key) for key, types in _EVENT_FIELD_TYPES.items()}
+        values = []
+        for key, types in _FIELD_CHECKS:
+            value = raw[key]
+            if type(value) not in types:
+                raise TypeError(f"{key} has type {type(value).__name__}")
+            values.append(value)
         pre = _typed(raw["precondition_results"], (list,), "precondition_results")
-        fields["precondition_results"] = tuple(
+        *fields, digest = values
+        return cls(*fields, tuple(
             (_typed(n, _STR, "precondition name"), _typed(p, (bool,), "precondition result"))
             for n, p in pre
-        )
-        return cls(**fields)
+        ), digest)
 
     def to_line(self) -> str:
         return _LINE(self.to_dict())
@@ -140,7 +155,8 @@ class FileEventStore:
     file (opened ``O_APPEND`` for that write alone), made before the dispatch
     result surfaces to the caller, so other readers of the file see the event
     and it survives a crash of this process.  There is no ``fsync``: a crash
-    of the machine may still lose it.
+    of the machine may still lose it.  ``events_for`` reads the whole trace
+    through ``load_trace``, one descriptor per call; no trace file is no events.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -169,9 +185,15 @@ class FileEventStore:
 
 
 def load_trace(path: str | Path) -> list[ProcessEvent]:
-    """Read a JSONL trace file into events (no integrity checks here)."""
+    """Read a JSONL trace file into events (no integrity checks here).
+
+    Its bytes come through one descriptor and are decoded as UTF-8 once.
+    Bytes that are not UTF-8 raise IntegrityFault "undecodable trace"; a
+    non-blank line that is not an event, IntegrityFault "unparseable trace
+    line N"; a missing file, FileNotFoundError; any other read failure, OSError.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = _read(path).decode()
     except UnicodeDecodeError as exc:
         raise IntegrityFault(f"undecodable trace {path}: {exc}") from None
     events = []

@@ -1,17 +1,25 @@
-"""Straight-line reference interpreter, random domain generator and message rewording.
+"""Straight-line reference interpreter, random domain generator, message rewording
+and a reference trace reader.
 
 The interpreter re-implements the dispatch contract with naive scans over
 plain config dicts: binding membership by list scan, skill selection by
 linear filter, preconditions as a flag conjunction, stage advancement by
 transition-list membership.  It shares no code with the dispatcher, so
-agreement between the two is meaningful evidence.
+agreement between the two is meaningful evidence.  The trace reader reads
+through a text stream and checks each field with its own call, building the
+event by keyword; ``load_trace`` must agree with it on any file.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass, field
-from typing import Any
+from pathlib import Path
+from typing import Any, Mapping
+
+from stagegate.errors import IntegrityFault
+from stagegate.memory import ProcessEvent
 
 
 @dataclass
@@ -199,3 +207,47 @@ def paraphrased(texts: list[str], seeds: tuple[int, ...]) -> list[str]:
         rng = random.Random(seed)
         out.extend(paraphrase(text, rng) for text in texts)
     return out
+
+
+_STR, _STR_OR_NULL = (str,), (str, type(None))
+# event field -> the exact JSON types ``ProcessEvent.to_dict`` writes for it
+_EVENT_FIELD_TYPES = {
+    "seq": (int,), "timestamp": (int, float), "goal_id": _STR, "intent": _STR,
+    "stage_before": _STR, "stage_after": _STR, "skill_id": _STR_OR_NULL, "outcome": _STR,
+    "sub_reason": _STR_OR_NULL, "payload_digest": _STR_OR_NULL,
+}
+
+
+def _typed(value: Any, types: tuple[type, ...], name: str) -> Any:
+    """*value* itself when its exact type is one of *types*; nothing is coerced."""
+    if type(value) not in types:
+        raise TypeError(f"{name} has type {type(value).__name__}")
+    return value
+
+
+def reference_event(raw: Mapping[str, Any]) -> ProcessEvent:
+    """``ProcessEvent.from_dict`` as one ``_typed`` call per field, built by keyword."""
+    fields = {key: _typed(raw[key], types, key) for key, types in _EVENT_FIELD_TYPES.items()}
+    pre = _typed(raw["precondition_results"], (list,), "precondition_results")
+    fields["precondition_results"] = tuple(
+        (_typed(n, _STR, "precondition name"), _typed(p, (bool,), "precondition result"))
+        for n, p in pre
+    )
+    return ProcessEvent(**fields)
+
+
+def reference_load_trace(path: str | Path) -> list[ProcessEvent]:
+    """``load_trace`` through ``Path.read_text`` (a text stream) and ``reference_event``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise IntegrityFault(f"undecodable trace {path}: {exc}") from None
+    events = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            events.append(reference_event(json.loads(line)))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise IntegrityFault(f"unparseable trace line {lineno} in {path}: {exc}") from exc
+    return events

@@ -396,6 +396,12 @@ def _with_field(line: str, key: str, value) -> str:
     return json.dumps(json.loads(line) | {key: value})
 
 
+def _without_field(line: str, key: str) -> str:
+    raw = json.loads(line)
+    del raw[key]
+    return json.dumps(raw)
+
+
 # case -> (break a copy of a finished run and return the command line,
 #          exit code, start of the line that must report it)
 MALFORMED = {
@@ -415,6 +421,12 @@ MALFORMED = {
         2, "corrupted trace"),
     "replay-foreign-goal-id": (
         lambda run: _replay_with_first_line(run, lambda line: _with_field(line, "goal_id", "someone-else")),
+        2, "corrupted trace"),
+    "replay-bool-seq": (
+        lambda run: _replay_with_first_line(run, lambda line: line.replace('"seq":1,', '"seq":true,')),
+        2, "corrupted trace"),
+    "replay-missing-outcome": (
+        lambda run: _replay_with_first_line(run, lambda line: _without_field(line, "outcome")),
         2, "corrupted trace"),
     "replay-array-line": (
         lambda run: _replay_with_first_line(run, lambda line: "[1, 2]"), 2, "corrupted trace"),

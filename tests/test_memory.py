@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import hashlib
 import json
 import os
@@ -11,6 +12,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stagegate.automaton import automaton_from_dict
 from stagegate.context import payload_digest
@@ -26,7 +29,7 @@ from stagegate.memory import (
 from stagegate.scenarios import bundle_from_dicts
 from stagegate.suites import SGD_DOMAINS, hr_domain_dir, sgd_domain_dir
 
-from reference import random_domain, random_messages
+from reference import random_domain, random_messages, reference_load_trace
 
 
 def _manager(hr_bundle, store=None):
@@ -344,6 +347,42 @@ def test_file_store_finishes_short_writes(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "g.snapshot.json").read_text()) == {"last_seq": 3}
 
 
+def test_trace_reads_finish_one_byte_reads(tmp_path, monkeypatch):
+    store = FileEventStore(tmp_path)
+    events = [_event("g", seq) for seq in range(1, 4)]
+    for event in events:
+        store.append(event)
+    real_read = os.read
+    monkeypatch.setattr(os, "read", lambda fd, size: real_read(fd, 1))
+    assert load_trace(tmp_path / "g.jsonl") == events
+    assert store.events_for("g") == events
+
+
+def test_trace_longer_than_one_read_loads_completely(tmp_path):
+    store = FileEventStore(tmp_path)
+    events = [_event("g", seq) for seq in range(1, 401)]
+    for event in events:
+        store.append(event)
+    assert (tmp_path / "g.jsonl").stat().st_size > 1 << 16
+    assert load_trace(tmp_path / "g.jsonl") == events
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/fd")
+def test_trace_read_faults_leave_no_descriptor_open(tmp_path):
+    (tmp_path / "undecodable.jsonl").write_bytes(b"\xff\n")
+    (tmp_path / "unparseable.jsonl").write_text("not json\n")
+    (tmp_path / "directory.jsonl").mkdir()
+    faults = {"undecodable": (IntegrityFault, "undecodable trace"),
+              "unparseable": (IntegrityFault, "unparseable trace line 1"),
+              "directory": (IsADirectoryError, None)}
+    before = len(os.listdir("/proc/self/fd"))
+    for name, (fault, message) in faults.items():
+        for _ in range(100):
+            with pytest.raises(fault, match=message):
+                load_trace(tmp_path / f"{name}.jsonl")
+    assert len(os.listdir("/proc/self/fd")) <= before
+
+
 def test_two_stores_on_one_directory_append_whole_lines(tmp_path):
     stores = [FileEventStore(tmp_path), FileEventStore(tmp_path)]
     events = [_event("g", seq) for seq in range(1, 21)]
@@ -379,6 +418,108 @@ def test_corrupt_trace_line_is_integrity_fault(tmp_path):
     path.write_text('{"seq": 1, "timestamp": 0}\nnot json\n', encoding="utf-8")
     with pytest.raises(IntegrityFault):
         load_trace(path)
+
+
+_TEXT = st.text(max_size=6)
+_JSON_BY_TYPE = {
+    "null": st.none(), "bool": st.booleans(), "int": st.integers(),
+    "float": st.floats(allow_nan=False), "str": _TEXT,
+    "list": st.lists(st.integers() | _TEXT, max_size=3),
+    "object": st.dictionaries(_TEXT, st.integers() | _TEXT, max_size=3),
+}
+_ANY_JSON = st.one_of(*_JSON_BY_TYPE.values())
+_VALID_FIELDS = {
+    "seq": st.integers(0, 10**6), "timestamp": st.integers(0) | st.floats(0, 2e9),
+    "goal_id": _TEXT, "intent": _TEXT, "stage_before": _TEXT, "stage_after": _TEXT,
+    "skill_id": st.none() | _TEXT, "outcome": _TEXT, "sub_reason": st.none() | _TEXT,
+    "precondition_results": st.lists(st.tuples(_TEXT, st.booleans()).map(list), max_size=3),
+    "payload_digest": st.none() | _TEXT,
+}
+_BAD_PRECONDITION = st.one_of(
+    st.tuples(_ANY_JSON, _ANY_JSON).map(list), st.lists(_ANY_JSON, max_size=4), _ANY_JSON)
+_FAULTS = ("swapped", "missing", "extra", "bad-precondition")
+
+
+@st.composite
+def _trace_line(draw) -> str:
+    """One trace line: an event with up to two faults, a blank line or junk."""
+    kind = draw(st.sampled_from(("event", "event", "event", "blank", "junk")))
+    if kind == "blank":
+        return draw(st.sampled_from(("", " ", "\t ")))
+    if kind == "junk":
+        return draw(st.text(max_size=12))
+    raw = {key: draw(values) for key, values in _VALID_FIELDS.items()}
+    for fault in draw(st.lists(st.sampled_from(_FAULTS), max_size=2)):
+        if fault == "swapped":
+            json_type = draw(st.sampled_from(sorted(_JSON_BY_TYPE)))
+            raw[draw(st.sampled_from(sorted(_VALID_FIELDS)))] = draw(_JSON_BY_TYPE[json_type])
+        elif fault == "missing":
+            raw.pop(draw(st.sampled_from(sorted(_VALID_FIELDS))), None)
+        elif fault == "extra":
+            extra = st.dictionaries(_TEXT.filter(lambda key: key not in _VALID_FIELDS), _ANY_JSON,
+                                    min_size=1, max_size=3)
+            raw |= draw(extra)
+        else:
+            raw["precondition_results"] = draw(st.lists(_BAD_PRECONDITION, min_size=1, max_size=3))
+    return json.dumps(raw, ensure_ascii=draw(st.booleans()))
+
+
+@st.composite
+def _trace_file(draw) -> bytes:
+    """Lines ended by LF, CRLF, CR or nothing, maybe after a BOM, maybe with bytes that are not UTF-8."""
+    lines = draw(st.lists(_trace_line(), max_size=6))
+    ends = st.sampled_from(("\n", "\n", "\r\n", "\r", ""))
+    data = "".join(line + draw(ends) for line in lines).encode()
+    data = draw(st.sampled_from((b"", b"", b"", codecs.BOM_UTF8))) + data
+    invalid = draw(st.sampled_from((b"", b"", b"", b"", b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x80")))
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + invalid + data[at:]
+
+
+def _read_outcome(reader, path):
+    """The events *reader* loads from *path*, or the text of the IntegrityFault it raises."""
+    try:
+        return reader(path)
+    except IntegrityFault as exc:
+        return f"IntegrityFault: {exc}"
+
+
+# one value of each JSON type, and precondition entries that are not [name, passed]
+_JSON_SAMPLES = (None, True, 1, 1.5, "x", ["x"], {"x": 1})
+_BAD_PRECONDITIONS = (["x", 1], [1, True], ["x"], ["x", True, 1], "xy", 1, None, {"x": 1, "y": True})
+
+
+def test_each_field_at_each_json_type_reads_as_the_reference_reader(tmp_path):
+    """Every field missing, at every JSON type, or holding each malformed precondition entry;
+    a leading BOM, CRLF line ends with a blank line, and a byte that is not UTF-8."""
+    event = _event("g", 1).to_dict() | {"precondition_results": [["ok", True]]}
+    raws = [event, event | {"extra": [1]}]
+    for key in event:
+        raws.append({k: v for k, v in event.items() if k != key})
+        raws.extend(event | {key: sample} for sample in _JSON_SAMPLES)
+    raws.extend(event | {"precondition_results": [["ok", True], bad]} for bad in _BAD_PRECONDITIONS)
+    raws.append({k: v for k, v in event.items() if k != "outcome"} | {"seq": True})  # first fault first
+    path = tmp_path / "g.jsonl"
+    outcomes = set()
+    for raw in raws:
+        path.write_text(json.dumps(raw) + "\n")
+        outcome = _read_outcome(load_trace, path)
+        assert outcome == _read_outcome(reference_load_trace, path), raw
+        outcomes.add(outcome if isinstance(outcome, str) else "events")
+    assert len(outcomes) > 40  # each fault names its own field and type
+    line = json.dumps(event).encode()
+    for data in (codecs.BOM_UTF8 + line, line + b"\r\n\r\n" + line, line + b"\n\xff"):
+        path.write_bytes(data)
+        assert _read_outcome(load_trace, path) == _read_outcome(reference_load_trace, path), data
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_trace_file())
+def test_load_trace_reads_as_the_reference_reader(tmp_path, data):
+    """Same events, or the same fault (same line number, same text), as a text-stream reader."""
+    path = tmp_path / "g.jsonl"
+    path.write_bytes(data)
+    assert _read_outcome(load_trace, path) == _read_outcome(reference_load_trace, path)
 
 
 def test_concurrent_multi_goal_logging_stays_gapless(hr_bundle):
