@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
-"""Regenerate the shipped domain configs and suites under src/stagegate/data.
+"""Regenerate the shipped suites and service bundles under src/stagegate/data.
 
-The builders are deterministic and self-checking; running this twice
-produces byte-identical files.
+``data/hr/*.json`` is the one hand-authored input: the hiring suite is
+built and labeled from that bundle as shipped, so rerun this script after
+editing it.  The eight service bundles and their suites are generated
+from ``suites._SGD_SPEC``.  The builders are deterministic and
+self-checking; running this twice produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -14,14 +17,11 @@ sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 from stagegate.scenarios import save_suite, write_domain  # noqa: E402
 from stagegate.suites import (  # noqa: E402
-    DATA_DIR,
     HR_DOMAIN,
     SGD_DOMAINS,
     build_hr_suite,
     build_sgd_suite,
     hr_bundle,
-    hr_domain_dicts,
-    hr_domain_dir,
     hr_suite_path,
     sgd_bundle,
     sgd_domain_dicts,
@@ -31,9 +31,6 @@ from stagegate.suites import (  # noqa: E402
 
 
 def main() -> int:
-    DATA_DIR.mkdir(parents=True, exist_ok=True)
-
-    write_domain(hr_domain_dir(), hr_domain_dicts())
     suite = build_hr_suite(hr_bundle())
     save_suite(hr_suite_path(), "hr-governance-suite", HR_DOMAIN, suite)
     print(f"hr: {len(suite)} scenarios, {sum(len(s.messages) for s in suite)} messages")

@@ -116,6 +116,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_INPUT
 
     out_dir = Path(args.out)
+    traces = out_dir / "traces"
+    if traces.is_dir() and any(traces.iterdir()):
+        # Appending would corrupt the earlier run's traces; never delete them.
+        print(f"error: {traces} already holds a run; choose another --out", file=sys.stderr)
+        return EXIT_INPUT
     out_dir.mkdir(parents=True, exist_ok=True)
     toggles = _toggles_from_args(args)
     manifest = {
@@ -131,7 +136,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
-    store = FileEventStore(out_dir / "traces")
+    store = FileEventStore(traces)
     try:
         run = run_suite(bundle, scenarios, toggles=toggles, seed=args.seed, store=store)
         report = compute_report(run, bundle)
@@ -244,6 +249,9 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_inject(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        print(f"error: --count must be at least 1, got {args.count}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         bundle, scenarios = _load_inputs(args)
     except (ConfigError, OSError) as exc:

@@ -305,7 +305,7 @@ class GoalManager:
     def state(self, goal_id: str) -> dict[str, Any]:
         """The goal's live observable state, with a copy of its business state."""
         live = self._state(goal_id)
-        return GoalState(live.record, self.context(goal_id).business_state, live.last_seq).state()
+        return live.state() | {"business_state": dict(live.business_state)}
 
     # -- validated mutation --------------------------------------------------
 

@@ -1,11 +1,14 @@
-"""Authored domain configs and labeled suites shipped with the package.
+"""Labeled suites shipped with the package, built from its domain bundles.
 
 The hiring domain runs a six-stage workflow; eight service domains run
-two-stage search-then-act workflows.  Suites are generated deterministically
+two-stage search-then-act workflows.  The hiring bundle is hand-authored
+as the four JSON files under ``data/hr``; the service bundles are
+generated from ``_SGD_SPEC``.  Suites are generated deterministically
 from templates, labeled by the forward simulator, and self-checked against
 the authored structure (message totals, outcome budget, label counts)
 before they are ever written, so the shipped JSON cannot drift from the
-documented shape.
+documented shape.  After editing ``data/hr/*.json``, rerun
+``scripts/build_data.py`` to relabel the hiring suite.
 
 Authored structure of the hiring suite: 185 scenarios / 882 messages
 (50 normal, 25 illegal, 25 rollback, 25 multi, 30 abort, 30 concurrent),
@@ -28,6 +31,7 @@ from .scenarios import (
     Scenario,
     bundle_from_dicts,
     label_scenario,
+    load_domain,
     simulate_scenario,
 )
 
@@ -45,248 +49,13 @@ SGD_DOMAINS = (
     "Music_1",
 )
 
-ALL_STAGES = ["init", "src", "int", "off", "onb", "close"]
-
 
 # -- hiring domain -------------------------------------------------------------
 
 
-def hr_domain_dicts() -> dict[str, Any]:
-    """Config dicts for the six-stage hiring workflow."""
-    automaton = {
-        "stages": ALL_STAGES,
-        "initial": "init",
-        "transitions": [
-            ["init", "src"],
-            ["src", "int"],
-            ["int", "off"],
-            ["off", "onb"],
-            ["onb", "close"],
-            # rollback edges
-            ["int", "src"],
-            ["off", "int"],
-            # early termination from every non-terminal stage
-            ["init", "close"],
-            ["src", "close"],
-            ["int", "close"],
-            ["off", "close"],
-        ],
-        "intents": [
-            "create_demand",
-            "pull_candidates",
-            "screen_resume",
-            "compare_candidates",
-            "schedule_interview",
-            "generate_questions",
-            "record_feedback",
-            "evaluate_candidate",
-            "issue_offer",
-            "onboard_candidate",
-            "reopen_sourcing",
-            "reopen_interview",
-            "close_process",
-            "get_job_list",
-            "get_applicant_list",
-            "query_status",
-            "ask_missing",
-        ],
-        "binding": {
-            "create_demand": ["init"],
-            "pull_candidates": ["init", "src"],
-            "screen_resume": ["src"],
-            "compare_candidates": ["src"],
-            "schedule_interview": ["src", "int"],
-            "generate_questions": ["int"],
-            "record_feedback": ["int"],
-            "evaluate_candidate": ["int"],
-            "issue_offer": ["int", "off"],
-            "onboard_candidate": ["off", "onb"],
-            "reopen_sourcing": ["int"],
-            "reopen_interview": ["off"],
-            "close_process": ALL_STAGES,
-            "get_job_list": ALL_STAGES,
-            "get_applicant_list": ALL_STAGES,
-            "query_status": ALL_STAGES,
-            "ask_missing": ALL_STAGES,
-        },
-        "stage_map": {
-            "create_demand": "init",
-            "pull_candidates": "src",
-            "screen_resume": "src",
-            "compare_candidates": "src",
-            "schedule_interview": "int",
-            "generate_questions": "int",
-            "record_feedback": "int",
-            "evaluate_candidate": "int",
-            "issue_offer": "off",
-            "onboard_candidate": "onb",
-            "reopen_sourcing": "src",
-            "reopen_interview": "int",
-            "close_process": "close",
-            "get_job_list": None,
-            "get_applicant_list": None,
-            "query_status": None,
-            "ask_missing": None,
-        },
-    }
-
-    skills = [
-        # Atomic queries, universally available, no guards.
-        {"id": "get_job_list", "intent": "get_job_list", "level": "L0", "stages": "*",
-         "pre": [], "post": [], "risk": "read_only", "disclosure": "routing"},
-        {"id": "get_applicant_list", "intent": "get_applicant_list", "level": "L0", "stages": "*",
-         "pre": [], "post": [], "risk": "read_only", "disclosure": "routing"},
-        {"id": "get_process_status", "intent": "query_status", "level": "L0", "stages": "*",
-         "pre": [], "post": [], "risk": "read_only", "disclosure": "routing"},
-        # Composite operations with stage and precondition constraints.
-        {"id": "create_demand", "intent": "create_demand", "level": "L1", "stages": ["init"],
-         "pre": [], "post": [{"op": "set", "field": "position_exists", "value": True}],
-         "risk": "write", "disclosure": "bound"},
-        {"id": "pull_parse", "intent": "pull_candidates", "level": "L1", "stages": ["init", "src"],
-         "pre": ["position_exists"],
-         "post": [{"op": "set", "field": "candidates_pulled", "value": True},
-                  {"op": "set_from_result", "field": "candidates_ref"}],
-         "risk": "write", "disclosure": "bound"},
-        {"id": "screen", "intent": "screen_resume", "level": "L1", "stages": ["src"],
-         "pre": ["position_exists", "candidates_pulled"],
-         "post": [{"op": "set", "field": "candidates_screened", "value": True}],
-         "risk": "write", "disclosure": "bound"},
-        {"id": "compare", "intent": "compare_candidates", "level": "L1", "stages": ["src"],
-         "pre": ["position_exists", "candidates_pulled"], "post": [],
-         "risk": "read_only", "disclosure": "bound"},
-        {"id": "schedule_interview", "intent": "schedule_interview", "level": "L1",
-         "stages": ["src", "int"],
-         "pre": ["position_exists", "candidates_screened"],
-         "post": [{"op": "set", "field": "interview_scheduled", "value": True}],
-         "risk": "external_notify", "disclosure": "bound"},
-        {"id": "generate_questions", "intent": "generate_questions", "level": "L1",
-         "stages": ["int"], "pre": ["position_exists"],
-         "post": [{"op": "set", "field": "questions_generated", "value": True}],
-         "risk": "content", "disclosure": "bound"},
-        {"id": "record_feedback", "intent": "record_feedback", "level": "L1", "stages": ["int"],
-         "pre": ["interview_scheduled"],
-         "post": [{"op": "set", "field": "feedback_recorded", "value": True}],
-         "risk": "write", "disclosure": "bound"},
-        {"id": "evaluate", "intent": "evaluate_candidate", "level": "L1", "stages": ["int"],
-         "pre": ["interview_scheduled"],
-         "post": [{"op": "set", "field": "evaluation_done", "value": True}],
-         "risk": "write", "disclosure": "bound"},
-        {"id": "issue_offer", "intent": "issue_offer", "level": "L1", "stages": ["int", "off"],
-         "pre": ["evaluation_done"],
-         "post": [{"op": "set", "field": "offer_issued", "value": True}],
-         "risk": "commitment", "disclosure": "bound"},
-        {"id": "onboard", "intent": "onboard_candidate", "level": "L1", "stages": ["off", "onb"],
-         "pre": ["offer_issued"],
-         "post": [{"op": "set", "field": "onboarded", "value": True}],
-         "risk": "write", "disclosure": "bound"},
-        {"id": "reopen_sourcing", "intent": "reopen_sourcing", "level": "L1", "stages": ["int"],
-         "pre": [],
-         "post": [{"op": "set", "field": "candidates_pulled", "value": False},
-                  {"op": "set", "field": "candidates_screened", "value": False}],
-         "risk": "rollback", "disclosure": "bound"},
-        {"id": "reopen_interview", "intent": "reopen_interview", "level": "L1", "stages": ["off"],
-         "pre": [],
-         "post": [{"op": "set", "field": "interview_scheduled", "value": False},
-                  {"op": "set", "field": "evaluation_done", "value": False}],
-         "risk": "rollback", "disclosure": "bound"},
-        # Policy-level fallbacks.
-        {"id": "close_process", "intent": "close_process", "level": "L2", "stages": "*",
-         "pre": [], "post": [{"op": "set", "field": "process_closed", "value": True}],
-         "risk": "terminal", "disclosure": "bound"},
-        {"id": "ask_missing", "intent": "ask_missing", "level": "L2", "stages": "*",
-         "pre": [], "post": [], "risk": "clarify", "disclosure": "routing"},
-    ]
-
-    patterns = [
-        {"intent": "create_demand", "priority": 0, "patterns": [
-            "create a hiring demand", "create demand", "open a new position",
-            "create a new requisition", "start a hiring process"]},
-        {"intent": "pull_candidates", "priority": 0, "patterns": [
-            "pull candidates", "pull and parse resumes",
-            "source candidates from the talent pool", "fetch candidates"]},
-        {"intent": "screen_resume", "priority": 0, "patterns": [
-            "screen resumes", "screen the resumes", "screen candidates",
-            "re-screen resumes", "rescreen the pipeline"]},
-        {"intent": "compare_candidates", "priority": 0, "patterns": [
-            "compare candidates", "compare the candidates", "rank the shortlist"]},
-        {"intent": "schedule_interview", "priority": 0, "patterns": [
-            "schedule interview", "schedule the interview", "invite to interview",
-            "invite the candidate to interview", "arrange the interview loop"]},
-        {"intent": "generate_questions", "priority": 0, "patterns": [
-            "generate test questions", "generate interview questions", "prepare question bank"]},
-        {"intent": "record_feedback", "priority": 0, "patterns": [
-            "interview feedback", "record interview feedback", "submit interviewer feedback"]},
-        {"intent": "evaluate_candidate", "priority": 0, "patterns": [
-            "evaluate candidate", "evaluate the candidates", "aggregate the evaluations"]},
-        {"intent": "issue_offer", "priority": 0, "patterns": [
-            "issue offer", "issue the offer", "send the offer letter", "make an offer"]},
-        {"intent": "onboard_candidate", "priority": 0, "patterns": [
-            "start onboarding", "onboard the new hire", "begin onboarding"]},
-        {"intent": "reopen_sourcing", "priority": 0, "patterns": [
-            "reopen sourcing", "go back to sourcing", "restart sourcing"]},
-        {"intent": "reopen_interview", "priority": 0, "patterns": [
-            "reopen the interview round", "back to interview stage", "redo the interviews"]},
-        {"intent": "close_process", "priority": 0, "patterns": [
-            "close the process", "close the workflow", "cancel the process",
-            "abort the workflow", "terminate this process", "cancel this hiring process"]},
-        {"intent": "get_job_list", "priority": 0, "patterns": [
-            "show the job list", "show me the job list", "list open jobs",
-            "get job list", "pull up the job list"]},
-        {"intent": "get_applicant_list", "priority": 0, "patterns": [
-            "show applicants", "list the applicants", "get applicant list"]},
-        {"intent": "query_status", "priority": 0, "patterns": [
-            "where are we in the process", "show process status", "status update please"]},
-        {"intent": "ask_missing", "priority": 0, "patterns": [
-            "help", "what do you need from me", "what information is missing"]},
-    ]
-
-    job_list = [
-        {"id": f"P{i:04d}", "title": title, "department": dept}
-        for i, (title, dept) in enumerate(
-            [
-                (f"{level} {role}", dept)
-                for role, dept in (
-                    ("Backend Engineer", "Platform"),
-                    ("Data Analyst", "Analytics"),
-                    ("Account Manager", "Sales"),
-                    ("QA Engineer", "Quality"),
-                    ("Product Designer", "Design"),
-                    ("Recruiter", "People"),
-                    ("Payroll Specialist", "Finance"),
-                    ("Support Agent", "Support"),
-                )
-                for level in ("Junior", "Mid-level", "Senior", "Staff", "Principal", "Lead")
-            ],
-            start=1,
-        )
-    ]
-    assert len(job_list) == 48
-
-    fixtures = {
-        "get_job_list": {"positions": job_list},
-        "get_applicant_list": {"applicants": [f"A{i:03d}" for i in range(1, 13)]},
-        "get_process_status": {"status": "ok"},
-        "create_demand": {"position_id": "P0001", "created": True},
-        "pull_parse": {"candidates": [f"C{i:03d}" for i in range(1, 9)], "parsed": 8},
-        "screen": {"passed": 5, "rejected": 3},
-        "compare": {"ranking": ["C001", "C004", "C002"]},
-        "schedule_interview": {"scheduled": ["C001", "C004"], "slots": 2},
-        "generate_questions": {"questions": [f"Q{i}" for i in range(1, 6)]},
-        "record_feedback": {"recorded": True},
-        "evaluate": {"recommend": "C001", "score": 4.6},
-        "issue_offer": {"offer_id": "O-1", "sent": True},
-        "onboard": {"onboarding_id": "ON-1"},
-        "close_process": {"closed": True},
-        "ask_missing": {"prompt": "please provide the missing details"},
-        "reopen_sourcing": {"reopened": "sourcing"},
-        "reopen_interview": {"reopened": "interview"},
-    }
-
-    return {"automaton": automaton, "skills": skills, "patterns": patterns, "fixtures": fixtures}
-
-
 def hr_bundle() -> DomainBundle:
-    return bundle_from_dicts(HR_DOMAIN, hr_domain_dicts())
+    """The hand-authored hiring bundle shipped under ``data/hr``."""
+    return load_domain(hr_domain_dir())
 
 
 # Canonical phrasing per intent (first pattern), with alternates for variety.

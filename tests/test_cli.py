@@ -260,6 +260,24 @@ def test_inject_writes_reproducible_adversarial_suite(tmp_path, capsys):
     assert report["blocked_total"] >= 5  # every injected turn is caught
 
 
+def _files(root: Path) -> dict[Path, bytes]:
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_run_into_a_finished_run_refuses_and_changes_nothing(tmp_path, small_suite, capsys):
+    out_dir = tmp_path / "run"
+    argv = ["run", "--domain", str(hr_domain_dir()), "--suite", str(small_suite),
+            "--out", str(out_dir)]
+    assert main(argv) == 0
+    first = _files(out_dir)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert _files(out_dir) == first
+    trace = sorted((out_dir / "traces").glob("*.jsonl"))[0]
+    assert main(["replay", str(trace)]) == 0
+
+
 def test_run_against_sgd_domain(tmp_path):
     out_dir = tmp_path / "banks"
     code = main([
@@ -367,6 +385,11 @@ def _run_message_without_text(run: Path) -> list[str]:
     return _run_suite_text(run, json.dumps(suite))
 
 
+def _inject_count(run: Path, count: int) -> list[str]:
+    return ["inject", "--domain", str(hr_domain_dir()), "--suite", str(hr_suite_path()),
+            "--count", str(count), "--out", str(run / "variants.json")]
+
+
 def _validate_edited(run: Path, name: str, edit) -> list[str]:
     domain = run / "domain"
     shutil.copytree(hr_domain_dir(), domain)
@@ -437,6 +460,8 @@ MALFORMED = {
     "run-suite-invalid-utf8": (_run_suite_invalid_utf8, 2, "error: "),
     "run-message-without-text": (_run_message_without_text, 2, "error: "),
     "run-suite-is-array": (lambda run: _run_suite_text(run, "[]"), 2, "error: "),
+    "inject-count-zero": (lambda run: _inject_count(run, 0), 2, "error: "),
+    "inject-count-negative": (lambda run: _inject_count(run, -95), 2, "error: "),
     "validate-effect-without-op": (
         lambda run: _validate_edited(run, "skills.json", _drop_effect_op), 1, "error: skills.json: "),
     "validate-list-effect-field": (
@@ -459,12 +484,17 @@ MALFORMED = {
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_artifacts_exit_without_traceback(case, tmp_path, finished_run, capsys):
-    """Input faults exit 2; a malformed bundle fails validate (exit 1) naming its file."""
+    """Input faults exit 2; a malformed bundle fails validate (exit 1) naming its file.
+
+    Either way no file is written or changed.
+    """
     breaker, code, reported = MALFORMED[case]
     run = tmp_path / "run"
     shutil.copytree(finished_run, run)
     argv = breaker(run)
+    before = sorted(run.rglob("*")), _files(run)
     capsys.readouterr()
     assert main(argv) == code
     captured = capsys.readouterr()
     assert any(row.startswith(reported) for row in (captured.out + captured.err).splitlines())
+    assert (sorted(run.rglob("*")), _files(run)) == before

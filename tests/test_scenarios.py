@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import importlib.util
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
+from stagegate import suites
 from stagegate.errors import ConfigError, GenerationFault
 from stagegate.runner import run_suite
 from stagegate.scenarios import (
@@ -158,6 +162,25 @@ def test_shipped_sgd_suites_match_builders():
         bundle = load_domain(sgd_domain_dir(domain))
         shipped = load_suite(sgd_suite_path(domain), bundle)
         assert shipped == build_sgd_suite(domain, bundle), domain
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_builder_reproduces_the_shipped_data(tmp_path, monkeypatch):
+    """data/hr/*.json is the one hand-written input; everything else rebuilds byte for byte."""
+    copy = tmp_path / "data"
+    shutil.copytree(suites.DATA_DIR, copy)
+    (copy / "hr_suite.json").unlink()
+    shutil.rmtree(copy / "sgd")
+    script = Path(__file__).resolve().parents[1] / "scripts" / "build_data.py"
+    spec = importlib.util.spec_from_file_location("build_data", script)
+    build_data = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(build_data)
+    monkeypatch.setattr(suites, "DATA_DIR", copy)
+    assert build_data.main() == 0
+    assert _tree(copy) == _tree(Path(suites.__file__).parent / "data")
 
 
 # -- forward simulation / labeling ------------------------------------------------
