@@ -121,7 +121,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         # Appending would corrupt the earlier run's traces; never delete them.
         print(f"error: {traces} already holds a run; choose another --out", file=sys.stderr)
         return EXIT_INPUT
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:  # --out or its traces/ may be a file: refuse before the manifest is written
+        traces.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create {traces}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     toggles = _toggles_from_args(args)
     manifest = {
         "run_id": f"{Path(args.suite).stem}-seed{args.seed}",

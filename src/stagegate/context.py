@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 
 @dataclass
@@ -24,12 +24,15 @@ class DispatchContext:
         return DispatchContext(goal_id=self.goal_id, business_state=dict(self.business_state))
 
 
-@dataclass(frozen=True)
-class SkillResult:
-    """Outcome of one executor call; postconditions apply only on ``ok``."""
+class SkillResult(NamedTuple):
+    """Outcome of one executor call; postconditions apply only on ``ok``.
+
+    ``payload`` is the result's canonical JSON bytes (see ``canonical``):
+    the dispatcher digests and retains exactly the bytes it receives.
+    """
 
     status: str  # "ok" | "failed"
-    payload: Any = None
+    payload: bytes = b"null"
 
     @property
     def ok(self) -> bool:
@@ -39,6 +42,11 @@ class SkillResult:
 _CANON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str).encode
 
 
-def payload_digest(payload: Any) -> str:
-    """Stable content hash of a canonicalized skill-result payload."""
-    return hashlib.sha256(_CANON(payload).encode("utf-8")).hexdigest()
+def canonical(obj: Any) -> bytes:
+    """The canonical JSON bytes of *obj*: sorted keys, no spaces, ASCII, ``str`` for the rest."""
+    return _CANON(obj).encode("utf-8")
+
+
+def payload_digest(body: bytes) -> str:
+    """Stable content hash of a skill result's canonical bytes."""
+    return hashlib.sha256(body).hexdigest()

@@ -25,13 +25,22 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from .automaton import StageId, WorkflowAutomaton
-from .context import DispatchContext, SkillResult, payload_digest
+from .context import DispatchContext, SkillResult, canonical, payload_digest
 from .errors import ConfigError
 from .memory import GoalManager, ProcessEvent
 from .registry import SkillRegistry, SkillSpec, apply_postconditions
 from .router import FallbackResolver, PatternTable, identify
 
 Executor = Callable[[SkillSpec, DispatchContext], SkillResult]
+"""Runs one selected skill against a copy of the goal's context.
+
+It returns a ``SkillResult`` whose ``payload`` is the result as canonical
+JSON ``bytes`` (``canonical(obj)``).  The dispatcher hashes exactly those
+bytes into the event's ``payload_digest`` and retains them; it never takes
+a digest from the executor.  A payload that is not ``bytes`` is contained
+like an executor exception: ``SUCCESS``/``execution_error``, nothing
+committed.
+"""
 
 BLOCK_OUTCOMES = ("ILLEGAL_TRANSITION", "PRECONDITION_FAIL")
 
@@ -188,8 +197,10 @@ def _dispatch_locked(
         exec_start = time.perf_counter_ns()
         try:
             result = deps.executor(decision.skill, ctx)
+            if type(result.payload) is not bytes:
+                raise TypeError(f"executor payload is {type(result.payload).__name__}, not bytes")
         except Exception as exc:
-            result = SkillResult("failed", {"error": str(exc)})
+            result = SkillResult("failed", canonical({"error": str(exc)}))
         timing["executor_ns"] = time.perf_counter_ns() - exec_start
         digest = payload_digest(result.payload)
         if not result.ok:
@@ -245,17 +256,17 @@ class MockExecutor:
 
     Stands in for live endpoints: same skill + same fixtures always yields
     the identical result.  Failures can be injected per skill id to exercise
-    the execution-error path.  Payloads are handed out uncopied: the
-    pipeline only digests and retains them, it never mutates them.
+    the execution-error path.  Each fixture is encoded to its canonical
+    bytes once, here, and every call hands out those same immutable bytes.
     """
 
     def __init__(self, fixtures: Mapping[str, Any], fail_ids: Sequence[str] = ()) -> None:
-        self.fixtures = dict(fixtures)
+        self.fixtures = {skill_id: canonical(fixture) for skill_id, fixture in fixtures.items()}
         self.fail_ids = set(fail_ids)
 
     def __call__(self, skill: SkillSpec, ctx: DispatchContext) -> SkillResult:
         if skill.id in self.fail_ids:
-            return SkillResult("failed", {"error": f"injected failure for {skill.id}"})
+            return SkillResult("failed", canonical({"error": f"injected failure for {skill.id}"}))
         if skill.id not in self.fixtures:
             raise ConfigError(f"no fixture for skill {skill.id!r}")
         return SkillResult("ok", self.fixtures[skill.id])

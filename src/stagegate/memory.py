@@ -17,7 +17,7 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from .automaton import StageId, IntentId, WorkflowAutomaton
 from .context import DispatchContext, payload_digest
@@ -67,8 +67,7 @@ def _typed(value: Any, types: tuple[type, ...], name: str) -> Any:
     return value
 
 
-@dataclass(frozen=True)
-class ProcessEvent:
+class ProcessEvent(NamedTuple):
     """One append-only audit record; the unit of trace grading and replay."""
 
     seq: int
@@ -127,14 +126,14 @@ class GoalRecord:
 
 
 class InMemoryEventStore:
-    """Per-goal event lists; payloads retained for digest verification."""
+    """Per-goal event lists; committed payloads' canonical bytes kept for digest checks."""
 
     def __init__(self) -> None:
         self._events: dict[str, list[ProcessEvent]] = {}
-        self._payloads: dict[tuple[str, int], Any] = {}
+        self._payloads: dict[tuple[str, int], bytes] = {}
         self._lock = threading.Lock()
 
-    def append(self, event: ProcessEvent, payload: Any = None) -> None:
+    def append(self, event: ProcessEvent, payload: bytes | None = None) -> None:
         with self._lock:
             self._events.setdefault(event.goal_id, []).append(event)
             if payload is not None:
@@ -144,7 +143,7 @@ class InMemoryEventStore:
         with self._lock:
             return list(self._events.get(goal_id, []))
 
-    def payload_for(self, goal_id: str, seq: int) -> Any:
+    def payload_for(self, goal_id: str, seq: int) -> bytes | None:
         return self._payloads.get((goal_id, seq))
 
 
@@ -165,7 +164,7 @@ class FileEventStore:
         self._prefix = os.path.join(self.directory, "")
         self._lock = threading.Lock()
 
-    def append(self, event: ProcessEvent, payload: Any = None) -> None:
+    def append(self, event: ProcessEvent, payload: bytes | None = None) -> None:
         data = (event.to_line() + "\n").encode()
         with self._lock:
             _write(f"{self._prefix}{event.goal_id}.jsonl", _APPEND, data)
@@ -176,7 +175,7 @@ class FileEventStore:
         except FileNotFoundError:
             return []  # a goal with no events has no trace file
 
-    def payload_for(self, goal_id: str, seq: int) -> Any:
+    def payload_for(self, goal_id: str, seq: int) -> bytes | None:
         return None
 
     def write_snapshot(self, goal_id: str, snapshot: Mapping[str, Any]) -> None:
@@ -330,7 +329,7 @@ class GoalManager:
             record.current_stage = to_stage
             record.status = goal_status(automaton, to_stage)
 
-    def log_event(self, event: ProcessEvent, payload: Any = None) -> None:
+    def log_event(self, event: ProcessEvent, payload: bytes | None = None) -> None:
         """Append one event to the store; seq must be exactly previous + 1."""
         live = self._state(event.goal_id)
         with self._locks[event.goal_id]:

@@ -39,7 +39,6 @@ class RiskLevel(enum.IntEnum):
 @dataclass(frozen=True)
 class PredicateRef:
     name: str
-    description: str = ""
 
 
 @dataclass(frozen=True)
@@ -96,25 +95,16 @@ class PredicateCatalog:
 
     def __init__(self) -> None:
         self._table: dict[str, Predicate] = {}
-        self._descriptions: dict[str, str] = {}
 
-    def register(self, name: str, fn: Predicate, description: str = "") -> None:
+    def register(self, name: str, fn: Predicate) -> None:
         self._table[name] = fn
-        self._descriptions[name] = description
 
-    def register_flag(self, name: str, description: str = "") -> None:
+    def register_flag(self, name: str) -> None:
         """Register a predicate that checks the same-named business flag."""
-        self.register(
-            name,
-            lambda ctx, _flag=name: bool(ctx.business_state.get(_flag, False)),
-            description or f"requires business flag {name!r}",
-        )
+        self.register(name, lambda ctx, _flag=name: bool(ctx.business_state.get(_flag, False)))
 
     def resolves(self, name: str) -> bool:
         return name in self._table
-
-    def describe(self, name: str) -> str:
-        return self._descriptions.get(name, "")
 
     def evaluate(self, name: str, ctx: DispatchContext) -> bool:
         if name not in self._table:
@@ -201,41 +191,6 @@ class SkillRegistry:
             first_failure=first_failure,
             evaluation_errors=errors,
         )
-
-    def manifest(self, stage: StageId, phase: str) -> list[dict[str, Any]]:
-        """Skill summaries disclosed at *stage* for the given phase.
-
-        The routing phase exposes only low-context entries for
-        routing-visible skills; full descriptions and precondition lists are
-        disclosed only in the bound phase, keeping capability exposure
-        progressive.
-        """
-        if phase not in ("routing", "bound"):
-            raise ConfigError(f"unknown manifest phase: {phase!r}")
-        entries = []
-        for spec in self._skills:
-            if not spec.applies_at(stage):
-                continue
-            if phase == "routing":
-                if spec.disclosure_tier != "routing":
-                    continue
-                entries.append({"id": spec.id, "intent": spec.intent, "level": spec.level.name})
-            else:
-                entries.append(
-                    {
-                        "id": spec.id,
-                        "intent": spec.intent,
-                        "level": spec.level.name,
-                        "stages": sorted(spec.applicable_stages) or "*",
-                        "preconditions": [
-                            {"name": ref.name, "description": ref.description or self.catalog.describe(ref.name)}
-                            for ref in spec.preconditions
-                        ],
-                        "risk": spec.risk_class,
-                        "disclosure": spec.disclosure_tier,
-                    }
-                )
-        return entries
 
     def validate_against(self, automaton: WorkflowAutomaton) -> ValidationReport:
         """Cross-checks between the registry and the active automaton.

@@ -379,6 +379,21 @@ def _run_suite_invalid_utf8(run: Path) -> list[str]:
             "--out", str(run / "rerun")]
 
 
+def _run_into(out: Path) -> list[str]:
+    return ["run", "--domain", str(hr_domain_dir()), "--suite", str(hr_suite_path()), "--out", str(out)]
+
+
+def _run_out_is_file(run: Path) -> list[str]:
+    (run / "afile").write_text("")
+    return _run_into(run / "afile")
+
+
+def _run_traces_is_file(run: Path) -> list[str]:
+    (run / "rerun").mkdir()
+    (run / "rerun" / "traces").write_text("")
+    return _run_into(run / "rerun")
+
+
 def _run_message_without_text(run: Path) -> list[str]:
     suite = json.loads(hr_suite_path().read_text())
     del suite["scenarios"][0]["messages"][0]["text"]
@@ -460,6 +475,8 @@ MALFORMED = {
     "run-suite-invalid-utf8": (_run_suite_invalid_utf8, 2, "error: "),
     "run-message-without-text": (_run_message_without_text, 2, "error: "),
     "run-suite-is-array": (lambda run: _run_suite_text(run, "[]"), 2, "error: "),
+    "run-out-is-file": (_run_out_is_file, 2, "error: "),
+    "run-traces-is-file": (_run_traces_is_file, 2, "error: "),
     "inject-count-zero": (lambda run: _inject_count(run, 0), 2, "error: "),
     "inject-count-negative": (lambda run: _inject_count(run, -95), 2, "error: "),
     "validate-effect-without-op": (

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import copy
 import errno
+import hashlib
+import json
 import os
 import random
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stagegate.context import DispatchContext, payload_digest
+from stagegate.context import DispatchContext, SkillResult, canonical, payload_digest
 from stagegate.dispatcher import (
     FULL,
     DispatchDeps,
@@ -22,7 +24,14 @@ from stagegate.memory import GoalManager, InMemoryEventStore
 from stagegate.router import UNKNOWN
 from stagegate.runner import run_suite
 from stagegate.scenarios import bundle_from_dicts, check_bundle, load_domain, load_suite
-from stagegate.suites import hr_domain_dir, hr_suite_path, sgd_domain_dicts
+from stagegate.suites import (
+    SGD_DOMAINS,
+    hr_domain_dir,
+    hr_suite_path,
+    sgd_domain_dicts,
+    sgd_domain_dir,
+    sgd_suite_path,
+)
 
 from reference import random_domain, random_messages, run_reference
 
@@ -163,7 +172,7 @@ def test_mock_executor_is_deterministic(hr_bundle):
     first = executor(skill, ctx)
     second = executor(skill, ctx)
     assert first == second
-    assert len(first.payload["positions"]) == 48
+    assert len(json.loads(first.payload)["positions"]) == 48
 
 
 def test_bundle_without_a_skill_fixture_is_rejected():
@@ -176,16 +185,16 @@ def test_bundle_without_a_skill_fixture_is_rejected():
 
 
 def test_uncopied_payloads_keep_their_digests_after_a_suite_run():
-    """The executor hands out its fixtures themselves; nothing downstream may mutate them."""
+    """Retained payload bytes match their digests, and a run leaves the bundle's fixtures as loaded."""
     bundle = load_domain(hr_domain_dir())
-    fixtures_digest = payload_digest(bundle.fixtures)
+    fixtures_digest = payload_digest(canonical(bundle.fixtures))
     run = run_suite(bundle, load_suite(hr_suite_path(), bundle))
     committed = [e for e in run.events() if e.outcome == "SUCCESS" and e.sub_reason is None]
     assert len(committed) == 860
     for event in committed:
         payload = run.manager.store.payload_for(event.goal_id, event.seq)
         assert payload_digest(payload) == event.payload_digest
-    assert payload_digest(bundle.fixtures) == fixtures_digest
+    assert payload_digest(canonical(bundle.fixtures)) == fixtures_digest
 
 
 JSON = st.recursive(
@@ -270,6 +279,45 @@ def test_executor_exception_is_contained(hr_bundle):
     result = dispatch("create a hiring demand", gid, deps)
     assert result.outcome == "SUCCESS"
     assert result.event.sub_reason == "execution_error"
+
+
+@pytest.mark.parametrize(
+    "payload", [{"ok": 1}, '{"ok":1}', bytearray(b'{"ok":1}'), None], ids=["dict", "str", "bytearray", "None"],
+)
+def test_a_non_bytes_payload_is_contained_like_an_executor_exception(hr_bundle, payload):
+    deps = _deps(hr_bundle, executor=lambda skill, ctx: SkillResult("ok", payload))
+    gid = _goal(deps, "hr")
+    result = dispatch("create a hiring demand", gid, deps)
+    assert (result.outcome, result.event.sub_reason) == ("SUCCESS", "execution_error")
+    error = f"executor payload is {type(payload).__name__}, not bytes"
+    assert result.event.payload_digest == payload_digest(canonical({"error": error}))
+    assert deps.manager.state(gid) == {
+        "current_stage": "init", "status": "active", "business_state": {}, "last_seq": 1,
+    }
+    assert deps.manager.store.payload_for(gid, 1) is None
+
+
+def test_every_executed_event_digests_its_fixture_as_json_dumps_writes_it():
+    """Pins ``payload_digest`` to the shipped fixtures without going through ``canonical``."""
+    suites = [(hr_domain_dir(), hr_suite_path())]
+    suites += [(sgd_domain_dir(domain), sgd_suite_path(domain)) for domain in SGD_DOMAINS]
+    for directory, suite in suites:
+        fixtures = json.loads((directory / "fixtures.json").read_text())
+        expected = {
+            skill_id: hashlib.sha256(
+                json.dumps(fixture, sort_keys=True, separators=(",", ":"), default=str).encode()
+            ).hexdigest()
+            for skill_id, fixture in fixtures.items()
+        }
+        bundle = load_domain(directory)
+        run = run_suite(bundle, load_suite(suite, bundle))
+        executed = [
+            e for e in run.events()
+            if e.outcome == "SUCCESS" or e.sub_reason == "post_exec_transition_rejected"
+        ]
+        assert executed, directory.name
+        for event in executed:
+            assert event.payload_digest == expected[event.skill_id], (directory.name, event.seq)
 
 
 def test_contexts_handed_out_stay_detached_from_goal_state():

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stagegate.automaton import automaton_from_dict
-from stagegate.context import payload_digest
+from stagegate.context import SkillResult, canonical, payload_digest
 from stagegate.dispatcher import DispatchDeps, dispatch
 from stagegate.errors import ConfigError, ConflictFault, IntegrityFault, LookupFault
 from stagegate.memory import (
@@ -253,6 +253,27 @@ def test_events_are_append_only_surface(hr_bundle):
     assert not hasattr(manager.store, "update")
 
 
+def test_events_and_skill_results_are_immutable_and_events_round_trip():
+    events = [
+        _event("g", 1),
+        ProcessEvent(
+            seq=2, timestamp=1792300000.25, goal_id="g", intent="screen_resume",
+            stage_before="src", stage_after="scr", skill_id="screen_resume", outcome="SUCCESS",
+            precondition_results=(("position_exists", True), ("candidates_pulled", False)),
+            payload_digest="ab" * 32,
+        ),
+    ]
+    result = SkillResult("ok", canonical({"x": 1}))
+    for record in [*events, result]:
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+    assert SkillResult("failed").payload == canonical(None)
+    for event in events:
+        assert ProcessEvent.from_dict(event.to_dict()) == event
+        assert ProcessEvent.from_dict(json.loads(event.to_line())) == event
+
+
 def test_file_store_round_trip_and_snapshot(tmp_path, hr_bundle):
     store = FileEventStore(tmp_path)
     manager = _manager(hr_bundle, store=store)
@@ -293,7 +314,7 @@ def test_shared_encoders_write_what_json_dumps_writes():
     assert len(bundles) == 9 and payloads
     for payload in [*payloads, {"path": Path("a/b"), "n": [1.5, None, "\u00e9"]}]:
         canon = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
-        assert payload_digest(payload) == hashlib.sha256(canon.encode("utf-8")).hexdigest()
+        assert payload_digest(canonical(payload)) == hashlib.sha256(canon.encode("utf-8")).hexdigest()
     event = ProcessEvent(
         seq=7, timestamp=1792300000.25, goal_id="g\u00e9", intent="screen_resume",
         stage_before="src", stage_after="src", skill_id="screen_resume", outcome="SUCCESS",

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stagegate.automaton import automaton_from_dict
-from stagegate.context import DispatchContext, payload_digest
+from stagegate.context import DispatchContext, canonical, payload_digest
 from stagegate.errors import BindingFault, ConfigError, ConflictFault
 from stagegate.registry import (
     Effect,
@@ -223,7 +223,7 @@ def test_postconditions_apply_in_order_and_do_not_mutate_input():
         post=(Effect("set", "a", 1), Effect("set", "a", 2), Effect("set", "b", True)),
     )
     ctx = DispatchContext(goal_id="g")
-    updated = apply_postconditions(spec, ctx, payload_digest({}))
+    updated = apply_postconditions(spec, ctx, payload_digest(canonical({})))
     assert updated.business_state == {"a": 2, "b": True}
     assert ctx.business_state == {}
 
@@ -231,60 +231,25 @@ def test_postconditions_apply_in_order_and_do_not_mutate_input():
 def test_empty_postconditions_leave_context_structurally_equal():
     spec = _spec("s", "q", RiskLevel.L1, ())
     ctx = DispatchContext(goal_id="g", business_state={"x": [1, 2]})
-    updated = apply_postconditions(spec, ctx, payload_digest(None))
+    updated = apply_postconditions(spec, ctx, payload_digest(canonical(None)))
     assert updated.business_state == ctx.business_state
 
 
 def test_flag_set_effects_are_idempotent():
     spec = _spec("s", "q", RiskLevel.L1, (), post=(Effect("set", "flag", True),))
     ctx = DispatchContext(goal_id="g")
-    once = apply_postconditions(spec, ctx, payload_digest(None))
-    twice = apply_postconditions(spec, once, payload_digest(None))
+    once = apply_postconditions(spec, ctx, payload_digest(canonical(None)))
+    twice = apply_postconditions(spec, once, payload_digest(canonical(None)))
     assert once.business_state == twice.business_state
 
 
 def test_set_from_result_stores_payload_digest():
     spec = _spec("s", "q", RiskLevel.L1, (), post=(Effect("set_from_result", "ref"),))
-    a = apply_postconditions(spec, DispatchContext(goal_id="g"), payload_digest({"x": 1}))
-    b = apply_postconditions(spec, DispatchContext(goal_id="g"), payload_digest({"x": 1}))
-    c = apply_postconditions(spec, DispatchContext(goal_id="g"), payload_digest({"x": 2}))
+    a = apply_postconditions(spec, DispatchContext(goal_id="g"), payload_digest(canonical({"x": 1})))
+    b = apply_postconditions(spec, DispatchContext(goal_id="g"), payload_digest(canonical({"x": 1})))
+    c = apply_postconditions(spec, DispatchContext(goal_id="g"), payload_digest(canonical({"x": 2})))
     assert a.business_state["ref"] == b.business_state["ref"]
     assert a.business_state["ref"] != c.business_state["ref"]
-
-
-# -- manifests -----------------------------------------------------------------------
-
-
-def test_routing_manifest_exposes_universal_queries_everywhere(hr_bundle):
-    routing_visible_l0 = {
-        s.id for s in hr_bundle.registry
-        if s.disclosure_tier == "routing" and s.level == RiskLevel.L0
-    }
-    for stage in hr_bundle.automaton.stages:
-        ids = {entry["id"] for entry in hr_bundle.registry.manifest(stage, "routing")}
-        assert routing_visible_l0 <= ids
-
-
-def test_bound_manifest_at_src_lists_pull_and_screen_with_guards(hr_bundle):
-    entries = {e["id"]: e for e in hr_bundle.registry.manifest("src", "bound")}
-    assert "pull_parse" in entries and "screen" in entries
-    assert [p["name"] for p in entries["screen"]["preconditions"]] == [
-        "position_exists",
-        "candidates_pulled",
-    ]
-
-
-def test_manifest_monotonicity(hr_bundle):
-    for stage in hr_bundle.automaton.stages:
-        routing = {e["id"] for e in hr_bundle.registry.manifest(stage, "routing")}
-        bound = {e["id"] for e in hr_bundle.registry.manifest(stage, "bound")}
-        assert routing <= bound
-
-
-def test_empty_registry_manifest_is_empty(tiny_automaton, catalog):
-    registry = SkillRegistry(catalog)
-    assert registry.manifest("init", "routing") == []
-    assert registry.manifest("init", "bound") == []
 
 
 # -- config parsing / cross validation --------------------------------------------------
