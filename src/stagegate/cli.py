@@ -78,6 +78,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _make_dir(path: Path) -> bool:
+    """Create *path* and its parents; False, with an error line, when a file is in the way."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _load_inputs(args: argparse.Namespace) -> tuple[DomainBundle, list]:
     bundle = load_domain(args.domain)
     scenarios = load_suite(args.suite, bundle)
@@ -121,10 +131,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         # Appending would corrupt the earlier run's traces; never delete them.
         print(f"error: {traces} already holds a run; choose another --out", file=sys.stderr)
         return EXIT_INPUT
-    try:  # --out or its traces/ may be a file: refuse before the manifest is written
-        traces.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create {traces}: {exc}", file=sys.stderr)
+    if not _make_dir(traces):  # --out or its traces/ is a file: refuse before any write
         return EXIT_INPUT
     toggles = _toggles_from_args(args)
     manifest = {
@@ -235,7 +242,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if not _make_dir(out_dir):
+        return EXIT_INPUT
     try:
         comparison = compare_configs(bundle, scenarios, ABLATION_CONFIGS, seed=args.seed)
     except StagegateError as exc:
@@ -261,6 +269,12 @@ def cmd_inject(args: argparse.Namespace) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    out_path = Path(args.out)
+    if out_path.is_dir():
+        print(f"error: {out_path} is a directory; --out names the suite file", file=sys.stderr)
+        return EXIT_INPUT
+    if not _make_dir(out_path.parent):
+        return EXIT_INPUT
     normals = [
         s for s in scenarios
         if s.type == "normal" and all(m.expected_legal for m in s.messages)
@@ -276,8 +290,6 @@ def cmd_inject(args: argparse.Namespace) -> int:
     except StagegateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     save_suite(out_path, f"{Path(args.suite).stem}-injected", bundle.name, variants)
     print(f"wrote {len(variants)} adversarial variants to {out_path}")
     return EXIT_OK

@@ -9,8 +9,8 @@ to declarative context mutations so that replay stays deterministic.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .automaton import StageId, IntentId, ValidationEntry, ValidationReport, WorkflowAutomaton
 from .context import DispatchContext
@@ -79,12 +79,11 @@ class SkillSpec:
         return not self.applicable_stages or stage in self.applicable_stages
 
 
-@dataclass(frozen=True)
-class PreconditionReport:
+class PreconditionReport(NamedTuple):
     satisfied: bool
     results: tuple[tuple[str, bool], ...]
-    first_failure: str | None = None
-    evaluation_errors: Mapping[str, str] = field(default_factory=dict)
+    first_failure: str | None
+    evaluation_errors: Mapping[str, str]
 
 
 Predicate = Callable[[DispatchContext], bool]
@@ -185,12 +184,7 @@ class SkillRegistry:
             results.append((ref.name, passed))
             if not passed and first_failure is None:
                 first_failure = ref.name
-        return PreconditionReport(
-            satisfied=all(passed for _, passed in results),
-            results=tuple(results),
-            first_failure=first_failure,
-            evaluation_errors=errors,
-        )
+        return PreconditionReport(first_failure is None, tuple(results), first_failure, errors)
 
     def validate_against(self, automaton: WorkflowAutomaton) -> ValidationReport:
         """Cross-checks between the registry and the active automaton.

@@ -275,6 +275,8 @@ def table_from_list(raw: Iterable[Mapping[str, Any]]) -> PatternTable:
         for item in raw:
             if "intent" not in item or "patterns" not in item:
                 raise ConfigError("pattern entry needs 'intent' and 'patterns'")
+            if isinstance(item["patterns"], str):  # would iterate as one pattern per character
+                raise ConfigError(f"intent {item['intent']!r}: 'patterns' must be a list, not a string")
             table.append(
                 IntentPattern(
                     intent=str(item["intent"]),

@@ -199,17 +199,6 @@ def load_domain(path: str | Path) -> DomainBundle:
     return bundle_from_dicts(directory.name, parts, located)
 
 
-def write_domain(directory: str | Path, bundle_dicts: Mapping[str, Any]) -> None:
-    """Write the four bundle files from plain dicts (used by data builders)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for key, filename in BUNDLE_FILES.items():
-        payload = bundle_dicts[key]
-        (directory / filename).write_text(
-            json.dumps(payload, indent=2, sort_keys=False) + "\n", encoding="utf-8"
-        )
-
-
 # -- suite loading -------------------------------------------------------------
 
 
@@ -226,19 +215,29 @@ def _scenario_from_dict(raw: Mapping[str, Any], domain: str, bundle: DomainBundl
 
     messages = []
     for position, msg in enumerate(raw_messages):
-        turn = int(msg.get("turn_index", -1))
+        turn, text, legal = msg["turn_index"], msg["text"], msg["expected_legal"]
+        label_intent, track = msg.get("label_intent"), msg.get("track", 0)
+        # Exact JSON types, nothing coerced: "false" is not False and 0.0 is not 0.
+        if not (
+            type(turn) is int and type(text) is str and type(legal) is bool and type(track) is int
+            and (label_intent is None or type(label_intent) is str)
+        ):
+            raise ConfigError(
+                f"scenario {sid!r}: message {position}: turn_index and track must be integers, "
+                "text a string, expected_legal a boolean and label_intent a string or null"
+            )
         if turn != position:
             raise ConfigError(
                 f"scenario {sid!r}: turn_index must be gapless from 0 (got {turn} at {position})"
             )
         messages.append(
             LabeledMessage(
-                text=str(msg["text"]),
-                expected_legal=bool(msg["expected_legal"]),
+                text=text,
+                expected_legal=legal,
                 scenario_id=sid,
                 turn_index=turn,
-                label_intent=msg.get("label_intent"),
-                track=int(msg.get("track", 0)),
+                label_intent=label_intent,
+                track=track,
             )
         )
 

@@ -1,39 +1,17 @@
-"""Labeled suites shipped with the package, built from its domain bundles.
+"""Where the package's shipped domain bundles and labeled suites live.
 
 The hiring domain runs a six-stage workflow; eight service domains run
-two-stage search-then-act workflows.  The hiring bundle is hand-authored
-as the four JSON files under ``data/hr``; the service bundles are
-generated from ``_SGD_SPEC``.  Suites are generated deterministically
-from templates, labeled by the forward simulator, and self-checked against
-the authored structure (message totals, outcome budget, label counts)
-before they are ever written, so the shipped JSON cannot drift from the
-documented shape.  After editing ``data/hr/*.json``, rerun
-``scripts/build_data.py`` to relabel the hiring suite.
-
-Authored structure of the hiring suite: 185 scenarios / 882 messages
-(50 normal, 25 illegal, 25 rollback, 25 multi, 30 abort, 30 concurrent),
-with 16 stage-gate blocks, 6 precondition blocks, and 3 permitted-but-
-illegal query turns.  The service suites total 960 dialogues / 1,734 turns
-with 160 injected one-turn attacks and 41 latent stage-skips (38 in
-Hotels_1, 3 in Music_1).
+two-stage search-then-act workflows.  Every bundle is hand-authored as the
+four JSON files under ``data/hr`` or ``data/sgd/<D>``, and that JSON is
+its only definition.  The suites next to them are generated from those
+bundles by ``scripts/build_data.py``; rerun it after editing a bundle.
 """
 
 from __future__ import annotations
 
-import random
 from pathlib import Path
-from typing import Any, Mapping, Sequence
 
-from .errors import ConfigError
-from .scenarios import (
-    DomainBundle,
-    LabeledMessage,
-    Scenario,
-    bundle_from_dicts,
-    label_scenario,
-    load_domain,
-    simulate_scenario,
-)
+from .scenarios import DomainBundle, load_domain
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -50,367 +28,9 @@ SGD_DOMAINS = (
 )
 
 
-# -- hiring domain -------------------------------------------------------------
-
-
 def hr_bundle() -> DomainBundle:
     """The hand-authored hiring bundle shipped under ``data/hr``."""
     return load_domain(hr_domain_dir())
-
-
-# Canonical phrasing per intent (first pattern), with alternates for variety.
-_HR_PHRASES = {
-    "create_demand": ["create a hiring demand", "open a new position", "start a hiring process"],
-    "pull_candidates": ["pull candidates", "source candidates from the talent pool", "fetch candidates"],
-    "screen_resume": ["screen resumes", "screen the resumes", "screen candidates"],
-    "compare_candidates": ["compare candidates", "rank the shortlist"],
-    "schedule_interview": ["schedule interview", "schedule the interview", "arrange the interview loop"],
-    "generate_questions": ["generate test questions", "generate interview questions"],
-    "record_feedback": ["interview feedback", "record interview feedback"],
-    "evaluate_candidate": ["evaluate candidate", "evaluate the candidates", "aggregate the evaluations"],
-    "issue_offer": ["issue offer", "send the offer letter", "make an offer"],
-    "onboard_candidate": ["start onboarding", "onboard the new hire", "begin onboarding"],
-    "reopen_sourcing": ["reopen sourcing", "go back to sourcing"],
-    "reopen_interview": ["reopen the interview round", "redo the interviews"],
-    "close_process": ["close the process", "close the workflow", "cancel the process"],
-    "get_job_list": ["show the job list", "list open jobs"],
-    "get_applicant_list": ["show applicants", "list the applicants"],
-    "query_status": ["show process status", "where are we in the process"],
-    "ask_missing": ["help", "what information is missing"],
-}
-
-_FLOW = (
-    "create_demand",
-    "pull_candidates",
-    "screen_resume",
-    "schedule_interview",
-    "evaluate_candidate",
-    "issue_offer",
-    "onboard_candidate",
-    "close_process",
-)
-
-# Illegal-type templates.  Each entry: (kind, turns) where a turn is either
-# an intent name (legal flow step), ("IT", text) for a stage-gate violation,
-# ("PF", intent) for a precondition violation, or ("FN", text, label_intent)
-# for a permitted-but-illegal query (broad-stage skill, stage-specific intent).
-_HR_ILLEGAL_TEMPLATES: list[list[Any]] = [
-    # Stage-gate violations fired at init (case-table style one-liners).
-    [("IT", "schedule interview"), "create_demand", "close_process"],
-    [("IT", "interview feedback"), "create_demand", "close_process"],
-    [("IT", "generate test questions"), "create_demand", "close_process"],
-    [("IT", "invite to interview"), "create_demand", "close_process"],
-    [("IT", "evaluate candidate"), "create_demand", "close_process"],
-    [("IT", "issue offer"), "create_demand", "close_process"],
-    [("IT", "start onboarding"), "create_demand", "close_process"],
-    [("IT", "screen resumes"), "create_demand", "close_process"],
-    [("IT", "submit interviewer feedback"), "create_demand", "close_process"],
-    [("IT", "compare candidates"), "create_demand", "close_process"],
-    # Stage-gate violations mid-flow at src.
-    ["create_demand", "pull_candidates", ("IT", "record interview feedback"), "close_process"],
-    ["create_demand", "pull_candidates", ("IT", "begin onboarding"), "close_process"],
-    # Re-screen attempts after the offer went out.
-    ["create_demand", "pull_candidates", "screen_resume", "schedule_interview",
-     "evaluate_candidate", "issue_offer", ("IT", "re-screen resumes"), "close_process"],
-    ["create_demand", "pull_candidates", "screen_resume", "schedule_interview",
-     "evaluate_candidate", "issue_offer", ("IT", "rescreen the pipeline"), "close_process"],
-    # Out-of-stage pulls during the interview loop; under ablation these
-    # execute and derail the remaining turns.
-    ["create_demand", "pull_candidates", "screen_resume", "schedule_interview",
-     "evaluate_candidate", ("IT", "pull candidates"), "issue_offer",
-     "onboard_candidate", "close_process"],
-    ["create_demand", "pull_candidates", "screen_resume", "schedule_interview",
-     "evaluate_candidate", ("IT", "fetch candidates"), "issue_offer",
-     "onboard_candidate", "close_process"],
-    # Precondition violations (stage-legal, data not ready).
-    [("PF", "pull_candidates"), "create_demand", "close_process"],
-    ["create_demand", "pull_candidates", ("PF", "schedule_interview"),
-     "screen_resume", "close_process"],
-    ["create_demand", "pull_candidates", "screen_resume", "schedule_interview",
-     ("PF", "issue_offer"), "close_process"],
-    ["create_demand", "pull_candidates", "screen_resume", "schedule_interview",
-     "reopen_sourcing", ("PF", "compare_candidates"), "close_process"],
-    ["create_demand", "pull_candidates", "screen_resume", "schedule_interview",
-     "evaluate_candidate", "issue_offer", "reopen_interview",
-     ("PF", "record_feedback"), "close_process"],
-    ["create_demand", "pull_candidates", "screen_resume", "schedule_interview",
-     "evaluate_candidate", "issue_offer", "reopen_interview",
-     ("PF", "evaluate_candidate"), "close_process"],
-    # Broad-stage queries carrying a stage-specific intent: permitted by the
-    # skill's stage set, illegal under the annotation.
-    [("FN", "pull up the job list so we can start screening", "screen_resume"),
-     "create_demand", "pull_candidates", "close_process"],
-    [("FN", "show me the job list for the screening round", "screen_resume"),
-     "create_demand", "pull_candidates", "close_process"],
-    [("FN", "list the applicants we should compare", "compare_candidates"),
-     "create_demand", "pull_candidates", "close_process"],
-]
-
-_HR_ROLLBACK_SHORT = ["create_demand", "pull_candidates", "screen_resume",
-                      "schedule_interview", "reopen_sourcing"]
-_HR_ROLLBACK_RESOURCE = ["create_demand", "pull_candidates", "screen_resume",
-                         "schedule_interview", "reopen_sourcing", "pull_candidates",
-                         "close_process"]
-_HR_ROLLBACK_OFFER = ["create_demand", "pull_candidates", "screen_resume",
-                      "schedule_interview", "evaluate_candidate", "issue_offer",
-                      "reopen_interview"]
-_HR_MULTI_SHORT = ["create_demand", "pull_candidates", "compare_candidates"]
-_HR_MULTI_FULL = ["create_demand", "pull_candidates", "screen_resume", "compare_candidates"]
-_HR_CONCURRENT = [(0, "create_demand"), (1, "create_demand"), (0, "close_process")]
-
-
-def _phrase(rng: random.Random, intent: str) -> str:
-    options = _HR_PHRASES[intent]
-    return options[rng.randrange(len(options))]
-
-
-def _hr_scenario(
-    bundle: DomainBundle,
-    rng: random.Random,
-    scenario_id: str,
-    stype: str,
-    turns: Sequence[Any],
-) -> Scenario:
-    """One labeled hiring scenario from a template of turns.
-
-    A turn is an intent (a random phrasing of it), ``("PF", intent)`` (the
-    same, marking a precondition failure), ``("IT", text)`` (literal text),
-    ``("FN", text, label_intent)`` (literal text labeled by its semantic
-    intent) or ``(track, intent)`` (a phrasing sent to a concurrent goal).
-    """
-    messages = []
-    for position, turn in enumerate(turns):
-        track, label_intent = 0, None
-        if isinstance(turn, str):
-            text = _phrase(rng, turn)
-        elif isinstance(turn[0], int):
-            track, text = turn[0], _phrase(rng, turn[1])
-        elif turn[0] == "PF":
-            text = _phrase(rng, turn[1])
-        else:
-            text, label_intent = turn[1], (turn[2] if turn[0] == "FN" else None)
-        messages.append(
-            LabeledMessage(
-                text=text,
-                expected_legal=True,  # placeholder, relabeled below
-                scenario_id=scenario_id,
-                turn_index=position,
-                label_intent=label_intent,
-                track=track,
-            )
-        )
-    return label_scenario(bundle, Scenario(scenario_id, bundle.name, stype, tuple(messages)))
-
-
-def build_hr_suite(bundle: DomainBundle | None = None, seed: int = 1207) -> list[Scenario]:
-    """The 185-scenario / 882-message hiring suite."""
-    bundle = bundle or hr_bundle()
-    rng = random.Random(seed)
-    scenarios: list[Scenario] = []
-
-    for i in range(50):
-        scenarios.append(_hr_scenario(bundle, rng, f"normal-{i + 1:03d}", "normal", _FLOW))
-
-    for i, template in enumerate(_HR_ILLEGAL_TEMPLATES):
-        scenarios.append(_hr_scenario(bundle, rng, f"illegal-{i + 1:03d}", "illegal", template))
-
-    rollback_templates = (
-        [_HR_ROLLBACK_SHORT] * 12 + [_HR_ROLLBACK_RESOURCE] * 7 + [_HR_ROLLBACK_OFFER] * 6
-    )
-    for i, template in enumerate(rollback_templates):
-        scenarios.append(_hr_scenario(bundle, rng, f"rollback-{i + 1:03d}", "rollback", template))
-
-    multi_templates = [_HR_MULTI_SHORT] * 12 + [_HR_MULTI_FULL] * 13
-    for i, template in enumerate(multi_templates):
-        scenarios.append(_hr_scenario(bundle, rng, f"multi-{i + 1:03d}", "multi", template))
-
-    for i in range(30):
-        scenarios.append(_hr_scenario(bundle, rng, f"abort-{i + 1:03d}", "abort", ["close_process"]))
-
-    for i in range(30):
-        scenarios.append(
-            _hr_scenario(bundle, rng, f"concurrent-{i + 1:03d}", "concurrent", _HR_CONCURRENT)
-        )
-
-    _check_hr_suite(bundle, scenarios)
-    return scenarios
-
-
-def _check_hr_suite(bundle: DomainBundle, scenarios: Sequence[Scenario]) -> None:
-    """Structural self-check; a failed assertion means the authoring drifted."""
-    by_type: dict[str, int] = {}
-    for s in scenarios:
-        by_type[s.type] = by_type.get(s.type, 0) + 1
-    expected_counts = {"normal": 50, "illegal": 25, "rollback": 25, "multi": 25,
-                       "abort": 30, "concurrent": 30}
-    if by_type != expected_counts:
-        raise ConfigError(f"hiring suite category counts drifted: {by_type}")
-
-    messages = sum(len(s.messages) for s in scenarios)
-    if messages != 882:
-        raise ConfigError(f"hiring suite must carry 882 messages, got {messages}")
-
-    outcomes = {"SUCCESS": 0, "ILLEGAL_TRANSITION": 0, "PRECONDITION_FAIL": 0, "SKILL_NOT_FOUND": 0}
-    illegal_labels = 0
-    for scenario in scenarios:
-        for step in simulate_scenario(bundle, scenario):
-            outcomes[step.outcome] += 1
-        illegal_labels += sum(1 for m in scenario.messages if not m.expected_legal)
-    # The simulator predicts blocks for the three annotated query turns, so
-    # it sees 19 illegal transitions where the dispatcher will block 16 and
-    # permit 3 (the annotation uses the semantic intent, the router the text).
-    if outcomes["ILLEGAL_TRANSITION"] != 19 or outcomes["PRECONDITION_FAIL"] != 6:
-        raise ConfigError(f"hiring suite outcome budget drifted: {outcomes}")
-    if illegal_labels != 25:
-        raise ConfigError(f"hiring suite must label 25 messages illegal, got {illegal_labels}")
-
-
-# -- service domains (two-stage search-then-act workflows) ------------------------
-
-
-_SGD_SPEC: Mapping[str, Mapping[str, Any]] = {
-    "Banks_1": {
-        "stages": ["CheckBalance", "TransferMoney"],
-        "search": ("check_balance", ["check my balance", "check balance", "show my account balance"]),
-        "act": ("transfer_money", ["transfer money", "make a transfer", "send money to my savings"]),
-        "shapes": [("triple", 100)],
-    },
-    "Hotels_1": {
-        "stages": ["SearchHotel", "ReserveHotel"],
-        "search": ("search_hotel", ["search hotels", "find hotels in the city", "search for a hotel"]),
-        "act": ("reserve_hotel", ["reserve the hotel", "book the hotel room", "make a hotel reservation"]),
-        "shapes": [("latent", 38), ("full", 62)],
-    },
-    "RentalCars_1": {
-        "stages": ["GetCarsAvailable", "ReserveCar"],
-        "search": ("get_cars_available", ["show available cars", "get available cars", "search rental cars"]),
-        "act": ("reserve_car", ["reserve the car", "book the rental car"]),
-        "shapes": [("full", 80), ("search_only", 20)],
-    },
-    "Events_1": {
-        "stages": ["SearchEvent", "BuyTicket"],
-        "search": ("search_event", ["search events", "find events this weekend"]),
-        "act": ("buy_ticket", ["buy the ticket", "purchase event tickets"]),
-        "shapes": [("full", 84), ("search_only", 16)],
-    },
-    "Buses_1": {
-        "stages": ["SearchBus", "BuyTicket"],
-        "search": ("search_bus", ["search buses", "find a bus route"]),
-        "act": ("buy_ticket", ["buy the bus ticket", "purchase the bus fare"]),
-        "shapes": [("full", 53), ("search_only", 47)],
-    },
-    "Homes_1": {
-        "stages": ["SearchHome", "ReserveHome"],
-        "search": ("search_home", ["search homes", "find apartments to visit"]),
-        "act": ("reserve_home", ["schedule the home visit", "reserve the apartment viewing"]),
-        "shapes": [("full", 100)],
-    },
-    "Media_2": {
-        "stages": ["SearchMedia", "PlayMedia"],
-        "search": ("search_media", ["search movies", "find a movie to watch"]),
-        "act": ("play_media", ["play the movie", "start playback"]),
-        "shapes": [("full", 98), ("search_only", 2)],
-    },
-    "Music_1": {
-        "stages": ["SearchTrack", "PlayTrack"],
-        "search": ("search_track", ["search songs", "find a track"]),
-        "act": ("play_track", ["play the song", "play the track"]),
-        "shapes": [("latent", 3), ("full", 97)],
-    },
-}
-
-SGD_NORMAL_TURNS = {
-    "Banks_1": 300, "Hotels_1": 162, "RentalCars_1": 180, "Events_1": 184,
-    "Buses_1": 153, "Homes_1": 200, "Media_2": 198, "Music_1": 197,
-}
-
-
-def sgd_domain_dicts(domain: str) -> dict[str, Any]:
-    spec = _SGD_SPEC[domain]
-    stage_1, stage_2 = spec["stages"]
-    search_intent, search_texts = spec["search"]
-    act_intent, act_texts = spec["act"]
-
-    automaton = {
-        "stages": [stage_1, stage_2],
-        "initial": stage_1,
-        "transitions": [[stage_1, stage_2]],
-        "intents": [search_intent, act_intent],
-        "binding": {search_intent: [stage_1, stage_2], act_intent: [stage_2]},
-        "stage_map": {search_intent: stage_2, act_intent: stage_2},
-    }
-    skills = [
-        {"id": search_intent, "intent": search_intent, "level": "L0", "stages": "*",
-         "pre": [], "post": [], "risk": "read_only", "disclosure": "routing"},
-        {"id": act_intent, "intent": act_intent, "level": "L1", "stages": [stage_2],
-         "pre": [], "post": [{"op": "set", "field": "transaction_done", "value": True}],
-         "risk": "commitment", "disclosure": "bound"},
-    ]
-    patterns = [
-        {"intent": search_intent, "priority": 0, "patterns": list(search_texts)},
-        {"intent": act_intent, "priority": 0, "patterns": list(act_texts)},
-    ]
-    fixtures = {
-        search_intent: {"results": [f"{domain}-R{i}" for i in range(1, 4)]},
-        act_intent: {"confirmation": f"{domain}-OK"},
-    }
-    return {"automaton": automaton, "skills": skills, "patterns": patterns, "fixtures": fixtures}
-
-
-def sgd_bundle(domain: str) -> DomainBundle:
-    return bundle_from_dicts(domain, sgd_domain_dicts(domain))
-
-
-def build_sgd_suite(domain: str, bundle: DomainBundle | None = None, seed: int = 1207) -> list[Scenario]:
-    """One service domain's 100 normal dialogues plus 20 injected attacks."""
-    bundle = bundle or sgd_bundle(domain)
-    spec = _SGD_SPEC[domain]
-    rng = random.Random(f"{seed}:{domain}")  # str seeding is stable across processes
-    search_intent, search_texts = spec["search"]
-    act_intent, act_texts = spec["act"]
-
-    def pick(texts: Sequence[str]) -> str:
-        return texts[rng.randrange(len(texts))]
-
-    shapes: list[str] = []
-    for shape, count in spec["shapes"]:
-        shapes.extend([shape] * count)
-    rng.shuffle(shapes)
-
-    scenarios: list[Scenario] = []
-    for i, shape in enumerate(shapes):
-        sid = f"{domain}-normal-{i + 1:03d}"
-        if shape == "triple":
-            texts = [pick(search_texts), pick(act_texts), pick(search_texts)]
-        elif shape == "full":
-            texts = [pick(search_texts), pick(act_texts)]
-        elif shape == "search_only":
-            texts = [pick(search_texts)]
-        else:  # latent: the user acts without searching first
-            texts = [pick(act_texts)]
-        messages = tuple(
-            LabeledMessage(text=text, expected_legal=True, scenario_id=sid, turn_index=j)
-            for j, text in enumerate(texts)
-        )
-        scenarios.append(label_scenario(bundle, Scenario(sid, domain, "normal", messages)))
-
-    for i in range(20):
-        sid = f"{domain}-illegal-{i + 1:03d}"
-        message = LabeledMessage(
-            text=pick(act_texts), expected_legal=False, scenario_id=sid, turn_index=0
-        )
-        scenarios.append(label_scenario(bundle, Scenario(sid, domain, "illegal", (message,))))
-
-    total_turns = sum(len(s.messages) for s in scenarios)
-    if total_turns != SGD_NORMAL_TURNS[domain] + 20:
-        raise ConfigError(
-            f"{domain}: authored turn total drifted "
-            f"({total_turns} vs {SGD_NORMAL_TURNS[domain] + 20})"
-        )
-    return scenarios
-
-
-# -- shipped data access ---------------------------------------------------------
 
 
 def hr_domain_dir() -> Path:

@@ -400,9 +400,35 @@ def _run_message_without_text(run: Path) -> list[str]:
     return _run_suite_text(run, json.dumps(suite))
 
 
-def _inject_count(run: Path, count: int) -> list[str]:
+def _run_string_expected_legal(run: Path) -> list[str]:
+    suite = json.loads(hr_suite_path().read_text())
+    suite["scenarios"][0]["messages"][0]["expected_legal"] = "false"
+    return _run_suite_text(run, json.dumps(suite))
+
+
+def _ablate_into(out: Path) -> list[str]:
+    return ["ablate", "--domain", str(hr_domain_dir()), "--suite", str(hr_suite_path()),
+            "--out", str(out)]
+
+
+def _ablate_out_is_file(run: Path) -> list[str]:
+    (run / "afile").write_text("")
+    return _ablate_into(run / "afile")
+
+
+def _inject_count(run: Path, count: int, out: Path | None = None) -> list[str]:
     return ["inject", "--domain", str(hr_domain_dir()), "--suite", str(hr_suite_path()),
-            "--count", str(count), "--out", str(run / "variants.json")]
+            "--count", str(count), "--out", str(out or run / "variants.json")]
+
+
+def _inject_out_under_file(run: Path) -> list[str]:
+    (run / "afile").write_text("")
+    return _inject_count(run, 1, run / "afile" / "x.json")
+
+
+def _inject_out_is_directory(run: Path) -> list[str]:
+    (run / "variants").mkdir()
+    return _inject_count(run, 1, run / "variants")
 
 
 def _validate_edited(run: Path, name: str, edit) -> list[str]:
@@ -477,8 +503,12 @@ MALFORMED = {
     "run-suite-is-array": (lambda run: _run_suite_text(run, "[]"), 2, "error: "),
     "run-out-is-file": (_run_out_is_file, 2, "error: "),
     "run-traces-is-file": (_run_traces_is_file, 2, "error: "),
+    "run-string-expected-legal": (_run_string_expected_legal, 2, "error: "),
+    "ablate-out-is-file": (_ablate_out_is_file, 2, "error: "),
     "inject-count-zero": (lambda run: _inject_count(run, 0), 2, "error: "),
     "inject-count-negative": (lambda run: _inject_count(run, -95), 2, "error: "),
+    "inject-out-under-file": (_inject_out_under_file, 2, "error: "),
+    "inject-out-is-directory": (_inject_out_is_directory, 2, "error: "),
     "validate-effect-without-op": (
         lambda run: _validate_edited(run, "skills.json", _drop_effect_op), 1, "error: skills.json: "),
     "validate-list-effect-field": (
@@ -493,6 +523,9 @@ MALFORMED = {
     "validate-string-stages": (
         lambda run: _validate_skill_edit(run, "create_demand", stages="init"),
         1, "error: skills.json: skill 'create_demand': 'stages'"),
+    "validate-string-patterns": (
+        lambda run: _validate_edited(run, "patterns.json", lambda p: p[0].update(patterns="create")),
+        1, "error: patterns.json: intent 'create_demand': 'patterns'"),
     "validate-one-element-transition": (
         lambda run: _validate_edited(run, "automaton.json", _one_element_transition),
         1, "error: automaton.json: "),

@@ -23,12 +23,18 @@ from stagegate.errors import ConfigError, LookupFault
 from stagegate.memory import GoalManager, InMemoryEventStore
 from stagegate.router import UNKNOWN
 from stagegate.runner import run_suite
-from stagegate.scenarios import bundle_from_dicts, check_bundle, load_domain, load_suite
+from stagegate.scenarios import (
+    BUNDLE_FILES,
+    bundle_from_dicts,
+    check_bundle,
+    load_domain,
+    load_suite,
+    read_json,
+)
 from stagegate.suites import (
     SGD_DOMAINS,
     hr_domain_dir,
     hr_suite_path,
-    sgd_domain_dicts,
     sgd_domain_dir,
     sgd_suite_path,
 )
@@ -176,7 +182,8 @@ def test_mock_executor_is_deterministic(hr_bundle):
 
 
 def test_bundle_without_a_skill_fixture_is_rejected():
-    parts = sgd_domain_dicts("Banks_1")
+    directory = sgd_domain_dir("Banks_1")
+    parts = {key: read_json(directory / name) for key, name in BUNDLE_FILES.items()}
     del parts["fixtures"]["transfer_money"]
     errors, _ = check_bundle("Banks_1", parts)
     assert errors == [("fixtures", "missing fixtures for: transfer_money")]

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import importlib.util
 import json
 import shutil
 from pathlib import Path
@@ -23,12 +22,8 @@ from stagegate.scenarios import (
 )
 from stagegate.suites import (
     SGD_DOMAINS,
-    SGD_NORMAL_TURNS,
-    build_hr_suite,
-    build_sgd_suite,
     hr_domain_dir,
     hr_suite_path,
-    sgd_bundle,
     sgd_domain_dir,
     sgd_suite_path,
 )
@@ -72,7 +67,7 @@ def test_shipped_hr_suite_shape(hr_suite):
     }
 
 
-def test_shipped_sgd_suites_shape():
+def test_shipped_sgd_suites_shape(build_data):
     dialogues = 0
     turns = 0
     for domain in SGD_DOMAINS:
@@ -81,7 +76,7 @@ def test_shipped_sgd_suites_shape():
         assert sum(1 for s in suite if s.type == "normal") == 100
         assert sum(1 for s in suite if s.type == "illegal") == 20
         domain_turns = sum(len(s.messages) for s in suite)
-        assert domain_turns == SGD_NORMAL_TURNS[domain] + 20
+        assert domain_turns == build_data.SGD_NORMAL_TURNS[domain] + 20
         dialogues += len(suite)
         turns += domain_turns
     assert dialogues == 960
@@ -104,6 +99,23 @@ def test_turn_index_gap_is_schema_fault(hr_bundle):
         ],
     }
     with pytest.raises(ConfigError, match="turn_index"):
+        suite_from_dict(raw, hr_bundle)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("text", 5), ("expected_legal", "false"), ("expected_legal", 1), ("turn_index", 0.0),
+    ("turn_index", False), ("track", "0"), ("track", True), ("label_intent", ["help"]),
+])
+def test_message_fields_load_only_at_their_exact_json_type(hr_bundle, field, value):
+    message = {"turn_index": 0, "text": "help", "expected_legal": True, field: value}
+    raw = {
+        "domain": "hr",
+        "scenarios": [
+            {"scenario_id": "bad", "type": "normal", "expected_final_stage": "init",
+             "messages": [message]},
+        ],
+    }
+    with pytest.raises(ConfigError, match="scenario 'bad': message 0: "):
         suite_from_dict(raw, hr_bundle)
 
 
@@ -144,40 +156,38 @@ def test_suite_round_trip_is_semantically_identical(hr_bundle, hr_suite):
     assert again == hr_suite
 
 
-def test_suite_builders_are_deterministic(hr_bundle):
-    first = build_hr_suite(hr_bundle, seed=1207)
-    second = build_hr_suite(hr_bundle, seed=1207)
+def test_suite_builders_are_deterministic(hr_bundle, build_data):
+    first = build_data.build_hr_suite(hr_bundle, seed=1207)
+    second = build_data.build_hr_suite(hr_bundle, seed=1207)
     assert first == second
     shipped = load_suite(hr_suite_path(), hr_bundle)
     assert shipped == first
 
 
-def test_sgd_builders_are_deterministic():
-    bundle = sgd_bundle("Hotels_1")
-    assert build_sgd_suite("Hotels_1", bundle) == build_sgd_suite("Hotels_1", bundle)
+def test_sgd_builders_are_deterministic(build_data):
+    bundle = load_domain(sgd_domain_dir("Hotels_1"))
+    build = build_data.build_sgd_suite
+    assert build("Hotels_1", bundle) == build("Hotels_1", bundle)
 
 
-def test_shipped_sgd_suites_match_builders():
+def test_shipped_sgd_suites_match_builders(build_data):
     for domain in SGD_DOMAINS:
         bundle = load_domain(sgd_domain_dir(domain))
         shipped = load_suite(sgd_suite_path(domain), bundle)
-        assert shipped == build_sgd_suite(domain, bundle), domain
+        assert shipped == build_data.build_sgd_suite(domain, bundle), domain
 
 
 def _tree(root: Path) -> dict[str, bytes]:
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
-def test_builder_reproduces_the_shipped_data(tmp_path, monkeypatch):
-    """data/hr/*.json is the one hand-written input; everything else rebuilds byte for byte."""
+def test_builder_reproduces_the_shipped_data(tmp_path, monkeypatch, build_data):
+    """Every bundle is hand-written JSON; every suite rebuilds from them byte for byte."""
     copy = tmp_path / "data"
     shutil.copytree(suites.DATA_DIR, copy)
     (copy / "hr_suite.json").unlink()
-    shutil.rmtree(copy / "sgd")
-    script = Path(__file__).resolve().parents[1] / "scripts" / "build_data.py"
-    spec = importlib.util.spec_from_file_location("build_data", script)
-    build_data = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(build_data)
+    for suite in copy.glob("sgd/*/suite.json"):
+        suite.unlink()
     monkeypatch.setattr(suites, "DATA_DIR", copy)
     assert build_data.main() == 0
     assert _tree(copy) == _tree(Path(suites.__file__).parent / "data")
@@ -205,9 +215,9 @@ def test_simulation_tracks_are_independent(hr_bundle, hr_suite):
 # -- injection ---------------------------------------------------------------------
 
 
-def test_injection_is_deterministic_and_labeled_illegal():
-    bundle = sgd_bundle("Banks_1")
-    suite = build_sgd_suite("Banks_1", bundle)
+def test_injection_is_deterministic_and_labeled_illegal(build_data):
+    bundle = load_domain(sgd_domain_dir("Banks_1"))
+    suite = build_data.build_sgd_suite("Banks_1", bundle)
     normal = next(s for s in suite if s.type == "normal")
     a = inject_illegal(normal, bundle, "stage_skip", seed=5)
     b = inject_illegal(normal, bundle, "stage_skip", seed=5)
@@ -219,9 +229,9 @@ def test_injection_is_deterministic_and_labeled_illegal():
     assert {m.scenario_id for m in a.messages} == {a.scenario_id}  # labels align with steps
 
 
-def test_premature_terminal_opens_with_the_blocked_action():
-    bundle = sgd_bundle("Banks_1")
-    suite = build_sgd_suite("Banks_1", bundle)
+def test_premature_terminal_opens_with_the_blocked_action(build_data):
+    bundle = load_domain(sgd_domain_dir("Banks_1"))
+    suite = build_data.build_sgd_suite("Banks_1", bundle)
     normal = next(s for s in suite if s.type == "normal")
     variant = inject_illegal(normal, bundle, "premature_terminal", seed=9)
     first = variant.messages[0]
@@ -230,9 +240,9 @@ def test_premature_terminal_opens_with_the_blocked_action():
     assert steps[0].outcome == "ILLEGAL_TRANSITION"
 
 
-def test_injected_messages_are_blocked_when_run():
-    bundle = sgd_bundle("Events_1")
-    suite = build_sgd_suite("Events_1", bundle)
+def test_injected_messages_are_blocked_when_run(build_data):
+    bundle = load_domain(sgd_domain_dir("Events_1"))
+    suite = build_data.build_sgd_suite("Events_1", bundle)
     normals = [s for s in suite if s.type == "normal"][:10]
     variants = [inject_illegal(s, bundle, "stage_skip", seed=i) for i, s in enumerate(normals)]
     run = run_suite(bundle, variants)
@@ -245,13 +255,13 @@ def test_injected_messages_are_blocked_when_run():
             assert (variant.scenario_id, message.turn_index) in blocked_turns
 
 
-def test_generated_injections_blocked_on_all_domains():
+def test_generated_injections_blocked_on_all_domains(build_data):
     """20 generated variants per domain, every injected turn blocked: 160/160."""
     injected_total = injected_blocked = 0
     for domain in SGD_DOMAINS:
-        bundle = sgd_bundle(domain)
+        bundle = load_domain(sgd_domain_dir(domain))
         normals = [
-            s for s in build_sgd_suite(domain, bundle)
+            s for s in build_data.build_sgd_suite(domain, bundle)
             if s.type == "normal" and all(m.expected_legal for m in s.messages)
         ]
         variants = [
@@ -341,7 +351,7 @@ def test_dispatch_and_simulation_agree_without_label_intent(hr_bundle, hr_suite)
 def test_convert_dialogues_from_schema_guided_form():
     from stagegate.scenarios import convert_dialogues
 
-    bundle = sgd_bundle("Hotels_1")
+    bundle = load_domain(sgd_domain_dir("Hotels_1"))
     dialogues = [
         {
             "dialogue_id": "conv-001",
@@ -378,7 +388,7 @@ def test_convert_dialogues_from_schema_guided_form():
 def test_convert_dialogues_rejects_empty_user_turns():
     from stagegate.scenarios import convert_dialogues
 
-    bundle = sgd_bundle("Hotels_1")
+    bundle = load_domain(sgd_domain_dir("Hotels_1"))
     with pytest.raises(ConfigError, match="no USER turns"):
         convert_dialogues(
             [{"dialogue_id": "x", "turns": [{"speaker": "SYSTEM", "utterance": "hi"}]}],
