@@ -22,6 +22,8 @@ more than the parent's interquartile range.  ``traced`` holds each side's
 median of every per-layer metric from ``--trace 1`` runs.  ``claim`` checks
 one workload and metric: met when the change wins at least nine pairs in ten
 and the medians differ, in its favour, by more than the parent's IQR.
+``nonblank_lines`` counts each side's nonblank Python lines under
+``src/stagegate`` and ``scripts``, so a deletion shows next to its timings.
 """
 
 from __future__ import annotations
@@ -49,6 +51,13 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
         raise SystemExit(f"bench/run.py failed in {checkout} (exit {proc.returncode}):\n{proc.stderr}")
     meta = next((json.loads(line[5:]) for line in lines if line.startswith("meta ")), {})
     return json.loads(lines[-1]), meta
+
+
+def nonblank_lines(checkout: Path) -> dict[str, int]:
+    """Nonblank lines of the Python files under ``src/stagegate`` and ``scripts`` of *checkout*."""
+    return {part: sum(1 for path in (checkout / part).rglob("*.py")
+                      for line in path.read_text(encoding="utf-8").splitlines() if line.strip())
+            for part in ("src/stagegate", "scripts")}
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -146,6 +155,7 @@ def main(argv: list[str] | None = None) -> int:
         doc["what"] = args.what
     doc["command"] = "python3 bench/run.py --workload W --seed S --seconds T --trace 0|1"
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    doc["nonblank_lines"] = {side: nonblank_lines(checkout) for side, checkout in checkouts.items()}
     start = max((run["pair"] for run in doc["runs"]), default=-1) + 1
     for i in range(args.pairs):
         pair, seed = start + i, args.first_seed + i

@@ -10,13 +10,11 @@ replaying its event log.
 from .automaton import (
     IntentId,
     StageId,
-    ValidationEntry,
-    ValidationReport,
     WorkflowAutomaton,
     automaton_from_dict,
     validate_definition,
 )
-from .context import DispatchContext, SkillResult, payload_digest
+from .context import DispatchContext, payload_digest
 from .dispatcher import (
     FULL,
     Decision,

@@ -24,31 +24,6 @@ _CONFIG_KEYS = ("stages", "initial", "transitions", "intents", "binding", "stage
 
 
 @dataclass(frozen=True)
-class ValidationEntry:
-    severity: str  # "error" | "warning"
-    code: str
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    entries: tuple[ValidationEntry, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not any(e.severity == "error" for e in self.entries)
-
-    @property
-    def empty(self) -> bool:
-        return not self.entries
-
-    def __str__(self) -> str:
-        if not self.entries:
-            return "clean"
-        return "\n".join(f"[{e.severity}] {e.code}: {e.message}" for e in self.entries)
-
-
-@dataclass(frozen=True)
 class WorkflowAutomaton:
     """One domain's stage set, transition relation, and intent binding.
 
@@ -102,65 +77,63 @@ class WorkflowAutomaton:
         return self._terminal
 
 
-def validate_definition(definition: WorkflowAutomaton) -> ValidationReport:
-    """Check every structural invariant; problems become report entries."""
-    entries: list[ValidationEntry] = []
-
-    def err(code: str, message: str) -> None:
-        entries.append(ValidationEntry("error", code, message))
-
-    def warn(code: str, message: str) -> None:
-        entries.append(ValidationEntry("warning", code, message))
+def validate_definition(definition: WorkflowAutomaton) -> tuple[list[str], list[str]]:
+    """Check every structural invariant: the errors and the warnings, each a ``"code: message"`` line."""
+    errors: list[str] = []
+    warnings: list[str] = []
 
     stage_set = set(definition.stages)
     if len(stage_set) != len(definition.stages):
-        err("duplicate_stage", "stages contains duplicates")
+        errors.append("duplicate_stage: stages contains duplicates")
     for stage in definition.stages:
         if not stage:
-            err("empty_stage", "stage identifiers must be non-empty")
+            errors.append("empty_stage: stage identifiers must be non-empty")
 
     intent_set = set(definition.intents)
     if len(intent_set) != len(definition.intents):
-        err("duplicate_intent", "intents contains duplicates")
+        errors.append("duplicate_intent: intents contains duplicates")
     for intent in definition.intents:
         if not intent:
-            err("empty_intent", "intent identifiers must be non-empty")
+            errors.append("empty_intent: intent identifiers must be non-empty")
 
     if definition.initial not in stage_set:
-        err("initial_not_in_stages", f"initial stage {definition.initial!r} not in stages")
+        errors.append(f"initial_not_in_stages: initial stage {definition.initial!r} not in stages")
 
-    for pair in sorted(definition.transitions):
-        frm, to = pair
+    for frm, to in sorted(definition.transitions):
         if frm not in stage_set:
-            err("transition_unknown_stage", f"transition source {frm!r} not in stages")
+            errors.append(f"transition_unknown_stage: transition source {frm!r} not in stages")
         if to not in stage_set:
-            err("transition_unknown_stage", f"transition target {to!r} not in stages")
+            errors.append(f"transition_unknown_stage: transition target {to!r} not in stages")
 
     for intent in sorted(definition.binding):
         if intent not in intent_set:
-            err("binding_unknown_intent", f"binding key {intent!r} not in intents")
+            errors.append(f"binding_unknown_intent: binding key {intent!r} not in intents")
         for stage in sorted(definition.binding[intent]):
             if stage not in stage_set:
-                err("binding_unknown_stage", f"binding for {intent!r} names unknown stage {stage!r}")
+                errors.append(
+                    f"binding_unknown_stage: binding for {intent!r} names unknown stage {stage!r}"
+                )
         if not definition.binding[intent]:
             # An intent legal nowhere is almost always an authoring mistake,
             # but adversarial configs may express it deliberately.
-            warn("binding_empty", f"intent {intent!r} is bound to no stage")
+            warnings.append(f"binding_empty: intent {intent!r} is bound to no stage")
 
     for intent in sorted(intent_set):
         if intent not in definition.binding:
-            err("binding_missing_intent", f"intent {intent!r} missing from binding")
+            errors.append(f"binding_missing_intent: intent {intent!r} missing from binding")
         if intent not in definition.stage_map:
-            err("stage_map_missing_intent", f"intent {intent!r} missing from stage_map")
+            errors.append(f"stage_map_missing_intent: intent {intent!r} missing from stage_map")
 
     for intent in sorted(definition.stage_map):
         if intent not in intent_set:
-            err("stage_map_unknown_intent", f"stage_map key {intent!r} not in intents")
+            errors.append(f"stage_map_unknown_intent: stage_map key {intent!r} not in intents")
         target = definition.stage_map[intent]
         if target is not None and target not in stage_set:
-            err("stage_map_unknown_stage", f"stage_map for {intent!r} names unknown stage {target!r}")
+            errors.append(
+                f"stage_map_unknown_stage: stage_map for {intent!r} names unknown stage {target!r}"
+            )
 
-    return ValidationReport(tuple(entries))
+    return errors, warnings
 
 
 def automaton_from_dict(raw: Mapping[str, Any], name: str = "domain") -> WorkflowAutomaton:

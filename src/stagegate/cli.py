@@ -2,7 +2,8 @@
 
 Exit codes are stable across commands: 0 success, 1 validation failure or
 replay divergence, 2 input fault (missing or unusable artifacts), 3 runtime
-fault mid-run.  Metric values never affect exit codes.
+fault mid-run.  Commands raise; ``main`` alone prints a refusal or fault as
+one stderr line and returns its code.  Metric values never affect exit codes.
 
 Primary artifacts (report, traces) are byte-reproducible for identical
 inputs and seed; wall-clock data is isolated to the manifest, trace
@@ -55,43 +56,41 @@ def _report_json(report: EvalReport) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+class CommandError(Exception):
+    """A command's refusal or fault: ``main`` prints *line* to stderr and exits with *code*."""
+
+    def __init__(self, line: str, code: int = EXIT_INPUT) -> None:
+        super().__init__(line)
+        self.code = code
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     directory = Path(args.domain)
     if not directory.is_dir():
-        print(f"error: {directory} is not a directory", file=sys.stderr)
-        return EXIT_INPUT
-
-    try:
-        parts = {key: read_json(directory / name) for key, name in BUNDLE_FILES.items()}
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+        raise CommandError(f"error: {directory} is not a directory")
+    parts = {key: read_json(directory / name) for key, name in BUNDLE_FILES.items()}
     errors, warnings = check_bundle(directory.name, parts)
     for part, message in warnings:
         print(f"warning: {BUNDLE_FILES[part]}: {message}")
+    for part, message in errors:
+        print(f"error: {BUNDLE_FILES[part]}: {message}")
     if errors:
-        for part, message in errors:
-            print(f"error: {BUNDLE_FILES[part]}: {message}")
         return EXIT_VALIDATION
     print(f"{directory.name}: bundle is valid")
     return EXIT_OK
 
 
-def _make_dir(path: Path) -> bool:
-    """Create *path* and its parents; False, with an error line, when a file is in the way."""
+def _make_dir(path: Path) -> None:
+    """Create *path* and its parents; refuse when a file is in the way."""
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"error: cannot create {path}: {exc}", file=sys.stderr)
-        return False
-    return True
+        raise CommandError(f"error: cannot create {path}: {exc}") from None
 
 
 def _load_inputs(args: argparse.Namespace) -> tuple[DomainBundle, list]:
     bundle = load_domain(args.domain)
-    scenarios = load_suite(args.suite, bundle)
-    return bundle, scenarios
+    return bundle, load_suite(args.suite, bundle)
 
 
 def _write_run_artifacts(
@@ -119,20 +118,13 @@ def _write_run_artifacts(
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        bundle, scenarios = _load_inputs(args)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+    bundle, scenarios = _load_inputs(args)
     out_dir = Path(args.out)
     traces = out_dir / "traces"
     if traces.is_dir() and any(traces.iterdir()):
         # Appending would corrupt the earlier run's traces; never delete them.
-        print(f"error: {traces} already holds a run; choose another --out", file=sys.stderr)
-        return EXIT_INPUT
-    if not _make_dir(traces):  # --out or its traces/ is a file: refuse before any write
-        return EXIT_INPUT
+        raise CommandError(f"error: {traces} already holds a run; choose another --out")
+    _make_dir(traces)  # --out or its traces/ is a file: refuse before any write
     toggles = _toggles_from_args(args)
     manifest = {
         "run_id": f"{Path(args.suite).stem}-seed{args.seed}",
@@ -153,8 +145,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         report = compute_report(run, bundle)
         _write_run_artifacts(out_dir, run, report, bundle)
     except StagegateError as exc:
-        print(f"runtime fault: {exc} (partial traces kept in {out_dir / 'traces'})", file=sys.stderr)
-        return EXIT_RUNTIME
+        line = f"runtime fault: {exc} (partial traces kept in {traces})"
+        raise CommandError(line, EXIT_RUNTIME) from None
     print(report.to_text())
     print(f"\nartifacts written to {out_dir}")
     return EXIT_OK
@@ -163,26 +155,21 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     trace_path = Path(args.trace)
     if not trace_path.exists():
-        print(f"error: {trace_path} not found", file=sys.stderr)
-        return EXIT_INPUT
+        raise CommandError(f"error: {trace_path} not found")
 
     goal_id = trace_path.stem
     snapshot_path = trace_path.with_name(f"{goal_id}.snapshot.json")
-    try:
-        domain_path = args.domain
-        manifest_path = trace_path.parent.parent / "manifest.json"
-        if domain_path is None and manifest_path.exists():
-            manifest = read_json(manifest_path)
-            if not isinstance(manifest, dict) or "domain" not in manifest:
-                raise ConfigError(f"{manifest_path}: no 'domain' entry")
-            domain_path = manifest["domain"]
-        if domain_path is None:
-            raise ConfigError("--domain required (no manifest.json next to traces)")
-        bundle = load_domain(domain_path)
-        snapshot = read_json(snapshot_path) if snapshot_path.exists() else None
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    domain_path = args.domain
+    manifest_path = trace_path.parent.parent / "manifest.json"
+    if domain_path is None and manifest_path.exists():
+        manifest = read_json(manifest_path)
+        if not isinstance(manifest, dict) or type(manifest.get("domain")) is not str:
+            raise ConfigError(f"{manifest_path}: no 'domain' entry")
+        domain_path = manifest["domain"]
+    if domain_path is None:
+        raise ConfigError("--domain required (no manifest.json next to traces)")
+    bundle = load_domain(domain_path)
+    snapshot = read_json(snapshot_path) if snapshot_path.exists() else None
 
     try:
         result = replay_events(
@@ -194,11 +181,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
         )
     except IntegrityFault as exc:
         seq = f" (seq {exc.seq})" if exc.seq is not None else ""
-        print(f"corrupted trace{seq}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise CommandError(f"corrupted trace{seq}: {exc}") from None
     except OSError as exc:
-        print(f"error: {trace_path}: unreadable: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise CommandError(f"error: {trace_path}: unreadable: {exc.strerror or exc}") from None
 
     state = result.state()
     print(json.dumps({"goal_id": goal_id, **state}, indent=2, sort_keys=True))
@@ -206,90 +191,70 @@ def cmd_replay(args: argparse.Namespace) -> int:
         return EXIT_OK
     missing = [key for key in state if not isinstance(snapshot, dict) or key not in snapshot]
     if missing:
-        print(f"error: {snapshot_path}: snapshot lacks {', '.join(missing)}", file=sys.stderr)
-        return EXIT_INPUT
+        raise CommandError(f"error: {snapshot_path}: snapshot lacks {', '.join(missing)}")
     mismatches = [key for key, value in state.items() if snapshot[key] != value]
     if mismatches:
-        print(
+        raise CommandError(
             f"divergence from snapshot after seq {result.last_seq}: {', '.join(mismatches)}",
-            file=sys.stderr,
+            EXIT_VALIDATION,
         )
-        return EXIT_VALIDATION
     print("replay matches snapshot")
     return EXIT_OK
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     report_path = Path(args.run_dir) / "report.json"
-    try:
-        payload = read_json(report_path)
-        with parsing(str(report_path)):
-            if args.format == "json":
-                text = json.dumps(payload, indent=2, sort_keys=True)
-            else:
-                text = render_report(payload)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    payload = read_json(report_path)
+    with parsing(str(report_path)):
+        if args.format == "json":
+            text = json.dumps(payload, indent=2, sort_keys=True)
+        else:
+            text = render_report(payload)
     print(text)
     return EXIT_OK
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    try:
-        bundle, scenarios = _load_inputs(args)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    bundle, scenarios = _load_inputs(args)
     out_dir = Path(args.out)
-    if not _make_dir(out_dir):
-        return EXIT_INPUT
+    table_path = out_dir / "ablation.json"
+    if table_path.is_dir():  # refuse before four configurations run for nothing
+        raise CommandError(f"error: {table_path} is a directory; ablate writes its table there")
+    _make_dir(out_dir)
     try:
         comparison = compare_configs(bundle, scenarios, ABLATION_CONFIGS, seed=args.seed)
     except StagegateError as exc:
-        print(f"runtime fault: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise CommandError(f"runtime fault: {exc}", EXIT_RUNTIME) from None
     payload = comparison.to_dict()
     for report in payload["reports"].values():
         report.pop("latency_ms", None)
-    (out_dir / "ablation.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    table_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(comparison.to_text())
-    print(f"\nablation table written to {out_dir / 'ablation.json'}")
+    print(f"\nablation table written to {table_path}")
     return EXIT_OK
 
 
 def cmd_inject(args: argparse.Namespace) -> int:
     if args.count < 1:
-        print(f"error: --count must be at least 1, got {args.count}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        bundle, scenarios = _load_inputs(args)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise CommandError(f"error: --count must be at least 1, got {args.count}")
+    bundle, scenarios = _load_inputs(args)
     out_path = Path(args.out)
     if out_path.is_dir():
-        print(f"error: {out_path} is a directory; --out names the suite file", file=sys.stderr)
-        return EXIT_INPUT
-    if not _make_dir(out_path.parent):
-        return EXIT_INPUT
+        raise CommandError(f"error: {out_path} is a directory; --out names the suite file")
+    _make_dir(out_path.parent)
     normals = [
         s for s in scenarios
         if s.type == "normal" and all(m.expected_legal for m in s.messages)
     ]
     if not normals:
-        print("error: suite contains no fully-legal normal scenarios", file=sys.stderr)
-        return EXIT_INPUT
+        raise CommandError("error: suite contains no fully-legal normal scenarios")
     try:
         variants = [
             inject_illegal(scenario, bundle, args.strategy, seed=args.seed + index)
             for index, scenario in enumerate(normals[: args.count])
         ]
     except StagegateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise CommandError(f"error: {exc}", EXIT_VALIDATION) from None
     save_suite(out_path, f"{Path(args.suite).stem}-injected", bundle.name, variants)
     print(f"wrote {len(variants)} adversarial variants to {out_path}")
     return EXIT_OK
@@ -351,7 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:  # unusable input, from any command
+        line, code = f"error: {exc}", EXIT_INPUT
+    except CommandError as exc:
+        line, code = str(exc), exc.code
+    print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
-"""Goal-scoped dispatch context and skill execution results."""
+"""Goal-scoped dispatch context and the canonical bytes of skill results."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple
+from typing import Any
 
 
 @dataclass
@@ -22,21 +22,6 @@ class DispatchContext:
 
     def clone(self) -> "DispatchContext":
         return DispatchContext(goal_id=self.goal_id, business_state=dict(self.business_state))
-
-
-class SkillResult(NamedTuple):
-    """Outcome of one executor call; postconditions apply only on ``ok``.
-
-    ``payload`` is the result's canonical JSON bytes (see ``canonical``):
-    the dispatcher digests and retains exactly the bytes it receives.
-    """
-
-    status: str  # "ok" | "failed"
-    payload: bytes = b"null"
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
 
 
 _CANON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str).encode

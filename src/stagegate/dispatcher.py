@@ -16,6 +16,9 @@ but nothing is committed).  No blocked dispatch mutates business state or
 stage.  A SUCCESS step whose executor failed (``execution_error``) commits
 nothing either; only a SUCCESS without a sub-reason moves state, live and in
 replay.  Effects cannot fault: a bundle that loads sets only JSON scalars.
+They apply to a copy of the goal's state as it was before the step, so
+nothing the predicates or the executor write to the context they are handed
+is ever committed.
 """
 
 from __future__ import annotations
@@ -25,21 +28,21 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from .automaton import StageId, WorkflowAutomaton
-from .context import DispatchContext, SkillResult, canonical, payload_digest
+from .context import DispatchContext, canonical, payload_digest
 from .errors import ConfigError
 from .memory import GoalManager, ProcessEvent
 from .registry import SkillRegistry, SkillSpec, apply_postconditions
 from .router import FallbackResolver, PatternTable, identify
 
-Executor = Callable[[SkillSpec, DispatchContext], SkillResult]
+Executor = Callable[[SkillSpec, DispatchContext], bytes]
 """Runs one selected skill against a copy of the goal's context.
 
-It returns a ``SkillResult`` whose ``payload`` is the result as canonical
-JSON ``bytes`` (``canonical(obj)``).  The dispatcher hashes exactly those
-bytes into the event's ``payload_digest`` and retains them; it never takes
-a digest from the executor.  A payload that is not ``bytes`` is contained
-like an executor exception: ``SUCCESS``/``execution_error``, nothing
-committed.
+It returns the result as canonical JSON ``bytes`` (``canonical(obj)``), or
+raises on failure.  The dispatcher hashes exactly those bytes into the
+event's ``payload_digest`` and retains them; it never takes a digest from
+the executor.  A failure, or a return value that is not ``bytes``, ends the
+step as ``SUCCESS``/``execution_error`` with nothing committed, and the
+digest is that of ``canonical({"error": str(exc)})``.
 """
 
 BLOCK_OUTCOMES = ("ILLEGAL_TRANSITION", "PRECONDITION_FAIL")
@@ -172,8 +175,7 @@ def dispatch(
     are recorded separately in ``detail["timing_ns"]`` so dispatcher-internal
     overhead stays distinguishable from execution cost.
     """
-    manager = deps.manager
-    with manager.lock(goal_id):
+    with deps.manager.lock(goal_id):
         return _dispatch_locked(message, goal_id, deps, toggles)
 
 
@@ -181,7 +183,8 @@ def _dispatch_locked(
     message: str, goal_id: str, deps: DispatchDeps, toggles: DispatchToggles
 ) -> DispatchResult:
     manager = deps.manager
-    stage = manager.goal(goal_id).current_stage
+    live = manager.live(goal_id)
+    stage = live.record.current_stage
     ctx = manager.context(goal_id)
 
     t0 = time.perf_counter_ns()
@@ -196,22 +199,25 @@ def _dispatch_locked(
     if decision.executes:
         exec_start = time.perf_counter_ns()
         try:
-            result = deps.executor(decision.skill, ctx)
-            if type(result.payload) is not bytes:
-                raise TypeError(f"executor payload is {type(result.payload).__name__}, not bytes")
+            body = deps.executor(decision.skill, ctx)
+            if type(body) is not bytes:
+                raise TypeError(f"executor payload is {type(body).__name__}, not bytes")
         except Exception as exc:
-            result = SkillResult("failed", canonical({"error": str(exc)}))
-        timing["executor_ns"] = time.perf_counter_ns() - exec_start
-        digest = payload_digest(result.payload)
-        if not result.ok:
             # Executor faults are not a governance outcome class: the step is
             # a failed SUCCESS-path dispatch with no postconditions and no
             # advance, even when the transition would have been rejected.
+            body = canonical({"error": str(exc)})
             outcome, sub_reason, stage_after = "SUCCESS", "execution_error", stage
-            extra = {"executor_status": result.status}
-        elif outcome == "SUCCESS":
-            to_commit = apply_postconditions(decision.skill, ctx, digest)
-            payload = result.payload
+            extra = {"executor_status": "failed"}
+        timing["executor_ns"] = time.perf_counter_ns() - exec_start
+        digest = payload_digest(body)
+        if outcome == "SUCCESS" and sub_reason is None:
+            # Effects start from the goal's own state, never from the copy
+            # the predicates and the executor were handed.
+            payload = body
+            to_commit = apply_postconditions(
+                decision.skill, DispatchContext(goal_id, live.business_state), digest
+            )
 
     detail: dict[str, Any] = {"routing": {"intent": route.intent, "mode": route.mode}}
     if route.error:
@@ -223,7 +229,7 @@ def _dispatch_locked(
     event = None
     if toggles.audit:
         event = ProcessEvent(
-            seq=manager.last_seq(goal_id) + 1,
+            seq=live.last_seq + 1,
             timestamp=time.time(),
             goal_id=goal_id,
             intent=route.intent,
@@ -255,18 +261,19 @@ class MockExecutor:
     """Deterministic canned responses keyed by skill id.
 
     Stands in for live endpoints: same skill + same fixtures always yields
-    the identical result.  Failures can be injected per skill id to exercise
-    the execution-error path.  Each fixture is encoded to its canonical
-    bytes once, here, and every call hands out those same immutable bytes.
+    the identical bytes.  Failures can be injected per skill id: such a call
+    raises, which exercises the execution-error path.  Each fixture is
+    encoded to its canonical bytes once, here, and every call hands out
+    those same immutable bytes.
     """
 
     def __init__(self, fixtures: Mapping[str, Any], fail_ids: Sequence[str] = ()) -> None:
         self.fixtures = {skill_id: canonical(fixture) for skill_id, fixture in fixtures.items()}
         self.fail_ids = set(fail_ids)
 
-    def __call__(self, skill: SkillSpec, ctx: DispatchContext) -> SkillResult:
+    def __call__(self, skill: SkillSpec, ctx: DispatchContext) -> bytes:
         if skill.id in self.fail_ids:
-            return SkillResult("failed", canonical({"error": f"injected failure for {skill.id}"}))
+            raise RuntimeError(f"injected failure for {skill.id}")
         if skill.id not in self.fixtures:
             raise ConfigError(f"no fixture for skill {skill.id!r}")
-        return SkillResult("ok", self.fixtures[skill.id])
+        return self.fixtures[skill.id]

@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the package.
 
-Validation problems are reported through ValidationReport entries, not
+Validation problems are reported as ``"code: message"`` lines, not
 exceptions; these classes cover faults that callers cannot reasonably
 continue past (bad lookups, broken configs, corrupted logs).
 """

@@ -268,25 +268,26 @@ class GoalManager:
             self._locks[goal_id] = threading.RLock()
         return record
 
-    def _state(self, goal_id: str) -> GoalState:
+    def live(self, goal_id: str) -> GoalState:
+        """The goal's live state itself, not a copy: read it under the goal's lock, change it only here."""
         try:
             return self._states[goal_id]
         except KeyError:
             raise LookupFault("goal", goal_id) from None
 
     def goal(self, goal_id: str) -> GoalRecord:
-        return self._state(goal_id).record
+        return self.live(goal_id).record
 
     def goal_ids(self) -> list[str]:
         return sorted(self._states)
 
     def lock(self, goal_id: str) -> threading.RLock:
-        self._state(goal_id)
+        self.live(goal_id)
         return self._locks[goal_id]
 
     def context(self, goal_id: str) -> DispatchContext:
         """Copy of the goal's live context; commit changes via commit_context."""
-        return DispatchContext(goal_id, self._state(goal_id).business_state).clone()
+        return DispatchContext(goal_id, self.live(goal_id).business_state).clone()
 
     def commit_context(self, goal_id: str, ctx: DispatchContext) -> None:
         """Make *ctx*'s business state the goal's live state, taking ownership.
@@ -296,14 +297,14 @@ class GoalManager:
         returned) and must not touch it afterwards.  Readers still get
         copies, through ``context`` and ``state``.
         """
-        self._state(goal_id).business_state = ctx.business_state
+        self.live(goal_id).business_state = ctx.business_state
 
     def last_seq(self, goal_id: str) -> int:
-        return self._state(goal_id).last_seq
+        return self.live(goal_id).last_seq
 
     def state(self, goal_id: str) -> dict[str, Any]:
         """The goal's live observable state, with a copy of its business state."""
-        live = self._state(goal_id)
+        live = self.live(goal_id)
         return live.state() | {"business_state": dict(live.business_state)}
 
     # -- validated mutation --------------------------------------------------
@@ -331,7 +332,7 @@ class GoalManager:
 
     def log_event(self, event: ProcessEvent, payload: bytes | None = None) -> None:
         """Append one event to the store; seq must be exactly previous + 1."""
-        live = self._state(event.goal_id)
+        live = self.live(event.goal_id)
         with self._locks[event.goal_id]:
             expected = live.last_seq + 1
             if event.seq != expected:

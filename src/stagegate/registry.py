@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
-from .automaton import StageId, IntentId, ValidationEntry, ValidationReport, WorkflowAutomaton
+from .automaton import StageId, IntentId, WorkflowAutomaton
 from .context import DispatchContext
 from .errors import BindingFault, ConfigError, ConflictFault, parsing
 
@@ -106,8 +106,6 @@ class PredicateCatalog:
         return name in self._table
 
     def evaluate(self, name: str, ctx: DispatchContext) -> bool:
-        if name not in self._table:
-            raise BindingFault(name)
         return bool(self._table[name](ctx))
 
 
@@ -167,8 +165,8 @@ class SkillRegistry:
 
         Evaluation is total (all predicates, declared order) and never
         raises: a predicate that faults is recorded as a false result tagged
-        with the error so the dispatcher can return a clean block instead of
-        crashing mid-dispatch.
+        with the error, so the dispatcher returns a clean block instead of
+        crashing mid-dispatch.  ``register`` already refused unknown names.
         """
         results: list[tuple[str, bool]] = []
         errors: dict[str, str] = {}
@@ -176,8 +174,6 @@ class SkillRegistry:
         for ref in skill.preconditions:
             try:
                 passed = self.catalog.evaluate(ref.name, ctx)
-            except BindingFault:
-                raise
             except Exception as exc:  # predicate fault degrades to False
                 passed = False
                 errors[ref.name] = f"evaluation_error: {exc}"
@@ -186,41 +182,38 @@ class SkillRegistry:
                 first_failure = ref.name
         return PreconditionReport(first_failure is None, tuple(results), first_failure, errors)
 
-    def validate_against(self, automaton: WorkflowAutomaton) -> ValidationReport:
-        """Cross-checks between the registry and the active automaton.
+    def validate_against(self, automaton: WorkflowAutomaton) -> list[str]:
+        """Cross-checks between the registry and the active automaton, as ``"code: message"`` errors.
 
         A skill must never apply at a stage where its intent is illegal: the
         binding is the governing contract and per-skill stages refine it.
         Effect shapes are checked earlier, when each ``Effect`` is parsed.
         """
-        entries: list[ValidationEntry] = []
+        errors: list[str] = []
         for spec in self._skills:
             applies_everywhere = (
                 not spec.applicable_stages
                 or spec.applicable_stages == frozenset(automaton.stages)
             )
             if spec.level == RiskLevel.L0 and applies_everywhere and spec.preconditions:
-                entries.append(
-                    ValidationEntry("error", "guarded_universal_query",
-                                    f"L0 skill {spec.id!r} is available at every stage and must "
-                                    f"not declare preconditions")
+                errors.append(
+                    f"guarded_universal_query: L0 skill {spec.id!r} is available at every stage "
+                    f"and must not declare preconditions"
                 )
             if spec.intent not in automaton.binding:
-                entries.append(
-                    ValidationEntry("error", "skill_unknown_intent",
-                                    f"skill {spec.id!r} serves unknown intent {spec.intent!r}")
+                errors.append(
+                    f"skill_unknown_intent: skill {spec.id!r} serves unknown intent {spec.intent!r}"
                 )
                 continue
             bound = automaton.binding[spec.intent]
             stages = spec.applicable_stages or set(automaton.stages)
             extra = sorted(set(stages) - set(bound))
             if extra:
-                entries.append(
-                    ValidationEntry("error", "skill_stage_outside_binding",
-                                    f"skill {spec.id!r} applies at {extra} where intent "
-                                    f"{spec.intent!r} is stage-illegal")
+                errors.append(
+                    f"skill_stage_outside_binding: skill {spec.id!r} applies at {extra} where intent "
+                    f"{spec.intent!r} is stage-illegal"
                 )
-        return ValidationReport(tuple(entries))
+        return errors
 
 
 def apply_postconditions(skill: SkillSpec, ctx: DispatchContext, result_digest: str) -> DispatchContext:

@@ -18,7 +18,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
-from .automaton import ValidationEntry, ValidationReport, WorkflowAutomaton
+from .automaton import WorkflowAutomaton
 from .context import DispatchContext
 from .errors import ConfigError, parsing
 
@@ -239,33 +239,28 @@ class TokenOverlapFallback:
 
 def validate_table(
     table: Iterable[IntentPattern], automaton: WorkflowAutomaton | None = None
-) -> ValidationReport:
-    """Report ambiguous pattern pairs and intents absent from the automaton."""
-    entries: list[ValidationEntry] = []
+) -> list[str]:
+    """Ambiguous pattern pairs and intents absent from the automaton, as ``"code: message"`` errors."""
+    errors: list[str] = []
     seen: dict[tuple[str, int], str] = {}
     for entry in table:
         for expr in entry.patterns:
             key = (expr.text, entry.priority)
             if key in seen and seen[key] != entry.intent:
-                entries.append(
-                    ValidationEntry(
-                        "error", "ambiguous_pattern",
-                        f"pattern {expr.text!r} at priority {entry.priority} maps to both "
-                        f"{seen[key]!r} and {entry.intent!r}",
-                    )
+                errors.append(
+                    f"ambiguous_pattern: pattern {expr.text!r} at priority {entry.priority} maps to "
+                    f"both {seen[key]!r} and {entry.intent!r}"
                 )
             seen.setdefault(key, entry.intent)
     if automaton is not None:
         known = set(automaton.intents)
         for entry in table:
             if entry.intent not in known:
-                entries.append(
-                    ValidationEntry(
-                        "error", "unknown_intent",
-                        f"pattern table references intent {entry.intent!r} not in the automaton",
-                    )
+                errors.append(
+                    f"unknown_intent: pattern table references intent {entry.intent!r} "
+                    "not in the automaton"
                 )
-    return ValidationReport(tuple(entries))
+    return errors
 
 
 def table_from_list(raw: Iterable[Mapping[str, Any]]) -> PatternTable:

@@ -16,13 +16,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .automaton import (
-    StageId,
-    ValidationReport,
-    WorkflowAutomaton,
-    automaton_from_dict,
-    validate_definition,
-)
+from .automaton import StageId, WorkflowAutomaton, automaton_from_dict, validate_definition
 from .context import DispatchContext
 from .dispatcher import BLOCK_OUTCOMES, MockExecutor, decide
 from .errors import ConfigError, GenerationFault, StagegateError, parsing
@@ -107,31 +101,25 @@ def _assemble(
     warnings, each as ``(part, message)`` in check order: automaton, skills,
     patterns, routability, fixtures.
     """
-    errors: list[Problem] = []
-    warnings: list[Problem] = []
-
-    def note(part: str, report: ValidationReport) -> None:
-        for entry in report.entries:
-            target = errors if entry.severity == "error" else warnings
-            target.append((part, f"{entry.code}: {entry.message}"))
-
     try:
         automaton = automaton_from_dict(parts["automaton"], name=name)
     except ConfigError as exc:
         return None, [("automaton", str(exc))], []
-    note("automaton", validate_definition(automaton))
+    found, warned = validate_definition(automaton)
+    errors: list[Problem] = [("automaton", line) for line in found]
+    warnings: list[Problem] = [("automaton", line) for line in warned]
 
     registry: SkillRegistry | None = None
     try:
         registry = build_registry(parts["skills"], automaton)
-        note("skills", registry.validate_against(automaton))
+        errors += [("skills", line) for line in registry.validate_against(automaton)]
     except StagegateError as exc:
         errors.append(("skills", str(exc)))
 
     table: PatternTable | None = None
     try:
         table = table_from_list(parts["patterns"])
-        note("patterns", validate_table(table, automaton))
+        errors += [("patterns", line) for line in validate_table(table, automaton)]
     except ConfigError as exc:
         errors.append(("patterns", str(exc)))
 
@@ -203,10 +191,14 @@ def load_domain(path: str | Path) -> DomainBundle:
 
 
 def _scenario_from_dict(raw: Mapping[str, Any], domain: str, bundle: DomainBundle | None) -> Scenario:
-    sid = str(raw.get("scenario_id", ""))
+    # Exact JSON types throughout, nothing coerced: 5 is not "5", "false" is not
+    # False, 0.0 is not 0, and "00" is no track number.
+    sid = raw.get("scenario_id", "")
+    if type(sid) is not str:
+        raise ConfigError(f"scenario {sid!r}: scenario_id must be a string")
     if not sid:
         raise ConfigError("scenario missing scenario_id")
-    stype = str(raw.get("type", ""))
+    stype = raw.get("type", "")
     if stype not in SCENARIO_TYPES:
         raise ConfigError(f"scenario {sid!r}: unknown type {stype!r}")
     raw_messages = raw.get("messages", [])
@@ -217,7 +209,6 @@ def _scenario_from_dict(raw: Mapping[str, Any], domain: str, bundle: DomainBundl
     for position, msg in enumerate(raw_messages):
         turn, text, legal = msg["turn_index"], msg["text"], msg["expected_legal"]
         label_intent, track = msg.get("label_intent"), msg.get("track", 0)
-        # Exact JSON types, nothing coerced: "false" is not False and 0.0 is not 0.
         if not (
             type(turn) is int and type(text) is str and type(legal) is bool and type(track) is int
             and (label_intent is None or type(label_intent) is str)
@@ -244,10 +235,18 @@ def _scenario_from_dict(raw: Mapping[str, Any], domain: str, bundle: DomainBundl
     final_raw = raw.get("expected_final_stage")
     if final_raw is None:
         raise ConfigError(f"scenario {sid!r}: expected_final_stage is required")
-    if isinstance(final_raw, str):
+    if type(final_raw) is str:
         final = {0: final_raw}
+    elif type(final_raw) is dict and all(  # track keys as suite_to_dict writes them
+        type(track) is str and track.isdecimal() and str(int(track)) == track and type(stage) is str
+        for track, stage in final_raw.items()
+    ):
+        final = {int(track): stage for track, stage in final_raw.items()}
     else:
-        final = {int(track): str(stage) for track, stage in final_raw.items()}
+        raise ConfigError(
+            f"scenario {sid!r}: expected_final_stage must be a stage, or an object from "
+            "track numbers (non-negative, no leading zeros) to stages"
+        )
 
     scenario = Scenario(
         scenario_id=sid,
@@ -284,7 +283,9 @@ def load_suite(path: str | Path, bundle: DomainBundle | None = None) -> list[Sce
 
 def suite_from_dict(raw: Mapping[str, Any], bundle: DomainBundle | None = None) -> list[Scenario]:
     with parsing("suite"):
-        domain = str(raw.get("domain", ""))
+        domain = raw.get("domain", "")
+        if type(domain) is not str:
+            raise ConfigError(f"suite domain must be a string, not {domain!r}")
         if bundle is not None and domain and domain != bundle.name:
             raise ConfigError(f"suite declares domain {domain!r} but bundle is {bundle.name!r}")
         scenarios = [_scenario_from_dict(item, domain, bundle) for item in raw.get("scenarios", [])]
@@ -395,11 +396,9 @@ def label_scenario(bundle: DomainBundle, scenario: Scenario) -> Scenario:
 # -- adversarial variants --------------------------------------------------------
 
 
-def _message_text_for(bundle: DomainBundle, intent: str) -> str:
-    for entry in bundle.table:
-        if entry.intent == intent and entry.patterns:
-            return entry.patterns[0].text
-    raise GenerationFault(f"no routable phrasing for intent {intent!r}")
+def _message_text_for(bundle: DomainBundle, intent: str) -> str | None:
+    """The first authored phrasing of *intent*, or None when no pattern routes to it."""
+    return next((e.patterns[0].text for e in bundle.table if e.intent == intent and e.patterns), None)
 
 
 def inject_illegal(
@@ -448,9 +447,7 @@ def inject_illegal(
                     candidates.append((position, intent))
 
     candidates = [
-        (pos, intent)
-        for pos, intent in candidates
-        if any(entry.intent == intent and entry.patterns for entry in bundle.table)
+        (pos, intent) for pos, intent in candidates if _message_text_for(bundle, intent) is not None
     ]
     if not candidates:
         raise GenerationFault(

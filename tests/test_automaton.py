@@ -32,8 +32,7 @@ def _tiny() -> WorkflowAutomaton:
 
 
 def test_hr_definition_validates_clean(hr_bundle):
-    report = validate_definition(hr_bundle.automaton)
-    assert report.empty, str(report)
+    assert validate_definition(hr_bundle.automaton) == ([], [])
 
 
 def test_initial_missing_is_reported():
@@ -47,9 +46,8 @@ def test_initial_missing_is_reported():
         binding=auto.binding,
         stage_map=auto.stage_map,
     )
-    report = validate_definition(broken)
-    assert any(e.code == "initial_not_in_stages" for e in report.entries)
-    assert not report.ok
+    errors, _ = validate_definition(broken)
+    assert any(line.startswith("initial_not_in_stages: ") for line in errors)
 
 
 def test_intent_missing_from_binding_is_reported():
@@ -65,15 +63,15 @@ def test_intent_missing_from_binding_is_reported():
         binding=binding,
         stage_map=auto.stage_map,
     )
-    report = validate_definition(broken)
-    assert any(e.code == "binding_missing_intent" and "stay" in e.message for e in report.entries)
+    errors, _ = validate_definition(broken)
+    assert any(line.startswith("binding_missing_intent: ") and "stay" in line for line in errors)
 
 
 def test_empty_binding_is_warning_not_error():
     auto = _tiny()
     binding = dict(auto.binding)
     binding["stay"] = frozenset()
-    report = validate_definition(
+    errors, warnings = validate_definition(
         WorkflowAutomaton(
             name="x",
             stages=auto.stages,
@@ -84,8 +82,8 @@ def test_empty_binding_is_warning_not_error():
             stage_map=auto.stage_map,
         )
     )
-    assert report.ok
-    assert any(e.code == "binding_empty" for e in report.entries)
+    assert errors == []
+    assert any(line.startswith("binding_empty: ") for line in warnings)
 
 
 def test_stage_legality_matches_binding():
@@ -188,4 +186,4 @@ def test_terminal_stages_have_no_outgoing_edges(hr_bundle):
 def test_random_definitions_validate_clean(seed):
     domain = random_domain(random.Random(seed))
     auto = automaton_from_dict(domain["automaton"], name="rnd")
-    assert validate_definition(auto).ok
+    assert validate_definition(auto)[0] == []

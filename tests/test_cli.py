@@ -346,6 +346,11 @@ def _replay_without_manifest_domain(run: Path) -> list[str]:
     return ["replay", str(_trace(run))]
 
 
+def _replay_integer_manifest_domain(run: Path) -> list[str]:
+    _edit_json(run / "manifest.json", lambda data: data.update(domain=5))
+    return ["replay", str(_trace(run))]
+
+
 def _replay_invalid_utf8(run: Path) -> list[str]:
     _trace(run).write_bytes(b"\xff\xfe" + _trace(run).read_bytes())
     return ["replay", str(_trace(run))]
@@ -406,6 +411,12 @@ def _run_string_expected_legal(run: Path) -> list[str]:
     return _run_suite_text(run, json.dumps(suite))
 
 
+def _run_integer_scenario_id(run: Path) -> list[str]:
+    suite = json.loads(hr_suite_path().read_text())
+    suite["scenarios"][0]["scenario_id"] = 5
+    return _run_suite_text(run, json.dumps(suite))
+
+
 def _ablate_into(out: Path) -> list[str]:
     return ["ablate", "--domain", str(hr_domain_dir()), "--suite", str(hr_suite_path()),
             "--out", str(out)]
@@ -414,6 +425,11 @@ def _ablate_into(out: Path) -> list[str]:
 def _ablate_out_is_file(run: Path) -> list[str]:
     (run / "afile").write_text("")
     return _ablate_into(run / "afile")
+
+
+def _ablate_report_is_directory(run: Path) -> list[str]:
+    (run / "ablate" / "ablation.json").mkdir(parents=True)
+    return _ablate_into(run / "ablate")
 
 
 def _inject_count(run: Path, count: int, out: Path | None = None) -> list[str]:
@@ -474,6 +490,7 @@ MALFORMED = {
     "replay-snapshot-without-status": (
         lambda run: _replay_with_snapshot(run, drop="status"), 2, "error: "),
     "replay-manifest-without-domain": (_replay_without_manifest_domain, 2, "error: "),
+    "replay-integer-manifest-domain": (_replay_integer_manifest_domain, 2, "error: "),
     "replay-string-seq": (
         lambda run: _replay_with_first_line(run, lambda line: line.replace('"seq":1,', '"seq":"x",')),
         2, "corrupted trace"),
@@ -504,7 +521,9 @@ MALFORMED = {
     "run-out-is-file": (_run_out_is_file, 2, "error: "),
     "run-traces-is-file": (_run_traces_is_file, 2, "error: "),
     "run-string-expected-legal": (_run_string_expected_legal, 2, "error: "),
+    "run-integer-scenario-id": (_run_integer_scenario_id, 2, "error: "),
     "ablate-out-is-file": (_ablate_out_is_file, 2, "error: "),
+    "ablate-report-is-directory": (_ablate_report_is_directory, 2, "error: "),
     "inject-count-zero": (lambda run: _inject_count(run, 0), 2, "error: "),
     "inject-count-negative": (lambda run: _inject_count(run, -95), 2, "error: "),
     "inject-out-under-file": (_inject_out_under_file, 2, "error: "),

@@ -6,12 +6,13 @@ import hashlib
 import json
 import os
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stagegate.context import DispatchContext, SkillResult, canonical, payload_digest
+from stagegate.context import DispatchContext, canonical, payload_digest
 from stagegate.dispatcher import (
     FULL,
     DispatchDeps,
@@ -178,7 +179,7 @@ def test_mock_executor_is_deterministic(hr_bundle):
     first = executor(skill, ctx)
     second = executor(skill, ctx)
     assert first == second
-    assert len(json.loads(first.payload)["positions"]) == 48
+    assert len(json.loads(first)["positions"]) == 48
 
 
 def test_bundle_without_a_skill_fixture_is_rejected():
@@ -292,7 +293,7 @@ def test_executor_exception_is_contained(hr_bundle):
     "payload", [{"ok": 1}, '{"ok":1}', bytearray(b'{"ok":1}'), None], ids=["dict", "str", "bytearray", "None"],
 )
 def test_a_non_bytes_payload_is_contained_like_an_executor_exception(hr_bundle, payload):
-    deps = _deps(hr_bundle, executor=lambda skill, ctx: SkillResult("ok", payload))
+    deps = _deps(hr_bundle, executor=lambda skill, ctx: payload)
     gid = _goal(deps, "hr")
     result = dispatch("create a hiring demand", gid, deps)
     assert (result.outcome, result.event.sub_reason) == ("SUCCESS", "execution_error")
@@ -302,6 +303,76 @@ def test_a_non_bytes_payload_is_contained_like_an_executor_exception(hr_bundle, 
         "current_stage": "init", "status": "active", "business_state": {}, "last_seq": 1,
     }
     assert deps.manager.store.payload_for(gid, 1) is None
+
+
+def test_an_injected_failure_raises_and_ends_as_its_error_digest(hr_bundle):
+    executor = hr_bundle.build_executor(fail_ids=["create_demand"])
+    with pytest.raises(RuntimeError, match="^injected failure for create_demand$"):
+        executor(hr_bundle.registry.get("create_demand"), DispatchContext(goal_id="g"))
+    deps = _deps(hr_bundle, executor=executor)
+    result = dispatch("create a hiring demand", _goal(deps, "hr"), deps)
+    assert (result.outcome, result.event.sub_reason) == ("SUCCESS", "execution_error")
+    error = canonical({"error": "injected failure for create_demand"})
+    assert result.event.payload_digest == payload_digest(error)
+    assert result.detail["executor_status"] == "failed"
+
+
+def test_what_the_executor_and_predicates_write_to_their_context_is_never_committed():
+    """Effects start from the goal's own state, so replay still reproduces live state."""
+    bundle = load_domain(hr_domain_dir())  # private catalog: a predicate is replaced below
+
+    def peeking(ctx):
+        ctx.business_state["peeked"] = True
+        return bool(ctx.business_state.get("position_exists", False))
+
+    bundle.registry.catalog.register("position_exists", peeking)
+    executor = bundle.build_executor()
+
+    def smuggling(skill, ctx):
+        ctx.business_state["smuggled"] = True
+        return executor(skill, ctx)
+
+    deps = _deps(bundle, executor=smuggling)
+    gid = _goal(deps, "hr")
+    assert dispatch("create a hiring demand", gid, deps).outcome == "SUCCESS"
+    assert deps.manager.state(gid)["business_state"] == {"position_exists": True}
+    assert dispatch("pull candidates", gid, deps).outcome == "SUCCESS"
+    live = deps.manager.state(gid)
+    assert set(live["business_state"]) == {"position_exists", "candidates_pulled", "candidates_ref"}
+    assert deps.manager.replay(gid).state() == live
+
+
+def test_a_raising_predicate_blocks_with_its_error_and_changes_nothing():
+    bundle = load_domain(hr_domain_dir())  # private catalog: a predicate is replaced below
+
+    def broken(ctx):
+        raise RuntimeError("catalog down")
+
+    bundle.registry.catalog.register("position_exists", broken)
+    deps = _deps(bundle)
+    gid = _goal(deps, "hr")
+    assert dispatch("create a hiring demand", gid, deps).outcome == "SUCCESS"
+    before = deps.manager.state(gid)
+    result = dispatch("pull candidates", gid, deps)
+    assert (result.outcome, result.event.sub_reason) == ("PRECONDITION_FAIL", None)
+    assert result.detail["first_failure"] == "position_exists"
+    assert result.detail["evaluation_errors"] == {"position_exists": "evaluation_error: catalog down"}
+    assert deps.manager.state(gid) == before | {"last_seq": before["last_seq"] + 1}
+
+
+def test_a_raising_fallback_leaves_the_intent_unresolved_with_its_error(hr_bundle):
+    def broken(message, ctx):
+        raise RuntimeError("resolver down")
+
+    deps = replace(_deps(hr_bundle), fallback=broken)
+    gid = _goal(deps, "hr")
+    result = dispatch("zzz qqq", gid, deps)
+    assert (result.outcome, result.event.sub_reason) == ("SKILL_NOT_FOUND", "intent_unresolved")
+    assert result.event.intent == UNKNOWN
+    assert result.detail["error"] == "fallback_error: resolver down"
+    assert deps.manager.state(gid) == {
+        "current_stage": "init", "status": "active", "business_state": {}, "last_seq": 1,
+    }
 
 
 def test_every_executed_event_digests_its_fixture_as_json_dumps_writes_it():

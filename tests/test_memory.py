@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stagegate.automaton import automaton_from_dict
-from stagegate.context import SkillResult, canonical, payload_digest
+from stagegate.context import canonical, payload_digest
 from stagegate.dispatcher import DispatchDeps, dispatch
 from stagegate.errors import ConfigError, ConflictFault, IntegrityFault, LookupFault
 from stagegate.memory import (
@@ -247,13 +247,37 @@ def test_replay_rejects_stage_change_on_blocked_event(hr_bundle):
         replay_events("g", "hr", hr_bundle.automaton, hr_bundle.registry, events=events)
 
 
+def test_replay_rejects_a_broken_stage_chain(hr_bundle):
+    events = [_event("g", 1), _event("g", 2, before="src", after="src")]
+    with pytest.raises(IntegrityFault, match="stage chain broken at seq 2") as excinfo:
+        replay_events("g", "hr", hr_bundle.automaton, hr_bundle.registry, events=events)
+    assert excinfo.value.seq == 2
+
+
+def test_replay_rejects_a_success_event_of_an_unknown_skill(hr_bundle):
+    events = [_event("g", 1), _event("g", 2, skill_id="ghost")]
+    with pytest.raises(IntegrityFault, match="seq 2 references unknown skill 'ghost'") as excinfo:
+        replay_events("g", "hr", hr_bundle.automaton, hr_bundle.registry, events=events)
+    assert excinfo.value.seq == 2
+
+
+def test_replay_rejects_a_retained_payload_that_does_not_match_its_digest(hr_bundle):
+    body = canonical({"positions": []})
+    events = [_event("g", seq)._replace(payload_digest=payload_digest(body)) for seq in (1, 2)]
+    retained = {1: body, 2: body + b" "}
+    with pytest.raises(IntegrityFault, match="payload digest mismatch at seq 2") as excinfo:
+        replay_events("g", "hr", hr_bundle.automaton, hr_bundle.registry, events=events,
+                      payload_lookup=lambda goal_id, seq: retained[seq])
+    assert excinfo.value.seq == 2
+
+
 def test_events_are_append_only_surface(hr_bundle):
     manager = _manager(hr_bundle)
     assert not hasattr(manager.store, "delete")
     assert not hasattr(manager.store, "update")
 
 
-def test_events_and_skill_results_are_immutable_and_events_round_trip():
+def test_events_are_immutable_and_round_trip():
     events = [
         _event("g", 1),
         ProcessEvent(
@@ -263,12 +287,10 @@ def test_events_and_skill_results_are_immutable_and_events_round_trip():
             payload_digest="ab" * 32,
         ),
     ]
-    result = SkillResult("ok", canonical({"x": 1}))
-    for record in [*events, result]:
+    for record in events:
         for name in record._fields:
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
-    assert SkillResult("failed").payload == canonical(None)
     for event in events:
         assert ProcessEvent.from_dict(event.to_dict()) == event
         assert ProcessEvent.from_dict(json.loads(event.to_line())) == event

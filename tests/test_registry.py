@@ -267,7 +267,7 @@ def test_skill_from_dict_star_means_all_stages():
 
 
 def test_hr_registry_stays_inside_binding(hr_bundle):
-    assert hr_bundle.registry.validate_against(hr_bundle.automaton).ok
+    assert hr_bundle.registry.validate_against(hr_bundle.automaton) == []
 
 
 def test_skill_outside_binding_is_flagged(tiny_automaton):
@@ -275,8 +275,8 @@ def test_skill_outside_binding_is_flagged(tiny_automaton):
         [{"id": "s", "intent": "screen", "level": "L1", "stages": ["init"], "pre": [], "post": []}],
         tiny_automaton,
     )
-    report = registry.validate_against(tiny_automaton)
-    assert any(e.code == "skill_stage_outside_binding" for e in report.entries)
+    errors = registry.validate_against(tiny_automaton)
+    assert any(line.startswith("skill_stage_outside_binding: ") for line in errors)
 
 
 def test_universal_l0_skill_must_be_unguarded(tiny_automaton):
@@ -284,5 +284,5 @@ def test_universal_l0_skill_must_be_unguarded(tiny_automaton):
         [{"id": "s", "intent": "q", "level": "L0", "stages": "*", "pre": ["f0"], "post": []}],
         tiny_automaton,
     )
-    report = registry.validate_against(tiny_automaton)
-    assert any(e.code == "guarded_universal_query" for e in report.entries)
+    errors = registry.validate_against(tiny_automaton)
+    assert any(line.startswith("guarded_universal_query: ") for line in errors)

@@ -119,6 +119,38 @@ def test_message_fields_load_only_at_their_exact_json_type(hr_bundle, field, val
         suite_from_dict(raw, hr_bundle)
 
 
+@pytest.mark.parametrize("field, value, reported", [
+    ("scenario_id", 5, "scenario 5: scenario_id"),
+    ("type", 1, "scenario 'bad': unknown type 1"),
+    ("expected_final_stage", 0, "scenario 'bad': expected_final_stage"),
+    ("expected_final_stage", ["init"], "scenario 'bad': expected_final_stage"),
+    ("expected_final_stage", {"0": 1}, "scenario 'bad': expected_final_stage"),
+    ("expected_final_stage", {"0": "close", "00": "init"}, "scenario 'bad': expected_final_stage"),
+    ("expected_final_stage", {"-1": "init"}, "scenario 'bad': expected_final_stage"),
+    ("expected_final_stage", {" 0": "init"}, "scenario 'bad': expected_final_stage"),
+])
+def test_scenario_fields_load_only_at_their_exact_json_type(hr_bundle, field, value, reported):
+    scenario = {"scenario_id": "bad", "type": "normal", "expected_final_stage": "init",
+                "messages": [{"turn_index": 0, "text": "help", "expected_legal": True}]}
+    with pytest.raises(ConfigError, match=f"^{reported}"):
+        suite_from_dict({"domain": "hr", "scenarios": [scenario | {field: value}]}, hr_bundle)
+
+
+def test_a_suite_domain_must_be_a_string(hr_bundle, hr_suite):
+    raw = suite_to_dict("hr-governance-suite", "hr", hr_suite)
+    with pytest.raises(ConfigError, match="suite domain must be a string"):
+        suite_from_dict(raw | {"domain": ["hr"]}, hr_bundle)
+
+
+def test_track_keys_load_as_their_integers(hr_bundle):
+    messages = [{"turn_index": 0, "text": "help", "expected_legal": True},
+                {"turn_index": 1, "text": "help", "expected_legal": True, "track": 10}]
+    scenario = {"scenario_id": "two", "type": "concurrent",
+                "expected_final_stage": {"0": "init", "10": "init"}, "messages": messages}
+    (loaded,) = suite_from_dict({"domain": "hr", "scenarios": [scenario]}, hr_bundle)
+    assert loaded.expected_final_stage == {0: "init", 10: "init"}
+
+
 def test_illegal_type_requires_a_false_label(hr_bundle):
     raw = {
         "domain": "hr",
