@@ -26,7 +26,6 @@ from .dispatcher import (
     dispatch,
 )
 from .errors import (
-    BindingFault,
     ConfigError,
     ConflictFault,
     GenerationFault,
@@ -59,8 +58,6 @@ from .memory import (
 from .registry import (
     Effect,
     PreconditionReport,
-    PredicateCatalog,
-    PredicateRef,
     RiskLevel,
     SkillRegistry,
     SkillSpec,

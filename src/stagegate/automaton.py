@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .errors import ConfigError, LookupFault, parsing
+from .errors import ConfigError, LookupFault, parsing, string_list
 
 StageId = str
 IntentId = str
@@ -139,8 +139,8 @@ def validate_definition(definition: WorkflowAutomaton) -> tuple[list[str], list[
 def automaton_from_dict(raw: Mapping[str, Any], name: str = "domain") -> WorkflowAutomaton:
     """Build an automaton from its JSON config form.
 
-    Unknown top-level keys are rejected by name.  ``stage_map`` values may be
-    JSON ``null`` for stage-preserving intents.
+    Unknown top-level keys are rejected by name.  Names must be JSON strings;
+    ``stage_map`` values may be ``null`` for stage-preserving intents.
     """
     with parsing("automaton config"):
         unknown = sorted(set(raw) - set(_CONFIG_KEYS))
@@ -149,21 +149,25 @@ def automaton_from_dict(raw: Mapping[str, Any], name: str = "domain") -> Workflo
         missing = sorted(set(_CONFIG_KEYS) - set(raw))
         if missing:
             raise ConfigError(f"missing automaton config keys: {', '.join(missing)}")
-        stages = tuple(str(s) for s in raw["stages"])
-        intents = tuple(str(i) for i in raw["intents"])
-        transitions = frozenset((str(a), str(b)) for a, b in raw["transitions"])
-        binding = {str(i): frozenset(str(s) for s in ss) for i, ss in raw["binding"].items()}
-        stage_map = {
-            str(i): (None if target is None else str(target))
-            for i, target in raw["stage_map"].items()
+        stages = string_list(raw["stages"], "stages")
+        intents = string_list(raw["intents"], "intents")
+        pairs = [string_list(pair, "a transition") for pair in raw["transitions"]]
+        transitions = frozenset((a, b) for a, b in pairs)
+        binding = {
+            i: frozenset(string_list(ss, f"binding of {i!r}")) for i, ss in raw["binding"].items()
         }
+        for intent, target in raw["stage_map"].items():
+            if target is not None and type(target) is not str:
+                raise ConfigError(f"stage_map of {intent!r} must be a stage or null, not {target!r}")
+        if type(raw["initial"]) is not str:
+            raise ConfigError(f"initial must be a stage, not {raw['initial']!r}")
     return WorkflowAutomaton(
         name=name,
         stages=stages,
-        initial=str(raw["initial"]),
+        initial=raw["initial"],
         transitions=transitions,
         intents=intents,
         binding=binding,
-        stage_map=stage_map,
+        stage_map=dict(raw["stage_map"]),
     )
 

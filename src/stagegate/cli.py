@@ -6,7 +6,7 @@ fault mid-run.  Commands raise; ``main`` alone prints a refusal or fault as
 one stderr line and returns its code.  Metric values never affect exit codes.
 
 Primary artifacts (report, traces) are byte-reproducible for identical
-inputs and seed; wall-clock data is isolated to the manifest, trace
+inputs; wall-clock data is isolated to the manifest, trace
 timestamps, and the separate timing file.
 """
 
@@ -141,7 +141,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     store = FileEventStore(traces)
     try:
-        run = run_suite(bundle, scenarios, toggles=toggles, seed=args.seed, store=store)
+        run = run_suite(bundle, scenarios, toggles=toggles, store=store)
         report = compute_report(run, bundle)
         _write_run_artifacts(out_dir, run, report, bundle)
     except StagegateError as exc:
@@ -222,7 +222,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         raise CommandError(f"error: {table_path} is a directory; ablate writes its table there")
     _make_dir(out_dir)
     try:
-        comparison = compare_configs(bundle, scenarios, ABLATION_CONFIGS, seed=args.seed)
+        comparison = compare_configs(bundle, scenarios, ABLATION_CONFIGS)
     except StagegateError as exc:
         raise CommandError(f"runtime fault: {exc}", EXIT_RUNTIME) from None
     payload = comparison.to_dict()
@@ -275,11 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_run_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--domain", required=True, help="domain bundle directory")
         p.add_argument("--suite", required=True, help="suite JSON file")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=True, help="output directory for run artifacts")
 
     p_run = sub.add_parser("run", help="run a suite and write trace/report artifacts")
     add_run_flags(p_run)
+    p_run.add_argument("--seed", type=int, default=0, help="names the run in manifest.json")
     p_run.add_argument("--no-stage-check", action="store_true")
     p_run.add_argument("--no-precondition", action="store_true")
     p_run.add_argument("--no-audit", action="store_true")

@@ -10,7 +10,7 @@ from typing import Any
 
 @dataclass
 class DispatchContext:
-    """Business state consulted by precondition predicates.
+    """Business state whose flags the preconditions consult.
 
     ``business_state`` is a flat dict of JSON scalars that evolves only
     through postcondition effects (or goal-manager mediated writes), so a

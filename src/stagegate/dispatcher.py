@@ -1,8 +1,8 @@
 """State-aware dispatch: route, gate, execute, advance, audit.
 
 Every message passes the same pipeline: intent resolution, then the gate
-kernel ``decide`` (stage legality, stage-filtered skill selection,
-precondition evaluation, the declared transition), then execution,
+kernel ``decide`` (stage legality, stage-filtered skill selection, the
+skill's precondition flags, the declared transition), then execution,
 postcondition application, and a validated stage advance.  One
 ProcessEvent is appended per step, before any state moves, so a store that
 fails to append leaves the goal as it was.  The forward-simulation labeler
@@ -17,7 +17,7 @@ stage.  A SUCCESS step whose executor failed (``execution_error``) commits
 nothing either; only a SUCCESS without a sub-reason moves state, live and in
 replay.  Effects cannot fault: a bundle that loads sets only JSON scalars.
 They apply to a copy of the goal's state as it was before the step, so
-nothing the predicates or the executor write to the context they are handed
+nothing the fallback or the executor write to the context they are handed
 is ever committed.
 """
 
@@ -146,9 +146,7 @@ def decide(
         report = registry.check_preconditions(skill, ctx)
         pre_results = report.results
         if not report.satisfied:
-            detail: dict[str, Any] = {"first_failure": report.first_failure}
-            if report.evaluation_errors:
-                detail["evaluation_errors"] = dict(report.evaluation_errors)
+            detail = {"first_failure": report.first_failure}
             return Decision("PRECONDITION_FAIL", stage, None, skill, pre_results, detail)
 
     target = automaton.target_stage(intent)
@@ -213,7 +211,7 @@ def _dispatch_locked(
         digest = payload_digest(body)
         if outcome == "SUCCESS" and sub_reason is None:
             # Effects start from the goal's own state, never from the copy
-            # the predicates and the executor were handed.
+            # the fallback and the executor were handed.
             payload = body
             to_commit = apply_postconditions(
                 decision.skill, DispatchContext(goal_id, live.business_state), digest

@@ -8,7 +8,7 @@ continue past (bad lookups, broken configs, corrupted logs).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Any, Iterator
 
 
 class StagegateError(Exception):
@@ -29,6 +29,13 @@ def parsing(what: str) -> Iterator[None]:
         raise ConfigError(f"malformed {what}: {reason}") from None
 
 
+def string_list(value: Any, what: str) -> tuple[str, ...]:
+    """*value*, a JSON list of strings, as a tuple; any other shape is a ConfigError."""
+    if type(value) is not list or not all(type(item) is str for item in value):
+        raise ConfigError(f"{what} must be a list of strings, not {value!r}")
+    return tuple(value)
+
+
 class LookupFault(StagegateError):
     """A stage, intent, or goal id does not exist where one was required."""
 
@@ -40,14 +47,6 @@ class LookupFault(StagegateError):
 
 class ConflictFault(StagegateError):
     """A write collided with existing state (duplicate id, stale stage)."""
-
-
-class BindingFault(StagegateError):
-    """A predicate reference does not resolve in the catalog."""
-
-    def __init__(self, predicate: str):
-        self.predicate = predicate
-        super().__init__(f"unresolvable predicate: {predicate!r}")
 
 
 class IntegrityFault(StagegateError):

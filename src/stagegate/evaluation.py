@@ -3,9 +3,9 @@
 All computations are pure functions of step records and scenario metadata.
 The blocking confusion treats ILLEGAL_TRANSITION and PRECONDITION_FAIL as
 blocks; a routing miss (SKILL_NOT_FOUND) is not a governance block.  A step
-counts as violating when a stage-illegal or precondition-violating action
-was attempted, whether the pipeline blocked it or (in ablated configs)
-executed it anyway.
+counts as violating when its intent is stage-illegal at the goal's stage,
+blocked or not, or when it ends as PRECONDITION_FAIL; with the precondition
+check off, a step whose flags fail therefore executes uncounted.
 """
 
 from __future__ import annotations
@@ -236,10 +236,11 @@ def _median_ms(samples: list[int]) -> float:
 
 
 def step_is_violation(step: StepRecord, bundle: DomainBundle) -> bool:
-    """Attempted stage-illegal or precondition-violating action.
+    """A stage-illegal attempt, blocked or not, or a PRECONDITION_FAIL step.
 
-    Independent of whether the pipeline blocked it, so the rate can rise
-    when checks are removed and the action executes anyway.
+    So CVR rises when the stage gate is removed, but falls when the
+    precondition check is (hiring suite: 2.5% to 2.0%): a step whose flags
+    fail then executes and is not counted.
     """
     intent = step.result.detail.get("routing", {}).get("intent", UNKNOWN)
     binding = bundle.automaton.binding.get(intent)
@@ -379,12 +380,11 @@ def compare_configs(
     bundle: DomainBundle,
     scenarios: Sequence[Scenario],
     configs: Sequence[tuple[str, DispatchToggles]] = ABLATION_CONFIGS,
-    seed: int = 0,
 ) -> ConfigComparison:
     """Run the same suite under each toggle set and report side by side."""
     reports: dict[str, EvalReport] = {}
     for name, toggles in configs:
-        run = run_suite(bundle, scenarios, toggles=toggles, seed=seed)
+        run = run_suite(bundle, scenarios, toggles=toggles)
         reports[name] = compute_report(run, bundle)
     baseline = configs[0][0]
     return ConfigComparison(reports=reports, baseline=baseline)

@@ -1,20 +1,21 @@
-"""Skill registry: risk-leveled capabilities with stage and predicate guards.
+"""Skill registry: risk-leveled capabilities with stage and precondition guards.
 
 Skills are declarative records.  Each one serves a single intent, applies at
-a declared set of stages, and is guarded by named predicates resolved
-against a catalog of pure context functions.  Postconditions are restricted
-to declarative context mutations so that replay stays deterministic.
+a declared set of stages, and is guarded by preconditions: names of business
+flags that must all be truthy in the goal's context.  Postconditions are
+restricted to declarative context mutations so that replay stays
+deterministic.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from .automaton import StageId, IntentId, WorkflowAutomaton
 from .context import DispatchContext
-from .errors import BindingFault, ConfigError, ConflictFault, parsing
+from .errors import ConfigError, ConflictFault, parsing, string_list
 
 _SKILL_KEYS = ("id", "intent", "level", "stages", "pre", "post", "risk", "disclosure")
 _EFFECT_OPS = ("set", "set_from_result")
@@ -34,11 +35,6 @@ class RiskLevel(enum.IntEnum):
             return cls[text]
         except KeyError:
             raise ConfigError(f"unknown risk level: {text!r}") from None
-
-
-@dataclass(frozen=True)
-class PredicateRef:
-    name: str
 
 
 @dataclass(frozen=True)
@@ -70,10 +66,8 @@ class SkillSpec:
     intent: IntentId
     level: RiskLevel
     applicable_stages: frozenset[StageId]  # empty set means "all stages"
-    preconditions: tuple[PredicateRef, ...] = ()
+    preconditions: tuple[str, ...] = ()  # business flags that must be truthy
     postconditions: tuple[Effect, ...] = ()
-    risk_class: str = ""
-    disclosure_tier: str = "bound"  # "routing" | "bound"
 
     def applies_at(self, stage: StageId) -> bool:
         return not self.applicable_stages or stage in self.applicable_stages
@@ -83,30 +77,6 @@ class PreconditionReport(NamedTuple):
     satisfied: bool
     results: tuple[tuple[str, bool], ...]
     first_failure: str | None
-    evaluation_errors: Mapping[str, str]
-
-
-Predicate = Callable[[DispatchContext], bool]
-
-
-class PredicateCatalog:
-    """Named table of pure context predicates."""
-
-    def __init__(self) -> None:
-        self._table: dict[str, Predicate] = {}
-
-    def register(self, name: str, fn: Predicate) -> None:
-        self._table[name] = fn
-
-    def register_flag(self, name: str) -> None:
-        """Register a predicate that checks the same-named business flag."""
-        self.register(name, lambda ctx, _flag=name: bool(ctx.business_state.get(_flag, False)))
-
-    def resolves(self, name: str) -> bool:
-        return name in self._table
-
-    def evaluate(self, name: str, ctx: DispatchContext) -> bool:
-        return bool(self._table[name](ctx))
 
 
 class SkillRegistry:
@@ -116,8 +86,7 @@ class SkillRegistry:
     registration), as they are registered.
     """
 
-    def __init__(self, catalog: PredicateCatalog) -> None:
-        self.catalog = catalog
+    def __init__(self) -> None:
         self._skills: list[SkillSpec] = []
         self._by_id: dict[str, SkillSpec] = {}
         self._by_intent: dict[IntentId, list[SkillSpec]] = {}
@@ -132,7 +101,7 @@ class SkillRegistry:
         return self._by_id.get(skill_id)
 
     def register(self, spec: SkillSpec, automaton: WorkflowAutomaton) -> None:
-        """Add a skill after checking stage membership and predicate binding."""
+        """Add a skill after checking its id is new and its stages are the automaton's."""
         if spec.id in self._by_id:
             raise ConflictFault(f"skill id already registered: {spec.id!r}")
         foreign = sorted(spec.applicable_stages - set(automaton.stages))
@@ -140,9 +109,6 @@ class SkillRegistry:
             raise ConfigError(
                 f"skill {spec.id!r} declares stages outside the automaton: {', '.join(foreign)}"
             )
-        for ref in spec.preconditions:
-            if not self.catalog.resolves(ref.name):
-                raise BindingFault(ref.name)
         self._skills.append(spec)
         self._by_id[spec.id] = spec
         candidates = self._by_intent.setdefault(spec.intent, [])
@@ -163,24 +129,19 @@ class SkillRegistry:
     def check_preconditions(self, skill: SkillSpec, ctx: DispatchContext) -> PreconditionReport:
         """Evaluate every guard of *skill* against *ctx* without mutating it.
 
-        Evaluation is total (all predicates, declared order) and never
-        raises: a predicate that faults is recorded as a false result tagged
-        with the error, so the dispatcher returns a clean block instead of
-        crashing mid-dispatch.  ``register`` already refused unknown names.
+        Each guard holds when its business flag is truthy; an absent flag is
+        false.  Evaluation is total (all guards, declared order) and cannot
+        fail.
         """
+        state = ctx.business_state
         results: list[tuple[str, bool]] = []
-        errors: dict[str, str] = {}
         first_failure: str | None = None
-        for ref in skill.preconditions:
-            try:
-                passed = self.catalog.evaluate(ref.name, ctx)
-            except Exception as exc:  # predicate fault degrades to False
-                passed = False
-                errors[ref.name] = f"evaluation_error: {exc}"
-            results.append((ref.name, passed))
+        for name in skill.preconditions:
+            passed = bool(state.get(name, False))
+            results.append((name, passed))
             if not passed and first_failure is None:
-                first_failure = ref.name
-        return PreconditionReport(first_failure is None, tuple(results), first_failure, errors)
+                first_failure = name
+        return PreconditionReport(first_failure is None, tuple(results), first_failure)
 
     def validate_against(self, automaton: WorkflowAutomaton) -> list[str]:
         """Cross-checks between the registry and the active automaton, as ``"code: message"`` errors.
@@ -232,7 +193,7 @@ def apply_postconditions(skill: SkillSpec, ctx: DispatchContext, result_digest: 
 
 
 def skill_from_dict(raw: Mapping[str, Any]) -> SkillSpec:
-    """Parse one skill config object (``stages`` may be ``"*"`` for all)."""
+    """Parse one skill config object at exact JSON types (``stages`` may be ``"*"`` for all)."""
     with parsing("skill config"):
         unknown = sorted(set(raw) - set(_SKILL_KEYS))
         if unknown:
@@ -240,45 +201,31 @@ def skill_from_dict(raw: Mapping[str, Any]) -> SkillSpec:
         for key in ("id", "intent", "level"):
             if key not in raw:
                 raise ConfigError(f"skill config missing key: {key}")
-        stages_raw, pre_raw = raw.get("stages", "*"), raw.get("pre", [])
-        if isinstance(pre_raw, str) or (isinstance(stages_raw, str) and stages_raw != "*"):
-            key = "pre" if isinstance(pre_raw, str) else "stages"
-            raise ConfigError(f"skill {raw['id']!r}: {key!r} must be a list, not a string")
-        stages = frozenset() if stages_raw == "*" else frozenset(str(s) for s in stages_raw)
+        sid = raw["id"]
+        for key in ("id", "intent", "level", "risk", "disclosure"):
+            if type(raw.get(key, "")) is not str:
+                raise ConfigError(f"skill {sid!r}: {key!r} must be a string, not {raw[key]!r}")
+        stages = raw.get("stages", "*")
+        stages = () if stages == "*" else string_list(stages, f"skill {sid!r}: 'stages'")
         effects = tuple(
             Effect(op=eff["op"], field=eff["field"], value=eff.get("value"))
             for eff in raw.get("post", [])
         )
         return SkillSpec(
-            id=str(raw["id"]),
-            intent=str(raw["intent"]),
-            level=RiskLevel.parse(str(raw["level"])),
-            applicable_stages=stages,
-            preconditions=tuple(PredicateRef(str(name)) for name in pre_raw),
+            id=sid,
+            intent=raw["intent"],
+            level=RiskLevel.parse(raw["level"]),
+            applicable_stages=frozenset(stages),
+            preconditions=string_list(raw.get("pre", []), f"skill {sid!r}: 'pre'"),
             postconditions=effects,
-            risk_class=str(raw.get("risk", "")),
-            disclosure_tier=str(raw.get("disclosure", "bound")),
         )
 
 
 def build_registry(
-    skill_dicts: Sequence[Mapping[str, Any]],
-    automaton: WorkflowAutomaton,
-    catalog: PredicateCatalog | None = None,
+    skill_dicts: Sequence[Mapping[str, Any]], automaton: WorkflowAutomaton
 ) -> SkillRegistry:
-    """Build a registry from config objects, auto-registering flag predicates.
-
-    Predicate names that were not explicitly registered are bound to
-    same-named business flags, which is the convention all shipped configs
-    follow.  Explicit registrations always win.
-    """
-    catalog = catalog or PredicateCatalog()
-    specs = [skill_from_dict(raw) for raw in skill_dicts]
-    for spec in specs:
-        for ref in spec.preconditions:
-            if not catalog.resolves(ref.name):
-                catalog.register_flag(ref.name)
-    registry = SkillRegistry(catalog)
-    for spec in specs:
+    """Parse every skill config object, then register them in config order."""
+    registry = SkillRegistry()
+    for spec in [skill_from_dict(raw) for raw in skill_dicts]:
         registry.register(spec, automaton)
     return registry

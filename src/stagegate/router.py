@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .automaton import WorkflowAutomaton
 from .context import DispatchContext
-from .errors import ConfigError, parsing
+from .errors import ConfigError, parsing, string_list
 
 UNKNOWN = "<unknown>"
 
@@ -270,14 +270,12 @@ def table_from_list(raw: Iterable[Mapping[str, Any]]) -> PatternTable:
         for item in raw:
             if "intent" not in item or "patterns" not in item:
                 raise ConfigError("pattern entry needs 'intent' and 'patterns'")
-            if isinstance(item["patterns"], str):  # would iterate as one pattern per character
-                raise ConfigError(f"intent {item['intent']!r}: 'patterns' must be a list, not a string")
-            table.append(
-                IntentPattern(
-                    intent=str(item["intent"]),
-                    patterns=tuple(MatchExpr.parse(str(p)) for p in item["patterns"]),
-                    priority=int(item.get("priority", 0)),
-                )
-            )
+            intent, priority = item["intent"], item.get("priority", 0)
+            if type(intent) is not str:
+                raise ConfigError(f"pattern entry intent must be a string, not {intent!r}")
+            if type(priority) is not int:  # type(), not isinstance: true is no priority
+                raise ConfigError(f"intent {intent!r}: 'priority' must be an integer, not {priority!r}")
+            patterns = string_list(item["patterns"], f"intent {intent!r}: 'patterns'")
+            table.append(IntentPattern(intent, tuple(MatchExpr.parse(p) for p in patterns), priority))
     return PatternTable(tuple(table))
 

@@ -33,7 +33,6 @@ class StepRecord:
 class RunResult:
     domain: str
     toggles: DispatchToggles
-    seed: int
     scenarios: list[Scenario]
     steps: list[StepRecord]
     manager: GoalManager
@@ -53,7 +52,6 @@ def run_suite(
     bundle: DomainBundle,
     scenarios: Sequence[Scenario],
     toggles: DispatchToggles = FULL,
-    seed: int = 0,
     store: InMemoryEventStore | FileEventStore | None = None,
     fail_ids: Sequence[str] = (),
 ) -> RunResult:
@@ -98,7 +96,6 @@ def run_suite(
     return RunResult(
         domain=bundle.name,
         toggles=toggles,
-        seed=seed,
         scenarios=list(scenarios),
         steps=steps,
         manager=manager,

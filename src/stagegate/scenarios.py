@@ -258,9 +258,8 @@ def _scenario_from_dict(raw: Mapping[str, Any], domain: str, bundle: DomainBundl
 
     if stype == "illegal" and all(m.expected_legal for m in messages):
         raise ConfigError(f"scenario {sid!r}: illegal type requires an expected_legal=false message")
-    for track in scenario.tracks():
-        if track not in final:
-            raise ConfigError(f"scenario {sid!r}: no expected_final_stage for track {track}")
+    if sorted(final) != scenario.tracks():  # a stage for every track, and for no other
+        raise ConfigError(f"scenario {sid!r}: expected_final_stage must name tracks {scenario.tracks()}")
 
     if bundle is not None:
         stages = set(bundle.automaton.stages)

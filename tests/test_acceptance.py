@@ -165,7 +165,7 @@ def test_criterion_4_oracle_equivalence():
 
 def test_criterion_5_ablation_directions(hr_bundle, hr_suite):
     start = time.perf_counter()
-    comparison = compare_configs(hr_bundle, hr_suite, ABLATION_CONFIGS, seed=0)
+    comparison = compare_configs(hr_bundle, hr_suite, ABLATION_CONFIGS)
     full = comparison.reports["full"]
     no_stage = comparison.reports["no_stage_check"]
     no_pre = comparison.reports["no_precondition"]
@@ -253,16 +253,13 @@ def test_criterion_8_legality_check_latency(hr_bundle, hr_run):
     assert gate_median_ms < 1.0, f"gate median {gate_median_ms:.3f} ms"
 
     # Worst-case guard width: stage gate plus a four-predicate evaluation.
-    from stagegate.registry import PredicateCatalog, PredicateRef, RiskLevel, SkillRegistry, SkillSpec
+    from stagegate.registry import RiskLevel, SkillRegistry, SkillSpec
 
-    bench_catalog = PredicateCatalog()
-    for name in ("g0", "g1", "g2", "g3"):
-        bench_catalog.register_flag(name)
-    bench_registry = SkillRegistry(bench_catalog)
+    bench_registry = SkillRegistry()
     heavy = SkillSpec(
         id="bench-heavy", intent="query_status", level=RiskLevel.L1,
         applicable_stages=frozenset({"init"}),
-        preconditions=tuple(PredicateRef(f"g{i}") for i in range(4)),
+        preconditions=tuple(f"g{i}" for i in range(4)),
     )
     ctx = DispatchContext(goal_id="bench", business_state={f"g{i}": True for i in range(4)})
     heavy_samples = []

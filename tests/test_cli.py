@@ -447,11 +447,26 @@ def _inject_out_is_directory(run: Path) -> list[str]:
     return _inject_count(run, 1, run / "variants")
 
 
-def _validate_edited(run: Path, name: str, edit) -> list[str]:
-    domain = run / "domain"
+def _edited_domain(run: Path, name: str, edit) -> Path:
+    domain = run / "edited" / "hr"  # the suite names its domain "hr"
     shutil.copytree(hr_domain_dir(), domain)
     _edit_json(domain / name, edit)
-    return ["validate", str(domain)]
+    return domain
+
+
+def _validate_edited(run: Path, name: str, edit) -> list[str]:
+    return ["validate", str(_edited_domain(run, name, edit))]
+
+
+def _run_edited(run: Path, name: str, edit) -> list[str]:
+    return ["run", "--domain", str(_edited_domain(run, name, edit)), "--suite", str(hr_suite_path()),
+            "--out", str(run / "rerun")]
+
+
+def _run_phantom_track(run: Path) -> list[str]:
+    suite = json.loads(hr_suite_path().read_text())
+    suite["scenarios"][0]["expected_final_stage"] = {"0": "close", "7": "close"}
+    return _run_suite_text(run, json.dumps(suite))
 
 
 def _drop_effect_op(skills) -> None:
@@ -466,10 +481,14 @@ def _first_effect(skills) -> dict:
     return next(skill for skill in skills if skill["post"])["post"][0]
 
 
-def _validate_skill_edit(run: Path, skill_id: str, **fields) -> list[str]:
+def _skill_edit(skill_id: str, **fields):
     def edit(skills) -> None:
         next(skill for skill in skills if skill["id"] == skill_id).update(fields)
-    return _validate_edited(run, "skills.json", edit)
+    return edit
+
+
+def _validate_skill_edit(run: Path, skill_id: str, **fields) -> list[str]:
+    return _validate_edited(run, "skills.json", _skill_edit(skill_id, **fields))
 
 
 def _with_field(line: str, key: str, value) -> str:
@@ -522,6 +541,13 @@ MALFORMED = {
     "run-traces-is-file": (_run_traces_is_file, 2, "error: "),
     "run-string-expected-legal": (_run_string_expected_legal, 2, "error: "),
     "run-integer-scenario-id": (_run_integer_scenario_id, 2, "error: "),
+    "run-phantom-track": (_run_phantom_track, 2, "error: "),
+    "run-non-string-pre": (
+        lambda run: _run_edited(run, "skills.json", _skill_edit("pull_parse", pre=[True, 5])),
+        2, "error: "),
+    "run-boolean-priority": (
+        lambda run: _run_edited(run, "patterns.json", lambda p: p[0].update(priority=True)),
+        2, "error: "),
     "ablate-out-is-file": (_ablate_out_is_file, 2, "error: "),
     "ablate-report-is-directory": (_ablate_report_is_directory, 2, "error: "),
     "inject-count-zero": (lambda run: _inject_count(run, 0), 2, "error: "),
@@ -545,6 +571,21 @@ MALFORMED = {
     "validate-string-patterns": (
         lambda run: _validate_edited(run, "patterns.json", lambda p: p[0].update(patterns="create")),
         1, "error: patterns.json: intent 'create_demand': 'patterns'"),
+    "validate-non-string-pre": (
+        lambda run: _validate_skill_edit(run, "pull_parse", pre=[True, 5]),
+        1, "error: skills.json: skill 'pull_parse': 'pre'"),
+    "validate-integer-skill-id": (
+        lambda run: _validate_skill_edit(run, "create_demand", id=7),
+        1, "error: skills.json: skill 7: 'id'"),
+    "validate-boolean-priority": (
+        lambda run: _validate_edited(run, "patterns.json", lambda p: p[0].update(priority=True)),
+        1, "error: patterns.json: intent 'create_demand': 'priority'"),
+    "validate-string-priority": (
+        lambda run: _validate_edited(run, "patterns.json", lambda p: p[0].update(priority="7")),
+        1, "error: patterns.json: intent 'create_demand': 'priority'"),
+    "validate-integer-stage": (
+        lambda run: _validate_edited(run, "automaton.json", lambda a: a["stages"].append(3)),
+        1, "error: automaton.json: stages"),
     "validate-one-element-transition": (
         lambda run: _validate_edited(run, "automaton.json", _one_element_transition),
         1, "error: automaton.json: "),

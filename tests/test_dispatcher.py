@@ -317,22 +317,15 @@ def test_an_injected_failure_raises_and_ends_as_its_error_digest(hr_bundle):
     assert result.detail["executor_status"] == "failed"
 
 
-def test_what_the_executor_and_predicates_write_to_their_context_is_never_committed():
+def test_what_the_executor_and_predicates_write_to_their_context_is_never_committed(hr_bundle):
     """Effects start from the goal's own state, so replay still reproduces live state."""
-    bundle = load_domain(hr_domain_dir())  # private catalog: a predicate is replaced below
-
-    def peeking(ctx):
-        ctx.business_state["peeked"] = True
-        return bool(ctx.business_state.get("position_exists", False))
-
-    bundle.registry.catalog.register("position_exists", peeking)
-    executor = bundle.build_executor()
+    executor = hr_bundle.build_executor()
 
     def smuggling(skill, ctx):
         ctx.business_state["smuggled"] = True
         return executor(skill, ctx)
 
-    deps = _deps(bundle, executor=smuggling)
+    deps = _deps(hr_bundle, executor=smuggling)
     gid = _goal(deps, "hr")
     assert dispatch("create a hiring demand", gid, deps).outcome == "SUCCESS"
     assert deps.manager.state(gid)["business_state"] == {"position_exists": True}
@@ -340,24 +333,6 @@ def test_what_the_executor_and_predicates_write_to_their_context_is_never_commit
     live = deps.manager.state(gid)
     assert set(live["business_state"]) == {"position_exists", "candidates_pulled", "candidates_ref"}
     assert deps.manager.replay(gid).state() == live
-
-
-def test_a_raising_predicate_blocks_with_its_error_and_changes_nothing():
-    bundle = load_domain(hr_domain_dir())  # private catalog: a predicate is replaced below
-
-    def broken(ctx):
-        raise RuntimeError("catalog down")
-
-    bundle.registry.catalog.register("position_exists", broken)
-    deps = _deps(bundle)
-    gid = _goal(deps, "hr")
-    assert dispatch("create a hiring demand", gid, deps).outcome == "SUCCESS"
-    before = deps.manager.state(gid)
-    result = dispatch("pull candidates", gid, deps)
-    assert (result.outcome, result.event.sub_reason) == ("PRECONDITION_FAIL", None)
-    assert result.detail["first_failure"] == "position_exists"
-    assert result.detail["evaluation_errors"] == {"position_exists": "evaluation_error: catalog down"}
-    assert deps.manager.state(gid) == before | {"last_seq": before["last_seq"] + 1}
 
 
 def test_a_raising_fallback_leaves_the_intent_unresolved_with_its_error(hr_bundle):
@@ -398,37 +373,28 @@ def test_every_executed_event_digests_its_fixture_as_json_dumps_writes_it():
             assert event.payload_digest == expected[event.skill_id], (directory.name, event.seq)
 
 
-def test_contexts_handed_out_stay_detached_from_goal_state():
-    """The executor and predicates get copies: what they keep reaches no goal state.
+def test_contexts_handed_out_stay_detached_from_goal_state(hr_bundle):
+    """The executor gets copies: what it keeps reaches no goal state.
 
     ``commit_context`` takes ownership of the context it is given, so the
     copy ``GoalManager.context`` makes is all that stands between a context
     kept past ``dispatch`` and the goal's live state.
     """
-    bundle = load_domain(hr_domain_dir())  # private catalog: a predicate is replaced below
     kept = []
-
-    def keeping_predicate(ctx):
-        kept.append(ctx)
-        return bool(ctx.business_state.get("candidates_pulled", False))
-
-    bundle.registry.catalog.register("candidates_pulled", keeping_predicate)
-    executor = bundle.build_executor()
+    executor = hr_bundle.build_executor()
 
     def keeping_executor(skill, ctx):
         kept.append(ctx)
         return executor(skill, ctx)
 
-    deps = _deps(bundle, executor=keeping_executor)
+    deps = _deps(hr_bundle, executor=keeping_executor)
     gid = _goal(deps, "hr")
     for text in ("create a hiring demand", "pull candidates", "screen resumes",
                  "schedule interview", "reopen sourcing"):
         assert dispatch(text, gid, deps).outcome == "SUCCESS"
-    # Blocked, so nothing is committed after the predicate saw the context.
-    assert dispatch("compare candidates", gid, deps).outcome == "PRECONDITION_FAIL"
     live = deps.manager.state(gid)
     assert deps.manager.replay(gid).state() == live
-    assert len(kept) == 7  # five executor calls, two predicate calls
+    assert len(kept) == 5
 
     for ctx in kept:
         ctx.business_state.clear()

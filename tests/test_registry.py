@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from stagegate.automaton import automaton_from_dict
 from stagegate.context import DispatchContext, canonical, payload_digest
-from stagegate.errors import BindingFault, ConfigError, ConflictFault
+from stagegate.errors import ConfigError, ConflictFault
 from stagegate.registry import (
     Effect,
-    PredicateCatalog,
-    PredicateRef,
     RiskLevel,
     SkillRegistry,
     SkillSpec,
@@ -22,14 +20,6 @@ from stagegate.registry import (
 )
 
 from reference import random_domain
-
-
-@pytest.fixture
-def catalog():
-    cat = PredicateCatalog()
-    for name in ("position_exists", "candidates_pulled", "f0", "f1"):
-        cat.register_flag(name)
-    return cat
 
 
 @pytest.fixture
@@ -47,26 +37,25 @@ def tiny_automaton():
     )
 
 
-def _spec(skill_id, intent, level, stages, pre=(), post=(), disclosure="bound"):
+def _spec(skill_id, intent, level, stages, pre=(), post=()):
     return SkillSpec(
         id=skill_id,
         intent=intent,
         level=level,
         applicable_stages=frozenset(stages),
-        preconditions=tuple(PredicateRef(p) for p in pre),
+        preconditions=tuple(pre),
         postconditions=tuple(post),
-        disclosure_tier=disclosure,
     )
 
 
 # -- registration ------------------------------------------------------------
 
 
-def test_registering_four_then_six_more_yields_ten(tiny_automaton, catalog):
+def test_registering_four_then_six_more_yields_ten(tiny_automaton):
     """The production-style composition: 4 atomic + 4 composite + 2 policy."""
-    registry = SkillRegistry(catalog)
+    registry = SkillRegistry()
     table2 = [
-        _spec("get_job_list", "q", RiskLevel.L0, (), disclosure="routing"),
+        _spec("get_job_list", "q", RiskLevel.L0, ()),
         _spec("pull_parse", "pull", RiskLevel.L1, ("src",), pre=("position_exists",)),
         _spec("screen", "screen", RiskLevel.L1, ("src",),
               pre=("position_exists", "candidates_pulled")),
@@ -87,25 +76,17 @@ def test_registering_four_then_six_more_yields_ten(tiny_automaton, catalog):
     assert by_level == {RiskLevel.L0: 4, RiskLevel.L1: 4, RiskLevel.L2: 2}
 
 
-def test_duplicate_id_is_conflict(tiny_automaton, catalog):
-    registry = SkillRegistry(catalog)
+def test_duplicate_id_is_conflict(tiny_automaton):
+    registry = SkillRegistry()
     registry.register(_spec("x", "q", RiskLevel.L0, ()), tiny_automaton)
     with pytest.raises(ConflictFault):
         registry.register(_spec("x", "q", RiskLevel.L0, ()), tiny_automaton)
 
 
-def test_foreign_stage_is_config_fault(tiny_automaton, catalog):
-    registry = SkillRegistry(catalog)
+def test_foreign_stage_is_config_fault(tiny_automaton):
+    registry = SkillRegistry()
     with pytest.raises(ConfigError, match="interview_typo"):
         registry.register(_spec("s", "screen", RiskLevel.L1, ("interview_typo",)), tiny_automaton)
-
-
-def test_unresolvable_predicate_is_binding_fault(tiny_automaton):
-    registry = SkillRegistry(PredicateCatalog())
-    with pytest.raises(BindingFault, match="no_such"):
-        registry.register(
-            _spec("s", "screen", RiskLevel.L1, ("src",), pre=("no_such",)), tiny_automaton
-        )
 
 
 # -- selection ----------------------------------------------------------------
@@ -184,30 +165,11 @@ def test_precondition_check_is_pure(hr_bundle):
     assert ctx.business_state == before
 
 
-def test_predicate_fault_degrades_to_false_with_tag(tiny_automaton):
-    catalog = PredicateCatalog()
-
-    def boom(ctx):
-        return ctx.business_state["required_field"]  # KeyError when absent
-
-    catalog.register("needs_field", boom)
-    registry = SkillRegistry(catalog)
-    spec = _spec("s", "q", RiskLevel.L1, (), pre=("needs_field",))
-    registry.register(spec, tiny_automaton)
-    report = registry.check_preconditions(spec, DispatchContext(goal_id="g"))
-    assert not report.satisfied
-    assert report.results == (("needs_field", False),)
-    assert "needs_field" in report.evaluation_errors
-
-
 @settings(max_examples=120, deadline=None)
 @given(st.dictionaries(st.sampled_from(("f0", "f1", "f2", "f3")), st.booleans(), max_size=4),
        st.lists(st.sampled_from(("f0", "f1", "f2", "f3")), max_size=4, unique=True))
 def test_report_satisfied_equals_fold_and(state, pre_names):
-    catalog = PredicateCatalog()
-    for name in ("f0", "f1", "f2", "f3"):
-        catalog.register_flag(name)
-    registry = SkillRegistry(catalog)
+    registry = SkillRegistry()
     spec = _spec("s", "q", RiskLevel.L1, (), pre=tuple(pre_names))
     ctx = DispatchContext(goal_id="g", business_state=dict(state))
     report = registry.check_preconditions(spec, ctx)

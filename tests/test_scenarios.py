@@ -10,12 +10,15 @@ from stagegate import suites
 from stagegate.errors import ConfigError, GenerationFault
 from stagegate.runner import run_suite
 from stagegate.scenarios import (
+    BUNDLE_FILES,
     LabeledMessage,
     Scenario,
+    check_bundle,
     detect_latent,
     inject_illegal,
     load_domain,
     load_suite,
+    read_json,
     simulate_scenario,
     suite_from_dict,
     suite_to_dict,
@@ -36,6 +39,48 @@ def test_all_shipped_bundles_load_clean():
     assert len(bundles) == 9
     names = {b.name for b in bundles}
     assert "hr" in names and "Hotels_1" in names
+
+
+def test_every_precondition_flag_of_a_shipped_bundle_is_set_by_some_skill():
+    """A guard that no effect sets truthy would keep its skill from ever running."""
+    guarded = 0
+    for directory in [hr_domain_dir(), *map(sgd_domain_dir, SGD_DOMAINS)]:
+        registry = load_domain(directory).registry
+        written = {
+            effect.field for spec in registry for effect in spec.postconditions
+            if effect.op == "set_from_result" or effect.value
+        }
+        guards = {name for spec in registry for name in spec.preconditions}
+        assert guards <= written, (directory.name, sorted(guards - written))
+        guarded += len(guards)
+    assert guarded == 6  # the hiring bundle's; the service bundles declare no guards
+
+
+@pytest.mark.parametrize("part, edit, reported", [
+    ("skills", lambda s: s[3].update(id=7), "skill 7: 'id' must be a string, not 7"),
+    ("skills", lambda s: s[3].update(intent=["x"]), "skill 'create_demand': 'intent' must be"),
+    ("skills", lambda s: s[3].update(level=1), "skill 'create_demand': 'level' must be"),
+    ("skills", lambda s: s[3].update(stages=[0]), "skill 'create_demand': 'stages' must be a list"),
+    ("skills", lambda s: s[4].update(pre=[True, 5]), "skill 'pull_parse': 'pre' must be a list"),
+    ("skills", lambda s: s[3].update(risk=None), "skill 'create_demand': 'risk' must be"),
+    ("skills", lambda s: s[3].update(disclosure=2), "skill 'create_demand': 'disclosure' must be"),
+    ("patterns", lambda p: p[0].update(intent=7), "pattern entry intent must be a string, not 7"),
+    ("patterns", lambda p: p[0]["patterns"].append(5), "intent 'create_demand': 'patterns' must be a list"),
+    ("patterns", lambda p: p[0].update(priority=True), "intent 'create_demand': 'priority' must be"),
+    ("patterns", lambda p: p[0].update(priority="7"), "intent 'create_demand': 'priority' must be"),
+    ("automaton", lambda a: a["stages"].append(3), "stages must be a list of strings, not ['init'"),
+    ("automaton", lambda a: a["intents"].append(7), "intents must be a list of strings, not ['create_demand'"),
+    ("automaton", lambda a: a["transitions"].append(["init", 3]), "a transition must be a list"),
+    ("automaton", lambda a: a["binding"]["create_demand"].append(3), "binding of 'create_demand'"),
+    ("automaton", lambda a: a["stage_map"].update(create_demand=3), "stage_map of 'create_demand'"),
+    ("automaton", lambda a: a.update(initial=0), "initial must be a stage, not 0"),
+])
+def test_bundle_fields_load_only_at_their_exact_json_type(part, edit, reported):
+    parts = {key: read_json(hr_domain_dir() / name) for key, name in BUNDLE_FILES.items()}
+    edit(parts[part])
+    errors, _ = check_bundle("hr", parts)
+    assert [where for where, _ in errors] == [part]
+    assert errors[0][1].startswith(reported)
 
 
 def test_hotels_bundle_is_two_stage_search_then_reserve():
@@ -149,6 +194,15 @@ def test_track_keys_load_as_their_integers(hr_bundle):
                 "expected_final_stage": {"0": "init", "10": "init"}, "messages": messages}
     (loaded,) = suite_from_dict({"domain": "hr", "scenarios": [scenario]}, hr_bundle)
     assert loaded.expected_final_stage == {0: "init", 10: "init"}
+
+
+@pytest.mark.parametrize("final", [{"0": "init", "7": "close"}, {"7": "close"}])
+def test_expected_final_stage_names_exactly_the_tracks_its_messages_use(hr_bundle, final):
+    """A stage for a track no message uses would be a goal that never exists."""
+    scenario = {"scenario_id": "bad", "type": "normal", "expected_final_stage": final,
+                "messages": [{"turn_index": 0, "text": "help", "expected_legal": True}]}
+    with pytest.raises(ConfigError, match=r"^scenario 'bad': expected_final_stage must name tracks \["):
+        suite_from_dict({"domain": "hr", "scenarios": [scenario]}, hr_bundle)
 
 
 def test_illegal_type_requires_a_false_label(hr_bundle):
