@@ -14,7 +14,7 @@ import statistics
 from dataclasses import asdict, dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-from .dispatcher import BLOCK_OUTCOMES, FULL, DispatchToggles
+from .dispatcher import BLOCK_OUTCOMES, FULL, DispatchResult, DispatchToggles
 from .errors import IntegrityFault
 from .memory import ProcessEvent
 from .router import UNKNOWN
@@ -235,18 +235,18 @@ def _median_ms(samples: list[int]) -> float:
     return statistics.median(samples) / 1e6
 
 
-def step_is_violation(step: StepRecord, bundle: DomainBundle) -> bool:
-    """A stage-illegal attempt, blocked or not, or a PRECONDITION_FAIL step.
+def step_is_violation(result: DispatchResult, bundle: DomainBundle) -> bool:
+    """Whether a step's result is a stage-illegal attempt, blocked or not, or a PRECONDITION_FAIL.
 
     So CVR rises when the stage gate is removed, but falls when the
     precondition check is (hiring suite: 2.5% to 2.0%): a step whose flags
     fail then executes and is not counted.
     """
-    intent = step.result.detail.get("routing", {}).get("intent", UNKNOWN)
+    intent = result.detail.get("routing", {}).get("intent", UNKNOWN)
     binding = bundle.automaton.binding.get(intent)
-    if binding is not None and step.result.stage_before not in binding:
+    if binding is not None and result.stage_before not in binding:
         return True
-    return step.outcome == "PRECONDITION_FAIL"
+    return result.outcome == "PRECONDITION_FAIL"
 
 
 def compute_report(run: RunResult, bundle: DomainBundle) -> EvalReport:
@@ -255,6 +255,9 @@ def compute_report(run: RunResult, bundle: DomainBundle) -> EvalReport:
     One walk over the scenarios settles completion and the expected stage
     moves, one over their goals the replay consistency, and one over the
     steps fills the per-type rows; the run totals are summed from the rows.
+    The expected moves come from :func:`simulate_scenario`, called once per
+    scenario with one ``routed`` dict for the whole call, so each distinct
+    text is routed once per report; the dict is dropped on return.
     """
     steps = run.steps
     total = len(steps)
@@ -262,6 +265,7 @@ def compute_report(run: RunResult, bundle: DomainBundle) -> EvalReport:
     per_type: dict[str, TypeBreakdown] = {}
     row_of: dict[str, TypeBreakdown] = {}
     expected_moves: dict[str, dict[int, tuple[str, str]]] = {}
+    routed: dict[str, str] = {}
     goal_ids: list[str] = []
     for scenario in run.scenarios:
         row = row_of[scenario.scenario_id] = per_type.setdefault(scenario.type, TypeBreakdown())
@@ -277,7 +281,7 @@ def compute_report(run: RunResult, bundle: DomainBundle) -> EvalReport:
         # State-transition accuracy is judged against the forward simulation.
         expected_moves[scenario.scenario_id] = {
             s.turn_index: (s.stage_before, s.stage_after)
-            for s in simulate_scenario(bundle, scenario)
+            for s in simulate_scenario(bundle, scenario, routed)
         }
 
     # Replayable-trace coverage: a step counts when its goal's log replays to
@@ -285,29 +289,33 @@ def compute_report(run: RunResult, bundle: DomainBundle) -> EvalReport:
     # interleaving the two made compute_report ~12% slower on the SGD suites.
     consistent: dict[str, bool] = {}
     if run.toggles.audit:
-        consistent = {gid: manager.replay(gid).state() == manager.state(gid) for gid in goal_ids}
+        consistent = {
+            gid: manager.replay(gid).state() == manager.live(gid).state() for gid in goal_ids
+        }
 
     sta_hits = trc_steps = 0
     violating_ids: set[str] = set()
     timing_ns: dict[str, list[int]] = {}
     for step in steps:
+        result = step.result
+        outcome = result.outcome
         row = row_of[step.scenario_id]
         row.steps += 1
-        moved = (step.result.stage_before, step.result.stage_after)
+        moved = (result.stage_before, result.stage_after)
         sta_hits += expected_moves[step.scenario_id].get(step.turn_index) == moved
         trc_steps += consistent.get(step.goal_id, False)
-        if step.outcome in BLOCK_OUTCOMES:
+        if outcome in BLOCK_OUTCOMES:
             row.blocked += 1
-            if step.outcome == "ILLEGAL_TRANSITION":
+            if outcome == "ILLEGAL_TRANSITION":
                 row.violations += 1
             else:
                 row.precondition_failures += 1
-        if step_is_violation(step, bundle):
+        if step_is_violation(result, bundle):
             row.violating_steps += 1
             if step.scenario_id not in violating_ids:
                 violating_ids.add(step.scenario_id)
                 row.scenarios_with_violation += 1
-        for key, ns in step.result.detail["timing_ns"].items():
+        for key, ns in result.detail["timing_ns"].items():
             timing_ns.setdefault(key, []).append(ns)
 
     rows = per_type.values()

@@ -206,7 +206,14 @@ def skill_from_dict(raw: Mapping[str, Any]) -> SkillSpec:
             if type(raw.get(key, "")) is not str:
                 raise ConfigError(f"skill {sid!r}: {key!r} must be a string, not {raw[key]!r}")
         stages = raw.get("stages", "*")
-        stages = () if stages == "*" else string_list(stages, f"skill {sid!r}: 'stages'")
+        if stages == "*":
+            stages = ()
+        else:
+            stages = string_list(stages, f"skill {sid!r}: 'stages'")
+            if not stages:  # the empty set is how a spec says every stage
+                raise ConfigError(
+                    f"skill {sid!r}: 'stages' must name a stage, or be \"*\" for every stage"
+                )
         effects = tuple(
             Effect(op=eff["op"], field=eff["field"], value=eff.get("value"))
             for eff in raw.get("post", [])

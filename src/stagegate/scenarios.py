@@ -14,7 +14,7 @@ import json
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .automaton import StageId, WorkflowAutomaton, automaton_from_dict, validate_definition
 from .context import DispatchContext
@@ -335,8 +335,7 @@ def save_suite(path: str | Path, suite_name: str, domain: str, scenarios: Sequen
 # -- forward simulation (rule-based labeling) -----------------------------------
 
 
-@dataclass(frozen=True)
-class SimStep:
+class SimStep(NamedTuple):
     turn_index: int
     track: int
     intent: str
@@ -346,7 +345,9 @@ class SimStep:
     stage_after: StageId
 
 
-def simulate_scenario(bundle: DomainBundle, scenario: Scenario) -> list[SimStep]:
+def simulate_scenario(
+    bundle: DomainBundle, scenario: Scenario, routed: dict[str, str] | None = None
+) -> list[SimStep]:
     """Fold the gate kernel over a scenario, one simulated goal per track.
 
     Each message's intent is its ``label_intent``, or else what the pattern
@@ -354,11 +355,19 @@ def simulate_scenario(bundle: DomainBundle, scenario: Scenario) -> list[SimStep]
     :func:`~stagegate.dispatcher.decide` does not block it; only SUCCESS
     decisions apply the skill's effects and move the simulated stage,
     mirroring the no-advance-on-block contract.
+
+    ``routed`` maps a message text to its pattern-only intent; a text is
+    routed on its first miss and stored there.  The route depends on the text
+    and ``bundle.table`` alone, so one dict may serve every scenario simulated
+    against one bundle; the caller owns it and decides how long it lives.
     """
-    automaton = bundle.automaton
-    stages: dict[int, StageId] = {t: automaton.initial for t in scenario.tracks()}
+    automaton, registry, table = bundle.automaton, bundle.registry, bundle.table
+    if routed is None:
+        routed = {}
+    tracks = scenario.tracks()
+    stages: dict[int, StageId] = dict.fromkeys(tracks, automaton.initial)
     contexts: dict[int, DispatchContext] = {
-        t: DispatchContext(goal_id=f"sim-{scenario.scenario_id}-{t}") for t in scenario.tracks()
+        t: DispatchContext(goal_id=f"sim-{scenario.scenario_id}-{t}") for t in tracks
     }
     steps: list[SimStep] = []
 
@@ -366,15 +375,20 @@ def simulate_scenario(bundle: DomainBundle, scenario: Scenario) -> list[SimStep]
         track = msg.track
         stage = stages[track]
         ctx = contexts[track]
-        intent = msg.label_intent or identify(msg.text, ctx, bundle.table).intent
-        decision = decide(automaton, bundle.registry, stage, ctx, intent)
-        if decision.outcome == "SUCCESS":
+        intent = msg.label_intent
+        if not intent:
+            intent = routed.get(msg.text)
+            if intent is None:
+                intent = routed[msg.text] = identify(msg.text, ctx, table).intent
+        decision = decide(automaton, registry, stage, ctx, intent)
+        outcome = decision.outcome
+        if outcome == "SUCCESS":
             contexts[track] = apply_postconditions(decision.skill, ctx, "simulated")
             stages[track] = decision.stage_after
         steps.append(
             SimStep(
-                msg.turn_index, track, intent, not decision.blocked,
-                decision.outcome, stage, decision.stage_after,
+                msg.turn_index, track, intent, outcome not in BLOCK_OUTCOMES,
+                outcome, stage, decision.stage_after,
             )
         )
 
@@ -489,35 +503,54 @@ def convert_dialogues(
     active-intent names to this domain's intents and becomes the message's
     labeling intent; unmapped or absent intents fall back to routing the
     utterance text.  Labels and expected final stages come from the forward
-    simulation, exactly as for authored suites.
+    simulation, exactly as for authored suites.  Fields are read at their
+    exact JSON types, nothing coerced: a ``dialogue_id``, ``utterance`` or
+    ``active_intent`` that is not a string is a ConfigError naming the
+    dialogue and, for the last two, the turn's position in ``turns``; so is
+    a turn, frame or state that is not an object.
     """
     intent_map = dict(intent_map or {})
     scenarios: list[Scenario] = []
     for dialogue in dialogues:
-        did = str(dialogue.get("dialogue_id", ""))
+        did = dialogue.get("dialogue_id", "")
+        if type(did) is not str:
+            raise ConfigError(f"dialogue {did!r}: dialogue_id must be a string")
         if not did:
             raise ConfigError("dialogue missing dialogue_id")
         messages: list[LabeledMessage] = []
-        for turn in dialogue.get("turns", []):
-            if turn.get("speaker") != "USER":
-                continue
-            if "utterance" not in turn:
-                raise ConfigError(f"dialogue {did!r}: USER turn missing utterance")
-            active = None
-            for frame in turn.get("frames", []):
-                active = frame.get("state", {}).get("active_intent")
-                if active:
-                    break
-            label_intent = intent_map.get(active) if active else None
-            messages.append(
-                LabeledMessage(
-                    text=str(turn["utterance"]),
-                    expected_legal=True,  # placeholder, relabeled below
-                    scenario_id=did,
-                    turn_index=len(messages),
-                    label_intent=label_intent,
+        with parsing(f"dialogue {did!r}"):  # a turn, frame or state that is no object
+            for position, turn in enumerate(dialogue.get("turns", [])):
+                if turn.get("speaker") != "USER":
+                    continue
+                if "utterance" not in turn:
+                    raise ConfigError(
+                        f"dialogue {did!r}: turn {position}: USER turn missing utterance"
+                    )
+                text = turn["utterance"]
+                if type(text) is not str:
+                    raise ConfigError(
+                        f"dialogue {did!r}: turn {position}: utterance must be a string"
+                    )
+                active = None
+                for frame in turn.get("frames", []):
+                    state = frame.get("state", {})
+                    active = state.get("active_intent")
+                    if "active_intent" in state and type(active) is not str:
+                        raise ConfigError(
+                            f"dialogue {did!r}: turn {position}: active_intent must be a string"
+                        )
+                    if active:
+                        break
+                label_intent = intent_map.get(active) if active else None
+                messages.append(
+                    LabeledMessage(
+                        text=text,
+                        expected_legal=True,  # placeholder, relabeled below
+                        scenario_id=did,
+                        turn_index=len(messages),
+                        label_intent=label_intent,
+                    )
                 )
-            )
         if not messages:
             raise ConfigError(f"dialogue {did!r} has no USER turns")
         scenario = Scenario(did, bundle.name, "normal", tuple(messages))

@@ -11,14 +11,25 @@ from stagegate.scenarios import load_domain, load_suite
 from stagegate.suites import hr_domain_dir, hr_suite_path
 
 
-@pytest.fixture(scope="session")
-def build_data():
-    """``scripts/build_data.py``, loaded by path: the suite builders live there."""
-    script = Path(__file__).resolve().parents[1] / "scripts" / "build_data.py"
-    spec = importlib.util.spec_from_file_location("build_data", script)
+def _script(name: str):
+    """``scripts/<name>.py`` loaded by path as a module; ``scripts`` is no package."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def build_data():
+    """``scripts/build_data.py``: the suite builders live there."""
+    return _script("build_data")
+
+
+@pytest.fixture(scope="session")
+def bench_pairs():
+    """``scripts/bench_pairs.py``: its ``compare`` and ``summarize`` decide every performance claim."""
+    return _script("bench_pairs")
 
 
 @pytest.fixture(scope="session")

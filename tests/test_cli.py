@@ -545,6 +545,9 @@ MALFORMED = {
     "run-non-string-pre": (
         lambda run: _run_edited(run, "skills.json", _skill_edit("pull_parse", pre=[True, 5])),
         2, "error: "),
+    "run-empty-stages": (
+        lambda run: _run_edited(run, "skills.json", _skill_edit("get_job_list", stages=[])),
+        2, "error: "),
     "run-boolean-priority": (
         lambda run: _run_edited(run, "patterns.json", lambda p: p[0].update(priority=True)),
         2, "error: "),
@@ -568,6 +571,9 @@ MALFORMED = {
     "validate-string-stages": (
         lambda run: _validate_skill_edit(run, "create_demand", stages="init"),
         1, "error: skills.json: skill 'create_demand': 'stages'"),
+    "validate-empty-stages": (
+        lambda run: _validate_skill_edit(run, "get_job_list", stages=[]),
+        1, "error: skills.json: skill 'get_job_list': 'stages'"),
     "validate-string-patterns": (
         lambda run: _validate_edited(run, "patterns.json", lambda p: p[0].update(patterns="create")),
         1, "error: patterns.json: intent 'create_demand': 'patterns'"),

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stagegate import scenarios
 from stagegate.dispatcher import DispatchToggles
 from stagegate.errors import IntegrityFault
 from stagegate.evaluation import (
@@ -15,6 +16,7 @@ from stagegate.evaluation import (
     compute_report,
     grade_traces,
 )
+from stagegate.router import identify
 from stagegate.runner import run_suite
 from stagegate.scenarios import load_domain, load_suite
 from stagegate.suites import sgd_domain_dir, sgd_suite_path
@@ -202,3 +204,19 @@ def test_stage_changes_trace_back_to_success_events(hr_run):
         if events:
             assert hr_run.manager.goal(gid).current_stage == stage
 
+
+def test_compute_report_routes_each_distinct_text_once_per_call(hr_run, hr_bundle, monkeypatch):
+    """The simulation's routing memo lives for one call: each call routes every text once."""
+    routed: list[str] = []
+
+    def counting(text, ctx, table, fallback=None):
+        routed.append(text)
+        return identify(text, ctx, table, fallback)
+
+    monkeypatch.setattr(scenarios, "identify", counting)
+    unlabeled = sorted({m.text for m in hr_run.labels() if not m.label_intent})
+    assert 0 < len(unlabeled) < len(hr_run.steps)
+    compute_report(hr_run, hr_bundle)
+    assert sorted(routed) == unlabeled
+    compute_report(hr_run, hr_bundle)
+    assert sorted(routed) == sorted(unlabeled * 2)

@@ -228,6 +228,12 @@ def test_skill_from_dict_star_means_all_stages():
     assert spec.applies_at("anything")
 
 
+def test_skill_from_dict_rejects_empty_stages():
+    """An empty list names no stage; it must not be read as "*"."""
+    with pytest.raises(ConfigError, match=r"^skill 'a': 'stages' must name a stage"):
+        skill_from_dict({"id": "a", "intent": "b", "level": "L1", "stages": []})
+
+
 def test_hr_registry_stays_inside_binding(hr_bundle):
     assert hr_bundle.registry.validate_against(hr_bundle.automaton) == []
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from stagegate.scenarios import (
     LabeledMessage,
     Scenario,
     check_bundle,
+    convert_dialogues,
     detect_latent,
     inject_illegal,
     load_domain,
@@ -30,6 +32,8 @@ from stagegate.suites import (
     sgd_domain_dir,
     sgd_suite_path,
 )
+
+from reference import paraphrased
 
 
 def test_all_shipped_bundles_load_clean():
@@ -431,6 +435,36 @@ def test_dispatch_and_simulation_agree_without_label_intent(hr_bundle, hr_suite)
     assert compared == 2613
 
 
+SIMULATED_SUITES = ("hr", *SGD_DOMAINS, "hr-paraphrased-1", "hr-paraphrased-2", "hr-paraphrased-3")
+
+
+def _simulated_suite(name, hr_bundle, hr_suite):
+    """The bundle and scenarios of one entry of SIMULATED_SUITES."""
+    if name == "hr":
+        return hr_bundle, hr_suite
+    if name.startswith("hr-paraphrased-"):
+        texts = iter(paraphrased([m.text for s in hr_suite for m in s.messages], (int(name[-1]),)))
+        return hr_bundle, [
+            replace(s, messages=tuple(replace(m, text=next(texts)) for m in s.messages))
+            for s in hr_suite
+        ]
+    bundle = load_domain(sgd_domain_dir(name))
+    return bundle, load_suite(sgd_suite_path(name), bundle)
+
+
+@pytest.mark.parametrize("name", SIMULATED_SUITES)
+def test_shared_routing_dict_leaves_simulation_unchanged(name, hr_bundle, hr_suite):
+    """One ``routed`` dict across a suite's scenarios gives each the steps it gets alone."""
+    bundle, suite = _simulated_suite(name, hr_bundle, hr_suite)
+    routed: dict[str, str] = {}
+    for scenario in suite:
+        assert simulate_scenario(bundle, scenario, routed) == simulate_scenario(bundle, scenario), (
+            scenario.scenario_id
+        )
+    unlabeled = {m.text for s in suite for m in s.messages if not m.label_intent}
+    assert set(routed) == unlabeled
+
+
 # -- latent detection -----------------------------------------------------------------
 
 
@@ -480,6 +514,42 @@ def test_convert_dialogues_rejects_empty_user_turns():
             [{"dialogue_id": "x", "turns": [{"speaker": "SYSTEM", "utterance": "hi"}]}],
             bundle,
         )
+
+
+def _user_turn(utterance, active_intent=None):
+    turn = {"speaker": "USER", "utterance": utterance}
+    if active_intent is not None:
+        turn["frames"] = [{"state": {"active_intent": active_intent}}]
+    return turn
+
+
+@pytest.mark.parametrize(
+    ("dialogue", "reported"),
+    [
+        ({"dialogue_id": 7, "turns": [{"speaker": "USER", "utterance": 5}]},
+         r"^dialogue 7: dialogue_id must be a string$"),
+        ({"dialogue_id": "", "turns": [_user_turn("check my balance")]},
+         r"^dialogue missing dialogue_id$"),
+        ({"dialogue_id": "d", "turns": [{"speaker": "SYSTEM", "utterance": "hi"}, _user_turn(5)]},
+         r"^dialogue 'd': turn 1: utterance must be a string$"),
+        ({"dialogue_id": "d", "turns": [_user_turn("check my balance", ["CheckBalance"])]},
+         r"^dialogue 'd': turn 0: active_intent must be a string$"),
+        ({"dialogue_id": "d", "turns": [{"speaker": "USER", "utterance": "check my balance",
+                                         "frames": [{"state": {"active_intent": None}}]}]},
+         r"^dialogue 'd': turn 0: active_intent must be a string$"),
+        ({"dialogue_id": "d", "turns": ["check my balance"]}, r"^malformed dialogue 'd': "),
+        ({"dialogue_id": "d", "turns": [{"speaker": "USER", "utterance": "check my balance",
+                                         "frames": [{"state": "CheckBalance"}]}]},
+         r"^malformed dialogue 'd': "),
+    ],
+    ids=["integer-id", "empty-id", "integer-utterance", "list-active-intent", "null-active-intent",
+         "string-turn", "string-state"],
+)
+def test_convert_dialogues_reads_exact_types(dialogue, reported):
+    """Nothing is coerced: a field that is not a string names its dialogue and turn."""
+    bundle = load_domain(sgd_domain_dir("Banks_1"))
+    with pytest.raises(ConfigError, match=reported):
+        convert_dialogues([dialogue], bundle, {"CheckBalance": "check_balance"})
 
 
 def test_latent_detection_counts_equal_blocked_normal_events():
