@@ -42,13 +42,15 @@ class WorkflowAutomaton:
     binding: Mapping[IntentId, frozenset[StageId]]
     stage_map: Mapping[IntentId, StageId | None]
     _terminal: frozenset[StageId] = field(init=False, repr=False, compare=False)
+    _stage_set: frozenset[StageId] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         outgoing = {f for f, t in self.transitions if f != t}
         object.__setattr__(self, "_terminal", frozenset(s for s in self.stages if s not in outgoing))
+        object.__setattr__(self, "_stage_set", frozenset(self.stages))
 
     def _require_stage(self, stage: StageId) -> None:
-        if stage not in self.stages:
+        if stage not in self._stage_set:
             raise LookupFault("stage", stage)
 
     def _require_intent(self, intent: IntentId) -> None:
@@ -57,9 +59,11 @@ class WorkflowAutomaton:
 
     def is_stage_legal(self, intent: IntentId, stage: StageId) -> bool:
         """True iff *intent* may execute while the workflow sits at *stage*."""
-        self._require_intent(intent)
+        bound = self.binding.get(intent)
+        if bound is None:
+            raise LookupFault("intent", intent)
         self._require_stage(stage)
-        return stage in self.binding[intent]
+        return stage in bound
 
     def can_transition(self, from_stage: StageId, to_stage: StageId) -> bool:
         """True iff the stage change is declared legal (self-stay always is)."""

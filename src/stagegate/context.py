@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 
-@dataclass
+@dataclass(slots=True)
 class DispatchContext:
     """Business state whose flags the preconditions consult.
 
@@ -21,7 +21,7 @@ class DispatchContext:
     business_state: dict[str, Any] = field(default_factory=dict)
 
     def clone(self) -> "DispatchContext":
-        return DispatchContext(goal_id=self.goal_id, business_state=dict(self.business_state))
+        return DispatchContext(self.goal_id, dict(self.business_state))
 
 
 _CANON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str).encode

@@ -24,8 +24,8 @@ is ever committed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .automaton import StageId, WorkflowAutomaton
 from .context import DispatchContext, canonical, payload_digest
@@ -77,14 +77,19 @@ class DispatchDeps:
     fallback: FallbackResolver | None = None
 
 
-@dataclass
-class DispatchResult:
+class DispatchResult(NamedTuple):
+    """What one dispatch did; ``event`` is None when ``audit`` is off.
+
+    No field has a default: a default ``detail`` dict would be one dict
+    shared by every instance.
+    """
+
     outcome: str
     stage_before: StageId
     stage_after: StageId
-    skill_id: str | None = None
-    detail: dict[str, Any] = field(default_factory=dict)
-    event: ProcessEvent | None = None
+    skill_id: str | None
+    detail: dict[str, Any]
+    event: ProcessEvent | None
 
     @property
     def blocked(self) -> bool:
@@ -227,17 +232,8 @@ def _dispatch_locked(
     event = None
     if toggles.audit:
         event = ProcessEvent(
-            seq=live.last_seq + 1,
-            timestamp=time.time(),
-            goal_id=goal_id,
-            intent=route.intent,
-            stage_before=stage,
-            stage_after=stage_after,
-            skill_id=skill_id,
-            outcome=outcome,
-            sub_reason=sub_reason,
-            precondition_results=decision.pre_results,
-            payload_digest=digest,
+            live.last_seq + 1, time.time(), goal_id, route.intent, stage, stage_after,
+            skill_id, outcome, sub_reason, decision.pre_results, digest,
         )
         manager.log_event(event, payload)
     # Write-ahead: state moves only once its event, when audited, is in the store.
@@ -245,14 +241,7 @@ def _dispatch_locked(
         if stage_after != stage:
             manager.advance_stage(goal_id, stage, stage_after)
         manager.commit_context(goal_id, to_commit)
-    return DispatchResult(
-        outcome=outcome,
-        stage_before=stage,
-        stage_after=stage_after,
-        skill_id=skill_id,
-        detail=detail,
-        event=event,
-    )
+    return DispatchResult(outcome, stage, stage_after, skill_id, detail, event)
 
 
 class MockExecutor:

@@ -36,6 +36,12 @@ def string_list(value: Any, what: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def file_safe_id(value: str, what: str) -> None:
+    """Refuse an id that names a trace file outside its directory: one with ``/``, ``\\`` or NUL."""
+    if "/" in value or "\\" in value or "\0" in value:
+        raise ConfigError(f"{what} {value!r} must not contain '/', '\\' or NUL")
+
+
 class LookupFault(StagegateError):
     """A stage, intent, or goal id does not exist where one was required."""
 

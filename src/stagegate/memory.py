@@ -21,7 +21,7 @@ from typing import Any, Iterable, Mapping, NamedTuple
 
 from .automaton import StageId, IntentId, WorkflowAutomaton
 from .context import DispatchContext, payload_digest
-from .errors import ConfigError, ConflictFault, IntegrityFault, LookupFault
+from .errors import ConfigError, ConflictFault, IntegrityFault, LookupFault, file_safe_id
 from .registry import SkillRegistry, apply_postconditions
 
 _STR, _STR_OR_NULL = (str,), (str, type(None))
@@ -260,6 +260,7 @@ class GoalManager:
             if goal_id is None:
                 self._goal_counter += 1
                 goal_id = f"{domain}-{self._goal_counter:04d}"
+            file_safe_id(goal_id, "goal id")
             if goal_id in self._states:
                 raise ConflictFault(f"goal id already exists: {goal_id!r}")
             stage = automaton.initial

@@ -79,6 +79,9 @@ class PreconditionReport(NamedTuple):
     first_failure: str | None
 
 
+_UNGUARDED = PreconditionReport(True, (), None)
+
+
 class SkillRegistry:
     """Holds skills in registration order; immutable once the build phase ends.
 
@@ -133,6 +136,8 @@ class SkillRegistry:
         false.  Evaluation is total (all guards, declared order) and cannot
         fail.
         """
+        if not skill.preconditions:
+            return _UNGUARDED
         state = ctx.business_state
         results: list[tuple[str, bool]] = []
         first_failure: str | None = None

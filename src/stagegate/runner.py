@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dispatcher import FULL, DispatchDeps, DispatchResult, DispatchToggles, dispatch
 from .memory import FileEventStore, GoalManager, InMemoryEventStore, ProcessEvent
 from .scenarios import DomainBundle, LabeledMessage, Scenario
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One dispatched message joined with its scenario coordinates."""
 
     scenario_id: str
@@ -82,15 +81,7 @@ def run_suite(
         for msg in scenario.messages:
             gid = goal_id_for(scenario, msg.track)
             result = dispatch(msg.text, gid, deps, toggles)
-            steps.append(
-                StepRecord(
-                    scenario_id=scenario.scenario_id,
-                    turn_index=msg.turn_index,
-                    goal_id=gid,
-                    message=msg,
-                    result=result,
-                )
-            )
+            steps.append(StepRecord(scenario.scenario_id, msg.turn_index, gid, msg, result))
 
     manager.write_snapshots()
     return RunResult(

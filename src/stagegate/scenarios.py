@@ -19,7 +19,7 @@ from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 from .automaton import StageId, WorkflowAutomaton, automaton_from_dict, validate_definition
 from .context import DispatchContext
 from .dispatcher import BLOCK_OUTCOMES, MockExecutor, decide
-from .errors import ConfigError, GenerationFault, StagegateError, parsing
+from .errors import ConfigError, GenerationFault, StagegateError, file_safe_id, parsing
 from .registry import SkillRegistry, apply_postconditions, build_registry
 from .router import (
     PatternTable,
@@ -198,6 +198,7 @@ def _scenario_from_dict(raw: Mapping[str, Any], domain: str, bundle: DomainBundl
         raise ConfigError(f"scenario {sid!r}: scenario_id must be a string")
     if not sid:
         raise ConfigError("scenario missing scenario_id")
+    file_safe_id(sid, "scenario_id")
     stype = raw.get("type", "")
     if stype not in SCENARIO_TYPES:
         raise ConfigError(f"scenario {sid!r}: unknown type {stype!r}")
@@ -517,6 +518,7 @@ def convert_dialogues(
             raise ConfigError(f"dialogue {did!r}: dialogue_id must be a string")
         if not did:
             raise ConfigError("dialogue missing dialogue_id")
+        file_safe_id(did, "dialogue_id")
         messages: list[LabeledMessage] = []
         with parsing(f"dialogue {did!r}"):  # a turn, frame or state that is no object
             for position, turn in enumerate(dialogue.get("turns", [])):

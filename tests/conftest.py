@@ -11,9 +11,9 @@ from stagegate.scenarios import load_domain, load_suite
 from stagegate.suites import hr_domain_dir, hr_suite_path
 
 
-def _script(name: str):
-    """``scripts/<name>.py`` loaded by path as a module; ``scripts`` is no package."""
-    script = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+def _script(name: str, directory: str = "scripts"):
+    """``<directory>/<name>.py`` loaded by path as a module; neither ``scripts`` nor ``bench`` is a package."""
+    script = Path(__file__).resolve().parents[1] / directory / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -30,6 +30,12 @@ def build_data():
 def bench_pairs():
     """``scripts/bench_pairs.py``: its ``compare`` and ``summarize`` decide every performance claim."""
     return _script("bench_pairs")
+
+
+@pytest.fixture(scope="session")
+def bench_tracing():
+    """``bench/tracing.py``: the wrappers behind the benchmark's per-layer metrics."""
+    return _script("tracing", "bench")
 
 
 @pytest.fixture(scope="session")

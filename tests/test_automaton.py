@@ -103,6 +103,25 @@ def test_unknown_lookups_raise():
         auto.target_stage("nope")
 
 
+@pytest.mark.parametrize(
+    ("call", "kind", "value"),
+    [
+        (lambda auto: auto.is_stage_legal("nope", "a"), "intent", "nope"),
+        (lambda auto: auto.is_stage_legal("nope", "zz"), "intent", "nope"),  # intent first
+        (lambda auto: auto.is_stage_legal("go", "zz"), "stage", "zz"),
+        (lambda auto: auto.can_transition("zz", "a"), "stage", "zz"),
+        (lambda auto: auto.can_transition("a", "yy"), "stage", "yy"),
+        (lambda auto: auto.can_transition("zz", "yy"), "stage", "zz"),  # from_stage first
+        (lambda auto: auto.can_transition("zz", "zz"), "stage", "zz"),
+        (lambda auto: auto.target_stage("nope"), "intent", "nope"),
+    ],
+)
+def test_each_unknown_lookup_names_its_kind_and_value(call, kind, value):
+    with pytest.raises(LookupFault) as caught:
+        call(_tiny())
+    assert (caught.value.kind, caught.value.value) == (kind, value)
+
+
 def test_transition_reflexivity_and_membership():
     auto = _tiny()
     for stage in auto.stages:

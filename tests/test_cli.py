@@ -417,6 +417,12 @@ def _run_integer_scenario_id(run: Path) -> list[str]:
     return _run_suite_text(run, json.dumps(suite))
 
 
+def _run_scenario_id(run: Path, sid: str) -> list[str]:
+    suite = json.loads(hr_suite_path().read_text())
+    suite["scenarios"][0]["scenario_id"] = sid
+    return _run_suite_text(run, json.dumps(suite))
+
+
 def _ablate_into(out: Path) -> list[str]:
     return ["ablate", "--domain", str(hr_domain_dir()), "--suite", str(hr_suite_path()),
             "--out", str(out)]
@@ -542,6 +548,8 @@ MALFORMED = {
     "run-string-expected-legal": (_run_string_expected_legal, 2, "error: "),
     "run-integer-scenario-id": (_run_integer_scenario_id, 2, "error: "),
     "run-phantom-track": (_run_phantom_track, 2, "error: "),
+    "run-scenario-id-with-slash": (lambda run: _run_scenario_id(run, "../../escaped"), 2, "error: "),
+    "run-scenario-id-with-nul": (lambda run: _run_scenario_id(run, "a\0b"), 2, "error: "),
     "run-non-string-pre": (
         lambda run: _run_edited(run, "skills.json", _skill_edit("pull_parse", pre=[True, 5])),
         2, "error: "),

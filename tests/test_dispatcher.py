@@ -16,6 +16,7 @@ from stagegate.context import DispatchContext, canonical, payload_digest
 from stagegate.dispatcher import (
     FULL,
     DispatchDeps,
+    DispatchResult,
     DispatchToggles,
     decide,
     dispatch,
@@ -23,7 +24,7 @@ from stagegate.dispatcher import (
 from stagegate.errors import ConfigError, LookupFault
 from stagegate.memory import GoalManager, InMemoryEventStore
 from stagegate.router import UNKNOWN
-from stagegate.runner import run_suite
+from stagegate.runner import StepRecord, run_suite
 from stagegate.scenarios import (
     BUNDLE_FILES,
     bundle_from_dicts,
@@ -564,3 +565,35 @@ def test_decide_post_exec_transition_rejected_carries_skill_and_target(hr_bundle
 def test_decide_stage_preserving_intent_stays(hr_bundle):
     decision = _decide(hr_bundle, "int", "get_job_list")
     assert (decision.outcome, decision.stage_after, decision.sub_reason) == ("SUCCESS", "int", None)
+
+
+def test_dispatch_results_and_steps_are_tuples_in_field_order(hr_run):
+    assert DispatchResult._fields == (
+        "outcome", "stage_before", "stage_after", "skill_id", "detail", "event"
+    )
+    assert StepRecord._fields == ("scenario_id", "turn_index", "goal_id", "message", "result")
+    step = hr_run.steps[0]
+    assert type(step) is StepRecord and isinstance(step, tuple)
+    assert type(step.result) is DispatchResult and isinstance(step.result, tuple)
+    result = step.result
+    assert tuple(result) == (
+        result.outcome, result.stage_before, result.stage_after, result.skill_id,
+        result.detail, result.event,
+    )
+    assert (step.event, step.outcome) == (result.event, result.outcome)
+    assert step.goal_id == f"{step.scenario_id}-t{step.message.track}"
+
+
+def test_each_dispatch_returns_its_own_detail_dict(hr_bundle):
+    deps = _deps(hr_bundle)
+    gid = _goal(deps, "hr")
+    first = dispatch("Schedule interview", gid, deps)
+    first.detail["routing"]["intent"] = "tampered"
+    first.detail["rejected"]["stage"] = "tampered"
+    first.detail["extra"] = True
+    second = dispatch("Schedule interview", gid, deps)
+    assert second.outcome == "ILLEGAL_TRANSITION"
+    assert second.detail is not first.detail
+    assert "extra" not in second.detail
+    assert second.detail["routing"]["intent"] == second.event.intent != "tampered"
+    assert second.detail["rejected"]["stage"] == "init"

@@ -61,6 +61,15 @@ def test_create_goal_starts_at_initial_stage(hr_bundle):
     assert manager.last_seq(record.goal_id) == 0
 
 
+@pytest.mark.parametrize("goal_id", ["../escaped-t0", "a/b", "a\\b", "a\0b"])
+def test_a_goal_id_that_could_name_a_path_is_refused(hr_bundle, tmp_path, goal_id):
+    manager = _manager(hr_bundle, store=FileEventStore(tmp_path / "traces"))
+    with pytest.raises(ConfigError, match=r"^goal id .* must not contain"):
+        manager.create_goal("hr", goal_id=goal_id)
+    assert manager.goal_ids() == []
+    assert not any(tmp_path.rglob("*escaped*"))
+
+
 def test_goal_ids_are_distinct(hr_bundle):
     manager = _manager(hr_bundle)
     a = manager.create_goal("hr")

@@ -154,6 +154,16 @@ def test_empty_preconditions_vacuously_satisfied(hr_bundle):
     assert report.satisfied and report.results == ()
 
 
+def test_every_unguarded_skill_is_satisfied_with_no_results_whatever_the_state(hr_bundle):
+    unguarded = [skill for skill in hr_bundle.registry if not skill.preconditions]
+    assert unguarded
+    state = {"position_exists": False, "candidates_pulled": True}
+    for skill in unguarded:
+        for ctx in (DispatchContext(goal_id="g"), DispatchContext("g", dict(state))):
+            report = hr_bundle.registry.check_preconditions(skill, ctx)
+            assert (report.satisfied, report.results, report.first_failure) == (True, (), None)
+
+
 def test_precondition_check_is_pure(hr_bundle):
     registry = hr_bundle.registry
     screen = registry.get("screen")

@@ -185,6 +185,25 @@ def test_scenario_fields_load_only_at_their_exact_json_type(hr_bundle, field, va
         suite_from_dict({"domain": "hr", "scenarios": [scenario | {field: value}]}, hr_bundle)
 
 
+UNSAFE_IDS = ["../../escaped", "a/b", "a\\b", "a\0b"]
+
+
+@pytest.mark.parametrize("sid", UNSAFE_IDS)
+def test_a_scenario_id_that_could_name_a_path_is_refused(hr_bundle, sid):
+    scenario = {"scenario_id": sid, "type": "normal", "expected_final_stage": "init",
+                "messages": [{"turn_index": 0, "text": "help", "expected_legal": True}]}
+    with pytest.raises(ConfigError, match=r"^scenario_id .* must not contain '/', '\\' or NUL$"):
+        suite_from_dict({"domain": "hr", "scenarios": [scenario]}, hr_bundle)
+
+
+@pytest.mark.parametrize("did", UNSAFE_IDS)
+def test_a_dialogue_id_that_could_name_a_path_is_refused(did):
+    bundle = load_domain(sgd_domain_dir("Banks_1"))
+    dialogue = {"dialogue_id": did, "turns": [_user_turn("check my balance")]}
+    with pytest.raises(ConfigError, match=r"^dialogue_id .* must not contain '/', '\\' or NUL$"):
+        convert_dialogues([dialogue], bundle)
+
+
 def test_a_suite_domain_must_be_a_string(hr_bundle, hr_suite):
     raw = suite_to_dict("hr-governance-suite", "hr", hr_suite)
     with pytest.raises(ConfigError, match="suite domain must be a string"):
