@@ -3,10 +3,11 @@
 Every message passes the same pipeline: intent resolution, then the gate
 kernel ``decide`` (stage legality, stage-filtered skill selection, the
 skill's precondition flags, the declared transition), then execution,
-postcondition application, and a validated stage advance.  One
-ProcessEvent is appended per step, before any state moves, so a store that
-fails to append leaves the goal as it was.  The forward-simulation labeler
-folds the same ``decide``, so the gate order is written once.
+postcondition application, and a validated stage advance.  Every step
+builds one ProcessEvent, its only record; with ``audit`` on it is appended
+before any state moves, so a store that fails to append leaves the goal as
+it was.  The forward-simulation labeler folds the same ``decide``, so the
+gate order is written once.
 
 Two block classes both surface as ILLEGAL_TRANSITION and are told apart by
 sub-reason: ``pre_exec_stage_illegal`` (the stage gate fired before any
@@ -55,8 +56,10 @@ class DispatchToggles:
     ``stage_check=False`` removes the first-line defense: intents flow
     straight to intent-only skill selection and only preconditions (and the
     post-execution transition check) stand between a stage-illegal request
-    and execution.  ``audit=False`` suppresses event emission but not state
-    mutation.
+    and execution.  ``precondition_check=False`` still evaluates and records
+    the skill's flags, but never blocks on them.  ``audit=False`` builds the
+    same event, at the seq it would have taken, but does not log it; state
+    still moves.
     """
 
     stage_check: bool = True
@@ -78,22 +81,35 @@ class DispatchDeps:
 
 
 class DispatchResult(NamedTuple):
-    """What one dispatch did; ``event`` is None when ``audit`` is off.
+    """One dispatch: its event, the step's only record, and what the event lacks.
 
-    No field has a default: a default ``detail`` dict would be one dict
-    shared by every instance.
+    ``detail`` is ``{"routing": {"mode": ...}, "timing_ns": {...}}``, with
+    ``routing["error"]`` when the fallback raised.  No field has a default:
+    a default dict would be shared by every instance.
     """
 
-    outcome: str
-    stage_before: StageId
-    stage_after: StageId
-    skill_id: str | None
+    event: ProcessEvent
     detail: dict[str, Any]
-    event: ProcessEvent | None
+
+    @property
+    def outcome(self) -> str:
+        return self.event.outcome
+
+    @property
+    def stage_before(self) -> StageId:
+        return self.event.stage_before
+
+    @property
+    def stage_after(self) -> StageId:
+        return self.event.stage_after
+
+    @property
+    def skill_id(self) -> str | None:
+        return self.event.skill_id
 
     @property
     def blocked(self) -> bool:
-        return self.outcome in BLOCK_OUTCOMES
+        return self.event.outcome in BLOCK_OUTCOMES
 
 
 @dataclass(slots=True)
@@ -102,7 +118,7 @@ class Decision:
 
     ``executes`` says whether the skill runs: a SUCCESS decision, or a
     post-execution transition rejection (the skill runs, nothing commits).
-    ``detail`` carries the block detail for the audit result.
+    ``pre_results`` holds the selected skill's flags, checked or not.
     """
 
     outcome: str
@@ -110,11 +126,6 @@ class Decision:
     sub_reason: str | None = None
     skill: SkillSpec | None = None
     pre_results: tuple[tuple[str, bool], ...] = ()
-    detail: dict[str, Any] | None = None
-
-    @property
-    def blocked(self) -> bool:
-        return self.outcome in BLOCK_OUTCOMES
 
     @property
     def executes(self) -> bool:
@@ -131,37 +142,30 @@ def decide(
 ) -> Decision:
     """The gate kernel: stage legality, skill selection, preconditions, transition.
 
-    Pure: nothing is executed or mutated.  The transition rule is the one
-    applied after a successful execution; the dispatcher runs the skill
-    only when ``executes`` holds, and the labeler folds this same function.
+    Pure: nothing is executed or mutated.  A selected skill's flags are
+    always evaluated and returned; ``precondition_check`` decides only
+    whether a failed one blocks.  The transition rule is the one applied
+    after a successful execution; the dispatcher runs the skill only when
+    ``executes`` holds, and the labeler folds this same function.
     """
     if intent not in automaton.binding:
         return Decision("SKILL_NOT_FOUND", stage, "intent_unresolved")
     if toggles.stage_check and not automaton.is_stage_legal(intent, stage):
-        return Decision(
-            "ILLEGAL_TRANSITION", stage, "pre_exec_stage_illegal",
-            detail={"rejected": {"intent": intent, "stage": stage}},
-        )
+        return Decision("ILLEGAL_TRANSITION", stage, "pre_exec_stage_illegal")
     skill = registry.select_skill(intent, stage if toggles.stage_check else None)
     if skill is None:
         return Decision("SKILL_NOT_FOUND", stage, "no_matching_skill")
 
-    pre_results: tuple[tuple[str, bool], ...] = ()
-    if toggles.precondition_check:
-        report = registry.check_preconditions(skill, ctx)
-        pre_results = report.results
-        if not report.satisfied:
-            detail = {"first_failure": report.first_failure}
-            return Decision("PRECONDITION_FAIL", stage, None, skill, pre_results, detail)
+    report = registry.check_preconditions(skill, ctx)
+    pre_results = report.results
+    if toggles.precondition_check and not report.satisfied:
+        return Decision("PRECONDITION_FAIL", stage, None, skill, pre_results)
 
     target = automaton.target_stage(intent)
     if target is None or target == stage:
         return Decision("SUCCESS", stage, None, skill, pre_results)
     if not automaton.can_transition(stage, target):
-        return Decision(
-            "ILLEGAL_TRANSITION", stage, "post_exec_transition_rejected", skill, pre_results,
-            {"rejected": {"from": stage, "to": target}},
-        )
+        return Decision("ILLEGAL_TRANSITION", stage, "post_exec_transition_rejected", skill, pre_results)
     return Decision("SUCCESS", target, None, skill, pre_results)
 
 
@@ -197,7 +201,6 @@ def _dispatch_locked(
     timing = {"route_ns": t1 - t0, "gate_ns": time.perf_counter_ns() - t1}
 
     outcome, sub_reason, stage_after = decision.outcome, decision.sub_reason, decision.stage_after
-    extra = decision.detail
     digest = payload = to_commit = None
     if decision.executes:
         exec_start = time.perf_counter_ns()
@@ -211,7 +214,6 @@ def _dispatch_locked(
             # advance, even when the transition would have been rejected.
             body = canonical({"error": str(exc)})
             outcome, sub_reason, stage_after = "SUCCESS", "execution_error", stage
-            extra = {"executor_status": "failed"}
         timing["executor_ns"] = time.perf_counter_ns() - exec_start
         digest = payload_digest(body)
         if outcome == "SUCCESS" and sub_reason is None:
@@ -222,26 +224,22 @@ def _dispatch_locked(
                 decision.skill, DispatchContext(goal_id, live.business_state), digest
             )
 
-    detail: dict[str, Any] = {"routing": {"intent": route.intent, "mode": route.mode}}
-    if route.error:
-        detail["error"] = route.error
-    if extra:
-        detail.update(extra)
-    detail["timing_ns"] = timing
     skill_id = decision.skill.id if decision.skill else None
-    event = None
+    event = ProcessEvent(
+        live.last_seq + 1, time.time(), goal_id, route.intent, stage, stage_after,
+        skill_id, outcome, sub_reason, decision.pre_results, digest,
+    )
     if toggles.audit:
-        event = ProcessEvent(
-            live.last_seq + 1, time.time(), goal_id, route.intent, stage, stage_after,
-            skill_id, outcome, sub_reason, decision.pre_results, digest,
-        )
         manager.log_event(event, payload)
     # Write-ahead: state moves only once its event, when audited, is in the store.
     if to_commit is not None:
         if stage_after != stage:
             manager.advance_stage(goal_id, stage, stage_after)
         manager.commit_context(goal_id, to_commit)
-    return DispatchResult(outcome, stage, stage_after, skill_id, detail, event)
+    routing = {"mode": route.mode}
+    if route.error:
+        routing["error"] = route.error
+    return DispatchResult(event, {"routing": routing, "timing_ns": timing})
 
 
 class MockExecutor:

@@ -1,11 +1,12 @@
 """Governance metrics over completed runs: rates, confusion, comparisons.
 
-All computations are pure functions of step records and scenario metadata.
-The blocking confusion treats ILLEGAL_TRANSITION and PRECONDITION_FAIL as
-blocks; a routing miss (SKILL_NOT_FOUND) is not a governance block.  A step
-counts as violating when its intent is stage-illegal at the goal's stage,
-blocked or not, or when it ends as PRECONDITION_FAIL; with the precondition
-check off, a step whose flags fail therefore executes uncounted.
+All computations are pure functions of step records and scenario metadata;
+each step is read through its event.  The blocking confusion treats
+ILLEGAL_TRANSITION and PRECONDITION_FAIL as blocks; a routing miss
+(SKILL_NOT_FOUND) is not a governance block.  A step counts as violating
+when its intent is stage-illegal at the goal's stage, blocked or not, or
+when any of its skill's flags failed, enforced or not; so CVR rises when
+either the stage gate or the precondition check is removed.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ import statistics
 from dataclasses import asdict, dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-from .dispatcher import BLOCK_OUTCOMES, FULL, DispatchResult, DispatchToggles
+from .dispatcher import BLOCK_OUTCOMES, FULL, DispatchToggles
 from .errors import IntegrityFault
 from .memory import ProcessEvent
-from .router import UNKNOWN
 from .runner import RunResult, StepRecord, goal_id_for, run_suite
 from .scenarios import DomainBundle, LabeledMessage, Scenario, simulate_scenario
 
@@ -77,7 +77,7 @@ def compute_blocking(
     Steps and labels align by (scenario_id, turn_index); any key present on
     one side only is an integrity fault listing the unmatched keys.
     """
-    outcomes = {(s.scenario_id, s.turn_index): s.outcome for s in steps}
+    outcomes = {(m.scenario_id, m.turn_index): r.event.outcome for _, m, r in steps}
     expected = {(m.scenario_id, m.turn_index): m.expected_legal for m in labels}
     unmatched = sorted(set(outcomes) ^ set(expected))
     if unmatched:
@@ -118,8 +118,8 @@ class TraceDistribution:
         }
 
 
-def grade_traces(events: Iterable[ProcessEvent | StepRecord]) -> TraceDistribution:
-    """Per-step outcome tally over an event log, or over step records."""
+def grade_traces(events: Iterable[ProcessEvent]) -> TraceDistribution:
+    """Per-step outcome tally over events."""
     counts = dict.fromkeys(TALLY_ORDER, 0)
     total = 0
     for event in events:
@@ -235,18 +235,20 @@ def _median_ms(samples: list[int]) -> float:
     return statistics.median(samples) / 1e6
 
 
-def step_is_violation(result: DispatchResult, bundle: DomainBundle) -> bool:
-    """Whether a step's result is a stage-illegal attempt, blocked or not, or a PRECONDITION_FAIL.
+def step_is_violation(event: ProcessEvent, bundle: DomainBundle) -> bool:
+    """Whether a step's event is a stage-illegal attempt, blocked or not, or has a failed flag.
 
-    So CVR rises when the stage gate is removed, but falls when the
-    precondition check is (hiring suite: 2.5% to 2.0%): a step whose flags
-    fail then executes and is not counted.
+    A flag failure counts whether or not it was enforced: with the
+    precondition check off the flags are still recorded, so CVR rises when
+    either check is removed.
     """
-    intent = result.detail.get("routing", {}).get("intent", UNKNOWN)
-    binding = bundle.automaton.binding.get(intent)
-    if binding is not None and result.stage_before not in binding:
+    binding = bundle.automaton.binding.get(event.intent)
+    if binding is not None and event.stage_before not in binding:
         return True
-    return result.outcome == "PRECONDITION_FAIL"
+    for _, passed in event.precondition_results:
+        if not passed:
+            return True
+    return False
 
 
 def compute_report(run: RunResult, bundle: DomainBundle) -> EvalReport:
@@ -296,24 +298,27 @@ def compute_report(run: RunResult, bundle: DomainBundle) -> EvalReport:
     sta_hits = trc_steps = 0
     violating_ids: set[str] = set()
     timing_ns: dict[str, list[int]] = {}
-    for step in steps:
-        result = step.result
-        outcome = result.outcome
-        row = row_of[step.scenario_id]
+    events: list[ProcessEvent] = []
+    for goal_id, message, result in steps:
+        event = result.event
+        events.append(event)
+        outcome = event.outcome
+        scenario_id = message.scenario_id
+        row = row_of[scenario_id]
         row.steps += 1
-        moved = (result.stage_before, result.stage_after)
-        sta_hits += expected_moves[step.scenario_id].get(step.turn_index) == moved
-        trc_steps += consistent.get(step.goal_id, False)
+        moved = (event.stage_before, event.stage_after)
+        sta_hits += expected_moves[scenario_id].get(message.turn_index) == moved
+        trc_steps += consistent.get(goal_id, False)
         if outcome in BLOCK_OUTCOMES:
             row.blocked += 1
             if outcome == "ILLEGAL_TRANSITION":
                 row.violations += 1
             else:
                 row.precondition_failures += 1
-        if step_is_violation(result, bundle):
+        if step_is_violation(event, bundle):
             row.violating_steps += 1
-            if step.scenario_id not in violating_ids:
-                violating_ids.add(step.scenario_id)
+            if scenario_id not in violating_ids:
+                violating_ids.add(scenario_id)
                 row.scenarios_with_violation += 1
         for key, ns in result.detail["timing_ns"].items():
             timing_ns.setdefault(key, []).append(ns)
@@ -327,7 +332,7 @@ def compute_report(run: RunResult, bundle: DomainBundle) -> EvalReport:
         sta=None if total == 0 else sta_hits / total,
         trc=None if total == 0 else trc_steps / total,
         blocking=compute_blocking(steps, run.labels()),
-        distribution=grade_traces(steps),
+        distribution=grade_traces(events),
         blocked_total=sum(r.blocked for r in rows),
         blocked_stage_gate=sum(r.violations for r in rows),
         blocked_precondition=sum(r.precondition_failures for r in rows),

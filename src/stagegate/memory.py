@@ -288,7 +288,7 @@ class GoalManager:
 
     def context(self, goal_id: str) -> DispatchContext:
         """Copy of the goal's live context; commit changes via commit_context."""
-        return DispatchContext(goal_id, self.live(goal_id).business_state).clone()
+        return DispatchContext(goal_id, dict(self.live(goal_id).business_state))
 
     def commit_context(self, goal_id: str, ctx: DispatchContext) -> None:
         """Make *ctx*'s business state the goal's live state, taking ownership.

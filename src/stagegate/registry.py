@@ -76,10 +76,9 @@ class SkillSpec:
 class PreconditionReport(NamedTuple):
     satisfied: bool
     results: tuple[tuple[str, bool], ...]
-    first_failure: str | None
 
 
-_UNGUARDED = PreconditionReport(True, (), None)
+_UNGUARDED = PreconditionReport(True, ())
 
 
 class SkillRegistry:
@@ -140,13 +139,12 @@ class SkillRegistry:
             return _UNGUARDED
         state = ctx.business_state
         results: list[tuple[str, bool]] = []
-        first_failure: str | None = None
+        satisfied = True
         for name in skill.preconditions:
             passed = bool(state.get(name, False))
             results.append((name, passed))
-            if not passed and first_failure is None:
-                first_failure = name
-        return PreconditionReport(first_failure is None, tuple(results), first_failure)
+            satisfied = satisfied and passed
+        return PreconditionReport(satisfied, tuple(results))
 
     def validate_against(self, automaton: WorkflowAutomaton) -> list[str]:
         """Cross-checks between the registry and the active automaton, as ``"code: message"`` errors.

@@ -11,21 +11,19 @@ from .scenarios import DomainBundle, LabeledMessage, Scenario
 
 
 class StepRecord(NamedTuple):
-    """One dispatched message joined with its scenario coordinates."""
+    """One dispatched message and its goal; the message holds the scenario coordinates."""
 
-    scenario_id: str
-    turn_index: int
     goal_id: str
     message: LabeledMessage
     result: DispatchResult
 
     @property
-    def event(self) -> ProcessEvent | None:
+    def event(self) -> ProcessEvent:
         return self.result.event
 
     @property
     def outcome(self) -> str:
-        return self.result.outcome
+        return self.result.event.outcome
 
 
 @dataclass
@@ -37,7 +35,10 @@ class RunResult:
     manager: GoalManager
 
     def events(self) -> list[ProcessEvent]:
-        return [s.event for s in self.steps if s.event is not None]
+        """The logged events in step order: every step's with ``audit`` on, none with it off."""
+        if not self.toggles.audit:
+            return []
+        return [s.result.event for s in self.steps]
 
     def labels(self) -> list[LabeledMessage]:
         return [m for scenario in self.scenarios for m in scenario.messages]
@@ -80,8 +81,7 @@ def run_suite(
     for scenario in scenarios:
         for msg in scenario.messages:
             gid = goal_id_for(scenario, msg.track)
-            result = dispatch(msg.text, gid, deps, toggles)
-            steps.append(StepRecord(scenario.scenario_id, msg.turn_index, gid, msg, result))
+            steps.append(StepRecord(gid, msg, dispatch(msg.text, gid, deps, toggles)))
 
     manager.write_snapshots()
     return RunResult(

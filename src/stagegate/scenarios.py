@@ -576,24 +576,24 @@ class LatentViolation:
 def detect_latent(steps: Iterable[Any], scenarios: Sequence[Scenario]) -> list[LatentViolation]:
     """Blocked events inside normal-split scenarios, with domain attribution.
 
-    *steps* are runner step records (scenario_id, turn_index, event); only
+    *steps* are runner step records (goal_id, message, result); only
     scenarios of type ``normal`` contribute, which is exactly the
     stage-order conflicts appearing outside any injected-illegal set.
     """
     by_id = {s.scenario_id: s for s in scenarios}
     latent: list[LatentViolation] = []
-    for step in steps:
-        scenario = by_id.get(step.scenario_id)
+    for _, message, result in steps:
+        scenario = by_id.get(message.scenario_id)
         if scenario is None or scenario.type != "normal":
             continue
-        event = step.event
-        if event is None or event.outcome not in BLOCK_OUTCOMES:
+        event = result.event
+        if event.outcome not in BLOCK_OUTCOMES:
             continue
         latent.append(
             LatentViolation(
                 domain=scenario.domain,
-                scenario_id=step.scenario_id,
-                turn_index=step.turn_index,
+                scenario_id=message.scenario_id,
+                turn_index=message.turn_index,
                 intent=event.intent,
                 stage=event.stage_before,
                 outcome=event.outcome,

@@ -174,6 +174,7 @@ def test_criterion_5_ablation_directions(hr_bundle, hr_suite):
     assert no_stage.blocked_total > full.blocked_total, "w/o StageCheck must block strictly more"
     assert no_stage.cvr > full.cvr, "w/o StageCheck must raise CVR strictly"
     assert no_pre.blocked_total <= full.blocked_total, "w/o Precondition must not block more"
+    assert no_pre.cvr > full.cvr, "w/o Precondition must raise CVR strictly"
     assert no_audit.trc == 0.0
     assert no_audit.blocked_total == full.blocked_total
     assert dict(no_audit.distribution.counts) == dict(full.distribution.counts)
@@ -220,7 +221,7 @@ def test_criterion_7_cross_domain_blocking():
         false_positives += report.blocking.confusion.fp
         by_id = {s.scenario_id: s for s in suite}
         for step in run.steps:
-            if by_id[step.scenario_id].type == "illegal":
+            if by_id[step.message.scenario_id].type == "illegal":
                 injected_total += 1
                 if step.result.blocked:
                     injected_blocked += 1

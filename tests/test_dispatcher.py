@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import errno
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from stagegate.context import DispatchContext, canonical, payload_digest
 from stagegate.dispatcher import (
+    BLOCK_OUTCOMES,
     FULL,
     DispatchDeps,
     DispatchResult,
@@ -22,7 +24,7 @@ from stagegate.dispatcher import (
     dispatch,
 )
 from stagegate.errors import ConfigError, LookupFault
-from stagegate.memory import GoalManager, InMemoryEventStore
+from stagegate.memory import GoalManager, InMemoryEventStore, ProcessEvent
 from stagegate.router import UNKNOWN
 from stagegate.runner import StepRecord, run_suite
 from stagegate.scenarios import (
@@ -105,7 +107,7 @@ def test_compare_candidates_before_pull_fails_preconditions(hr_bundle):
     dispatch("reopen sourcing", gid, deps)  # rolls back and resets the pool
     result = dispatch("Compare candidates", gid, deps)
     assert result.outcome == "PRECONDITION_FAIL"
-    assert result.detail["first_failure"] == "candidates_pulled"
+    assert next(n for n, ok in result.event.precondition_results if not ok) == "candidates_pulled"
     assert result.event.precondition_results == (
         ("position_exists", True),
         ("candidates_pulled", False),
@@ -315,7 +317,6 @@ def test_an_injected_failure_raises_and_ends_as_its_error_digest(hr_bundle):
     assert (result.outcome, result.event.sub_reason) == ("SUCCESS", "execution_error")
     error = canonical({"error": "injected failure for create_demand"})
     assert result.event.payload_digest == payload_digest(error)
-    assert result.detail["executor_status"] == "failed"
 
 
 def test_what_the_executor_and_predicates_write_to_their_context_is_never_committed(hr_bundle):
@@ -345,7 +346,7 @@ def test_a_raising_fallback_leaves_the_intent_unresolved_with_its_error(hr_bundl
     result = dispatch("zzz qqq", gid, deps)
     assert (result.outcome, result.event.sub_reason) == ("SKILL_NOT_FOUND", "intent_unresolved")
     assert result.event.intent == UNKNOWN
-    assert result.detail["error"] == "fallback_error: resolver down"
+    assert result.detail["routing"] == {"mode": "fallback", "error": "fallback_error: resolver down"}
     assert deps.manager.state(gid) == {
         "current_stage": "init", "status": "active", "business_state": {}, "last_seq": 1,
     }
@@ -458,14 +459,33 @@ def test_post_exec_transition_rejection_commits_nothing(hr_bundle):
 
 
 def test_audit_off_suppresses_events_not_mutation(hr_bundle):
-    deps = _deps(hr_bundle)
-    gid = _goal(deps, "hr")
-    toggles = DispatchToggles(audit=False)
-    for text in FLOW:
-        result = dispatch(text, gid, deps, toggles)
-        assert result.event is None
+    """An unlogged event is the one an audited twin logs, at the seq it would have taken.
+
+    Nothing is logged, so ``last_seq`` stays 0 and every unlogged event carries seq 1.
+    """
+    deps, twin = _deps(hr_bundle), _deps(hr_bundle)
+    gid = deps.manager.create_goal("hr", goal_id="g").goal_id
+    twin.manager.create_goal("hr", goal_id="g")
+    for seq, text in enumerate(FLOW, start=1):
+        unlogged = dispatch(text, gid, deps, DispatchToggles(audit=False)).event
+        logged = dispatch(text, gid, twin).event
+        assert (unlogged.seq, logged.seq) == (1, seq)
+        assert unlogged == logged._replace(seq=1, timestamp=unlogged.timestamp)
     assert deps.manager.goal(gid).current_stage == "close"
+    assert deps.manager.context(gid) == twin.manager.context(gid)
     assert deps.manager.list_events(gid) == []
+    assert deps.manager.store.events_for(gid) == []
+    assert deps.manager.last_seq(gid) == 0
+
+
+def test_every_toggle_set_returns_an_event_and_only_routing_and_timing(hr_bundle):
+    for flags in itertools.product((True, False), repeat=3):
+        deps = _deps(hr_bundle)
+        gid = _goal(deps, "hr")
+        for text in ["schedule interview", "zzz qqq", *FLOW]:
+            result = dispatch(text, gid, deps, DispatchToggles(*flags))
+            assert type(result.event) is ProcessEvent and result.event.goal_id == gid, flags
+            assert set(result.detail) == {"routing", "timing_ns"}, flags
 
 
 def test_precondition_check_off_executes_unready_actions(hr_bundle):
@@ -528,17 +548,16 @@ def test_decide_stage_check_off_falls_back_to_intent_only_selection(hr_bundle):
     gated = _decide(hr_bundle, "init", "evaluate_candidate")
     assert (gated.outcome, gated.sub_reason) == ("ILLEGAL_TRANSITION", "pre_exec_stage_illegal")
     assert gated.skill is None and gated.pre_results == ()
-    assert gated.detail == {"rejected": {"intent": "evaluate_candidate", "stage": "init"}}
+    assert gated.stage_after == "init" and not gated.executes
 
     ungated = _decide(hr_bundle, "init", "evaluate_candidate", DispatchToggles(stage_check=False))
     assert ungated.outcome == "PRECONDITION_FAIL"
     assert ungated.skill.id == "evaluate"
     assert ungated.pre_results == (("interview_scheduled", False),)
-    assert ungated.detail == {"first_failure": "interview_scheduled"}
-    assert ungated.blocked and not ungated.executes
+    assert ungated.outcome in BLOCK_OUTCOMES and not ungated.executes
 
 
-def test_decide_precondition_check_off_has_empty_results(hr_bundle):
+def test_decide_precondition_check_off_records_flags_without_enforcing_them(hr_bundle):
     checked = _decide(hr_bundle, "init", "pull_candidates")
     assert checked.outcome == "PRECONDITION_FAIL"
     assert checked.pre_results == (("position_exists", False),)
@@ -548,7 +567,7 @@ def test_decide_precondition_check_off_has_empty_results(hr_bundle):
     )
     assert (unchecked.outcome, unchecked.stage_after) == ("SUCCESS", "src")
     assert unchecked.skill.id == "pull_parse"
-    assert unchecked.pre_results == ()
+    assert unchecked.pre_results == checked.pre_results
     assert unchecked.executes
 
 
@@ -558,8 +577,9 @@ def test_decide_post_exec_transition_rejected_carries_skill_and_target(hr_bundle
     assert decision.sub_reason == "post_exec_transition_rejected"
     assert decision.skill.id == "reopen_sourcing"
     assert decision.stage_after == "off"
-    assert decision.detail == {"rejected": {"from": "off", "to": "src"}}
-    assert decision.blocked and decision.executes
+    target = hr_bundle.automaton.target_stage("reopen_sourcing")
+    assert target == "src" and not hr_bundle.automaton.can_transition("off", target)
+    assert decision.executes
 
 
 def test_decide_stage_preserving_intent_stays(hr_bundle):
@@ -568,32 +588,43 @@ def test_decide_stage_preserving_intent_stays(hr_bundle):
 
 
 def test_dispatch_results_and_steps_are_tuples_in_field_order(hr_run):
-    assert DispatchResult._fields == (
-        "outcome", "stage_before", "stage_after", "skill_id", "detail", "event"
-    )
-    assert StepRecord._fields == ("scenario_id", "turn_index", "goal_id", "message", "result")
+    assert DispatchResult._fields == ("event", "detail")
+    assert StepRecord._fields == ("goal_id", "message", "result")
     step = hr_run.steps[0]
     assert type(step) is StepRecord and isinstance(step, tuple)
     assert type(step.result) is DispatchResult and isinstance(step.result, tuple)
     result = step.result
-    assert tuple(result) == (
-        result.outcome, result.stage_before, result.stage_after, result.skill_id,
-        result.detail, result.event,
-    )
+    assert tuple(result) == (result.event, result.detail)
+    assert set(result.detail) == {"routing", "timing_ns"}
     assert (step.event, step.outcome) == (result.event, result.outcome)
-    assert step.goal_id == f"{step.scenario_id}-t{step.message.track}"
+    assert step.goal_id == f"{step.message.scenario_id}-t{step.message.track}"
+
+
+def test_dispatch_result_properties_read_its_event(hr_bundle, hr_suite):
+    """Every third skill fails, so executed, failed and blocked steps all occur."""
+    fail_ids = [skill.id for skill in hr_bundle.registry][::3]
+    run = run_suite(hr_bundle, hr_suite, fail_ids=fail_ids)
+    sub_reasons = set()
+    for step in run.steps:
+        result, event = step.result, step.result.event
+        assert (result.outcome, result.stage_before, result.stage_after, result.skill_id) == (
+            event.outcome, event.stage_before, event.stage_after, event.skill_id,
+        )
+        assert result.blocked == (event.outcome in BLOCK_OUTCOMES)
+        sub_reasons.add(event.sub_reason)
+    assert {"execution_error", "pre_exec_stage_illegal", None} <= sub_reasons
 
 
 def test_each_dispatch_returns_its_own_detail_dict(hr_bundle):
     deps = _deps(hr_bundle)
     gid = _goal(deps, "hr")
     first = dispatch("Schedule interview", gid, deps)
-    first.detail["routing"]["intent"] = "tampered"
-    first.detail["rejected"]["stage"] = "tampered"
+    first.detail["routing"]["mode"] = "tampered"
+    first.detail["timing_ns"]["route_ns"] = -1
     first.detail["extra"] = True
     second = dispatch("Schedule interview", gid, deps)
     assert second.outcome == "ILLEGAL_TRANSITION"
     assert second.detail is not first.detail
     assert "extra" not in second.detail
-    assert second.detail["routing"]["intent"] == second.event.intent != "tampered"
-    assert second.detail["rejected"]["stage"] == "init"
+    assert second.detail["routing"] == {"mode": "pattern"}
+    assert second.detail["timing_ns"]["route_ns"] >= 0

@@ -144,7 +144,6 @@ def test_precondition_first_failure_points_at_missing_data(hr_bundle):
     ctx = DispatchContext(goal_id="g", business_state={"position_exists": True})
     report = registry.check_preconditions(screen, ctx)
     assert not report.satisfied
-    assert report.first_failure == "candidates_pulled"
     assert report.results == (("position_exists", True), ("candidates_pulled", False))
 
 
@@ -161,7 +160,7 @@ def test_every_unguarded_skill_is_satisfied_with_no_results_whatever_the_state(h
     for skill in unguarded:
         for ctx in (DispatchContext(goal_id="g"), DispatchContext("g", dict(state))):
             report = hr_bundle.registry.check_preconditions(skill, ctx)
-            assert (report.satisfied, report.results, report.first_failure) == (True, (), None)
+            assert (report.satisfied, report.results) == (True, ())
 
 
 def test_precondition_check_is_pure(hr_bundle):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from stagegate import suites
+from stagegate.dispatcher import DispatchToggles
 from stagegate.errors import ConfigError, GenerationFault
 from stagegate.runner import run_suite
 from stagegate.scenarios import (
@@ -356,7 +357,8 @@ def test_injected_messages_are_blocked_when_run(build_data):
     variants = [inject_illegal(s, bundle, "stage_skip", seed=i) for i, s in enumerate(normals)]
     run = run_suite(bundle, variants)
     blocked_turns = {
-        (s.scenario_id, s.turn_index) for s in run.steps if s.outcome == "ILLEGAL_TRANSITION"
+        (s.message.scenario_id, s.message.turn_index)
+        for s in run.steps if s.outcome == "ILLEGAL_TRANSITION"
     }
     for variant in variants:
         injected = [m for m in variant.messages if not m.expected_legal]
@@ -377,7 +379,7 @@ def test_generated_injections_blocked_on_all_domains(build_data):
             inject_illegal(s, bundle, "stage_skip", seed=i) for i, s in enumerate(normals[:20])
         ]
         run = run_suite(bundle, variants)
-        outcomes = {(s.scenario_id, s.turn_index): s.outcome for s in run.steps}
+        outcomes = {(s.message.scenario_id, s.message.turn_index): s.outcome for s in run.steps}
         for variant in variants:
             for message in variant.messages:
                 if not message.expected_legal:
@@ -449,7 +451,7 @@ def test_dispatch_and_simulation_agree_without_label_intent(hr_bundle, hr_suite)
             if step.message.label_intent is not None:
                 continue
             live = (step.outcome, step.result.stage_after)
-            assert live == simulated[(step.scenario_id, step.turn_index)], step
+            assert live == simulated[(step.message.scenario_id, step.message.turn_index)], step
             compared += 1
     assert compared == 2613
 
@@ -579,11 +581,22 @@ def test_latent_detection_counts_equal_blocked_normal_events():
     by_id = {s.scenario_id: s for s in suite}
     expected = [
         s for s in run.steps
-        if by_id[s.scenario_id].type == "normal"
+        if by_id[s.message.scenario_id].type == "normal"
         and s.outcome in ("ILLEGAL_TRANSITION", "PRECONDITION_FAIL")
     ]
     assert len(latent) == len(expected) == 38
     assert all(v.domain == "Hotels_1" for v in latent)
+
+
+def test_latent_detection_reads_unlogged_events():
+    """With audit off nothing is logged, yet every step's event still names its conflict."""
+    bundle = load_domain(sgd_domain_dir("Hotels_1"))
+    suite = load_suite(sgd_suite_path("Hotels_1"), bundle)
+    full = detect_latent(run_suite(bundle, suite).steps, suite)
+    unaudited = run_suite(bundle, suite, toggles=DispatchToggles(audit=False))
+    assert unaudited.events() == []
+    assert detect_latent(unaudited.steps, suite) == full
+    assert len(full) == 38
 
 
 def test_latent_detection_empty_when_no_stage_skips():
