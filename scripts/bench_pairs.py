@@ -18,10 +18,13 @@ series keeps what finished.
 metric in ``BENCHMARK.json``, each side's q1/median/q3, the pairs the change
 won, ``worse_by`` (the change's median against the parent's, as a fraction,
 positive when worse), the metric's bound, and whether the medians differ by
-more than the parent's interquartile range.  ``traced`` holds each side's
-median of every per-layer metric from ``--trace 1`` runs.  ``claim`` checks
-one workload and metric: met when the change wins at least nine pairs in ten
-and the medians differ, in its favour, by more than the parent's IQR.
+more than the parent's interquartile range.  Each metric also records the
+median and IQR of the per-pair log ratio ln(change/parent), signed so that
+below 0 is better: host drift that widens the parent's IQR cancels within a
+pair.  ``traced`` holds each side's median of every per-layer metric from
+``--trace 1`` runs.  ``claim`` checks one workload and metric: met when the
+change wins at least nine pairs in ten and the medians differ, in its
+favour, by more than the parent's IQR.
 ``nonblank_lines`` counts each side's nonblank Python lines under
 ``src/stagegate`` and ``scripts``, so a deletion shows next to its timings.
 """
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -67,11 +71,17 @@ def quartiles(values: list[float]) -> list[float]:
 
 
 def compare(pairs: list[dict], metric: str, better: str, bound: float | None) -> dict:
-    """One metric over paired runs: quartiles per side, wins, relative change and gap."""
+    """One metric over paired runs: quartiles per side, wins, relative change, gap and per-pair ratio."""
     values = {side: [pair[side]["result"]["metrics"][metric]["value"] for pair in pairs] for side in SIDES}
     sign = 1 if better == "lower" else -1
     wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
     parent_q, change_q = quartiles(values["parent"]), quartiles(values["change"])
+    ratio_median = ratio_iqr = None
+    if all(v > 0 for side in SIDES for v in values[side]):  # a log ratio needs both sides positive
+        q1, ratio_median, q3 = quartiles(
+            [sign * math.log(c / p) for p, c in zip(values["parent"], values["change"])]
+        )
+        ratio_iqr = round(q3 - q1, 4)
     parent_med, change_med = statistics.median(values["parent"]), statistics.median(values["change"])
     return {
         "parent_q1_median_q3": parent_q,
@@ -80,6 +90,8 @@ def compare(pairs: list[dict], metric: str, better: str, bound: float | None) ->
         "worse_by": round(sign * (change_med - parent_med) / parent_med, 4) if parent_med else None,
         "bound": bound,
         "median_gap_exceeds_parent_iqr": abs(change_med - parent_med) > parent_q[2] - parent_q[0],
+        "pair_log_ratio_median": ratio_median,
+        "pair_log_ratio_iqr": ratio_iqr,
     }
 
 

@@ -41,9 +41,7 @@ from .evaluation import (
     EvalReport,
     blocking_metrics,
     compare_configs,
-    compute_blocking,
     compute_report,
-    grade_traces,
 )
 from .memory import (
     FileEventStore,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from dataclasses import asdict
@@ -50,10 +51,20 @@ def _toggles_from_args(args: argparse.Namespace) -> DispatchToggles:
     )
 
 
-def _report_json(report: EvalReport) -> str:
-    payload = report.to_dict()
-    payload.pop("latency_ms", None)  # timing lives in timing.json
+def _json_text(payload: object) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _latency_ms(run: RunResult) -> dict[str, float]:
+    """Median wall-clock ms of the gate, route and executor over the run's steps."""
+    samples: dict[str, list[int]] = {}
+    for step in run.steps:
+        for key, ns in step.result.detail["timing_ns"].items():
+            samples.setdefault(key, []).append(ns)
+    return {
+        name: round(statistics.median(samples.get(f"{name}_ns", [0])) / 1e6, 6)
+        for name in ("gate", "route", "executor")
+    }
 
 
 class CommandError(Exception):
@@ -94,13 +105,10 @@ def _load_inputs(args: argparse.Namespace) -> tuple[DomainBundle, list]:
 
 
 def _write_run_artifacts(
-    out_dir: Path, run: RunResult, report: EvalReport, bundle: DomainBundle
+    out_dir: Path, run: RunResult, report: EvalReport, latency: dict[str, float], bundle: DomainBundle
 ) -> None:
-    (out_dir / "report.json").write_text(_report_json(report), encoding="utf-8")
-    (out_dir / "timing.json").write_text(
-        json.dumps({"latency_ms_median": report.latency_ms}, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    (out_dir / "report.json").write_text(_json_text(report.to_dict()), encoding="utf-8")
+    (out_dir / "timing.json").write_text(_json_text({"latency_ms_median": latency}), encoding="utf-8")
     goals = {
         "domain": bundle.name,
         "scenarios": {
@@ -112,9 +120,7 @@ def _write_run_artifacts(
             for s in run.scenarios
         },
     }
-    (out_dir / "goals.json").write_text(
-        json.dumps(goals, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    (out_dir / "goals.json").write_text(_json_text(goals), encoding="utf-8")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -124,6 +130,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     if traces.is_dir() and any(traces.iterdir()):
         # Appending would corrupt the earlier run's traces; never delete them.
         raise CommandError(f"error: {traces} already holds a run; choose another --out")
+    for name in ("manifest.json", "report.json", "timing.json", "goals.json"):
+        if (out_dir / name).is_dir():
+            raise CommandError(f"error: {out_dir / name} is a directory; run writes its {name} there")
     _make_dir(traces)  # --out or its traces/ is a file: refuse before any write
     toggles = _toggles_from_args(args)
     manifest = {
@@ -135,19 +144,22 @@ def cmd_run(args: argparse.Namespace) -> int:
         "started_at": time.time(),
         "output_dir": str(out_dir),
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    (out_dir / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
 
     store = FileEventStore(traces)
     try:
         run = run_suite(bundle, scenarios, toggles=toggles, store=store)
         report = compute_report(run, bundle)
-        _write_run_artifacts(out_dir, run, report, bundle)
+        latency = _latency_ms(run)
+        _write_run_artifacts(out_dir, run, report, latency, bundle)
     except StagegateError as exc:
         line = f"runtime fault: {exc} (partial traces kept in {traces})"
         raise CommandError(line, EXIT_RUNTIME) from None
     print(report.to_text())
+    print(
+        f"latency: gate {latency['gate']:.3f} ms  route {latency['route']:.3f} ms"
+        f"  executor {latency['executor']:.3f} ms (medians)"
+    )
     print(f"\nartifacts written to {out_dir}")
     return EXIT_OK
 
@@ -225,10 +237,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         comparison = compare_configs(bundle, scenarios, ABLATION_CONFIGS)
     except StagegateError as exc:
         raise CommandError(f"runtime fault: {exc}", EXIT_RUNTIME) from None
-    payload = comparison.to_dict()
-    for report in payload["reports"].values():
-        report.pop("latency_ms", None)
-    table_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    table_path.write_text(_json_text(comparison.to_dict()), encoding="utf-8")
     print(comparison.to_text())
     print(f"\nablation table written to {table_path}")
     return EXIT_OK

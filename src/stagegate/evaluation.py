@@ -1,25 +1,27 @@
 """Governance metrics over completed runs: rates, confusion, comparisons.
 
-All computations are pure functions of step records and scenario metadata;
-each step is read through its event.  The blocking confusion treats
-ILLEGAL_TRANSITION and PRECONDITION_FAIL as blocks; a routing miss
+A report is one walk over the run's steps, each read through its message
+and its event; a step and its label join by ``(scenario_id, turn_index)``.
+The blocking confusion treats ILLEGAL_TRANSITION and PRECONDITION_FAIL as
+blocks and the message's ``expected_legal`` as the truth; a routing miss
 (SKILL_NOT_FOUND) is not a governance block.  A step counts as violating
 when its intent is stage-illegal at the goal's stage, blocked or not, or
 when any of its skill's flags failed, enforced or not; so CVR rises when
-either the stage gate or the precondition check is removed.
+either the stage gate or the precondition check is removed.  A report holds
+no wall-clock data.
 """
 
 from __future__ import annotations
 
-import statistics
+from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .dispatcher import BLOCK_OUTCOMES, FULL, DispatchToggles
 from .errors import IntegrityFault
 from .memory import ProcessEvent
-from .runner import RunResult, StepRecord, goal_id_for, run_suite
-from .scenarios import DomainBundle, LabeledMessage, Scenario, simulate_scenario
+from .runner import RunResult, goal_id_for, run_suite
+from .scenarios import DomainBundle, Scenario, simulate_scenario
 
 TALLY_ORDER = ("SUCCESS", "ILLEGAL_TRANSITION", "PRECONDITION_FAIL", "SKILL_NOT_FOUND")
 
@@ -69,35 +71,7 @@ def blocking_metrics(confusion: Confusion) -> BlockingMetrics:
     return BlockingMetrics(confusion, accuracy, precision, recall, f1)
 
 
-def compute_blocking(
-    steps: Sequence[StepRecord], labels: Sequence[LabeledMessage]
-) -> BlockingMetrics:
-    """Message-level blocking correctness against ground-truth labels.
-
-    Steps and labels align by (scenario_id, turn_index); any key present on
-    one side only is an integrity fault listing the unmatched keys.
-    """
-    outcomes = {(m.scenario_id, m.turn_index): r.event.outcome for _, m, r in steps}
-    expected = {(m.scenario_id, m.turn_index): m.expected_legal for m in labels}
-    unmatched = sorted(set(outcomes) ^ set(expected))
-    if unmatched:
-        raise IntegrityFault(f"unaligned steps/labels, first unmatched keys: {unmatched[:5]}")
-    tp = fp = fn = tn = 0
-    for key, outcome in outcomes.items():
-        blocked = outcome in BLOCK_OUTCOMES
-        legal = expected[key]
-        if blocked and not legal:
-            tp += 1
-        elif blocked and legal:
-            fp += 1
-        elif not blocked and not legal:
-            fn += 1
-        else:
-            tn += 1
-    return blocking_metrics(Confusion(tp, fp, fn, tn))
-
-
-# -- trace grading ------------------------------------------------------------
+# -- outcome tally ------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -116,16 +90,6 @@ class TraceDistribution:
             "counts": dict(self.counts),
             "percentages": {k: round(self.percentage(k), 1) for k in self.counts},
         }
-
-
-def grade_traces(events: Iterable[ProcessEvent]) -> TraceDistribution:
-    """Per-step outcome tally over events."""
-    counts = dict.fromkeys(TALLY_ORDER, 0)
-    total = 0
-    for event in events:
-        counts[event.outcome] = counts.get(event.outcome, 0) + 1
-        total += 1
-    return TraceDistribution(counts=counts, total=total)
 
 
 # -- full report ----------------------------------------------------------------
@@ -168,7 +132,6 @@ class EvalReport:
     blocked_stage_gate: int
     blocked_precondition: int
     per_type: dict[str, TypeBreakdown]
-    latency_ms: dict[str, float]
     toggles: DispatchToggles = FULL
 
     def to_dict(self) -> dict[str, Any]:
@@ -185,7 +148,6 @@ class EvalReport:
             "blocking": self.blocking.to_dict(),
             "trace_distribution": self.distribution.to_dict(),
             "per_type": {k: v.to_dict() for k, v in sorted(self.per_type.items())},
-            "latency_ms": self.latency_ms,
             "toggles": asdict(self.toggles),
         }
 
@@ -194,11 +156,7 @@ class EvalReport:
 
 
 def render_report(payload: Mapping[str, Any]) -> str:
-    """Text form of a report payload: ``EvalReport.to_dict()`` or a read-back ``report.json``.
-
-    The latency line appears only when the payload carries ``latency_ms``;
-    ``report.json`` does not, since wall-clock data stays out of it.
-    """
+    """Text form of a report payload: ``EvalReport.to_dict()`` or a read-back ``report.json``."""
     blocking = payload["blocking"]
     raw = payload["trace_distribution"]
     tally = TraceDistribution(dict.fromkeys(TALLY_ORDER, 0) | raw["counts"], raw["total"])
@@ -213,13 +171,6 @@ def render_report(payload: Mapping[str, Any]) -> str:
         "trace distribution: "
         + "  ".join(f"{k}={v} ({tally.percentage(k):.1f}%)" for k, v in tally.counts.items()),
     ]
-    latency = payload.get("latency_ms")
-    if latency is not None:
-        lines.append(
-            f"latency: gate {latency.get('gate', 0.0):.3f} ms"
-            f"  route {latency.get('route', 0.0):.3f} ms"
-            f"  executor {latency.get('executor', 0.0):.3f} ms (medians)"
-        )
     lines += ["", f"{'type':<12}{'n':>5}{'TCR':>9}{'CVR':>9}{'Blk':>6}{'Vio':>6}{'PreF':>7}"]
     for name, row in sorted(payload["per_type"].items()):
         lines.append(
@@ -227,12 +178,6 @@ def render_report(payload: Mapping[str, Any]) -> str:
             f"{row['blocked']:>6}{row['violations']:>6}{row['precondition_failures']:>7}"
         )
     return "\n".join(lines)
-
-
-def _median_ms(samples: list[int]) -> float:
-    if not samples:
-        return 0.0
-    return statistics.median(samples) / 1e6
 
 
 def step_is_violation(event: ProcessEvent, bundle: DomainBundle) -> bool:
@@ -252,25 +197,22 @@ def step_is_violation(event: ProcessEvent, bundle: DomainBundle) -> bool:
 
 
 def compute_report(run: RunResult, bundle: DomainBundle) -> EvalReport:
-    """Populate every metric for one completed run.
+    """Populate every metric for one completed run in one walk over its steps.
 
-    One walk over the scenarios settles completion and the expected stage
-    moves, one over their goals the replay consistency, and one over the
-    steps fills the per-type rows; the run totals are summed from the rows.
-    The expected moves come from :func:`simulate_scenario`, called once per
-    scenario with one ``routed`` dict for the whole call, so each distinct
-    text is routed once per report; the dict is dropped on return.
+    The scenario walk settles completion and keys each move of
+    :func:`simulate_scenario` by ``(scenario_id, turn_index)``; one
+    ``routed`` dict serves every scenario, so each distinct text is routed
+    once per report.  Each step pops its key and fills every step-level
+    number from its own message and event.  A step with no key to pop, or a
+    key no step popped, is an :class:`IntegrityFault` naming the key.
     """
-    steps = run.steps
-    total = len(steps)
     manager = run.manager
     per_type: dict[str, TypeBreakdown] = {}
-    row_of: dict[str, TypeBreakdown] = {}
-    expected_moves: dict[str, dict[int, tuple[str, str]]] = {}
+    expected: dict[tuple[str, int], tuple[TypeBreakdown, tuple[str, str]]] = {}
     routed: dict[str, str] = {}
     goal_ids: list[str] = []
     for scenario in run.scenarios:
-        row = row_of[scenario.scenario_id] = per_type.setdefault(scenario.type, TypeBreakdown())
+        row = per_type.setdefault(scenario.type, TypeBreakdown())
         row.n += 1
         # Completion: every track of the scenario ends at its expected stage.
         completed = True
@@ -281,10 +223,8 @@ def compute_report(run: RunResult, bundle: DomainBundle) -> EvalReport:
                 completed = False
         row.completed += completed
         # State-transition accuracy is judged against the forward simulation.
-        expected_moves[scenario.scenario_id] = {
-            s.turn_index: (s.stage_before, s.stage_after)
-            for s in simulate_scenario(bundle, scenario, routed)
-        }
+        for sim in simulate_scenario(bundle, scenario, routed):
+            expected[scenario.scenario_id, sim.turn_index] = row, (sim.stage_before, sim.stage_after)
 
     # Replayable-trace coverage: a step counts when its goal's log replays to
     # exactly the live state.  Replays run apart from the simulations above:
@@ -295,21 +235,28 @@ def compute_report(run: RunResult, bundle: DomainBundle) -> EvalReport:
             gid: manager.replay(gid).state() == manager.live(gid).state() for gid in goal_ids
         }
 
+    counts = dict.fromkeys(TALLY_ORDER, 0)
+    cells: Counter[tuple[bool, bool]] = Counter()  # (blocked, expected_legal) -> steps
     sta_hits = trc_steps = 0
     violating_ids: set[str] = set()
-    timing_ns: dict[str, list[int]] = {}
-    events: list[ProcessEvent] = []
-    for goal_id, message, result in steps:
+    for goal_id, message, result in run.steps:
         event = result.event
-        events.append(event)
         outcome = event.outcome
         scenario_id = message.scenario_id
-        row = row_of[scenario_id]
+        key = (scenario_id, message.turn_index)
+        try:
+            row, move = expected.pop(key)
+        except KeyError:
+            raise IntegrityFault(
+                f"step {key} matches no label: its scenario is not in the run, or it repeats a step"
+            ) from None
+        counts[outcome] = counts.get(outcome, 0) + 1
         row.steps += 1
-        moved = (event.stage_before, event.stage_after)
-        sta_hits += expected_moves[scenario_id].get(message.turn_index) == moved
+        sta_hits += move == (event.stage_before, event.stage_after)
         trc_steps += consistent.get(goal_id, False)
-        if outcome in BLOCK_OUTCOMES:
+        blocked = outcome in BLOCK_OUTCOMES
+        cells[blocked, message.expected_legal] += 1
+        if blocked:
             row.blocked += 1
             if outcome == "ILLEGAL_TRANSITION":
                 row.violations += 1
@@ -320,9 +267,12 @@ def compute_report(run: RunResult, bundle: DomainBundle) -> EvalReport:
             if scenario_id not in violating_ids:
                 violating_ids.add(scenario_id)
                 row.scenarios_with_violation += 1
-        for key, ns in result.detail["timing_ns"].items():
-            timing_ns.setdefault(key, []).append(ns)
+    if expected:
+        raise IntegrityFault(
+            f"{len(expected)} labelled message(s) have no step, first {next(iter(expected))}"
+        )
 
+    total = len(run.steps)
     rows = per_type.values()
     return EvalReport(
         n_scenarios=len(run.scenarios),
@@ -331,19 +281,18 @@ def compute_report(run: RunResult, bundle: DomainBundle) -> EvalReport:
         cvr=None if total == 0 else sum(r.violating_steps for r in rows) / total,
         sta=None if total == 0 else sta_hits / total,
         trc=None if total == 0 else trc_steps / total,
-        blocking=compute_blocking(steps, run.labels()),
-        distribution=grade_traces(events),
+        blocking=blocking_metrics(
+            Confusion(
+                tp=cells[True, False], fp=cells[True, True], fn=cells[False, False], tn=cells[False, True]
+            )
+        ),
+        distribution=TraceDistribution(counts=counts, total=total),
         blocked_total=sum(r.blocked for r in rows),
         blocked_stage_gate=sum(r.violations for r in rows),
         blocked_precondition=sum(r.precondition_failures for r in rows),
         per_type=per_type,
-        latency_ms={
-            name: round(_median_ms(timing_ns.get(f"{name}_ns", [])), 6)
-            for name in ("gate", "route", "executor")
-        },
         toggles=run.toggles,
     )
-
 
 # -- ablation comparison -----------------------------------------------------------
 

@@ -28,7 +28,6 @@ class StepRecord(NamedTuple):
 
 @dataclass
 class RunResult:
-    domain: str
     toggles: DispatchToggles
     scenarios: list[Scenario]
     steps: list[StepRecord]
@@ -39,9 +38,6 @@ class RunResult:
         if not self.toggles.audit:
             return []
         return [s.result.event for s in self.steps]
-
-    def labels(self) -> list[LabeledMessage]:
-        return [m for scenario in self.scenarios for m in scenario.messages]
 
 
 def goal_id_for(scenario: Scenario, track: int) -> str:
@@ -85,7 +81,6 @@ def run_suite(
 
     manager.write_snapshots()
     return RunResult(
-        domain=bundle.name,
         toggles=toggles,
         scenarios=list(scenarios),
         steps=steps,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 BENCHMARK = {
@@ -50,6 +52,7 @@ def test_compare_counts_wins_and_signs_worse_by(bench_pairs, better, parent, cha
     assert row["worse_by"] == worse_by
     assert row["bound"] == 0.25
     assert row["median_gap_exceeds_parent_iqr"]  # the parent's runs do not spread at all
+    assert (row["pair_log_ratio_median"] > 0) == (worse_by > 0)  # below 0 is better either way
 
 
 def test_compare_ties_are_no_wins(bench_pairs):
@@ -57,6 +60,16 @@ def test_compare_ties_are_no_wins(bench_pairs):
     assert row["change_wins"] == "0/2"
     assert row["worse_by"] == 0.0
     assert not row["median_gap_exceeds_parent_iqr"]
+
+
+def test_per_pair_log_ratio_cancels_a_drifting_parent(bench_pairs):
+    """A parent that drifts 10 -> 19 ms spreads wide; each pair's ratio stays 0.8."""
+    parent = [10.0 + i for i in range(10)]
+    row = bench_pairs.compare(_pairs(parent, [0.8 * p for p in parent], "m"), "m", "lower", 0.25)
+    q1, median, q3 = row["parent_q1_median_q3"]
+    assert (q3 - q1) / median > 0.3
+    assert row["pair_log_ratio_iqr"] < 1e-3
+    assert row["pair_log_ratio_median"] == pytest.approx(math.log(0.8), abs=1e-4)
 
 
 def test_paired_drops_incomplete_pairs(bench_pairs):

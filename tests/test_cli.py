@@ -71,6 +71,13 @@ def test_run_writes_artifacts_and_exits_zero(tmp_path, small_suite, capsys):
     assert report["n_scenarios"] == 12
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["toggles"]["stage_check"] is True
+    # wall-clock data goes to timing.json and stdout, never into report.json
+    assert "latency_ms" not in report
+    timing = json.loads((out_dir / "timing.json").read_text())
+    assert set(timing["latency_ms_median"]) == {"gate", "route", "executor"}
+    assert timing["latency_ms_median"]["route"] > 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("latency: gate ") for line in lines) == 1
 
 
 def test_run_is_deterministic_modulo_timestamps(tmp_path, small_suite):
@@ -235,6 +242,7 @@ def test_ablate_writes_comparison(tmp_path, small_suite, capsys):
     assert set(payload["reports"]) == {"full", "no_stage_check", "no_precondition", "no_audit"}
     assert payload["reports"]["no_audit"]["trc"] == 0.0
     assert payload["deltas"]["no_stage_check"]["blocked_total"] > 0
+    assert not any("latency_ms" in report for report in payload["reports"].values())
     text = capsys.readouterr().out
     assert "no_stage_check" in text
 
@@ -399,6 +407,11 @@ def _run_traces_is_file(run: Path) -> list[str]:
     return _run_into(run / "rerun")
 
 
+def _run_file_is_directory(run: Path, name: str) -> list[str]:
+    (run / "rerun" / name).mkdir(parents=True)
+    return _run_into(run / "rerun")
+
+
 def _run_message_without_text(run: Path) -> list[str]:
     suite = json.loads(hr_suite_path().read_text())
     del suite["scenarios"][0]["messages"][0]["text"]
@@ -545,6 +558,8 @@ MALFORMED = {
     "run-suite-is-array": (lambda run: _run_suite_text(run, "[]"), 2, "error: "),
     "run-out-is-file": (_run_out_is_file, 2, "error: "),
     "run-traces-is-file": (_run_traces_is_file, 2, "error: "),
+    "run-manifest-is-directory": (lambda run: _run_file_is_directory(run, "manifest.json"), 2, "error: "),
+    "run-report-is-directory": (lambda run: _run_file_is_directory(run, "report.json"), 2, "error: "),
     "run-string-expected-legal": (_run_string_expected_legal, 2, "error: "),
     "run-integer-scenario-id": (_run_integer_scenario_id, 2, "error: "),
     "run-phantom-track": (_run_phantom_track, 2, "error: "),

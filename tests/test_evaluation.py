@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +15,7 @@ from stagegate.evaluation import (
     Confusion,
     blocking_metrics,
     compare_configs,
-    compute_blocking,
     compute_report,
-    grade_traces,
 )
 from stagegate.router import identify
 from stagegate.runner import run_suite
@@ -66,26 +67,35 @@ def test_confusion_matches_bruteforce_counter(pairs):
         assert metrics.precision == 1.0
 
 
-def test_compute_blocking_on_shipped_run(hr_run):
-    metrics = compute_blocking(hr_run.steps, hr_run.labels())
-    assert metrics.confusion == Confusion(tp=22, fp=0, fn=3, tn=857)
+def test_report_blocking_on_shipped_run(hr_report):
+    assert hr_report.blocking.confusion == Confusion(tp=22, fp=0, fn=3, tn=857)
 
 
-def test_compute_blocking_rejects_unaligned_inputs(hr_run):
-    labels = hr_run.labels()[:-1]
-    with pytest.raises(IntegrityFault):
-        compute_blocking(hr_run.steps, labels)
+# case -> (the run with one step/label join broken, the key the fault must name)
+UNALIGNED = {
+    "step-without-scenario": (
+        lambda run: replace(run, scenarios=run.scenarios[1:]), "normal-001', 0"),
+    "duplicated-step": (
+        lambda run: replace(run, steps=run.steps + run.steps[-1:]), "concurrent-030', 2"),
+    "label-without-step": (
+        lambda run: replace(run, steps=run.steps[:-1]), "concurrent-030', 2"),
+}
 
 
-def test_grade_traces_counts_match_recount(hr_run):
-    events = hr_run.events()
-    distribution = grade_traces(events)
-    recount = {}
-    for event in events:
-        recount[event.outcome] = recount.get(event.outcome, 0) + 1
+@pytest.mark.parametrize("case", sorted(UNALIGNED))
+def test_report_rejects_unaligned_steps_and_labels(case, hr_run, hr_bundle):
+    """Every step pops its own label exactly once; a miss either way names its key."""
+    breaker, key = UNALIGNED[case]
+    with pytest.raises(IntegrityFault, match=key):
+        compute_report(breaker(hr_run), hr_bundle)
+
+
+def test_report_distribution_matches_recount(hr_run, hr_report):
+    distribution = hr_report.distribution
+    recount = Counter(step.outcome for step in hr_run.steps)
     for outcome, count in recount.items():
         assert distribution.counts[outcome] == count
-    assert distribution.total == len(events)
+    assert distribution.total == len(hr_run.steps)
     total_pct = sum(distribution.percentage(k) for k in distribution.counts)
     assert abs(total_pct - 100.0) < 0.2
 
@@ -166,7 +176,6 @@ def test_identical_configs_produce_identical_reports(hr_bundle, hr_suite):
     twice = compare_configs(hr_bundle, hr_suite, (("a", DispatchToggles()), ("b", DispatchToggles())))
     a = twice.reports["a"].to_dict()
     b = twice.reports["b"].to_dict()
-    a.pop("latency_ms"), b.pop("latency_ms")
     a.pop("toggles"), b.pop("toggles")
     assert a == b
 
@@ -181,7 +190,7 @@ def test_report_text_rendering_mentions_key_numbers(hr_report):
 def test_all_success_run_has_clean_distribution(hr_bundle, hr_suite):
     aborts = [s for s in hr_suite if s.type == "abort"]
     run = run_suite(hr_bundle, aborts)
-    distribution = grade_traces(run.events())
+    distribution = compute_report(run, hr_bundle).distribution
     assert distribution.counts == {
         "SUCCESS": len(aborts),
         "ILLEGAL_TRANSITION": 0,
@@ -214,7 +223,7 @@ def test_compute_report_routes_each_distinct_text_once_per_call(hr_run, hr_bundl
         return identify(text, ctx, table, fallback)
 
     monkeypatch.setattr(scenarios, "identify", counting)
-    unlabeled = sorted({m.text for m in hr_run.labels() if not m.label_intent})
+    unlabeled = sorted({m.text for s in hr_run.scenarios for m in s.messages if not m.label_intent})
     assert 0 < len(unlabeled) < len(hr_run.steps)
     compute_report(hr_run, hr_bundle)
     assert sorted(routed) == unlabeled
