@@ -243,8 +243,8 @@ def _check_hr_suite(bundle: DomainBundle, scenarios: Sequence[Scenario]) -> None
     outcomes = {"SUCCESS": 0, "ILLEGAL_TRANSITION": 0, "PRECONDITION_FAIL": 0, "SKILL_NOT_FOUND": 0}
     illegal_labels = 0
     for scenario in scenarios:
-        for step in simulate_scenario(bundle, scenario):
-            outcomes[step.outcome] += 1
+        for decision in simulate_scenario(bundle, scenario):
+            outcomes[decision.outcome] += 1
         illegal_labels += sum(1 for m in scenario.messages if not m.expected_legal)
     # The simulator predicts blocks for the three annotated query turns, so
     # it sees 19 illegal transitions where the dispatcher will block 16 and

@@ -156,9 +156,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         line = f"runtime fault: {exc} (partial traces kept in {traces})"
         raise CommandError(line, EXIT_RUNTIME) from None
     print(report.to_text())
+    us = {name: ms * 1000 for name, ms in latency.items()}
     print(
-        f"latency: gate {latency['gate']:.3f} ms  route {latency['route']:.3f} ms"
-        f"  executor {latency['executor']:.3f} ms (medians)"
+        f"latency: gate {us['gate']:.1f} us  route {us['route']:.1f} us"
+        f"  executor {us['executor']:.1f} us (medians)"
     )
     print(f"\nartifacts written to {out_dir}")
     return EXIT_OK

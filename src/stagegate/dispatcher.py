@@ -116,12 +116,15 @@ class DispatchResult(NamedTuple):
 class Decision:
     """What the gates decide for one intent at one stage, before execution.
 
+    ``stage_before`` is the stage ``decide`` was asked at and ``stage_after``
+    the one it leaves the goal at: only a SUCCESS into another stage moves it.
     ``executes`` says whether the skill runs: a SUCCESS decision, or a
     post-execution transition rejection (the skill runs, nothing commits).
     ``pre_results`` holds the selected skill's flags, checked or not.
     """
 
     outcome: str
+    stage_before: StageId
     stage_after: StageId
     sub_reason: str | None = None
     skill: SkillSpec | None = None
@@ -149,24 +152,26 @@ def decide(
     ``executes`` holds, and the labeler folds this same function.
     """
     if intent not in automaton.binding:
-        return Decision("SKILL_NOT_FOUND", stage, "intent_unresolved")
+        return Decision("SKILL_NOT_FOUND", stage, stage, "intent_unresolved")
     if toggles.stage_check and not automaton.is_stage_legal(intent, stage):
-        return Decision("ILLEGAL_TRANSITION", stage, "pre_exec_stage_illegal")
+        return Decision("ILLEGAL_TRANSITION", stage, stage, "pre_exec_stage_illegal")
     skill = registry.select_skill(intent, stage if toggles.stage_check else None)
     if skill is None:
-        return Decision("SKILL_NOT_FOUND", stage, "no_matching_skill")
+        return Decision("SKILL_NOT_FOUND", stage, stage, "no_matching_skill")
 
     report = registry.check_preconditions(skill, ctx)
     pre_results = report.results
     if toggles.precondition_check and not report.satisfied:
-        return Decision("PRECONDITION_FAIL", stage, None, skill, pre_results)
+        return Decision("PRECONDITION_FAIL", stage, stage, None, skill, pre_results)
 
     target = automaton.target_stage(intent)
     if target is None or target == stage:
-        return Decision("SUCCESS", stage, None, skill, pre_results)
+        return Decision("SUCCESS", stage, stage, None, skill, pre_results)
     if not automaton.can_transition(stage, target):
-        return Decision("ILLEGAL_TRANSITION", stage, "post_exec_transition_rejected", skill, pre_results)
-    return Decision("SUCCESS", target, None, skill, pre_results)
+        return Decision(
+            "ILLEGAL_TRANSITION", stage, stage, "post_exec_transition_rejected", skill, pre_results
+        )
+    return Decision("SUCCESS", stage, target, None, skill, pre_results)
 
 
 def dispatch(

@@ -223,8 +223,10 @@ def compute_report(run: RunResult, bundle: DomainBundle) -> EvalReport:
                 completed = False
         row.completed += completed
         # State-transition accuracy is judged against the forward simulation.
-        for sim in simulate_scenario(bundle, scenario, routed):
-            expected[scenario.scenario_id, sim.turn_index] = row, (sim.stage_before, sim.stage_after)
+        for msg, decision in zip(scenario.messages, simulate_scenario(bundle, scenario, routed)):
+            expected[scenario.scenario_id, msg.turn_index] = (
+                row, (decision.stage_before, decision.stage_after)
+            )
 
     # Replayable-trace coverage: a step counts when its goal's log replays to
     # exactly the live state.  Replays run apart from the simulations above:

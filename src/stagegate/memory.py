@@ -387,9 +387,10 @@ def replay_events(
     Only SUCCESS events without a sub-reason move state (an executor
     failure committed nothing live): the stage follows ``stage_after``
     and business flags are re-derived from the skill's declarative
-    postcondition effects.  Integrity violations (seq gap, broken stage
-    chain, an event of another goal, digest mismatch where payloads are
-    retained) name the first bad seq.
+    postcondition effects, so such an event must name a skill of the
+    registry.  Integrity violations (seq gap, broken stage chain, an event
+    of another goal, a committing event with a missing or unknown skill,
+    digest mismatch where payloads are retained) name the first bad seq.
     """
     stage = automaton.initial
     ctx = DispatchContext(goal_id=goal_id)
@@ -413,20 +414,18 @@ def replay_events(
                 f"blocked event at seq {event.seq} changes stage", seq=event.seq
             )
         if event.outcome == "SUCCESS" and event.sub_reason is None:
-            if event.skill_id is not None:
-                skill = registry.get(event.skill_id)
-                if skill is None:
+            skill = registry.get(event.skill_id)
+            if skill is None:
+                raise IntegrityFault(
+                    f"seq {event.seq} references unknown skill {event.skill_id!r}", seq=event.seq
+                )
+            payload = payload_lookup(goal_id, event.seq) if payload_lookup else None
+            if payload is not None and event.payload_digest is not None:
+                if payload_digest(payload) != event.payload_digest:
                     raise IntegrityFault(
-                        f"seq {event.seq} references unknown skill {event.skill_id!r}",
-                        seq=event.seq,
+                        f"payload digest mismatch at seq {event.seq}", seq=event.seq
                     )
-                payload = payload_lookup(goal_id, event.seq) if payload_lookup else None
-                if payload is not None and event.payload_digest is not None:
-                    if payload_digest(payload) != event.payload_digest:
-                        raise IntegrityFault(
-                            f"payload digest mismatch at seq {event.seq}", seq=event.seq
-                        )
-                ctx = apply_postconditions(skill, ctx, event.payload_digest or "")
+            ctx = apply_postconditions(skill, ctx, event.payload_digest or "")
             stage = event.stage_after
         last_seq = event.seq
 

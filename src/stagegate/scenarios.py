@@ -2,10 +2,12 @@
 
 A domain bundle is a directory of four JSON files (automaton, skills,
 patterns, fixtures) that must cross-validate before anything runs.  Suites
-are labeled message sequences; ground-truth legality labels come from a
-forward simulator that folds the gate kernel over the declarative configs
-without executing anything, so labels never depend on the executor, the
-router's fallback or the goal store of the dispatcher under test.
+are labeled message sequences, loaded against the bundle they name.
+Ground-truth legality labels come from a forward simulator that folds the
+gate kernel ``decide`` over the declarative configs without executing
+anything and returns its own ``Decision`` per message, so labels never
+depend on the executor, the router's fallback or the goal store of the
+dispatcher under test.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ import json
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .automaton import StageId, WorkflowAutomaton, automaton_from_dict, validate_definition
 from .context import DispatchContext
-from .dispatcher import BLOCK_OUTCOMES, MockExecutor, decide
+from .dispatcher import BLOCK_OUTCOMES, Decision, MockExecutor, decide
 from .errors import ConfigError, GenerationFault, StagegateError, file_safe_id, parsing
 from .registry import SkillRegistry, apply_postconditions, build_registry
 from .router import (
@@ -68,7 +70,7 @@ class DomainBundle:
     registry: SkillRegistry
     table: PatternTable
     fixtures: dict[str, Any]
-    fallback: TokenOverlapFallback | None = None
+    fallback: TokenOverlapFallback
 
     def build_executor(self, fail_ids: Sequence[str] = ()) -> MockExecutor:
         return MockExecutor(self.fixtures, fail_ids=fail_ids)
@@ -190,7 +192,7 @@ def load_domain(path: str | Path) -> DomainBundle:
 # -- suite loading -------------------------------------------------------------
 
 
-def _scenario_from_dict(raw: Mapping[str, Any], domain: str, bundle: DomainBundle | None) -> Scenario:
+def _scenario_from_dict(raw: Mapping[str, Any], domain: str, bundle: DomainBundle) -> Scenario:
     # Exact JSON types throughout, nothing coerced: 5 is not "5", "false" is not
     # False, 0.0 is not 0, and "00" is no track number.
     sid = raw.get("scenario_id", "")
@@ -262,31 +264,30 @@ def _scenario_from_dict(raw: Mapping[str, Any], domain: str, bundle: DomainBundl
     if sorted(final) != scenario.tracks():  # a stage for every track, and for no other
         raise ConfigError(f"scenario {sid!r}: expected_final_stage must name tracks {scenario.tracks()}")
 
-    if bundle is not None:
-        stages = set(bundle.automaton.stages)
-        intents = set(bundle.automaton.intents)
-        for stage in final.values():
-            if stage not in stages:
-                raise ConfigError(f"scenario {sid!r}: expected stage {stage!r} not in domain")
-        for msg in messages:
-            if msg.label_intent is not None and msg.label_intent not in intents:
-                raise ConfigError(
-                    f"scenario {sid!r}: label_intent {msg.label_intent!r} not in domain"
-                )
+    stages = set(bundle.automaton.stages)
+    intents = set(bundle.automaton.intents)
+    for stage in final.values():
+        if stage not in stages:
+            raise ConfigError(f"scenario {sid!r}: expected stage {stage!r} not in domain")
+    for msg in messages:
+        if msg.label_intent is not None and msg.label_intent not in intents:
+            raise ConfigError(f"scenario {sid!r}: label_intent {msg.label_intent!r} not in domain")
     return scenario
 
 
-def load_suite(path: str | Path, bundle: DomainBundle | None = None) -> list[Scenario]:
+def load_suite(path: str | Path, bundle: DomainBundle) -> list[Scenario]:
+    """Read a suite file and check it against *bundle*, as :func:`suite_from_dict`."""
     raw = read_json(Path(path))
     return suite_from_dict(raw, bundle)
 
 
-def suite_from_dict(raw: Mapping[str, Any], bundle: DomainBundle | None = None) -> list[Scenario]:
+def suite_from_dict(raw: Mapping[str, Any], bundle: DomainBundle) -> list[Scenario]:
+    """Parse a suite; its domain (when given), stages and label intents must be *bundle*'s."""
     with parsing("suite"):
         domain = raw.get("domain", "")
         if type(domain) is not str:
             raise ConfigError(f"suite domain must be a string, not {domain!r}")
-        if bundle is not None and domain and domain != bundle.name:
+        if domain and domain != bundle.name:
             raise ConfigError(f"suite declares domain {domain!r} but bundle is {bundle.name!r}")
         scenarios = [_scenario_from_dict(item, domain, bundle) for item in raw.get("scenarios", [])]
     seen: set[str] = set()
@@ -336,25 +337,18 @@ def save_suite(path: str | Path, suite_name: str, domain: str, scenarios: Sequen
 # -- forward simulation (rule-based labeling) -----------------------------------
 
 
-class SimStep(NamedTuple):
-    turn_index: int
-    track: int
-    intent: str
-    legal: bool
-    outcome: str
-    stage_before: StageId
-    stage_after: StageId
-
-
 def simulate_scenario(
     bundle: DomainBundle, scenario: Scenario, routed: dict[str, str] | None = None
-) -> list[SimStep]:
+) -> list[Decision]:
     """Fold the gate kernel over a scenario, one simulated goal per track.
 
-    Each message's intent is its ``label_intent``, or else what the pattern
-    table alone routes it to (no fallback).  A message is legal iff
-    :func:`~stagegate.dispatcher.decide` does not block it; only SUCCESS
-    decisions apply the skill's effects and move the simulated stage,
+    Returns the :class:`~stagegate.dispatcher.Decision` of
+    :func:`~stagegate.dispatcher.decide` for each message, in
+    ``scenario.messages`` order, asked at the stage the message's track has
+    reached.  Each message's intent is its ``label_intent``, or else what the
+    pattern table alone routes it to (no fallback).  A message is legal iff
+    its decision's outcome is not in ``BLOCK_OUTCOMES``; only SUCCESS
+    decisions apply the skill's effects and move their track's stage,
     mirroring the no-advance-on-block contract.
 
     ``routed`` maps a message text to its pattern-only intent; a text is
@@ -370,41 +364,36 @@ def simulate_scenario(
     contexts: dict[int, DispatchContext] = {
         t: DispatchContext(goal_id=f"sim-{scenario.scenario_id}-{t}") for t in tracks
     }
-    steps: list[SimStep] = []
+    decisions: list[Decision] = []
 
     for msg in scenario.messages:
         track = msg.track
-        stage = stages[track]
         ctx = contexts[track]
         intent = msg.label_intent
         if not intent:
             intent = routed.get(msg.text)
             if intent is None:
                 intent = routed[msg.text] = identify(msg.text, ctx, table).intent
-        decision = decide(automaton, registry, stage, ctx, intent)
-        outcome = decision.outcome
-        if outcome == "SUCCESS":
+        decision = decide(automaton, registry, stages[track], ctx, intent)
+        if decision.outcome == "SUCCESS":
             contexts[track] = apply_postconditions(decision.skill, ctx, "simulated")
             stages[track] = decision.stage_after
-        steps.append(
-            SimStep(
-                msg.turn_index, track, intent, outcome not in BLOCK_OUTCOMES,
-                outcome, stage, decision.stage_after,
-            )
-        )
+        decisions.append(decision)
 
-    return steps
+    return decisions
 
 
 def label_scenario(bundle: DomainBundle, scenario: Scenario) -> Scenario:
-    """Set expected_legal and expected_final_stage from one forward simulation."""
-    steps = simulate_scenario(bundle, scenario)
-    legal = {step.turn_index: step.legal for step in steps}
-    final = {track: bundle.automaton.initial for track in scenario.tracks()}
-    for step in steps:
-        final[step.track] = step.stage_after
-    messages = tuple(replace(msg, expected_legal=legal[msg.turn_index]) for msg in scenario.messages)
-    return replace(scenario, messages=messages, expected_final_stage=final)
+    """Set expected_legal and expected_final_stage from one forward simulation.
+
+    A track's final stage is where its last decision leaves it.
+    """
+    final = dict.fromkeys(scenario.tracks(), bundle.automaton.initial)
+    messages = []
+    for msg, decision in zip(scenario.messages, simulate_scenario(bundle, scenario)):
+        final[msg.track] = decision.stage_after
+        messages.append(replace(msg, expected_legal=decision.outcome not in BLOCK_OUTCOMES))
+    return replace(scenario, messages=tuple(messages), expected_final_stage=final)
 
 
 # -- adversarial variants --------------------------------------------------------
@@ -435,15 +424,14 @@ def inject_illegal(
 
     rng = random.Random(seed)
     automaton = bundle.automaton
-    steps = simulate_scenario(bundle, scenario)
-    stage_at: dict[int, StageId] = {}
-    stage = automaton.initial
+    # The first track's stage before each of its turns, and after its last.
     track0 = scenario.tracks()[0]
-    for step in steps:
-        if step.track == track0:
-            stage_at[step.turn_index] = step.stage_before
-            stage = step.stage_after
-    stage_at[len(scenario.messages)] = stage
+    stage_at: dict[int, StageId] = {}
+    for msg, decision in zip(scenario.messages, simulate_scenario(bundle, scenario)):
+        if msg.track == track0:
+            stage_at[msg.turn_index] = decision.stage_before
+            final = decision.stage_after
+    stage_at[len(scenario.messages)] = final
 
     candidates: list[tuple[int, str]] = []
     if strategy == "premature_terminal":

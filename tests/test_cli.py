@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -76,8 +77,15 @@ def test_run_writes_artifacts_and_exits_zero(tmp_path, small_suite, capsys):
     timing = json.loads((out_dir / "timing.json").read_text())
     assert set(timing["latency_ms_median"]) == {"gate", "route", "executor"}
     assert timing["latency_ms_median"]["route"] > 0
-    lines = capsys.readouterr().out.splitlines()
-    assert sum(line.startswith("latency: gate ") for line in lines) == 1
+    (latency,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("latency: ")]
+    # "latency: gate 9.1 us  route 30.2 us  executor 2.4 us (medians)"
+    words = latency.split()
+    assert words[3:10:3] == ["us"] * 3
+    printed = dict(zip(words[1:10:3], map(float, words[2:10:3])))
+    assert printed.keys() == timing["latency_ms_median"].keys()
+    for name, ms in timing["latency_ms_median"].items():
+        assert printed[name] == round(ms * 1000, 1)
+    assert printed["executor"] > 0  # three-decimal ms printed it as 0.000
 
 
 def test_run_is_deterministic_modulo_timestamps(tmp_path, small_suite):
@@ -266,6 +274,29 @@ def test_inject_writes_reproducible_adversarial_suite(tmp_path, capsys):
                  "--suite", str(out_a), "--out", str(run_dir)]) == 0
     report = json.loads((run_dir / "report.json").read_text())
     assert report["blocked_total"] >= 5  # every injected turn is caught
+
+
+# sha256 of `stagegate inject --seed 11 --count 20` output, as first recorded
+INJECT_DIGESTS = {
+    ("hr", "stage_skip"): "d5953addf22ff97a028ba18da41d36bfa1b24343ec95687a56453e46dccfcdb0",
+    ("Banks_1", "stage_skip"): "650b2b955d96427a4e694b7c8c6c1a6bbf7c30df63cf448bff5b27a1143f6b76",
+    ("Banks_1", "premature_terminal"):
+        "650b2b955d96427a4e694b7c8c6c1a6bbf7c30df63cf448bff5b27a1143f6b76",
+}
+
+
+@pytest.mark.parametrize(("domain", "strategy"), sorted(INJECT_DIGESTS))
+def test_inject_output_is_pinned(tmp_path, domain, strategy):
+    if domain == "hr":
+        domain_dir, suite = hr_domain_dir(), hr_suite_path()
+    else:
+        domain_dir, suite = sgd_domain_dir(domain), sgd_suite_path(domain)
+    out = tmp_path / "variants.json"
+    assert main([
+        "inject", "--domain", str(domain_dir), "--suite", str(suite), "--seed", "11",
+        "--count", "20", "--strategy", strategy, "--out", str(out),
+    ]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == INJECT_DIGESTS[domain, strategy]
 
 
 def _files(root: Path) -> dict[Path, bytes]:
@@ -538,6 +569,9 @@ MALFORMED = {
     "replay-list-payload-digest": (
         lambda run: _replay_with_first_line(run, lambda line: _with_field(line, "payload_digest", ["x"])),
         2, "corrupted trace"),
+    "replay-commit-without-skill": (  # a committing SUCCESS must name the skill it applies
+        lambda run: _replay_with_first_line(run, lambda line: _with_field(line, "skill_id", None)),
+        2, "corrupted trace (seq 1): "),
     "replay-foreign-goal-id": (
         lambda run: _replay_with_first_line(run, lambda line: _with_field(line, "goal_id", "someone-else")),
         2, "corrupted trace"),

@@ -534,6 +534,7 @@ def _decide(bundle, stage, intent, toggles=FULL, state=None):
     ctx = DispatchContext(goal_id="g", business_state=dict(state or {}))
     decision = decide(bundle.automaton, bundle.registry, stage, ctx, intent, toggles)
     assert ctx.business_state == dict(state or {})  # decide never mutates
+    assert decision.stage_before == stage
     return decision
 
 

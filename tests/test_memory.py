@@ -270,6 +270,14 @@ def test_replay_rejects_a_success_event_of_an_unknown_skill(hr_bundle):
     assert excinfo.value.seq == 2
 
 
+def test_replay_rejects_a_committing_event_without_a_skill(hr_bundle):
+    """A SUCCESS with no sub-reason must name the skill whose effects it commits."""
+    forged = _event("g", 1, intent="create_demand", after="onb", skill_id=None)
+    with pytest.raises(IntegrityFault, match="seq 1 references unknown skill None") as excinfo:
+        replay_events("g", "hr", hr_bundle.automaton, hr_bundle.registry, events=[forged])
+    assert excinfo.value.seq == 1
+
+
 def test_replay_rejects_a_retained_payload_that_does_not_match_its_digest(hr_bundle):
     body = canonical({"positions": []})
     events = [_event("g", seq)._replace(payload_digest=payload_digest(body)) for seq in (1, 2)]

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from stagegate import suites
-from stagegate.dispatcher import DispatchToggles
+from stagegate.dispatcher import BLOCK_OUTCOMES, DispatchToggles
 from stagegate.errors import ConfigError, GenerationFault
 from stagegate.runner import run_suite
 from stagegate.scenarios import (
@@ -308,17 +308,20 @@ def test_builder_reproduces_the_shipped_data(tmp_path, monkeypatch, build_data):
 
 def test_labels_match_simulation_legality(hr_bundle, hr_suite):
     for scenario in hr_suite:
-        steps = {s.turn_index: s for s in simulate_scenario(hr_bundle, scenario)}
-        for message in scenario.messages:
-            assert message.expected_legal == steps[message.turn_index].legal
+        decisions = simulate_scenario(hr_bundle, scenario)
+        assert len(decisions) == len(scenario.messages)
+        for message, decision in zip(scenario.messages, decisions):
+            assert message.expected_legal == (decision.outcome not in BLOCK_OUTCOMES)
 
 
 def test_simulation_tracks_are_independent(hr_bundle, hr_suite):
     concurrent = next(s for s in hr_suite if s.type == "concurrent")
-    steps = simulate_scenario(hr_bundle, concurrent)
+    decisions = simulate_scenario(hr_bundle, concurrent)
     final = {}
-    for step in steps:
-        final[step.track] = step.stage_after
+    stage = {}  # each track's decision is asked at that track's own stage
+    for message, decision in zip(concurrent.messages, decisions):
+        assert decision.stage_before == stage.get(message.track, hr_bundle.automaton.initial)
+        final[message.track] = stage[message.track] = decision.stage_after
     assert final == dict(concurrent.expected_final_stage)
 
 
@@ -443,9 +446,9 @@ def test_dispatch_and_simulation_agree_without_label_intent(hr_bundle, hr_suite)
     for bundle, suite in suites:
         run = run_suite(bundle, suite)
         simulated = {
-            (scenario.scenario_id, step.turn_index): (step.outcome, step.stage_after)
+            (scenario.scenario_id, message.turn_index): (decision.outcome, decision.stage_after)
             for scenario in suite
-            for step in simulate_scenario(bundle, scenario)
+            for message, decision in zip(scenario.messages, simulate_scenario(bundle, scenario))
         }
         for step in run.steps:
             if step.message.label_intent is not None:
