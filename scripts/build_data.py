@@ -190,7 +190,7 @@ def _hr_scenario(
                 track=track,
             )
         )
-    return label_scenario(bundle, Scenario(scenario_id, bundle.name, stype, tuple(messages)))
+    return label_scenario(bundle, Scenario(scenario_id, stype, tuple(messages)))
 
 
 def build_hr_suite(bundle: DomainBundle, seed: int = 1207) -> list[Scenario]:
@@ -308,14 +308,14 @@ def build_sgd_suite(domain: str, bundle: DomainBundle, seed: int = 1207) -> list
             LabeledMessage(text=text, expected_legal=True, scenario_id=sid, turn_index=j)
             for j, text in enumerate(texts)
         )
-        scenarios.append(label_scenario(bundle, Scenario(sid, domain, "normal", messages)))
+        scenarios.append(label_scenario(bundle, Scenario(sid, "normal", messages)))
 
     for i in range(20):
         sid = f"{domain}-illegal-{i + 1:03d}"
         message = LabeledMessage(
             text=pick(act_texts), expected_legal=False, scenario_id=sid, turn_index=0
         )
-        scenarios.append(label_scenario(bundle, Scenario(sid, domain, "illegal", (message,))))
+        scenarios.append(label_scenario(bundle, Scenario(sid, "illegal", (message,))))
 
     total_turns = sum(len(s.messages) for s in scenarios)
     if total_turns != SGD_NORMAL_TURNS[domain] + 20:

@@ -79,7 +79,6 @@ from .runner import RunResult, StepRecord, run_suite
 from .scenarios import (
     DomainBundle,
     LabeledMessage,
-    LatentViolation,
     Scenario,
     bundle_from_dicts,
     check_bundle,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple
 
@@ -122,7 +122,12 @@ class GoalRecord:
     goal_id: str
     domain: str
     current_stage: StageId
-    status: str  # "active" | "closed", as goal_status derives it
+    terminals: frozenset[StageId] = field(repr=False, compare=False)  # the automaton's terminal stages
+
+    @property
+    def status(self) -> str:
+        """A goal is closed exactly when its stage is terminal, from creation on."""
+        return "closed" if self.current_stage in self.terminals else "active"
 
 
 class InMemoryEventStore:
@@ -206,11 +211,6 @@ def load_trace(path: str | Path) -> list[ProcessEvent]:
     return events
 
 
-def goal_status(automaton: WorkflowAutomaton, stage: StageId) -> str:
-    """A goal is closed exactly when its stage is terminal, from creation on."""
-    return "closed" if stage in automaton.terminal_stages() else "active"
-
-
 @dataclass
 class GoalState:
     """One goal's state, live in the GoalManager or rebuilt by replay."""
@@ -263,8 +263,7 @@ class GoalManager:
             file_safe_id(goal_id, "goal id")
             if goal_id in self._states:
                 raise ConflictFault(f"goal id already exists: {goal_id!r}")
-            stage = automaton.initial
-            record = GoalRecord(goal_id, domain, stage, goal_status(automaton, stage))
+            record = GoalRecord(goal_id, domain, automaton.initial, automaton.terminal_stages())
             self._states[goal_id] = GoalState(record, {}, 0)
             self._locks[goal_id] = threading.RLock()
         return record
@@ -329,7 +328,6 @@ class GoalManager:
                     f"transition {from_stage!r} -> {to_stage!r} is not declared legal"
                 )
             record.current_stage = to_stage
-            record.status = goal_status(automaton, to_stage)
 
     def log_event(self, event: ProcessEvent, payload: bytes | None = None) -> None:
         """Append one event to the store; seq must be exactly previous + 1."""
@@ -389,45 +387,47 @@ def replay_events(
     and business flags are re-derived from the skill's declarative
     postcondition effects, so such an event must name a skill of the
     registry.  Integrity violations (seq gap, broken stage chain, an event
-    of another goal, a committing event with a missing or unknown skill,
-    digest mismatch where payloads are retained) name the first bad seq.
+    of another goal, a stage change by an event that commits nothing or
+    along no declared transition, a committing event with a missing or
+    unknown skill, digest mismatch where payloads are retained) name the
+    first bad seq.
     """
     stage = automaton.initial
     ctx = DispatchContext(goal_id=goal_id)
     last_seq = 0
     for event in events:
+        seq, after = event.seq, event.stage_after
         if event.goal_id != goal_id:
-            raise IntegrityFault(f"seq {event.seq} is from goal {event.goal_id!r}", seq=event.seq)
-        if event.seq != last_seq + 1:
+            raise IntegrityFault(f"seq {seq} is from goal {event.goal_id!r}", seq=seq)
+        if seq != last_seq + 1:
             raise IntegrityFault(
-                f"seq gap in goal {goal_id!r}: got {event.seq}, expected {last_seq + 1}",
-                seq=event.seq,
+                f"seq gap in goal {goal_id!r}: got {seq}, expected {last_seq + 1}", seq=seq
             )
+        last_seq = seq
         if event.stage_before != stage:
             raise IntegrityFault(
-                f"stage chain broken at seq {event.seq}: log says {event.stage_before!r}, "
+                f"stage chain broken at seq {seq}: log says {event.stage_before!r}, "
                 f"replay says {stage!r}",
-                seq=event.seq,
+                seq=seq,
             )
-        if event.outcome != "SUCCESS" and event.stage_after != event.stage_before:
+        if event.outcome != "SUCCESS" or event.sub_reason is not None:  # commits nothing
+            if after != stage:
+                raise IntegrityFault(f"seq {seq} commits nothing but changes stage", seq=seq)
+            continue
+        skill = registry.get(event.skill_id)
+        if skill is None:
+            raise IntegrityFault(f"seq {seq} references unknown skill {event.skill_id!r}", seq=seq)
+        if after != stage and (stage, after) not in automaton.transitions:
             raise IntegrityFault(
-                f"blocked event at seq {event.seq} changes stage", seq=event.seq
+                f"seq {seq} moves {stage!r} -> {after!r}, which is not a declared transition",
+                seq=seq,
             )
-        if event.outcome == "SUCCESS" and event.sub_reason is None:
-            skill = registry.get(event.skill_id)
-            if skill is None:
-                raise IntegrityFault(
-                    f"seq {event.seq} references unknown skill {event.skill_id!r}", seq=event.seq
-                )
-            payload = payload_lookup(goal_id, event.seq) if payload_lookup else None
-            if payload is not None and event.payload_digest is not None:
-                if payload_digest(payload) != event.payload_digest:
-                    raise IntegrityFault(
-                        f"payload digest mismatch at seq {event.seq}", seq=event.seq
-                    )
-            ctx = apply_postconditions(skill, ctx, event.payload_digest or "")
-            stage = event.stage_after
-        last_seq = event.seq
+        payload = payload_lookup(goal_id, seq) if payload_lookup else None
+        if payload is not None and event.payload_digest is not None:
+            if payload_digest(payload) != event.payload_digest:
+                raise IntegrityFault(f"payload digest mismatch at seq {seq}", seq=seq)
+        ctx = apply_postconditions(skill, ctx, event.payload_digest or "")
+        stage = after
 
-    record = GoalRecord(goal_id, domain, stage, goal_status(automaton, stage))
+    record = GoalRecord(goal_id, domain, stage, automaton.terminal_stages())
     return GoalState(record, ctx.business_state, last_seq)

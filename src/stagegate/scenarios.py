@@ -16,7 +16,7 @@ import json
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from .automaton import StageId, WorkflowAutomaton, automaton_from_dict, validate_definition
 from .context import DispatchContext
@@ -30,6 +30,9 @@ from .router import (
     table_from_list,
     validate_table,
 )
+
+if TYPE_CHECKING:
+    from .runner import StepRecord
 
 SCENARIO_TYPES = ("normal", "illegal", "rollback", "multi", "abort", "concurrent")
 
@@ -54,7 +57,6 @@ class LabeledMessage:
 @dataclass(frozen=True)
 class Scenario:
     scenario_id: str
-    domain: str
     type: str
     messages: tuple[LabeledMessage, ...]
     expected_final_stage: Mapping[int, StageId] = field(default_factory=dict)  # set by label_scenario
@@ -192,7 +194,7 @@ def load_domain(path: str | Path) -> DomainBundle:
 # -- suite loading -------------------------------------------------------------
 
 
-def _scenario_from_dict(raw: Mapping[str, Any], domain: str, bundle: DomainBundle) -> Scenario:
+def _scenario_from_dict(raw: Mapping[str, Any], bundle: DomainBundle) -> Scenario:
     # Exact JSON types throughout, nothing coerced: 5 is not "5", "false" is not
     # False, 0.0 is not 0, and "00" is no track number.
     sid = raw.get("scenario_id", "")
@@ -253,7 +255,6 @@ def _scenario_from_dict(raw: Mapping[str, Any], domain: str, bundle: DomainBundl
 
     scenario = Scenario(
         scenario_id=sid,
-        domain=domain,
         type=stype,
         messages=tuple(messages),
         expected_final_stage=final,
@@ -289,7 +290,7 @@ def suite_from_dict(raw: Mapping[str, Any], bundle: DomainBundle) -> list[Scenar
             raise ConfigError(f"suite domain must be a string, not {domain!r}")
         if domain and domain != bundle.name:
             raise ConfigError(f"suite declares domain {domain!r} but bundle is {bundle.name!r}")
-        scenarios = [_scenario_from_dict(item, domain, bundle) for item in raw.get("scenarios", [])]
+        scenarios = [_scenario_from_dict(item, bundle) for item in raw.get("scenarios", [])]
     seen: set[str] = set()
     for scenario in scenarios:
         if scenario.scenario_id in seen:
@@ -496,11 +497,16 @@ def convert_dialogues(
     exact JSON types, nothing coerced: a ``dialogue_id``, ``utterance`` or
     ``active_intent`` that is not a string is a ConfigError naming the
     dialogue and, for the last two, the turn's position in ``turns``; so is
-    a turn, frame or state that is not an object.
+    a turn, frame or state that is not an object, and a dialogue that is
+    not one names its position in *dialogues*.
     """
     intent_map = dict(intent_map or {})
     scenarios: list[Scenario] = []
-    for dialogue in dialogues:
+    for index, dialogue in enumerate(dialogues):
+        if type(dialogue) is not dict:
+            raise ConfigError(
+                f"dialogue at position {index} must be an object, not {type(dialogue).__name__}"
+            )
         did = dialogue.get("dialogue_id", "")
         if type(did) is not str:
             raise ConfigError(f"dialogue {did!r}: dialogue_id must be a string")
@@ -543,7 +549,7 @@ def convert_dialogues(
                 )
         if not messages:
             raise ConfigError(f"dialogue {did!r} has no USER turns")
-        scenario = Scenario(did, bundle.name, "normal", tuple(messages))
+        scenario = Scenario(did, "normal", tuple(messages))
         scenarios.append(label_scenario(bundle, scenario))
     return scenarios
 
@@ -551,40 +557,14 @@ def convert_dialogues(
 # -- latent violations --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LatentViolation:
-    domain: str
-    scenario_id: str
-    turn_index: int
-    intent: str
-    stage: StageId
-    outcome: str
+def detect_latent(steps: Iterable[StepRecord], scenarios: Sequence[Scenario]) -> list[StepRecord]:
+    """The run's own blocked steps inside normal-split scenarios, in step order.
 
-
-def detect_latent(steps: Iterable[Any], scenarios: Sequence[Scenario]) -> list[LatentViolation]:
-    """Blocked events inside normal-split scenarios, with domain attribution.
-
-    *steps* are runner step records (goal_id, message, result); only
-    scenarios of type ``normal`` contribute, which is exactly the
+    Only scenarios of type ``normal`` contribute, which is exactly the
     stage-order conflicts appearing outside any injected-illegal set.
     """
-    by_id = {s.scenario_id: s for s in scenarios}
-    latent: list[LatentViolation] = []
-    for _, message, result in steps:
-        scenario = by_id.get(message.scenario_id)
-        if scenario is None or scenario.type != "normal":
-            continue
-        event = result.event
-        if event.outcome not in BLOCK_OUTCOMES:
-            continue
-        latent.append(
-            LatentViolation(
-                domain=scenario.domain,
-                scenario_id=message.scenario_id,
-                turn_index=message.turn_index,
-                intent=event.intent,
-                stage=event.stage_before,
-                outcome=event.outcome,
-            )
-        )
-    return latent
+    normal = {s.scenario_id for s in scenarios if s.type == "normal"}
+    return [
+        step for step in steps
+        if step.message.scenario_id in normal and step.outcome in BLOCK_OUTCOMES
+    ]

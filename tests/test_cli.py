@@ -572,6 +572,13 @@ MALFORMED = {
     "replay-commit-without-skill": (  # a committing SUCCESS must name the skill it applies
         lambda run: _replay_with_first_line(run, lambda line: _with_field(line, "skill_id", None)),
         2, "corrupted trace (seq 1): "),
+    "replay-undeclared-transition": (  # hr declares no init -> onb
+        lambda run: _replay_with_first_line(run, lambda line: _with_field(line, "stage_after", "onb")),
+        2, "corrupted trace (seq 1): "),
+    "replay-failed-execution-changes-stage": (  # an executor failure commits nothing
+        lambda run: _replay_with_first_line(run, lambda line: _with_field(
+            _with_field(line, "stage_after", "src"), "sub_reason", "execution_error")),
+        2, "corrupted trace (seq 1): "),
     "replay-foreign-goal-id": (
         lambda run: _replay_with_first_line(run, lambda line: _with_field(line, "goal_id", "someone-else")),
         2, "corrupted trace"),

@@ -256,6 +256,24 @@ def test_replay_rejects_stage_change_on_blocked_event(hr_bundle):
         replay_events("g", "hr", hr_bundle.automaton, hr_bundle.registry, events=events)
 
 
+def test_replay_rejects_stage_change_on_a_failed_execution(hr_bundle):
+    """A SUCCESS with a sub-reason commits nothing, so it cannot move the stage either."""
+    forged = _event("g", 1, intent="pull_candidates", skill_id="pull_parse", after="src",
+                    sub_reason="execution_error")
+    with pytest.raises(IntegrityFault, match="seq 1 commits nothing but changes stage") as excinfo:
+        replay_events("g", "hr", hr_bundle.automaton, hr_bundle.registry, events=[forged])
+    assert excinfo.value.seq == 1
+
+
+@pytest.mark.parametrize("after", ["onb", "nowhere"])  # hr declares no init -> onb; no stage nowhere
+def test_replay_rejects_an_undeclared_transition(hr_bundle, after):
+    """Replay holds a committing event to the transition relation advance_stage enforces."""
+    forged = _event("g", 1, intent="create_demand", skill_id="create_demand", after=after)
+    with pytest.raises(IntegrityFault, match=f"seq 1 moves 'init' -> '{after}'") as excinfo:
+        replay_events("g", "hr", hr_bundle.automaton, hr_bundle.registry, events=[forged])
+    assert excinfo.value.seq == 1
+
+
 def test_replay_rejects_a_broken_stage_chain(hr_bundle):
     events = [_event("g", 1), _event("g", 2, before="src", after="src")]
     with pytest.raises(IntegrityFault, match="stage chain broken at seq 2") as excinfo:

@@ -423,7 +423,6 @@ def test_injection_fails_on_single_stage_domain():
     )
     scenario = Scenario(
         scenario_id="s",
-        domain="flat",
         type="normal",
         messages=(LabeledMessage("ping", True, "s", 0),),
         expected_final_stage={0: "only"},
@@ -526,7 +525,7 @@ def test_convert_dialogues_from_schema_guided_form():
     assert not second.messages[0].expected_legal
     assert second.expected_final_stage == {0: "SearchHotel"}
     run = run_suite(bundle, scenarios)
-    assert detect_latent(run.steps, scenarios)[0].scenario_id == "conv-002"
+    assert detect_latent(run.steps, scenarios)[0].message.scenario_id == "conv-002"
 
 
 def test_convert_dialogues_rejects_empty_user_turns():
@@ -565,9 +564,12 @@ def _user_turn(utterance, active_intent=None):
         ({"dialogue_id": "d", "turns": [{"speaker": "USER", "utterance": "check my balance",
                                          "frames": [{"state": "CheckBalance"}]}]},
          r"^malformed dialogue 'd': "),
+        (["d", []], r"^dialogue at position 0 must be an object, not list$"),
+        ("d", r"^dialogue at position 0 must be an object, not str$"),
+        (7, r"^dialogue at position 0 must be an object, not int$"),
     ],
     ids=["integer-id", "empty-id", "integer-utterance", "list-active-intent", "null-active-intent",
-         "string-turn", "string-state"],
+         "string-turn", "string-state", "list-dialogue", "string-dialogue", "integer-dialogue"],
 )
 def test_convert_dialogues_reads_exact_types(dialogue, reported):
     """Nothing is coerced: a field that is not a string names its dialogue and turn."""
@@ -587,19 +589,40 @@ def test_latent_detection_counts_equal_blocked_normal_events():
         if by_id[s.message.scenario_id].type == "normal"
         and s.outcome in ("ILLEGAL_TRANSITION", "PRECONDITION_FAIL")
     ]
-    assert len(latent) == len(expected) == 38
-    assert all(v.domain == "Hotels_1" for v in latent)
+    assert latent == expected
+    assert len(latent) == 38
 
 
 def test_latent_detection_reads_unlogged_events():
     """With audit off nothing is logged, yet every step's event still names its conflict."""
     bundle = load_domain(sgd_domain_dir("Hotels_1"))
     suite = load_suite(sgd_suite_path("Hotels_1"), bundle)
-    full = detect_latent(run_suite(bundle, suite).steps, suite)
+    full = _latent_keys(detect_latent(run_suite(bundle, suite).steps, suite))
     unaudited = run_suite(bundle, suite, toggles=DispatchToggles(audit=False))
     assert unaudited.events() == []
-    assert detect_latent(unaudited.steps, suite) == full
+    assert _latent_keys(detect_latent(unaudited.steps, suite)) == full
     assert len(full) == 38
+
+
+def _latent_keys(steps):
+    """What names a conflict; the steps themselves differ by timestamp and timing."""
+    return [
+        (s.message.scenario_id, s.message.turn_index, s.event.intent, s.event.stage_before,
+         s.event.outcome)
+        for s in steps
+    ]
+
+
+def test_latent_detection_does_not_depend_on_the_suite_naming_its_domain():
+    """A suite file without a top-level domain loads the same scenarios and conflicts."""
+    bundle = load_domain(sgd_domain_dir("Hotels_1"))
+    raw = json.loads(sgd_suite_path("Hotels_1").read_text())
+    named = suite_from_dict(raw, bundle)
+    unnamed = suite_from_dict({k: v for k, v in raw.items() if k != "domain"}, bundle)
+    assert unnamed == named
+    assert _latent_keys(detect_latent(run_suite(bundle, unnamed).steps, unnamed)) == _latent_keys(
+        detect_latent(run_suite(bundle, named).steps, named)
+    )
 
 
 def test_latent_detection_empty_when_no_stage_skips():
