@@ -173,7 +173,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     goal_id = trace_path.stem
     snapshot_path = trace_path.with_name(f"{goal_id}.snapshot.json")
     domain_path = args.domain
-    manifest_path = trace_path.parent.parent / "manifest.json"
+    manifest_path = trace_path.resolve().parent.parent / "manifest.json"
     if domain_path is None and manifest_path.exists():
         manifest = read_json(manifest_path)
         if not isinstance(manifest, dict) or type(manifest.get("domain")) is not str:

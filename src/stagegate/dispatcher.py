@@ -17,9 +17,10 @@ but nothing is committed).  No blocked dispatch mutates business state or
 stage.  A SUCCESS step whose executor failed (``execution_error``) commits
 nothing either; only a SUCCESS without a sub-reason moves state, live and in
 replay.  Effects cannot fault: a bundle that loads sets only JSON scalars.
-They apply to a copy of the goal's state as it was before the step, so
-nothing the fallback or the executor write to the context they are handed
-is ever committed.
+Each step works on its own copy of the goal's state: the gates read it, the
+effects write it and the commit takes it.  The executor, the one piece of
+caller code that sees state, is handed a copy of that copy, so nothing it
+writes is ever committed.
 """
 
 from __future__ import annotations
@@ -197,20 +198,20 @@ def _dispatch_locked(
     manager = deps.manager
     live = manager.live(goal_id)
     stage = live.record.current_stage
-    ctx = manager.context(goal_id)
+    ctx = manager.context(goal_id)  # the step's own copy, committed on success
 
     t0 = time.perf_counter_ns()
-    route = identify(message, ctx, deps.table, deps.fallback)
+    route = identify(message, deps.table, deps.fallback)
     t1 = time.perf_counter_ns()
     decision = decide(deps.automaton, deps.registry, stage, ctx, route.intent, toggles)
     timing = {"route_ns": t1 - t0, "gate_ns": time.perf_counter_ns() - t1}
 
     outcome, sub_reason, stage_after = decision.outcome, decision.sub_reason, decision.stage_after
-    digest = payload = to_commit = None
+    digest = payload = None
     if decision.executes:
         exec_start = time.perf_counter_ns()
         try:
-            body = deps.executor(decision.skill, ctx)
+            body = deps.executor(decision.skill, ctx.clone())
             if type(body) is not bytes:
                 raise TypeError(f"executor payload is {type(body).__name__}, not bytes")
         except Exception as exc:
@@ -222,12 +223,8 @@ def _dispatch_locked(
         timing["executor_ns"] = time.perf_counter_ns() - exec_start
         digest = payload_digest(body)
         if outcome == "SUCCESS" and sub_reason is None:
-            # Effects start from the goal's own state, never from the copy
-            # the fallback and the executor were handed.
             payload = body
-            to_commit = apply_postconditions(
-                decision.skill, DispatchContext(goal_id, live.business_state), digest
-            )
+            apply_postconditions(decision.skill, ctx, digest)
 
     skill_id = decision.skill.id if decision.skill else None
     event = ProcessEvent(
@@ -236,11 +233,12 @@ def _dispatch_locked(
     )
     if toggles.audit:
         manager.log_event(event, payload)
-    # Write-ahead: state moves only once its event, when audited, is in the store.
-    if to_commit is not None:
+    # Write-ahead: a committing step, the only one with a payload, moves state
+    # only once its event, when audited, is in the store.
+    if payload is not None:
         if stage_after != stage:
             manager.advance_stage(goal_id, stage, stage_after)
-        manager.commit_context(goal_id, to_commit)
+        manager.commit_context(goal_id, ctx)
     routing = {"mode": route.mode}
     if route.error:
         routing["error"] = route.error

@@ -293,8 +293,8 @@ class GoalManager:
         """Make *ctx*'s business state the goal's live state, taking ownership.
 
         No copy is made: the caller hands over a context no one else holds
-        (the dispatcher commits the private copy ``apply_postconditions``
-        returned) and must not touch it afterwards.  Readers still get
+        (the dispatcher commits the step's own copy from ``context``, with the
+        effects applied) and must not touch it afterwards.  Readers still get
         copies, through ``context`` and ``state``.
         """
         self.live(goal_id).business_state = ctx.business_state
@@ -312,8 +312,9 @@ class GoalManager:
     def advance_stage(self, goal_id: str, from_stage: StageId, to_stage: StageId) -> None:
         """Move the goal from *from_stage* to *to_stage* under full validation.
 
-        Rejects stale callers (current stage moved underneath them) and
-        undeclared transitions; this is defense in depth below the
+        Raises ConflictFault for a stale caller (current stage moved
+        underneath it) and for a move along no declared transition, an
+        unknown *to_stage* among them; this is defense in depth below the
         dispatcher's own gates.
         """
         record = self.goal(goal_id)
@@ -323,7 +324,7 @@ class GoalManager:
                 raise ConflictFault(
                     f"goal {goal_id!r} is at {record.current_stage!r}, not {from_stage!r}"
                 )
-            if not automaton.can_transition(from_stage, to_stage):
+            if from_stage != to_stage and (from_stage, to_stage) not in automaton.transitions:
                 raise ConflictFault(
                     f"transition {from_stage!r} -> {to_stage!r} is not declared legal"
                 )
@@ -426,7 +427,7 @@ def replay_events(
         if payload is not None and event.payload_digest is not None:
             if payload_digest(payload) != event.payload_digest:
                 raise IntegrityFault(f"payload digest mismatch at seq {seq}", seq=seq)
-        ctx = apply_postconditions(skill, ctx, event.payload_digest or "")
+        apply_postconditions(skill, ctx, event.payload_digest or "")
         stage = after
 
     record = GoalRecord(goal_id, domain, stage, automaton.terminal_stages())

@@ -180,19 +180,17 @@ class SkillRegistry:
         return errors
 
 
-def apply_postconditions(skill: SkillSpec, ctx: DispatchContext, result_digest: str) -> DispatchContext:
-    """Return a context with the skill's effects applied, in declared order.
+def apply_postconditions(skill: SkillSpec, ctx: DispatchContext, result_digest: str) -> None:
+    """Apply the skill's effects to *ctx* in place, in declared order.
 
     The one effect rule, shared by dispatch, the labeler and replay;
     ``set_from_result`` stores *result_digest*.  Total: it cannot fail.  The
-    input context is never mutated; callers commit the returned copy only
-    when the whole dispatch succeeds.
+    caller owns *ctx*: dispatch applies the effects to the step's own copy of
+    the goal's state and commits it only when the whole dispatch succeeds.
     """
-    updated = ctx.clone()
-    state = updated.business_state
+    state = ctx.business_state
     for effect in skill.postconditions:
         state[effect.field] = effect.value if effect.op == "set" else result_digest
-    return updated
 
 
 def skill_from_dict(raw: Mapping[str, Any]) -> SkillSpec:

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .automaton import WorkflowAutomaton
-from .context import DispatchContext
 from .errors import ConfigError, parsing, string_list
 
 UNKNOWN = "<unknown>"
@@ -80,12 +79,11 @@ class IntentPattern:
 class RoutingDecision:
     intent: str  # UNKNOWN when unresolved
     mode: str  # "pattern" | "fallback"
-    confidence: float
     matched_pattern: str | None = None
     error: str | None = None
 
 
-FallbackResolver = Callable[[str, DispatchContext], RoutingDecision]
+FallbackResolver = Callable[[str], RoutingDecision]  # takes the normalized message
 
 
 @dataclass(frozen=True)
@@ -148,22 +146,19 @@ class PatternTable:
         return iter(self.entries)
 
 
-_UNRESOLVED = RoutingDecision(intent=UNKNOWN, mode="fallback", confidence=0.0)
+_UNRESOLVED = RoutingDecision(intent=UNKNOWN, mode="fallback")
 
 
 def identify(
-    message: str,
-    ctx: DispatchContext,
-    table: PatternTable,
-    fallback: FallbackResolver | None = None,
+    message: str, table: PatternTable, fallback: FallbackResolver | None = None
 ) -> RoutingDecision:
     """Resolve a message to an intent, or UNKNOWN.
 
     The decision is the first ``scan`` entry whose expression matches: the
     exact dict, then each kind's list up to the best position found so far.
-    A pattern hit always returns confidence 1.0.  The fallback resolver is
-    consulted only on a miss and must never abort dispatch: a resolver fault
-    degrades to UNKNOWN with the error annotated on the decision.
+    The message is normalized once; on a miss the fallback resolver gets that
+    normalized text.  It must never abort dispatch: a resolver fault degrades
+    to UNKNOWN with the error annotated on the decision.
     """
     norm = normalize(message)
     if norm:
@@ -185,35 +180,31 @@ def identify(
                     break
         if first < len(scan):
             intent, expr = scan[first]
-            return RoutingDecision(
-                intent=intent, mode="pattern", confidence=1.0, matched_pattern=expr.text
-            )
+            return RoutingDecision(intent=intent, mode="pattern", matched_pattern=expr.text)
     if fallback is not None:
         try:
-            return fallback(message, ctx)
+            return fallback(norm)
         except Exception as exc:
-            return RoutingDecision(
-                intent=UNKNOWN, mode="fallback", confidence=0.0, error=f"fallback_error: {exc}"
-            )
+            return RoutingDecision(intent=UNKNOWN, mode="fallback", error=f"fallback_error: {exc}")
     return _UNRESOLVED
 
 
 class TokenOverlapFallback:
     """Shipped fallback stub: fuzzy match by token overlap.
 
-    Scores patterns by Jaccard overlap with the message tokens and resolves
-    when the best score reaches ``FALLBACK_THRESHOLD``.  Shared-token counts
-    are summed from the table's postings, so only patterns sharing a token
-    are scored; they are scored in scan order and a later one wins only on
-    a strictly higher score.  Deterministic, so suite runs stay reproducible
-    offline.
+    Called with the normalized message.  Scores patterns by Jaccard overlap
+    with the message tokens and resolves when the best score reaches
+    ``FALLBACK_THRESHOLD``.  Shared-token counts are summed from the table's
+    postings, so only patterns sharing a token are scored; they are scored
+    in scan order and a later one wins only on a strictly higher score.
+    Deterministic, so suite runs stay reproducible offline.
     """
 
     def __init__(self, table: PatternTable) -> None:
         self.table = table
 
-    def __call__(self, message: str, ctx: DispatchContext) -> RoutingDecision:
-        tokens = set(normalize(message).split())
+    def __call__(self, norm: str) -> RoutingDecision:
+        tokens = set(norm.split())
         postings = self.table.postings
         shared_at: dict[int, int] = {}
         for token in tokens:
@@ -230,10 +221,7 @@ class TokenOverlapFallback:
                 best_score, best_pos = score, pos
         if best_score >= FALLBACK_THRESHOLD:
             intent, expr = scan[best_pos]
-            return RoutingDecision(
-                intent=intent, mode="fallback",
-                confidence=round(best_score, 4), matched_pattern=expr.text,
-            )
+            return RoutingDecision(intent=intent, mode="fallback", matched_pattern=expr.text)
         return _UNRESOLVED
 
 

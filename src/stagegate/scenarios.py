@@ -374,10 +374,10 @@ def simulate_scenario(
         if not intent:
             intent = routed.get(msg.text)
             if intent is None:
-                intent = routed[msg.text] = identify(msg.text, ctx, table).intent
+                intent = routed[msg.text] = identify(msg.text, table).intent
         decision = decide(automaton, registry, stages[track], ctx, intent)
         if decision.outcome == "SUCCESS":
-            contexts[track] = apply_postconditions(decision.skill, ctx, "simulated")
+            apply_postconditions(decision.skill, ctx, "simulated")
             stages[track] = decision.stage_after
         decisions.append(decision)
 

@@ -276,13 +276,12 @@ def test_criterion_8_legality_check_latency(hr_bundle, hr_run):
     table = list(hr_bundle.table)
     pattern_count = sum(len(e.patterns) for e in table)
     assert pattern_count <= 100
-    ctx = DispatchContext(goal_id="bench")
     for _ in range(20):
-        identify("schedule interview", ctx, hr_bundle.table)
+        identify("schedule interview", hr_bundle.table)
     route_samples = []
     for _ in range(300):
         t0 = time.perf_counter_ns()
-        identify("schedule the interview for the shortlisted candidate", ctx, hr_bundle.table)
+        identify("schedule the interview for the shortlisted candidate", hr_bundle.table)
         route_samples.append(time.perf_counter_ns() - t0)
     route_median_ms = statistics.median(route_samples) / 1e6
     assert route_median_ms < 1.0, f"router median {route_median_ms:.3f} ms"

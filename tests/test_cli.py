@@ -129,14 +129,12 @@ _ROUTE_PARAPHRASES = """
 import json
 from dataclasses import asdict
 from reference import paraphrased
-from stagegate.context import DispatchContext
 from stagegate.router import identify
 from stagegate.scenarios import load_domain, load_suite
 from stagegate.suites import hr_domain_dir, hr_suite_path
 bundle = load_domain(hr_domain_dir())
 texts = [m.text for s in load_suite(hr_suite_path(), bundle) for m in s.messages]
-ctx = DispatchContext(goal_id="g")
-decisions = [identify(t, ctx, bundle.table, bundle.fallback) for t in paraphrased(texts, (1, 2, 3))]
+decisions = [identify(t, bundle.table, bundle.fallback) for t in paraphrased(texts, (1, 2, 3))]
 print(json.dumps([asdict(d) for d in decisions]))
 """
 
@@ -299,6 +297,26 @@ def test_inject_output_is_pinned(tmp_path, domain, strategy):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == INJECT_DIGESTS[domain, strategy]
 
 
+OUTPUT_DIGESTS = {
+    ("ablate", "hr"): ("ablation.json", "8b2b9b62ce5b05930151a7b0adabc3558747f56ed97bd1b77abbe4bd92c67ae2"),
+    ("run", "Hotels_1"): ("report.json", "7c33cb7da0935a21c548f2601f72de65f713915b518e813233e3c6a32e9c910b"),
+    ("run", "hr"): ("report.json", "f160d2d543cb526a58aa7a7bfc31f712a4fdb4527155c78be44e6149dc957bb8"),
+}
+
+
+@pytest.mark.parametrize(("command", "domain"), sorted(OUTPUT_DIGESTS))
+def test_run_and_ablate_outputs_are_pinned(tmp_path, command, domain):
+    if domain == "hr":
+        domain_dir, suite = hr_domain_dir(), hr_suite_path()
+    else:
+        domain_dir, suite = sgd_domain_dir(domain), sgd_suite_path(domain)
+    out_dir = tmp_path / "out"
+    assert main([command, "--domain", str(domain_dir), "--suite", str(suite),
+                 "--out", str(out_dir)]) == 0
+    name, digest = OUTPUT_DIGESTS[command, domain]
+    assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest
+
+
 def _files(root: Path) -> dict[Path, bytes]:
     return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
@@ -341,6 +359,18 @@ def test_replay_from_another_directory_after_a_relative_domain(tmp_path, monkeyp
     assert traces
     capsys.readouterr()
     assert main(["replay", str(traces[0])]) == 0
+    assert "replay matches snapshot" in capsys.readouterr().out
+
+
+def test_replay_of_a_bare_trace_name_inside_traces_finds_the_manifest(
+    tmp_path, small_suite, monkeypatch, capsys
+):
+    out_dir = tmp_path / "run"
+    assert main(["run", "--domain", str(hr_domain_dir()), "--suite", str(small_suite),
+                 "--out", str(out_dir)]) == 0
+    monkeypatch.chdir(out_dir / "traces")
+    capsys.readouterr()
+    assert main(["replay", "abort-001-t0.jsonl"]) == 0
     assert "replay matches snapshot" in capsys.readouterr().out
 
 

@@ -25,7 +25,8 @@ from stagegate.dispatcher import (
 )
 from stagegate.errors import ConfigError, LookupFault
 from stagegate.memory import GoalManager, InMemoryEventStore, ProcessEvent
-from stagegate.router import UNKNOWN
+from stagegate import router
+from stagegate.router import UNKNOWN, normalize
 from stagegate.runner import StepRecord, run_suite
 from stagegate.scenarios import (
     BUNDLE_FILES,
@@ -338,7 +339,7 @@ def test_what_the_executor_and_predicates_write_to_their_context_is_never_commit
 
 
 def test_a_raising_fallback_leaves_the_intent_unresolved_with_its_error(hr_bundle):
-    def broken(message, ctx):
+    def broken(norm):
         raise RuntimeError("resolver down")
 
     deps = replace(_deps(hr_bundle), fallback=broken)
@@ -350,6 +351,28 @@ def test_a_raising_fallback_leaves_the_intent_unresolved_with_its_error(hr_bundl
     assert deps.manager.state(gid) == {
         "current_stage": "init", "status": "active", "business_state": {}, "last_seq": 1,
     }
+
+
+def test_a_fallback_dispatch_normalizes_its_message_once(hr_bundle, monkeypatch):
+    """The resolver gets the text the pattern scan read, not the raw message."""
+    normalized, resolved = [], []
+
+    def counting(message):
+        normalized.append(message)
+        return normalize(message)
+
+    def resolver(norm):
+        resolved.append(norm)
+        return hr_bundle.fallback(norm)
+
+    monkeypatch.setattr(router, "normalize", counting)
+    deps = replace(_deps(hr_bundle), fallback=resolver)
+    message = "  Candidates   SCREEN!! "
+    result = dispatch(message, _goal(deps, "hr"), deps)
+    assert result.detail["routing"] == {"mode": "fallback"}
+    assert result.event.intent == "screen_resume"
+    assert normalized == [message]
+    assert resolved == [normalize(message)]
 
 
 def test_every_executed_event_digests_its_fixture_as_json_dumps_writes_it():

@@ -218,9 +218,9 @@ def test_compute_report_routes_each_distinct_text_once_per_call(hr_run, hr_bundl
     """The simulation's routing memo lives for one call: each call routes every text once."""
     routed: list[str] = []
 
-    def counting(text, ctx, table, fallback=None):
+    def counting(text, table, fallback=None):
         routed.append(text)
-        return identify(text, ctx, table, fallback)
+        return identify(text, table, fallback)
 
     monkeypatch.setattr(scenarios, "identify", counting)
     unlabeled = sorted({m.text for s in hr_run.scenarios for m in s.messages if not m.label_intent})

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stagegate.automaton import automaton_from_dict
-from stagegate.context import canonical, payload_digest
+from stagegate.context import DispatchContext, canonical, payload_digest
 from stagegate.dispatcher import DispatchDeps, dispatch
 from stagegate.errors import ConfigError, ConflictFault, IntegrityFault, LookupFault
 from stagegate.memory import (
@@ -111,6 +111,14 @@ def test_advance_rejects_undeclared_transition(hr_bundle):
     assert manager.goal(record.goal_id).current_stage == "init"
 
 
+def test_advance_to_an_unknown_stage_is_a_conflict(hr_bundle):
+    manager = _manager(hr_bundle)
+    record = manager.create_goal("hr")
+    with pytest.raises(ConflictFault, match="'init' -> 'nowhere' is not declared legal"):
+        manager.advance_stage(record.goal_id, "init", "nowhere")
+    assert manager.goal(record.goal_id).current_stage == "init"
+
+
 def test_advance_rejects_stale_from_stage(hr_bundle):
     manager = _manager(hr_bundle)
     record = manager.create_goal("hr")
@@ -183,6 +191,18 @@ def test_goal_on_a_one_stage_automaton_is_closed_from_creation():
     manager = GoalManager()
     manager.add_domain("one", automaton, None)
     assert manager.create_goal("one").status == "closed"
+
+
+def test_replay_folds_one_context_without_copying_it(hr_run, monkeypatch):
+    """Replay owns the context it folds, so effects apply to it in place."""
+    clones = []
+    clone = DispatchContext.clone
+    monkeypatch.setattr(DispatchContext, "clone", lambda ctx: clones.append(ctx) or clone(ctx))
+    manager = hr_run.manager
+    for gid in manager.goal_ids():
+        assert manager.replay(gid).state() == manager.state(gid)
+    assert len(manager.goal_ids()) == 215
+    assert clones == []
 
 
 def test_replay_reproduces_live_state_on_random_domains():

@@ -188,37 +188,38 @@ def test_report_satisfied_equals_fold_and(state, pre_names):
 # -- postconditions ---------------------------------------------------------------
 
 
-def test_postconditions_apply_in_order_and_do_not_mutate_input():
+def test_postconditions_apply_in_order_in_place():
     spec = _spec(
         "s", "q", RiskLevel.L1, (),
         post=(Effect("set", "a", 1), Effect("set", "a", 2), Effect("set", "b", True)),
     )
     ctx = DispatchContext(goal_id="g")
-    updated = apply_postconditions(spec, ctx, payload_digest(canonical({})))
-    assert updated.business_state == {"a": 2, "b": True}
-    assert ctx.business_state == {}
+    apply_postconditions(spec, ctx, payload_digest(canonical({})))
+    assert ctx.business_state == {"a": 2, "b": True}
 
 
 def test_empty_postconditions_leave_context_structurally_equal():
     spec = _spec("s", "q", RiskLevel.L1, ())
     ctx = DispatchContext(goal_id="g", business_state={"x": [1, 2]})
-    updated = apply_postconditions(spec, ctx, payload_digest(canonical(None)))
-    assert updated.business_state == ctx.business_state
+    apply_postconditions(spec, ctx, payload_digest(canonical(None)))
+    assert ctx.business_state == {"x": [1, 2]}
 
 
 def test_flag_set_effects_are_idempotent():
     spec = _spec("s", "q", RiskLevel.L1, (), post=(Effect("set", "flag", True),))
     ctx = DispatchContext(goal_id="g")
-    once = apply_postconditions(spec, ctx, payload_digest(canonical(None)))
-    twice = apply_postconditions(spec, once, payload_digest(canonical(None)))
-    assert once.business_state == twice.business_state
+    apply_postconditions(spec, ctx, payload_digest(canonical(None)))
+    once = dict(ctx.business_state)
+    apply_postconditions(spec, ctx, payload_digest(canonical(None)))
+    assert ctx.business_state == once
 
 
 def test_set_from_result_stores_payload_digest():
     spec = _spec("s", "q", RiskLevel.L1, (), post=(Effect("set_from_result", "ref"),))
-    a = apply_postconditions(spec, DispatchContext(goal_id="g"), payload_digest(canonical({"x": 1})))
-    b = apply_postconditions(spec, DispatchContext(goal_id="g"), payload_digest(canonical({"x": 1})))
-    c = apply_postconditions(spec, DispatchContext(goal_id="g"), payload_digest(canonical({"x": 2})))
+    a, b, c = (DispatchContext(goal_id="g") for _ in range(3))
+    apply_postconditions(spec, a, payload_digest(canonical({"x": 1})))
+    apply_postconditions(spec, b, payload_digest(canonical({"x": 1})))
+    apply_postconditions(spec, c, payload_digest(canonical({"x": 2})))
     assert a.business_state["ref"] == b.business_state["ref"]
     assert a.business_state["ref"] != c.business_state["ref"]
 

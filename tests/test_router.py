@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stagegate.automaton import automaton_from_dict
-from stagegate.context import DispatchContext
 from stagegate.router import (
     FALLBACK_THRESHOLD,
     UNKNOWN,
@@ -22,8 +21,6 @@ from stagegate.scenarios import load_domain, load_suite, read_json
 from stagegate.suites import SGD_DOMAINS, hr_domain_dir, sgd_domain_dir, sgd_suite_path
 
 from reference import paraphrased
-
-CTX = DispatchContext(goal_id="g")
 
 
 def _table(*entries):
@@ -47,19 +44,18 @@ def test_exact_substring_and_token_kinds():
     assert MatchExpr.parse("=status").matches("job status") is False
 
 
-def test_pattern_hit_has_full_confidence():
+def test_pattern_hit_names_its_pattern():
     table = _table({"intent": "schedule_interview", "patterns": ["schedule interview"]})
-    decision = identify("Schedule interview", CTX, table)
+    decision = identify("Schedule interview", table)
     assert decision.intent == "schedule_interview"
     assert decision.mode == "pattern"
-    assert decision.confidence == 1.0
     assert decision.matched_pattern == "schedule interview"
 
 
 def test_empty_message_is_unknown():
     table = _table({"intent": "a", "patterns": ["x"]})
-    assert identify("", CTX, table).intent == UNKNOWN
-    assert identify("   !!! ", CTX, table).intent == UNKNOWN
+    assert identify("", table).intent == UNKNOWN
+    assert identify("   !!! ", table).intent == UNKNOWN
 
 
 def test_longer_match_wins_within_priority():
@@ -67,8 +63,8 @@ def test_longer_match_wins_within_priority():
         {"intent": "screen_resume", "patterns": ["screen resumes"]},
         {"intent": "rescreen", "patterns": ["re-screen resumes"]},
     )
-    assert identify("re-screen resumes", CTX, table).intent == "rescreen"
-    assert identify("screen resumes", CTX, table).intent == "screen_resume"
+    assert identify("re-screen resumes", table).intent == "rescreen"
+    assert identify("screen resumes", table).intent == "screen_resume"
 
 
 def test_priority_beats_length():
@@ -76,7 +72,7 @@ def test_priority_beats_length():
         {"intent": "low", "patterns": ["a much longer pattern text"], "priority": 0},
         {"intent": "high", "patterns": ["pattern"], "priority": 5},
     )
-    assert identify("a much longer pattern text", CTX, table).intent == "high"
+    assert identify("a much longer pattern text", table).intent == "high"
 
 
 def test_equal_priority_equal_length_breaks_lexicographically():
@@ -84,40 +80,40 @@ def test_equal_priority_equal_length_breaks_lexicographically():
         {"intent": "b_intent", "patterns": ["bbb"], "priority": 0},
         {"intent": "a_intent", "patterns": ["aaa"], "priority": 0},
     )
-    assert identify("aaa bbb", CTX, table).intent == "a_intent"
+    assert identify("aaa bbb", table).intent == "a_intent"
 
 
 def test_identify_is_deterministic(hr_bundle):
     messages = ["schedule interview", "pull candidates", "close the process", "no match here"]
-    first = [identify(m, CTX, hr_bundle.table, hr_bundle.fallback) for m in messages]
-    second = [identify(m, CTX, hr_bundle.table, hr_bundle.fallback) for m in messages]
+    first = [identify(m, hr_bundle.table, hr_bundle.fallback) for m in messages]
+    second = [identify(m, hr_bundle.table, hr_bundle.fallback) for m in messages]
     assert first == second
 
 
 def test_fallback_consulted_only_on_miss(hr_bundle):
     hits = [
-        identify("schedule interview", CTX, hr_bundle.table, None),
-        identify("schedule interview", CTX, hr_bundle.table, hr_bundle.fallback),
+        identify("schedule interview", hr_bundle.table, None),
+        identify("schedule interview", hr_bundle.table, hr_bundle.fallback),
     ]
     assert hits[0] == hits[1]  # disabling the fallback never changes a pattern hit
 
 
 def test_fallback_resolves_close_phrasings(hr_bundle):
-    decision = identify("screen resumes please", CTX, hr_bundle.table, hr_bundle.fallback)
+    decision = identify("screen resumes please", hr_bundle.table, hr_bundle.fallback)
     # pattern mode: "screen resumes" is a substring hit
     assert decision.mode == "pattern"
-    fuzzy = identify("candidates screen", CTX, hr_bundle.table, hr_bundle.fallback)
+    fuzzy = identify("candidates screen", hr_bundle.table, hr_bundle.fallback)
     assert fuzzy.mode == "fallback"
     assert fuzzy.intent == "screen_resume"
-    assert 0.6 <= fuzzy.confidence <= 1.0
+    assert fuzzy.matched_pattern == "screen candidates"
 
 
 def test_fallback_fault_degrades_to_unknown():
-    def broken(message, ctx):
+    def broken(norm):
         raise RuntimeError("resolver down")
 
     table = _table({"intent": "a", "patterns": ["something else"]})
-    decision = identify("unmatched text", CTX, table, broken)
+    decision = identify("unmatched text", table, broken)
     assert decision.intent == UNKNOWN
     assert decision.error is not None and "resolver down" in decision.error
 
@@ -169,7 +165,7 @@ def test_pattern_mode_agreement_over_shipped_suite(hr_bundle, hr_suite):
     for scenario in hr_suite:
         for message in scenario.messages:
             total += 1
-            decision = identify(message.text, CTX, hr_bundle.table)
+            decision = identify(message.text, hr_bundle.table)
             if decision.mode == "pattern":
                 pattern_hits += 1
                 assert decision.intent == brute_force(message.text)
@@ -187,11 +183,11 @@ def test_identify_latency_under_one_ms():
     big = table_from_list(raw + extra)
     assert sum(len(e.patterns) for e in big) == 100
     for _ in range(10):
-        identify("schedule interview", CTX, big)
+        identify("schedule interview", big)
     samples = []
     for _ in range(200):
         start = time.perf_counter_ns()
-        identify("schedule the interview for the shortlisted candidate", CTX, big)
+        identify("schedule the interview for the shortlisted candidate", big)
         samples.append(time.perf_counter_ns() - start)
     samples.sort()
     median_ms = samples[len(samples) // 2] / 1e6
@@ -201,7 +197,7 @@ def test_identify_latency_under_one_ms():
 # -- compiled table vs a per-call reference ---------------------------------------
 
 _WORDS = ("ab", "cd", "ef", "gh", "abc", "cde", "x")  # short: ties in length and text abound
-_UNRESOLVED = RoutingDecision(intent=UNKNOWN, mode="fallback", confidence=0.0)
+_UNRESOLVED = RoutingDecision(intent=UNKNOWN, mode="fallback")
 
 
 def _reference_identify(message, entries, with_fallback):
@@ -224,7 +220,7 @@ def _reference_identify(message, entries, with_fallback):
             else:
                 hit = set(expr.text.split()) <= set(norm.split())
             if hit:
-                return RoutingDecision(intent, "pattern", 1.0, matched_pattern=expr.text)
+                return RoutingDecision(intent, "pattern", matched_pattern=expr.text)
     tokens = set(norm.split())
     if not with_fallback or not tokens:
         return _UNRESOLVED
@@ -237,7 +233,7 @@ def _reference_identify(message, entries, with_fallback):
         if score > best_score:
             best_score, best_intent, best_pattern = score, intent, expr.text
     if best_intent is not None and best_score >= FALLBACK_THRESHOLD:
-        return RoutingDecision(best_intent, "fallback", round(best_score, 4), best_pattern)
+        return RoutingDecision(best_intent, "fallback", best_pattern)
     return _UNRESOLVED
 
 
@@ -264,8 +260,8 @@ def test_compiled_table_routes_like_a_per_call_sort(raw, messages):
     table = table_from_list(raw)
     fallback = TokenOverlapFallback(table)
     for message in messages:
-        assert identify(message, CTX, table) == _reference_identify(message, table, False)
-        assert identify(message, CTX, table, fallback) == _reference_identify(message, table, True)
+        assert identify(message, table) == _reference_identify(message, table, False)
+        assert identify(message, table, fallback) == _reference_identify(message, table, True)
 
 
 # -- compiled indexes vs a full scan -----------------------------------------------
@@ -291,7 +287,7 @@ def _full_scan_fallback(message, table):
             if score > best_score:
                 best_score, best = score, (intent, expr.text)
     if best is not None and best_score >= FALLBACK_THRESHOLD:
-        return RoutingDecision(best[0], "fallback", round(best_score, 4), best[1])
+        return RoutingDecision(best[0], "fallback", best[1])
     return _UNRESOLVED
 
 
@@ -303,12 +299,12 @@ def test_indexes_agree_with_a_full_scan(raw, messages):
     # Each pattern's own text too, so exact hits and overlapping kinds are common.
     for message in [*messages, *(expr.text for _, expr in table.scan)]:
         hit = _first_match(message, table)
-        decision = identify(message, CTX, table)
+        decision = identify(message, table)
         if hit is None:
             assert decision == _UNRESOLVED
         else:
-            assert decision == RoutingDecision(hit[0], "pattern", 1.0, matched_pattern=hit[1])
-        assert fallback(message, CTX) == _full_scan_fallback(message, table)
+            assert decision == RoutingDecision(hit[0], "pattern", matched_pattern=hit[1])
+        assert fallback(normalize(message)) == _full_scan_fallback(message, table)
 
 
 def test_an_earlier_hit_of_one_kind_stops_the_later_kinds():
@@ -318,9 +314,9 @@ def test_an_earlier_hit_of_one_kind_stops_the_later_kinds():
         {"intent": "substring", "patterns": ["ab"]},
     )
     assert [expr.kind for _, expr in table.scan] == ["exact", "tokens", "substring"]
-    assert identify("ab cd ef", CTX, table).intent == "exact"
-    assert identify("ab cd ef gh", CTX, table).intent == "tokens"
-    assert identify("ab ef", CTX, table).intent == "substring"
+    assert identify("ab cd ef", table).intent == "exact"
+    assert identify("ab cd ef gh", table).intent == "tokens"
+    assert identify("ab ef", table).intent == "substring"
 
 
 def test_fallback_tie_goes_to_the_earlier_pattern_whatever_the_token_order():
@@ -330,8 +326,8 @@ def test_fallback_tie_goes_to_the_earlier_pattern_whatever_the_token_order():
         {"intent": "early", "patterns": [f"{second} {third}"], "priority": 1},
         {"intent": "late", "patterns": [f"{first} {second}"]},
     )
-    decision = TokenOverlapFallback(table)("ab cd ef", CTX)
-    assert (decision.intent, decision.confidence) == ("early", round(2 / 3, 4))
+    decision = TokenOverlapFallback(table)("ab cd ef")
+    assert (decision.intent, decision.matched_pattern) == ("early", f"{second} {third}")
 
 
 def test_shipped_suites_route_like_the_reference(hr_bundle, hr_suite):
@@ -345,9 +341,9 @@ def test_shipped_suites_route_like_the_reference(hr_bundle, hr_suite):
     modes = set()
     for bundle, messages in cases:
         for message in messages:
-            bare = identify(message, CTX, bundle.table)
+            bare = identify(message, bundle.table)
             assert bare == _reference_identify(message, bundle.table, False), message
-            routed = identify(message, CTX, bundle.table, bundle.fallback)
+            routed = identify(message, bundle.table, bundle.fallback)
             assert routed == _reference_identify(message, bundle.table, True), message
             modes.add((routed.mode, routed.intent == UNKNOWN))
     assert len(cases) == 9

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from stagegate import suites
+from stagegate.context import DispatchContext
 from stagegate.dispatcher import BLOCK_OUTCOMES, DispatchToggles
 from stagegate.errors import ConfigError, GenerationFault
 from stagegate.runner import run_suite
@@ -312,6 +313,15 @@ def test_labels_match_simulation_legality(hr_bundle, hr_suite):
         assert len(decisions) == len(scenario.messages)
         for message, decision in zip(scenario.messages, decisions):
             assert message.expected_legal == (decision.outcome not in BLOCK_OUTCOMES)
+
+
+def test_simulation_applies_effects_to_its_own_contexts_in_place(hr_bundle, hr_suite, monkeypatch):
+    clones = []
+    clone = DispatchContext.clone
+    monkeypatch.setattr(DispatchContext, "clone", lambda ctx: clones.append(ctx) or clone(ctx))
+    decisions = [d for scenario in hr_suite for d in simulate_scenario(hr_bundle, scenario)]
+    assert any(d.outcome == "SUCCESS" and d.skill.postconditions for d in decisions)
+    assert clones == []
 
 
 def test_simulation_tracks_are_independent(hr_bundle, hr_suite):
