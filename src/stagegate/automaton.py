@@ -15,12 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .errors import ConfigError, LookupFault, parsing, string_list
+from .errors import ConfigError, LookupFault, parsing, string_list, unknown_keys
 
 StageId = str
 IntentId = str
 
-_CONFIG_KEYS = ("stages", "initial", "transitions", "intents", "binding", "stage_map")
+_CONFIG_KEYS = {"stages", "initial", "transitions", "intents", "binding", "stage_map"}
 
 
 @dataclass(frozen=True)
@@ -147,10 +147,9 @@ def automaton_from_dict(raw: Mapping[str, Any], name: str = "domain") -> Workflo
     ``stage_map`` values may be ``null`` for stage-preserving intents.
     """
     with parsing("automaton config"):
-        unknown = sorted(set(raw) - set(_CONFIG_KEYS))
-        if unknown:
-            raise ConfigError(f"unknown automaton config keys: {', '.join(unknown)}")
-        missing = sorted(set(_CONFIG_KEYS) - set(raw))
+        if not raw.keys() <= _CONFIG_KEYS:
+            raise unknown_keys("automaton config", raw, _CONFIG_KEYS)
+        missing = sorted(_CONFIG_KEYS - raw.keys())
         if missing:
             raise ConfigError(f"missing automaton config keys: {', '.join(missing)}")
         stages = string_list(raw["stages"], "stages")

@@ -59,8 +59,8 @@ class DispatchToggles:
     post-execution transition check) stand between a stage-illegal request
     and execution.  ``precondition_check=False`` still evaluates and records
     the skill's flags, but never blocks on them.  ``audit=False`` builds the
-    same event, at the seq it would have taken, but does not log it; state
-    still moves.
+    same event but does not log it; state moves but ``last_seq`` does not, so
+    every event of a goal that logged none carries seq 1.
     """
 
     stage_check: bool = True
@@ -183,62 +183,56 @@ def dispatch(
 ) -> DispatchResult:
     """Run one message through the full pipeline for the given goal.
 
-    Dispatches for the same goal are serialized; the per-goal lock is held
-    for the whole step.  Gate time (the ``decide`` kernel) and executor time
-    are recorded separately in ``detail["timing_ns"]`` so dispatcher-internal
+    Dispatches for the same goal are serialized; the goal's lock is held for
+    the whole step.  Gate time (the ``decide`` kernel) and executor time are
+    recorded separately in ``detail["timing_ns"]`` so dispatcher-internal
     overhead stays distinguishable from execution cost.
     """
-    with deps.manager.lock(goal_id):
-        return _dispatch_locked(message, goal_id, deps, toggles)
-
-
-def _dispatch_locked(
-    message: str, goal_id: str, deps: DispatchDeps, toggles: DispatchToggles
-) -> DispatchResult:
     manager = deps.manager
     live = manager.live(goal_id)
-    stage = live.record.current_stage
-    ctx = manager.context(goal_id)  # the step's own copy, committed on success
+    with live.lock:
+        stage = live.record.current_stage
+        ctx = manager.context(goal_id)  # the step's own copy, committed on success
 
-    t0 = time.perf_counter_ns()
-    route = identify(message, deps.table, deps.fallback)
-    t1 = time.perf_counter_ns()
-    decision = decide(deps.automaton, deps.registry, stage, ctx, route.intent, toggles)
-    timing = {"route_ns": t1 - t0, "gate_ns": time.perf_counter_ns() - t1}
+        t0 = time.perf_counter_ns()
+        route = identify(message, deps.table, deps.fallback)
+        t1 = time.perf_counter_ns()
+        decision = decide(deps.automaton, deps.registry, stage, ctx, route.intent, toggles)
+        timing = {"route_ns": t1 - t0, "gate_ns": time.perf_counter_ns() - t1}
 
-    outcome, sub_reason, stage_after = decision.outcome, decision.sub_reason, decision.stage_after
-    digest = payload = None
-    if decision.executes:
-        exec_start = time.perf_counter_ns()
-        try:
-            body = deps.executor(decision.skill, ctx.clone())
-            if type(body) is not bytes:
-                raise TypeError(f"executor payload is {type(body).__name__}, not bytes")
-        except Exception as exc:
-            # Executor faults are not a governance outcome class: the step is
-            # a failed SUCCESS-path dispatch with no postconditions and no
-            # advance, even when the transition would have been rejected.
-            body = canonical({"error": str(exc)})
-            outcome, sub_reason, stage_after = "SUCCESS", "execution_error", stage
-        timing["executor_ns"] = time.perf_counter_ns() - exec_start
-        digest = payload_digest(body)
-        if outcome == "SUCCESS" and sub_reason is None:
-            payload = body
-            apply_postconditions(decision.skill, ctx, digest)
+        outcome, sub_reason, stage_after = decision.outcome, decision.sub_reason, decision.stage_after
+        digest = payload = None
+        if decision.executes:
+            exec_start = time.perf_counter_ns()
+            try:
+                body = deps.executor(decision.skill, ctx.clone())
+                if type(body) is not bytes:
+                    raise TypeError(f"executor payload is {type(body).__name__}, not bytes")
+            except Exception as exc:
+                # Executor faults are not a governance outcome class: the step is
+                # a failed SUCCESS-path dispatch with no postconditions and no
+                # advance, even when the transition would have been rejected.
+                body = canonical({"error": str(exc)})
+                outcome, sub_reason, stage_after = "SUCCESS", "execution_error", stage
+            timing["executor_ns"] = time.perf_counter_ns() - exec_start
+            digest = payload_digest(body)
+            if outcome == "SUCCESS" and sub_reason is None:
+                payload = body
+                apply_postconditions(decision.skill, ctx, digest)
 
-    skill_id = decision.skill.id if decision.skill else None
-    event = ProcessEvent(
-        live.last_seq + 1, time.time(), goal_id, route.intent, stage, stage_after,
-        skill_id, outcome, sub_reason, decision.pre_results, digest,
-    )
-    if toggles.audit:
-        manager.log_event(event, payload)
-    # Write-ahead: a committing step, the only one with a payload, moves state
-    # only once its event, when audited, is in the store.
-    if payload is not None:
-        if stage_after != stage:
-            manager.advance_stage(goal_id, stage, stage_after)
-        manager.commit_context(goal_id, ctx)
+        skill_id = decision.skill.id if decision.skill else None
+        event = ProcessEvent(
+            live.last_seq + 1, time.time(), goal_id, route.intent, stage, stage_after,
+            skill_id, outcome, sub_reason, decision.pre_results, digest,
+        )
+        if toggles.audit:
+            manager.log_event(event, payload)
+        # Write-ahead: a committing step, the only one with a payload, moves state
+        # only once its event, when audited, is in the store.
+        if payload is not None:
+            if stage_after != stage:
+                manager.advance_stage(goal_id, stage, stage_after)
+            manager.commit_context(goal_id, ctx)
     routing = {"mode": route.mode}
     if route.error:
         routing["error"] = route.error

@@ -8,7 +8,7 @@ continue past (bad lookups, broken configs, corrupted logs).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import AbstractSet, Any, Iterator, Mapping
 
 
 class StagegateError(Exception):
@@ -34,6 +34,11 @@ def string_list(value: Any, what: str) -> tuple[str, ...]:
     if type(value) is not list or not all(type(item) is str for item in value):
         raise ConfigError(f"{what} must be a list of strings, not {value!r}")
     return tuple(value)
+
+
+def unknown_keys(what: str, raw: Mapping[str, Any], allowed: AbstractSet[str]) -> ConfigError:
+    """The refusal of *raw*, a JSON object holding keys outside *allowed*; it names each one."""
+    return ConfigError(f"{what}: unknown keys: {', '.join(sorted(raw.keys() - allowed))}")
 
 
 def file_safe_id(value: str, what: str) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple
@@ -218,6 +219,8 @@ class GoalState:
     record: GoalRecord
     business_state: dict[str, Any]
     last_seq: int
+    # a live goal's RLock, held by every write to it; a replayed state has none
+    lock: AbstractContextManager | None = field(default=None, repr=False, compare=False)
 
     def state(self) -> dict[str, Any]:
         """The observable state that snapshots store and replay must reproduce."""
@@ -232,16 +235,16 @@ class GoalState:
 class GoalManager:
     """Shared workflow state for all dispatchers, keyed by goal id.
 
-    Reads are safe concurrently; writes for one goal are serialized by a
-    per-goal lock.  The manager needs each domain's automaton (to validate
-    advancement) and registry (to re-derive business state during replay).
+    Reads are safe concurrently; writes for one goal are serialized by the
+    lock on its one ``GoalState`` entry.  The manager needs each domain's
+    automaton (to validate advancement) and registry (to re-derive business
+    state during replay).
     """
 
     def __init__(self, store: InMemoryEventStore | FileEventStore | None = None) -> None:
         self.store = store or InMemoryEventStore()
         self._domains: dict[str, tuple[WorkflowAutomaton, SkillRegistry]] = {}
         self._states: dict[str, GoalState] = {}
-        self._locks: dict[str, threading.RLock] = {}
         self._table_lock = threading.Lock()
         self._goal_counter = 0
 
@@ -264,12 +267,11 @@ class GoalManager:
             if goal_id in self._states:
                 raise ConflictFault(f"goal id already exists: {goal_id!r}")
             record = GoalRecord(goal_id, domain, automaton.initial, automaton.terminal_stages())
-            self._states[goal_id] = GoalState(record, {}, 0)
-            self._locks[goal_id] = threading.RLock()
+            self._states[goal_id] = GoalState(record, {}, 0, threading.RLock())
         return record
 
     def live(self, goal_id: str) -> GoalState:
-        """The goal's live state itself, not a copy: read it under the goal's lock, change it only here."""
+        """The goal's one live entry, never replaced: read it under its lock, change it only here."""
         try:
             return self._states[goal_id]
         except KeyError:
@@ -281,9 +283,8 @@ class GoalManager:
     def goal_ids(self) -> list[str]:
         return sorted(self._states)
 
-    def lock(self, goal_id: str) -> threading.RLock:
-        self.live(goal_id)
-        return self._locks[goal_id]
+    def lock(self, goal_id: str) -> AbstractContextManager:
+        return self.live(goal_id).lock
 
     def context(self, goal_id: str) -> DispatchContext:
         """Copy of the goal's live context; commit changes via commit_context."""
@@ -317,9 +318,10 @@ class GoalManager:
         unknown *to_stage* among them; this is defense in depth below the
         dispatcher's own gates.
         """
-        record = self.goal(goal_id)
+        live = self.live(goal_id)
+        record = live.record
         automaton = self._domains[record.domain][0]
-        with self._locks[goal_id]:
+        with live.lock:
             if record.current_stage != from_stage:
                 raise ConflictFault(
                     f"goal {goal_id!r} is at {record.current_stage!r}, not {from_stage!r}"
@@ -333,7 +335,7 @@ class GoalManager:
     def log_event(self, event: ProcessEvent, payload: bytes | None = None) -> None:
         """Append one event to the store; seq must be exactly previous + 1."""
         live = self.live(event.goal_id)
-        with self._locks[event.goal_id]:
+        with live.lock:
             expected = live.last_seq + 1
             if event.seq != expected:
                 raise IntegrityFault(
@@ -342,13 +344,6 @@ class GoalManager:
                 )
             self.store.append(event, payload)
             live.last_seq = event.seq
-
-    def list_events(self, goal_id: str, outcome: str | None = None) -> list[ProcessEvent]:
-        self.goal(goal_id)
-        events = self.store.events_for(goal_id)
-        if outcome is not None:
-            events = [e for e in events if e.outcome == outcome]
-        return events
 
     # -- replay ----------------------------------------------------------------
 

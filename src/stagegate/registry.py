@@ -15,10 +15,10 @@ from typing import Any, Mapping, NamedTuple, Sequence
 
 from .automaton import StageId, IntentId, WorkflowAutomaton
 from .context import DispatchContext
-from .errors import ConfigError, ConflictFault, parsing, string_list
+from .errors import ConfigError, ConflictFault, parsing, string_list, unknown_keys
 
-_SKILL_KEYS = ("id", "intent", "level", "stages", "pre", "post", "risk", "disclosure")
-_EFFECT_OPS = ("set", "set_from_result")
+_SKILL_KEYS = {"id", "intent", "level", "stages", "pre", "post", "risk", "disclosure"}
+_EFFECT_KEYS = {"set": {"op", "field", "value"}, "set_from_result": {"op", "field"}}  # op -> exact keys
 _SCALARS = (str, int, float, bool, type(None))
 
 
@@ -52,7 +52,7 @@ class Effect:
     value: Any = None
 
     def __post_init__(self) -> None:
-        if self.op not in _EFFECT_OPS:
+        if type(self.op) is not str or self.op not in _EFFECT_KEYS:
             raise ConfigError(f"unknown postcondition op: {self.op!r}")
         if not isinstance(self.field, str):
             raise ConfigError(f"postcondition field must be a string, not {self.field!r}")
@@ -196,9 +196,8 @@ def apply_postconditions(skill: SkillSpec, ctx: DispatchContext, result_digest: 
 def skill_from_dict(raw: Mapping[str, Any]) -> SkillSpec:
     """Parse one skill config object at exact JSON types (``stages`` may be ``"*"`` for all)."""
     with parsing("skill config"):
-        unknown = sorted(set(raw) - set(_SKILL_KEYS))
-        if unknown:
-            raise ConfigError(f"unknown skill config keys: {', '.join(unknown)}")
+        if not raw.keys() <= _SKILL_KEYS:
+            raise unknown_keys("skill config", raw, _SKILL_KEYS)
         for key in ("id", "intent", "level"):
             if key not in raw:
                 raise ConfigError(f"skill config missing key: {key}")
@@ -215,10 +214,7 @@ def skill_from_dict(raw: Mapping[str, Any]) -> SkillSpec:
                 raise ConfigError(
                     f"skill {sid!r}: 'stages' must name a stage, or be \"*\" for every stage"
                 )
-        effects = tuple(
-            Effect(op=eff["op"], field=eff["field"], value=eff.get("value"))
-            for eff in raw.get("post", [])
-        )
+        effects = tuple(_effect_from_dict(eff, sid) for eff in raw.get("post", []))
         return SkillSpec(
             id=sid,
             intent=raw["intent"],
@@ -227,6 +223,17 @@ def skill_from_dict(raw: Mapping[str, Any]) -> SkillSpec:
             preconditions=string_list(raw.get("pre", []), f"skill {sid!r}: 'pre'"),
             postconditions=effects,
         )
+
+
+def _effect_from_dict(raw: Mapping[str, Any], sid: str) -> Effect:
+    """One effect object: ``op`` and ``field``, and ``value`` exactly when ``op`` is ``set``."""
+    effect = Effect(raw["op"], raw["field"], raw.get("value"))
+    if raw.keys() != _EFFECT_KEYS[effect.op]:
+        keys = ", ".join(sorted(_EFFECT_KEYS[effect.op]))
+        raise ConfigError(
+            f"skill {sid!r}: a {effect.op!r} effect holds exactly {keys}, not {', '.join(sorted(raw))}"
+        )
+    return effect
 
 
 def build_registry(

@@ -19,13 +19,15 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .automaton import WorkflowAutomaton
-from .errors import ConfigError, parsing, string_list
+from .errors import ConfigError, parsing, string_list, unknown_keys
 
 UNKNOWN = "<unknown>"
 
 _TERMINAL_PUNCT = ".!?;:,"
 
 FALLBACK_THRESHOLD = 0.6  # least Jaccard overlap the shipped fallback resolves on
+
+_ENTRY_KEYS = {"intent", "patterns", "priority"}
 
 
 def normalize(message: str) -> str:
@@ -256,6 +258,8 @@ def table_from_list(raw: Iterable[Mapping[str, Any]]) -> PatternTable:
     table = []
     with parsing("pattern table"):
         for item in raw:
+            if not item.keys() <= _ENTRY_KEYS:
+                raise unknown_keys("pattern entry", item, _ENTRY_KEYS)
             if "intent" not in item or "patterns" not in item:
                 raise ConfigError("pattern entry needs 'intent' and 'patterns'")
             intent, priority = item["intent"], item.get("priority", 0)

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 from .automaton import StageId, WorkflowAutomaton, automaton_from_dict, validate_definition
 from .context import DispatchContext
 from .dispatcher import BLOCK_OUTCOMES, Decision, MockExecutor, decide
-from .errors import ConfigError, GenerationFault, StagegateError, file_safe_id, parsing
+from .errors import ConfigError, GenerationFault, StagegateError, file_safe_id, parsing, unknown_keys
 from .registry import SkillRegistry, apply_postconditions, build_registry
 from .router import (
     PatternTable,
@@ -35,6 +35,10 @@ if TYPE_CHECKING:
     from .runner import StepRecord
 
 SCENARIO_TYPES = ("normal", "illegal", "rollback", "multi", "abort", "concurrent")
+
+_SUITE_KEYS = {"suite_name", "domain", "scenarios"}
+_SCENARIO_KEYS = {"scenario_id", "type", "expected_final_stage", "messages"}
+_MESSAGE_KEYS = {"turn_index", "text", "expected_legal", "label_intent", "track"}
 
 BUNDLE_FILES = {
     "automaton": "automaton.json",
@@ -195,9 +199,11 @@ def load_domain(path: str | Path) -> DomainBundle:
 
 
 def _scenario_from_dict(raw: Mapping[str, Any], bundle: DomainBundle) -> Scenario:
-    # Exact JSON types throughout, nothing coerced: 5 is not "5", "false" is not
-    # False, 0.0 is not 0, and "00" is no track number.
+    # Exact keys and exact JSON types throughout, nothing coerced: 5 is not "5",
+    # "false" is not False, 0.0 is not 0, and "00" is no track number.
     sid = raw.get("scenario_id", "")
+    if not raw.keys() <= _SCENARIO_KEYS:
+        raise unknown_keys(f"scenario {sid!r}", raw, _SCENARIO_KEYS)
     if type(sid) is not str:
         raise ConfigError(f"scenario {sid!r}: scenario_id must be a string")
     if not sid:
@@ -212,6 +218,8 @@ def _scenario_from_dict(raw: Mapping[str, Any], bundle: DomainBundle) -> Scenari
 
     messages = []
     for position, msg in enumerate(raw_messages):
+        if not msg.keys() <= _MESSAGE_KEYS:
+            raise unknown_keys(f"scenario {sid!r}: message {position}", msg, _MESSAGE_KEYS)
         turn, text, legal = msg["turn_index"], msg["text"], msg["expected_legal"]
         label_intent, track = msg.get("label_intent"), msg.get("track", 0)
         if not (
@@ -226,16 +234,7 @@ def _scenario_from_dict(raw: Mapping[str, Any], bundle: DomainBundle) -> Scenari
             raise ConfigError(
                 f"scenario {sid!r}: turn_index must be gapless from 0 (got {turn} at {position})"
             )
-        messages.append(
-            LabeledMessage(
-                text=text,
-                expected_legal=legal,
-                scenario_id=sid,
-                turn_index=turn,
-                label_intent=label_intent,
-                track=track,
-            )
-        )
+        messages.append(LabeledMessage(text, legal, sid, turn, label_intent, track))
 
     final_raw = raw.get("expected_final_stage")
     if final_raw is None:
@@ -253,12 +252,7 @@ def _scenario_from_dict(raw: Mapping[str, Any], bundle: DomainBundle) -> Scenari
             "track numbers (non-negative, no leading zeros) to stages"
         )
 
-    scenario = Scenario(
-        scenario_id=sid,
-        type=stype,
-        messages=tuple(messages),
-        expected_final_stage=final,
-    )
+    scenario = Scenario(sid, stype, tuple(messages), final)
 
     if stype == "illegal" and all(m.expected_legal for m in messages):
         raise ConfigError(f"scenario {sid!r}: illegal type requires an expected_legal=false message")
@@ -285,12 +279,14 @@ def load_suite(path: str | Path, bundle: DomainBundle) -> list[Scenario]:
 def suite_from_dict(raw: Mapping[str, Any], bundle: DomainBundle) -> list[Scenario]:
     """Parse a suite; its domain (when given), stages and label intents must be *bundle*'s."""
     with parsing("suite"):
+        if not raw.keys() <= _SUITE_KEYS:
+            raise unknown_keys("suite", raw, _SUITE_KEYS)
         domain = raw.get("domain", "")
         if type(domain) is not str:
             raise ConfigError(f"suite domain must be a string, not {domain!r}")
         if domain and domain != bundle.name:
             raise ConfigError(f"suite declares domain {domain!r} but bundle is {bundle.name!r}")
-        scenarios = [_scenario_from_dict(item, bundle) for item in raw.get("scenarios", [])]
+        scenarios = [_scenario_from_dict(item, bundle) for item in raw["scenarios"]]
     seen: set[str] = set()
     for scenario in scenarios:
         if scenario.scenario_id in seen:

@@ -114,7 +114,7 @@ def test_criterion_3_safety_invariant_randomized():
             if result.outcome != "SUCCESS":
                 assert manager.goal(gid).current_stage == stage_before
                 assert manager.context(gid).business_state == state_before
-        for event in manager.list_events(gid):
+        for event in manager.store.events_for(gid):
             if event.outcome == "SUCCESS":
                 assert event.stage_before in bundle.automaton.binding[event.intent], (
                     "SUCCESS event outside the intent binding"

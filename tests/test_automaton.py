@@ -67,6 +67,38 @@ def test_intent_missing_from_binding_is_reported():
     assert any(line.startswith("binding_missing_intent: ") and "stay" in line for line in errors)
 
 
+def _with_empty_intent(raw):
+    raw["intents"].append("")
+    raw["binding"][""] = ["a"]
+    raw["stage_map"][""] = None
+
+
+@pytest.mark.parametrize("edit, reported", [
+    (lambda raw: raw["stages"].append("a"), "duplicate_stage: stages contains duplicates"),
+    (lambda raw: raw["stages"].append(""), "empty_stage: stage identifiers must be non-empty"),
+    (lambda raw: raw["intents"].append("go"), "duplicate_intent: intents contains duplicates"),
+    (_with_empty_intent, "empty_intent: intent identifiers must be non-empty"),
+    (lambda raw: raw["transitions"].append(["zz", "a"]),
+     "transition_unknown_stage: transition source 'zz' not in stages"),
+    (lambda raw: raw["transitions"].append(["a", "zz"]),
+     "transition_unknown_stage: transition target 'zz' not in stages"),
+    (lambda raw: raw["binding"].update(ghost=["a"]),
+     "binding_unknown_intent: binding key 'ghost' not in intents"),
+    (lambda raw: raw["binding"]["go"].append("zz"),
+     "binding_unknown_stage: binding for 'go' names unknown stage 'zz'"),
+    (lambda raw: raw["stage_map"].pop("stay"),
+     "stage_map_missing_intent: intent 'stay' missing from stage_map"),
+    (lambda raw: raw["stage_map"].update(ghost=None),
+     "stage_map_unknown_intent: stage_map key 'ghost' not in intents"),
+    (lambda raw: raw["stage_map"].update(go="zz"),
+     "stage_map_unknown_stage: stage_map for 'go' names unknown stage 'zz'"),
+])
+def test_each_structural_fault_is_reported_by_its_code(edit, reported):
+    raw = _tiny_dict()
+    edit(raw)
+    assert validate_definition(automaton_from_dict(raw)) == ([reported], [])
+
+
 def test_empty_binding_is_warning_not_error():
     auto = _tiny()
     binding = dict(auto.binding)

@@ -335,6 +335,19 @@ def test_run_into_a_finished_run_refuses_and_changes_nothing(tmp_path, small_sui
     assert main(["replay", str(trace)]) == 0
 
 
+def test_run_refuses_a_suite_with_a_misspelt_key_and_writes_nothing(tmp_path, capsys):
+    """Read as no scenarios, it would report 100% precision and recall and exit 0."""
+    raw = json.loads(hr_suite_path().read_text())
+    raw["scenarois"] = raw.pop("scenarios")
+    suite = tmp_path / "misspelt.json"
+    suite.write_text(json.dumps(raw))
+    out_dir = tmp_path / "run"
+    code = main(["run", "--domain", str(hr_domain_dir()), "--suite", str(suite), "--out", str(out_dir)])
+    assert code == 2
+    assert "unknown keys: scenarois" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_run_against_sgd_domain(tmp_path):
     out_dir = tmp_path / "banks"
     code = main([

@@ -143,6 +143,23 @@ def test_empty_suite_report_uses_conventions(hr_bundle):
     assert report.blocking.accuracy is None
 
 
+def test_tcr_counts_the_scenarios_a_failing_executor_leaves_incomplete(hr_bundle, hr_suite):
+    """The closing skill fails, so a track meant to close stops short; recounted from the steps."""
+    run = run_suite(hr_bundle, hr_suite, fail_ids=["close_process"])
+    report = compute_report(run, hr_bundle)
+    final = {step.goal_id: step.event.stage_after for step in run.steps}
+    complete: Counter[str] = Counter()
+    for scenario in hr_suite:
+        complete[scenario.type] += all(
+            final[f"{scenario.scenario_id}-t{track}"] == stage
+            for track, stage in scenario.expected_final_stage.items()
+        )
+    assert 0 < sum(complete.values()) < len(hr_suite)
+    assert report.tcr == sum(complete.values()) / len(hr_suite) < 1
+    for name, row in report.per_type.items():
+        assert row.completed == complete[name], name
+
+
 def test_audit_off_zeroes_trc_only(hr_bundle, hr_suite, hr_report):
     run = run_suite(hr_bundle, hr_suite, toggles=DispatchToggles(audit=False))
     report = compute_report(run, hr_bundle)
@@ -202,7 +219,7 @@ def test_all_success_run_has_clean_distribution(hr_bundle, hr_suite):
 def test_stage_changes_trace_back_to_success_events(hr_run):
     """Every stage change in a goal's log belongs to exactly one SUCCESS event."""
     for gid in hr_run.manager.goal_ids():
-        events = hr_run.manager.list_events(gid)
+        events = hr_run.manager.store.events_for(gid)
         stage = None
         for event in events:
             if stage is not None:

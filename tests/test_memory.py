@@ -70,6 +70,31 @@ def test_a_goal_id_that_could_name_a_path_is_refused(hr_bundle, tmp_path, goal_i
     assert not any(tmp_path.rglob("*escaped*"))
 
 
+def test_a_goal_id_is_created_once(hr_bundle):
+    manager = _manager(hr_bundle)
+    manager.create_goal("hr", goal_id="g")
+    with pytest.raises(ConflictFault, match="^goal id already exists: 'g'$"):
+        manager.create_goal("hr", goal_id="g")
+    assert manager.goal_ids() == ["g"]
+
+
+def test_a_goal_holds_its_lock_on_its_one_entry(hr_bundle):
+    manager = _manager(hr_bundle)
+    gid, other = manager.create_goal("hr").goal_id, manager.create_goal("hr").goal_id
+    live = manager.live(gid)
+    assert manager.lock(gid) is live.lock is manager.lock(gid)
+    assert live.lock is not manager.live(other).lock
+    assert not hasattr(manager, "_locks")
+    with live.lock:  # reentrant: a write made under the goal's held lock goes through
+        manager.log_event(_event(gid, 1))
+    replayed = manager.replay(gid)
+    assert replayed.lock is None
+    assert replayed == live  # the lock is no part of a goal's state
+    assert "lock" not in repr(live)
+    with pytest.raises(LookupFault):
+        manager.lock("ghost")
+
+
 def test_goal_ids_are_distinct(hr_bundle):
     manager = _manager(hr_bundle)
     a = manager.create_goal("hr")
@@ -136,26 +161,6 @@ def test_first_event_has_seq_one_and_gaps_fault(hr_bundle):
         manager.log_event(_event(record.goal_id, 1))  # duplicate seq
     manager.log_event(_event(record.goal_id, 2))
     assert manager.last_seq(record.goal_id) == 2
-
-
-def test_list_events_filter_partition(hr_bundle):
-    manager = _manager(hr_bundle)
-    record = manager.create_goal("hr")
-    outcomes = ["SUCCESS", "ILLEGAL_TRANSITION", "SUCCESS", "PRECONDITION_FAIL", "SUCCESS"]
-    for i, outcome in enumerate(outcomes, start=1):
-        manager.log_event(_event(record.goal_id, i, outcome=outcome))
-    unfiltered = manager.list_events(record.goal_id)
-    assert [e.seq for e in unfiltered] == [1, 2, 3, 4, 5]
-    merged = []
-    for outcome in set(outcomes):
-        merged.extend(manager.list_events(record.goal_id, outcome=outcome))
-    assert sorted(e.seq for e in merged) == [e.seq for e in unfiltered]
-
-
-def test_list_events_unknown_goal(hr_bundle):
-    manager = _manager(hr_bundle)
-    with pytest.raises(LookupFault):
-        manager.list_events("ghost")
 
 
 def test_replay_empty_log_reconstructs_initial_state(hr_bundle):
@@ -636,5 +641,5 @@ def test_concurrent_multi_goal_logging_stays_gapless(hr_bundle):
     for t in threads:
         t.join()
     for gid in goals:
-        seqs = [e.seq for e in manager.list_events(gid)]
+        seqs = [e.seq for e in manager.store.events_for(gid)]
         assert seqs == list(range(1, 101))

@@ -232,6 +232,40 @@ def test_skill_from_dict_rejects_unknown_keys():
         skill_from_dict({"id": "a", "intent": "b", "level": "L0", "surprise": 1})
 
 
+_BASE_SKILL = {"id": "a", "intent": "b", "level": "L0"}
+
+
+@pytest.mark.parametrize("edit, reported", [
+    ({"level": "L9"}, "unknown risk level: 'L9'"),
+    ({"post": [{"op": "append", "field": "f", "value": 1}]}, "unknown postcondition op: 'append'"),
+    ({"post": [{"op": ["set"], "field": "f", "value": 1}]}, "unknown postcondition op: ['set']"),
+    ({"post": [{"op": "set", "field": "f", "valeu": True}]},
+     "skill 'a': a 'set' effect holds exactly field, op, value, not field, op, valeu"),
+    ({"post": [{"op": "set", "field": "f"}]},
+     "skill 'a': a 'set' effect holds exactly field, op, value, not field, op"),
+    ({"post": [{"op": "set_from_result", "field": "f", "value": "x"}]},
+     "skill 'a': a 'set_from_result' effect holds exactly field, op, not field, op, value"),
+    ({"post": [{"op": "set", "value": 1}]}, "malformed skill config: missing key 'field'"),
+])
+def test_skill_from_dict_refusals(edit, reported):
+    with pytest.raises(ConfigError) as caught:
+        skill_from_dict(_BASE_SKILL | edit)
+    assert str(caught.value) == reported
+
+
+@pytest.mark.parametrize("key", ["id", "intent", "level"])
+def test_skill_from_dict_names_a_missing_key(key):
+    raw = {k: v for k, v in _BASE_SKILL.items() if k != key}
+    with pytest.raises(ConfigError, match=f"^skill config missing key: {key}$"):
+        skill_from_dict(raw)
+
+
+def test_effects_load_with_exactly_their_keys():
+    post = [{"op": "set", "field": "f", "value": None}, {"op": "set_from_result", "field": "g"}]
+    spec = skill_from_dict(_BASE_SKILL | {"post": post})
+    assert spec.postconditions == (Effect("set", "f", None), Effect("set_from_result", "g"))
+
+
 def test_skill_from_dict_star_means_all_stages():
     spec = skill_from_dict({"id": "a", "intent": "b", "level": "L0", "stages": "*"})
     assert spec.applicable_stages == frozenset()

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stagegate.automaton import automaton_from_dict
+from stagegate.errors import ConfigError
 from stagegate.router import (
     FALLBACK_THRESHOLD,
     UNKNOWN,
@@ -139,6 +141,18 @@ def test_validate_table_reports_ambiguity_and_foreign_intents():
     )
     errors = validate_table(_table({"intent": "ghost", "patterns": ["x"]}), auto)
     assert any(line.startswith("unknown_intent: ") for line in errors)
+
+
+@pytest.mark.parametrize("entry, reported", [
+    ({"patterns": ["x"]}, "pattern entry needs 'intent' and 'patterns'"),
+    ({"intent": "a"}, "pattern entry needs 'intent' and 'patterns'"),
+    ({"intent": "a", "patterns": ["x"], "priorty": 5}, "pattern entry: unknown keys: priorty"),
+    ({"intent": "a", "pattern": ["x"], "weight": 1}, "pattern entry: unknown keys: pattern, weight"),
+])
+def test_table_from_list_refusals(entry, reported):
+    with pytest.raises(ConfigError) as caught:
+        table_from_list([{"intent": "ok", "patterns": ["fine"]}, entry])
+    assert str(caught.value) == reported
 
 
 def test_shipped_hr_table_validates_clean(hr_bundle):

@@ -212,6 +212,49 @@ def test_a_suite_domain_must_be_a_string(hr_bundle, hr_suite):
         suite_from_dict(raw | {"domain": ["hr"]}, hr_bundle)
 
 
+def _bad_suite():
+    return {"domain": "hr", "scenarios": [
+        {"scenario_id": "bad", "type": "normal", "expected_final_stage": "init",
+         "messages": [{"turn_index": 0, "text": "help", "expected_legal": True}]},
+    ]}
+
+
+@pytest.mark.parametrize("edit, reported", [
+    (lambda raw: raw["scenarios"][0].pop("scenario_id"), "scenario missing scenario_id"),
+    (lambda raw: raw["scenarios"][0].update(messages=[]), "scenario 'bad': messages must be non-empty"),
+    (lambda raw: raw["scenarios"][0].update(expected_final_stage="nowhere"),
+     "scenario 'bad': expected stage 'nowhere' not in domain"),
+    (lambda raw: raw["scenarios"][0]["messages"][0].update(label_intent="ghost"),
+     "scenario 'bad': label_intent 'ghost' not in domain"),
+    (lambda raw: raw.update(domain="Banks_1"), "suite declares domain 'Banks_1' but bundle is 'hr'"),
+    (lambda raw: raw["scenarios"].append(raw["scenarios"][0]), "duplicate scenario_id 'bad'"),
+    (lambda raw: raw.update(scenarois=raw.pop("scenarios")), "suite: unknown keys: scenarois"),
+    (lambda raw: raw.pop("scenarios"), "malformed suite: missing key 'scenarios'"),
+    (lambda raw: raw["scenarios"][0].update(expected_stage="init", note=""),
+     "scenario 'bad': unknown keys: expected_stage, note"),
+    (lambda raw: raw["scenarios"][0]["messages"][0].update(trak=1),
+     "scenario 'bad': message 0: unknown keys: trak"),
+    (lambda raw: raw["scenarios"][0]["messages"][0].update(label_intnet="help"),
+     "scenario 'bad': message 0: unknown keys: label_intnet"),
+])
+def test_suite_refusals(hr_bundle, edit, reported):
+    raw = _bad_suite()
+    suite_from_dict(raw, hr_bundle)  # loads before the edit
+    edit(raw)
+    with pytest.raises(ConfigError) as caught:
+        suite_from_dict(raw, hr_bundle)
+    assert str(caught.value) == reported
+
+
+def test_a_suite_may_hold_no_scenarios(hr_bundle):
+    assert suite_from_dict({"suite_name": "empty", "domain": "hr", "scenarios": []}, hr_bundle) == []
+
+
+def test_injection_refuses_an_unknown_strategy(hr_bundle, hr_suite):
+    with pytest.raises(GenerationFault, match="^unknown strategy 'shuffle'$"):
+        inject_illegal(hr_suite[0], hr_bundle, strategy="shuffle")
+
+
 def test_track_keys_load_as_their_integers(hr_bundle):
     messages = [{"turn_index": 0, "text": "help", "expected_legal": True},
                 {"turn_index": 1, "text": "help", "expected_legal": True, "track": 10}]
