@@ -36,6 +36,11 @@ def string_list(value: Any, what: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def not_an_object(what: str, value: Any) -> ConfigError:
+    """The refusal of *value*, found where a JSON object belongs; it names *what* and the type."""
+    return ConfigError(f"{what} must be an object, not {type(value).__name__}")
+
+
 def unknown_keys(what: str, raw: Mapping[str, Any], allowed: AbstractSet[str]) -> ConfigError:
     """The refusal of *raw*, a JSON object holding keys outside *allowed*; it names each one."""
     return ConfigError(f"{what}: unknown keys: {', '.join(sorted(raw.keys() - allowed))}")

@@ -25,14 +25,14 @@ from .context import DispatchContext, payload_digest
 from .errors import ConfigError, ConflictFault, IntegrityFault, LookupFault, file_safe_id
 from .registry import SkillRegistry, apply_postconditions
 
-_STR, _STR_OR_NULL = (str,), (str, type(None))
-# event field -> the exact JSON types ``ProcessEvent.to_dict`` writes for it
+_STR, _STR_OR_NULL, _PAIRS = (str,), (str, type(None)), (list,)
+# The event's one schema: every ProcessEvent field in order, with the exact JSON types its
+# trace line holds; ``_PAIRS`` is a list of [name, passed] pairs, a string and a bool each.
 _EVENT_FIELD_TYPES = {
     "seq": (int,), "timestamp": (int, float), "goal_id": _STR, "intent": _STR,
     "stage_before": _STR, "stage_after": _STR, "skill_id": _STR_OR_NULL, "outcome": _STR,
-    "sub_reason": _STR_OR_NULL, "payload_digest": _STR_OR_NULL,
+    "sub_reason": _STR_OR_NULL, "precondition_results": _PAIRS, "payload_digest": _STR_OR_NULL,
 }
-_FIELD_CHECKS = tuple(_EVENT_FIELD_TYPES.items())  # in field order, precondition_results aside
 
 
 # one shared encoder: ``json.dumps`` with any option set builds a new one per call
@@ -83,39 +83,27 @@ class ProcessEvent(NamedTuple):
     precondition_results: tuple[tuple[str, bool], ...] = ()
     payload_digest: str | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "seq": self.seq,
-            "timestamp": self.timestamp,
-            "goal_id": self.goal_id,
-            "intent": self.intent,
-            "stage_before": self.stage_before,
-            "stage_after": self.stage_after,
-            "skill_id": self.skill_id,
-            "outcome": self.outcome,
-            "sub_reason": self.sub_reason,
-            "precondition_results": [[name, passed] for name, passed in self.precondition_results],
-            "payload_digest": self.payload_digest,
-        }
-
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "ProcessEvent":
-        """Inverse of ``to_dict``: every field at the type it writes, else TypeError."""
+        """The event a trace line's object holds: every field at its exact type, else TypeError."""
         values = []
-        for key, types in _FIELD_CHECKS:
+        for key, types in _EVENT_FIELD_TYPES.items():
+            if types is _PAIRS:  # checked last: load_trace names a line's first fault in this order
+                pairs_key, pairs_at = key, len(values)
+                continue
             value = raw[key]
             if type(value) not in types:
                 raise TypeError(f"{key} has type {type(value).__name__}")
             values.append(value)
-        pre = _typed(raw["precondition_results"], (list,), "precondition_results")
-        *fields, digest = values
-        return cls(*fields, tuple(
+        values.insert(pairs_at, tuple(
             (_typed(n, _STR, "precondition name"), _typed(p, (bool,), "precondition result"))
-            for n, p in pre
-        ), digest)
+            for n, p in _typed(raw[pairs_key], _PAIRS, pairs_key)
+        ))
+        return cls(*values)
 
     def to_line(self) -> str:
-        return _LINE(self.to_dict())
+        """The trace line: a JSON object of the fields in order, pairs written as arrays."""
+        return _LINE(self._asdict())
 
 
 @dataclass
@@ -282,9 +270,6 @@ class GoalManager:
 
     def goal_ids(self) -> list[str]:
         return sorted(self._states)
-
-    def lock(self, goal_id: str) -> AbstractContextManager:
-        return self.live(goal_id).lock
 
     def context(self, goal_id: str) -> DispatchContext:
         """Copy of the goal's live context; commit changes via commit_context."""

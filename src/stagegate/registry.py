@@ -41,8 +41,9 @@ class RiskLevel(enum.IntEnum):
 class Effect:
     """One declarative context mutation applied after successful execution.
 
-    ``set`` writes a literal JSON scalar and ``set_from_result`` stores the
-    digest of the skill result payload, so the reference survives replay.
+    ``set`` writes its ``value``, a literal JSON scalar; ``set_from_result``
+    holds no value and stores the digest of the skill result payload, so the
+    reference survives replay.
     Business state is therefore a flat dict of scalars, and effects can
     neither fail nor alias one another.
     """
@@ -58,6 +59,8 @@ class Effect:
             raise ConfigError(f"postcondition field must be a string, not {self.field!r}")
         if self.op == "set" and not isinstance(self.value, _SCALARS):
             raise ConfigError(f"postcondition {self.field!r} sets a non-scalar value: {self.value!r}")
+        if self.op != "set" and self.value is not None:
+            raise ConfigError(f"postcondition {self.field!r}: a {self.op!r} effect holds no value")
 
 
 @dataclass(frozen=True)
@@ -227,7 +230,8 @@ def skill_from_dict(raw: Mapping[str, Any]) -> SkillSpec:
 
 def _effect_from_dict(raw: Mapping[str, Any], sid: str) -> Effect:
     """One effect object: ``op`` and ``field``, and ``value`` exactly when ``op`` is ``set``."""
-    effect = Effect(raw["op"], raw["field"], raw.get("value"))
+    op = raw["op"]  # a value under any other op is refused below, as an unknown key
+    effect = Effect(op, raw["field"], raw.get("value") if op == "set" else None)
     if raw.keys() != _EFFECT_KEYS[effect.op]:
         keys = ", ".join(sorted(_EFFECT_KEYS[effect.op]))
         raise ConfigError(

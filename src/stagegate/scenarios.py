@@ -21,7 +21,9 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 from .automaton import StageId, WorkflowAutomaton, automaton_from_dict, validate_definition
 from .context import DispatchContext
 from .dispatcher import BLOCK_OUTCOMES, Decision, MockExecutor, decide
-from .errors import ConfigError, GenerationFault, StagegateError, file_safe_id, parsing, unknown_keys
+from .errors import (
+    ConfigError, GenerationFault, StagegateError, file_safe_id, not_an_object, parsing, unknown_keys,
+)
 from .registry import SkillRegistry, apply_postconditions, build_registry
 from .router import (
     PatternTable,
@@ -198,9 +200,11 @@ def load_domain(path: str | Path) -> DomainBundle:
 # -- suite loading -------------------------------------------------------------
 
 
-def _scenario_from_dict(raw: Mapping[str, Any], bundle: DomainBundle) -> Scenario:
+def _scenario_from_dict(raw: Any, position: int, bundle: DomainBundle) -> Scenario:
     # Exact keys and exact JSON types throughout, nothing coerced: 5 is not "5",
     # "false" is not False, 0.0 is not 0, and "00" is no track number.
+    if type(raw) is not dict:
+        raise not_an_object(f"scenario at position {position}", raw)
     sid = raw.get("scenario_id", "")
     if not raw.keys() <= _SCENARIO_KEYS:
         raise unknown_keys(f"scenario {sid!r}", raw, _SCENARIO_KEYS)
@@ -218,6 +222,8 @@ def _scenario_from_dict(raw: Mapping[str, Any], bundle: DomainBundle) -> Scenari
 
     messages = []
     for position, msg in enumerate(raw_messages):
+        if type(msg) is not dict:
+            raise not_an_object(f"scenario {sid!r}: message at position {position}", msg)
         if not msg.keys() <= _MESSAGE_KEYS:
             raise unknown_keys(f"scenario {sid!r}: message {position}", msg, _MESSAGE_KEYS)
         turn, text, legal = msg["turn_index"], msg["text"], msg["expected_legal"]
@@ -286,7 +292,8 @@ def suite_from_dict(raw: Mapping[str, Any], bundle: DomainBundle) -> list[Scenar
             raise ConfigError(f"suite domain must be a string, not {domain!r}")
         if domain and domain != bundle.name:
             raise ConfigError(f"suite declares domain {domain!r} but bundle is {bundle.name!r}")
-        scenarios = [_scenario_from_dict(item, bundle) for item in raw["scenarios"]]
+        items = enumerate(raw["scenarios"])
+        scenarios = [_scenario_from_dict(item, position, bundle) for position, item in items]
     seen: set[str] = set()
     for scenario in scenarios:
         if scenario.scenario_id in seen:
@@ -500,9 +507,7 @@ def convert_dialogues(
     scenarios: list[Scenario] = []
     for index, dialogue in enumerate(dialogues):
         if type(dialogue) is not dict:
-            raise ConfigError(
-                f"dialogue at position {index} must be an object, not {type(dialogue).__name__}"
-            )
+            raise not_an_object(f"dialogue at position {index}", dialogue)
         did = dialogue.get("dialogue_id", "")
         if type(did) is not str:
             raise ConfigError(f"dialogue {did!r}: dialogue_id must be a string")

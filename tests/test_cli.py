@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -315,6 +316,30 @@ def test_run_and_ablate_outputs_are_pinned(tmp_path, command, domain):
                  "--out", str(out_dir)]) == 0
     name, digest = OUTPUT_DIGESTS[command, domain]
     assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest
+
+
+# sha256 over each file of `run --seed 1207`'s traces/ (every trace line and snapshot), by name,
+# with each "timestamp":<number> blanked, as first recorded
+TRACE_DIGESTS = {
+    "Hotels_1": "1aa0343722e9e7ac78f97968ec76e2414f47d303f57120753490b95c7542a352",
+    "hr": "d12aaf6e16d56c1cf4132d23a35a69e86f2151e3c6026f848a740f95d864055f",
+}
+
+
+@pytest.mark.parametrize("domain", sorted(TRACE_DIGESTS))
+def test_trace_and_snapshot_bytes_are_pinned(tmp_path, domain):
+    if domain == "hr":
+        domain_dir, suite = hr_domain_dir(), hr_suite_path()
+    else:
+        domain_dir, suite = sgd_domain_dir(domain), sgd_suite_path(domain)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--domain", str(domain_dir), "--suite", str(suite), "--seed", "1207",
+                 "--out", str(out_dir)]) == 0
+    digest = hashlib.sha256()
+    for path in sorted((out_dir / "traces").iterdir()):
+        digest.update(path.name.encode() + b"\n")
+        digest.update(re.sub(rb'"timestamp":[-+.0-9eE]+', b'"timestamp":0', path.read_bytes()))
+    assert digest.hexdigest() == TRACE_DIGESTS[domain]
 
 
 def _files(root: Path) -> dict[Path, bytes]:

@@ -20,6 +20,7 @@ from stagegate.context import DispatchContext, canonical, payload_digest
 from stagegate.dispatcher import DispatchDeps, dispatch
 from stagegate.errors import ConfigError, ConflictFault, IntegrityFault, LookupFault
 from stagegate.memory import (
+    _EVENT_FIELD_TYPES,
     FileEventStore,
     GoalManager,
     ProcessEvent,
@@ -82,7 +83,7 @@ def test_a_goal_holds_its_lock_on_its_one_entry(hr_bundle):
     manager = _manager(hr_bundle)
     gid, other = manager.create_goal("hr").goal_id, manager.create_goal("hr").goal_id
     live = manager.live(gid)
-    assert manager.lock(gid) is live.lock is manager.lock(gid)
+    assert live.lock is manager.live(gid).lock is not None
     assert live.lock is not manager.live(other).lock
     assert not hasattr(manager, "_locks")
     with live.lock:  # reentrant: a write made under the goal's held lock goes through
@@ -92,7 +93,7 @@ def test_a_goal_holds_its_lock_on_its_one_entry(hr_bundle):
     assert replayed == live  # the lock is no part of a goal's state
     assert "lock" not in repr(live)
     with pytest.raises(LookupFault):
-        manager.lock("ghost")
+        manager.live("ghost")
 
 
 def test_goal_ids_are_distinct(hr_bundle):
@@ -352,7 +353,6 @@ def test_events_are_immutable_and_round_trip():
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
     for event in events:
-        assert ProcessEvent.from_dict(event.to_dict()) == event
         assert ProcessEvent.from_dict(json.loads(event.to_line())) == event
 
 
@@ -386,6 +386,12 @@ def test_trace_line_key_order_is_stable(hr_bundle):
     ]
 
 
+def test_the_field_table_is_the_event_schema():
+    """One table writes, reads and type-checks the line: it names every field, in order."""
+    assert tuple(_EVENT_FIELD_TYPES) == ProcessEvent._fields
+    assert not hasattr(ProcessEvent, "to_dict")
+
+
 def test_shared_encoders_write_what_json_dumps_writes():
     bundles = [hr_domain_dir(), *map(sgd_domain_dir, SGD_DOMAINS)]
     payloads = [
@@ -403,7 +409,7 @@ def test_shared_encoders_write_what_json_dumps_writes():
         precondition_results=(("position_exists", True), ("candidates_pulled", False)),
         payload_digest="ab" * 32,
     )
-    assert event.to_line() == json.dumps(event.to_dict(), separators=(",", ":"))
+    assert event.to_line() == json.dumps(event._asdict(), separators=(",", ":"))
 
 
 def test_file_store_writes_the_line_and_the_snapshot_text_exactly(tmp_path, hr_bundle):
@@ -595,13 +601,15 @@ _BAD_PRECONDITIONS = (["x", 1], [1, True], ["x"], ["x", True, 1], "xy", 1, None,
 def test_each_field_at_each_json_type_reads_as_the_reference_reader(tmp_path):
     """Every field missing, at every JSON type, or holding each malformed precondition entry;
     a leading BOM, CRLF line ends with a blank line, and a byte that is not UTF-8."""
-    event = _event("g", 1).to_dict() | {"precondition_results": [["ok", True]]}
+    event = json.loads(_event("g", 1).to_line()) | {"precondition_results": [["ok", True]]}
     raws = [event, event | {"extra": [1]}]
     for key in event:
         raws.append({k: v for k, v in event.items() if k != key})
         raws.extend(event | {key: sample} for sample in _JSON_SAMPLES)
     raws.extend(event | {"precondition_results": [["ok", True], bad]} for bad in _BAD_PRECONDITIONS)
     raws.append({k: v for k, v in event.items() if k != "outcome"} | {"seq": True})  # first fault first
+    raws.append({k: v for k, v in event.items() if k != "payload_digest"}
+                | {"precondition_results": [[1, True]]})  # the pairs are checked last
     path = tmp_path / "g.jsonl"
     outcomes = set()
     for raw in raws:
@@ -631,7 +639,7 @@ def test_concurrent_multi_goal_logging_stays_gapless(hr_bundle):
 
     def writer(gid):
         for _ in range(50):
-            with manager.lock(gid):
+            with manager.live(gid).lock:
                 seq = manager.last_seq(gid) + 1
                 manager.log_event(_event(gid, seq))
 

@@ -266,6 +266,13 @@ def test_effects_load_with_exactly_their_keys():
     assert spec.postconditions == (Effect("set", "f", None), Effect("set_from_result", "g"))
 
 
+def test_only_a_set_effect_holds_a_value():
+    with pytest.raises(ConfigError, match="^postcondition 'f': a 'set_from_result' effect holds no value$"):
+        Effect("set_from_result", "f", 1)
+    assert Effect("set_from_result", "f").value is None
+    assert Effect("set", "f", 1).value == 1
+
+
 def test_skill_from_dict_star_means_all_stages():
     spec = skill_from_dict({"id": "a", "intent": "b", "level": "L0", "stages": "*"})
     assert spec.applicable_stages == frozenset()

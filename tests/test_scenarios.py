@@ -236,6 +236,12 @@ def _bad_suite():
      "scenario 'bad': message 0: unknown keys: trak"),
     (lambda raw: raw["scenarios"][0]["messages"][0].update(label_intnet="help"),
      "scenario 'bad': message 0: unknown keys: label_intnet"),
+    (lambda raw: raw["scenarios"].append(["x"]), "scenario at position 1 must be an object, not list"),
+    (lambda raw: raw["scenarios"].insert(0, "bad"), "scenario at position 0 must be an object, not str"),
+    (lambda raw: raw["scenarios"][0]["messages"].append(["help"]),
+     "scenario 'bad': message at position 1 must be an object, not list"),
+    (lambda raw: raw["scenarios"][0]["messages"].insert(0, None),
+     "scenario 'bad': message at position 0 must be an object, not NoneType"),
 ])
 def test_suite_refusals(hr_bundle, edit, reported):
     raw = _bad_suite()
