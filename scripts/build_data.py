@@ -184,7 +184,6 @@ def _hr_scenario(
             LabeledMessage(
                 text=text,
                 expected_legal=True,  # placeholder, relabeled below
-                scenario_id=scenario_id,
                 turn_index=position,
                 label_intent=label_intent,
                 track=track,
@@ -305,16 +304,14 @@ def build_sgd_suite(domain: str, bundle: DomainBundle, seed: int = 1207) -> list
         else:  # latent: the user acts without searching first
             texts = [pick(act_texts)]
         messages = tuple(
-            LabeledMessage(text=text, expected_legal=True, scenario_id=sid, turn_index=j)
+            LabeledMessage(text=text, expected_legal=True, turn_index=j)
             for j, text in enumerate(texts)
         )
         scenarios.append(label_scenario(bundle, Scenario(sid, "normal", messages)))
 
     for i in range(20):
         sid = f"{domain}-illegal-{i + 1:03d}"
-        message = LabeledMessage(
-            text=pick(act_texts), expected_legal=False, scenario_id=sid, turn_index=0
-        )
+        message = LabeledMessage(text=pick(act_texts), expected_legal=False, turn_index=0)
         scenarios.append(label_scenario(bundle, Scenario(sid, "illegal", (message,))))
 
     total_turns = sum(len(s.messages) for s in scenarios)

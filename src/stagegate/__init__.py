@@ -55,7 +55,6 @@ from .memory import (
 )
 from .registry import (
     Effect,
-    PreconditionReport,
     RiskLevel,
     SkillRegistry,
     SkillSpec,

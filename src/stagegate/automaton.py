@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .errors import ConfigError, LookupFault, parsing, string_list, unknown_keys
+from .errors import ConfigError, LookupFault, json_container, parsing, string_list, unknown_keys
 
 StageId = str
 IntentId = str
@@ -34,7 +34,6 @@ class WorkflowAutomaton:
     stage.
     """
 
-    name: str
     stages: tuple[StageId, ...]
     initial: StageId
     transitions: frozenset[tuple[StageId, StageId]]
@@ -140,13 +139,14 @@ def validate_definition(definition: WorkflowAutomaton) -> tuple[list[str], list[
     return errors, warnings
 
 
-def automaton_from_dict(raw: Mapping[str, Any], name: str = "domain") -> WorkflowAutomaton:
+def automaton_from_dict(raw: Mapping[str, Any]) -> WorkflowAutomaton:
     """Build an automaton from its JSON config form.
 
     Unknown top-level keys are rejected by name.  Names must be JSON strings;
     ``stage_map`` values may be ``null`` for stage-preserving intents.
     """
     with parsing("automaton config"):
+        json_container(raw, dict, "automaton config")
         if not raw.keys() <= _CONFIG_KEYS:
             raise unknown_keys("automaton config", raw, _CONFIG_KEYS)
         missing = sorted(_CONFIG_KEYS - raw.keys())
@@ -154,21 +154,24 @@ def automaton_from_dict(raw: Mapping[str, Any], name: str = "domain") -> Workflo
             raise ConfigError(f"missing automaton config keys: {', '.join(missing)}")
         stages = string_list(raw["stages"], "stages")
         intents = string_list(raw["intents"], "intents")
-        pairs = [string_list(pair, "a transition") for pair in raw["transitions"]]
-        transitions = frozenset((a, b) for a, b in pairs)
+        transitions: set[tuple[StageId, StageId]] = set()
+        for pair in json_container(raw["transitions"], list, "transitions"):
+            if len(string_list(pair, "a transition")) != 2:
+                raise ConfigError(f"a transition must name two stages, not {pair!r}")
+            transitions.add(tuple(pair))
         binding = {
-            i: frozenset(string_list(ss, f"binding of {i!r}")) for i, ss in raw["binding"].items()
+            i: frozenset(string_list(ss, f"binding of {i!r}"))
+            for i, ss in json_container(raw["binding"], dict, "binding").items()
         }
-        for intent, target in raw["stage_map"].items():
+        for intent, target in json_container(raw["stage_map"], dict, "stage_map").items():
             if target is not None and type(target) is not str:
                 raise ConfigError(f"stage_map of {intent!r} must be a stage or null, not {target!r}")
         if type(raw["initial"]) is not str:
             raise ConfigError(f"initial must be a stage, not {raw['initial']!r}")
     return WorkflowAutomaton(
-        name=name,
         stages=stages,
         initial=raw["initial"],
-        transitions=transitions,
+        transitions=frozenset(transitions),
         intents=intents,
         binding=binding,
         stage_map=dict(raw["stage_map"]),

@@ -160,9 +160,9 @@ def decide(
     if skill is None:
         return Decision("SKILL_NOT_FOUND", stage, stage, "no_matching_skill")
 
-    report = registry.check_preconditions(skill, ctx)
-    pre_results = report.results
-    if toggles.precondition_check and not report.satisfied:
+    pre_results = registry.check_preconditions(skill, ctx)
+    # Lists, not generators, here and in check_preconditions: a generator costs more than its few flags.
+    if toggles.precondition_check and pre_results and not all([held for _, held in pre_results]):
         return Decision("PRECONDITION_FAIL", stage, stage, None, skill, pre_results)
 
     target = automaton.target_stage(intent)

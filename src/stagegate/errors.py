@@ -36,9 +36,12 @@ def string_list(value: Any, what: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def not_an_object(what: str, value: Any) -> ConfigError:
-    """The refusal of *value*, found where a JSON object belongs; it names *what* and the type."""
-    return ConfigError(f"{what} must be an object, not {type(value).__name__}")
+def json_container(value: Any, kind: type[list] | type[dict], what: str) -> Any:
+    """*value* if it is the JSON container *kind* (list or dict); else a ConfigError naming its type."""
+    if type(value) is not kind:
+        article = "a list" if kind is list else "an object"
+        raise ConfigError(f"{what} must be {article}, not {type(value).__name__}")
+    return value
 
 
 def unknown_keys(what: str, raw: Mapping[str, Any], allowed: AbstractSet[str]) -> ConfigError:

@@ -1,7 +1,7 @@
 """Governance metrics over completed runs: rates, confusion, comparisons.
 
-A report is one walk over the run's steps, each read through its message
-and its event; a step and its label join by ``(scenario_id, turn_index)``.
+A report is one walk over the run's steps, each read through its scenario,
+message and event; a step and its label join by ``(scenario_id, turn_index)``.
 The blocking confusion treats ILLEGAL_TRANSITION and PRECONDITION_FAIL as
 blocks and the message's ``expected_legal`` as the truth; a routing miss
 (SKILL_NOT_FOUND) is not a governance block.  A step counts as violating
@@ -241,10 +241,10 @@ def compute_report(run: RunResult, bundle: DomainBundle) -> EvalReport:
     cells: Counter[tuple[bool, bool]] = Counter()  # (blocked, expected_legal) -> steps
     sta_hits = trc_steps = 0
     violating_ids: set[str] = set()
-    for goal_id, message, result in run.steps:
+    for scenario, message, result in run.steps:
         event = result.event
         outcome = event.outcome
-        scenario_id = message.scenario_id
+        scenario_id = scenario.scenario_id
         key = (scenario_id, message.turn_index)
         try:
             row, move = expected.pop(key)
@@ -255,7 +255,7 @@ def compute_report(run: RunResult, bundle: DomainBundle) -> EvalReport:
         counts[outcome] = counts.get(outcome, 0) + 1
         row.steps += 1
         sta_hits += move == (event.stage_before, event.stage_after)
-        trc_steps += consistent.get(goal_id, False)
+        trc_steps += consistent.get(event.goal_id, False)
         blocked = outcome in BLOCK_OUTCOMES
         cells[blocked, message.expected_legal] += 1
         if blocked:

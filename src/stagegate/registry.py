@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Mapping
 
 from .automaton import StageId, IntentId, WorkflowAutomaton
 from .context import DispatchContext
-from .errors import ConfigError, ConflictFault, parsing, string_list, unknown_keys
+from .errors import ConfigError, ConflictFault, json_container, parsing, string_list, unknown_keys
 
 _SKILL_KEYS = {"id", "intent", "level", "stages", "pre", "post", "risk", "disclosure"}
 _EFFECT_KEYS = {"set": {"op", "field", "value"}, "set_from_result": {"op", "field"}}  # op -> exact keys
@@ -76,14 +76,6 @@ class SkillSpec:
         return not self.applicable_stages or stage in self.applicable_stages
 
 
-class PreconditionReport(NamedTuple):
-    satisfied: bool
-    results: tuple[tuple[str, bool], ...]
-
-
-_UNGUARDED = PreconditionReport(True, ())
-
-
 class SkillRegistry:
     """Holds skills in registration order; immutable once the build phase ends.
 
@@ -92,15 +84,14 @@ class SkillRegistry:
     """
 
     def __init__(self) -> None:
-        self._skills: list[SkillSpec] = []
-        self._by_id: dict[str, SkillSpec] = {}
+        self._by_id: dict[str, SkillSpec] = {}  # in registration order
         self._by_intent: dict[IntentId, list[SkillSpec]] = {}
 
     def __len__(self) -> int:
-        return len(self._skills)
+        return len(self._by_id)
 
     def __iter__(self):
-        return iter(self._skills)
+        return iter(self._by_id.values())
 
     def get(self, skill_id: str) -> SkillSpec | None:
         return self._by_id.get(skill_id)
@@ -114,7 +105,6 @@ class SkillRegistry:
             raise ConfigError(
                 f"skill {spec.id!r} declares stages outside the automaton: {', '.join(foreign)}"
             )
-        self._skills.append(spec)
         self._by_id[spec.id] = spec
         candidates = self._by_intent.setdefault(spec.intent, [])
         candidates.append(spec)
@@ -131,23 +121,17 @@ class SkillRegistry:
                 return spec
         return None
 
-    def check_preconditions(self, skill: SkillSpec, ctx: DispatchContext) -> PreconditionReport:
-        """Evaluate every guard of *skill* against *ctx* without mutating it.
+    def check_preconditions(self, skill: SkillSpec, ctx: DispatchContext) -> tuple[tuple[str, bool], ...]:
+        """The ``(flag, held)`` pair of each guard of *skill*, read from *ctx* without mutating it.
 
         Each guard holds when its business flag is truthy; an absent flag is
         false.  Evaluation is total (all guards, declared order) and cannot
-        fail.
+        fail; an unguarded skill gives ``()``.
         """
         if not skill.preconditions:
-            return _UNGUARDED
+            return ()
         state = ctx.business_state
-        results: list[tuple[str, bool]] = []
-        satisfied = True
-        for name in skill.preconditions:
-            passed = bool(state.get(name, False))
-            results.append((name, passed))
-            satisfied = satisfied and passed
-        return PreconditionReport(satisfied, tuple(results))
+        return tuple([(name, bool(state.get(name, False))) for name in skill.preconditions])
 
     def validate_against(self, automaton: WorkflowAutomaton) -> list[str]:
         """Cross-checks between the registry and the active automaton, as ``"code: message"`` errors.
@@ -157,7 +141,7 @@ class SkillRegistry:
         Effect shapes are checked earlier, when each ``Effect`` is parsed.
         """
         errors: list[str] = []
-        for spec in self._skills:
+        for spec in self:
             applies_everywhere = (
                 not spec.applicable_stages
                 or spec.applicable_stages == frozenset(automaton.stages)
@@ -199,6 +183,7 @@ def apply_postconditions(skill: SkillSpec, ctx: DispatchContext, result_digest: 
 def skill_from_dict(raw: Mapping[str, Any]) -> SkillSpec:
     """Parse one skill config object at exact JSON types (``stages`` may be ``"*"`` for all)."""
     with parsing("skill config"):
+        json_container(raw, dict, "skill config")
         if not raw.keys() <= _SKILL_KEYS:
             raise unknown_keys("skill config", raw, _SKILL_KEYS)
         for key in ("id", "intent", "level"):
@@ -217,7 +202,8 @@ def skill_from_dict(raw: Mapping[str, Any]) -> SkillSpec:
                 raise ConfigError(
                     f"skill {sid!r}: 'stages' must name a stage, or be \"*\" for every stage"
                 )
-        effects = tuple(_effect_from_dict(eff, sid) for eff in raw.get("post", []))
+        post = json_container(raw.get("post", []), list, f"skill {sid!r}: 'post'")
+        effects = tuple(_effect_from_dict(eff, sid) for eff in post)
         return SkillSpec(
             id=sid,
             intent=raw["intent"],
@@ -230,6 +216,7 @@ def skill_from_dict(raw: Mapping[str, Any]) -> SkillSpec:
 
 def _effect_from_dict(raw: Mapping[str, Any], sid: str) -> Effect:
     """One effect object: ``op`` and ``field``, and ``value`` exactly when ``op`` is ``set``."""
+    json_container(raw, dict, f"skill {sid!r}: an effect")
     op = raw["op"]  # a value under any other op is refused below, as an unknown key
     effect = Effect(op, raw["field"], raw.get("value") if op == "set" else None)
     if raw.keys() != _EFFECT_KEYS[effect.op]:
@@ -241,10 +228,10 @@ def _effect_from_dict(raw: Mapping[str, Any], sid: str) -> Effect:
 
 
 def build_registry(
-    skill_dicts: Sequence[Mapping[str, Any]], automaton: WorkflowAutomaton
+    skill_dicts: list[Mapping[str, Any]], automaton: WorkflowAutomaton
 ) -> SkillRegistry:
     """Parse every skill config object, then register them in config order."""
     registry = SkillRegistry()
-    for spec in [skill_from_dict(raw) for raw in skill_dicts]:
+    for spec in [skill_from_dict(raw) for raw in json_container(skill_dicts, list, "skills")]:
         registry.register(spec, automaton)
     return registry

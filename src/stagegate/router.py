@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .automaton import WorkflowAutomaton
-from .errors import ConfigError, parsing, string_list, unknown_keys
+from .errors import ConfigError, json_container, parsing, string_list, unknown_keys
 
 UNKNOWN = "<unknown>"
 
@@ -253,11 +253,12 @@ def validate_table(
     return errors
 
 
-def table_from_list(raw: Iterable[Mapping[str, Any]]) -> PatternTable:
+def table_from_list(raw: list[Mapping[str, Any]]) -> PatternTable:
     """Parse and compile the pattern table file form: [{intent, patterns, priority}]."""
     table = []
     with parsing("pattern table"):
-        for item in raw:
+        for item in json_container(raw, list, "pattern table"):
+            json_container(item, dict, "pattern entry")
             if not item.keys() <= _ENTRY_KEYS:
                 raise unknown_keys("pattern entry", item, _ENTRY_KEYS)
             if "intent" not in item or "patterns" not in item:

@@ -11,11 +11,15 @@ from .scenarios import DomainBundle, LabeledMessage, Scenario
 
 
 class StepRecord(NamedTuple):
-    """One dispatched message and its goal; the message holds the scenario coordinates."""
+    """One dispatched message, with the scenario it belongs to and what its dispatch did."""
 
-    goal_id: str
+    scenario: Scenario
     message: LabeledMessage
     result: DispatchResult
+
+    @property
+    def goal_id(self) -> str:
+        return self.result.event.goal_id
 
     @property
     def event(self) -> ProcessEvent:
@@ -77,7 +81,7 @@ def run_suite(
     for scenario in scenarios:
         for msg in scenario.messages:
             gid = goal_id_for(scenario, msg.track)
-            steps.append(StepRecord(gid, msg, dispatch(msg.text, gid, deps, toggles)))
+            steps.append(StepRecord(scenario, msg, dispatch(msg.text, gid, deps, toggles)))
 
     manager.write_snapshots()
     return RunResult(

@@ -22,7 +22,7 @@ from .automaton import StageId, WorkflowAutomaton, automaton_from_dict, validate
 from .context import DispatchContext
 from .dispatcher import BLOCK_OUTCOMES, Decision, MockExecutor, decide
 from .errors import (
-    ConfigError, GenerationFault, StagegateError, file_safe_id, not_an_object, parsing, unknown_keys,
+    ConfigError, GenerationFault, StagegateError, file_safe_id, json_container, parsing, unknown_keys,
 )
 from .registry import SkillRegistry, apply_postconditions, build_registry
 from .router import (
@@ -54,7 +54,6 @@ BUNDLE_FILES = {
 class LabeledMessage:
     text: str
     expected_legal: bool
-    scenario_id: str
     turn_index: int
     label_intent: str | None = None  # semantic intent for labeling, when it differs from routing
     track: int = 0
@@ -112,7 +111,7 @@ def _assemble(
     patterns, routability, fixtures.
     """
     try:
-        automaton = automaton_from_dict(parts["automaton"], name=name)
+        automaton = automaton_from_dict(parts["automaton"])
     except ConfigError as exc:
         return None, [("automaton", str(exc))], []
     found, warned = validate_definition(automaton)
@@ -203,8 +202,8 @@ def load_domain(path: str | Path) -> DomainBundle:
 def _scenario_from_dict(raw: Any, position: int, bundle: DomainBundle) -> Scenario:
     # Exact keys and exact JSON types throughout, nothing coerced: 5 is not "5",
     # "false" is not False, 0.0 is not 0, and "00" is no track number.
-    if type(raw) is not dict:
-        raise not_an_object(f"scenario at position {position}", raw)
+    if type(raw) is not dict:  # tested first, here and per message: the text is built only on failure
+        json_container(raw, dict, f"scenario at position {position}")
     sid = raw.get("scenario_id", "")
     if not raw.keys() <= _SCENARIO_KEYS:
         raise unknown_keys(f"scenario {sid!r}", raw, _SCENARIO_KEYS)
@@ -217,13 +216,14 @@ def _scenario_from_dict(raw: Any, position: int, bundle: DomainBundle) -> Scenar
     if stype not in SCENARIO_TYPES:
         raise ConfigError(f"scenario {sid!r}: unknown type {stype!r}")
     raw_messages = raw.get("messages", [])
-    if not raw_messages:
+    if type(raw_messages) is not list or not raw_messages:
+        json_container(raw_messages, list, f"scenario {sid!r}: messages")
         raise ConfigError(f"scenario {sid!r}: messages must be non-empty")
 
     messages = []
     for position, msg in enumerate(raw_messages):
         if type(msg) is not dict:
-            raise not_an_object(f"scenario {sid!r}: message at position {position}", msg)
+            json_container(msg, dict, f"scenario {sid!r}: message at position {position}")
         if not msg.keys() <= _MESSAGE_KEYS:
             raise unknown_keys(f"scenario {sid!r}: message {position}", msg, _MESSAGE_KEYS)
         turn, text, legal = msg["turn_index"], msg["text"], msg["expected_legal"]
@@ -240,7 +240,7 @@ def _scenario_from_dict(raw: Any, position: int, bundle: DomainBundle) -> Scenar
             raise ConfigError(
                 f"scenario {sid!r}: turn_index must be gapless from 0 (got {turn} at {position})"
             )
-        messages.append(LabeledMessage(text, legal, sid, turn, label_intent, track))
+        messages.append(LabeledMessage(text, legal, turn, label_intent, track))
 
     final_raw = raw.get("expected_final_stage")
     if final_raw is None:
@@ -285,6 +285,7 @@ def load_suite(path: str | Path, bundle: DomainBundle) -> list[Scenario]:
 def suite_from_dict(raw: Mapping[str, Any], bundle: DomainBundle) -> list[Scenario]:
     """Parse a suite; its domain (when given), stages and label intents must be *bundle*'s."""
     with parsing("suite"):
+        json_container(raw, dict, "suite")
         if not raw.keys() <= _SUITE_KEYS:
             raise unknown_keys("suite", raw, _SUITE_KEYS)
         domain = raw.get("domain", "")
@@ -292,7 +293,7 @@ def suite_from_dict(raw: Mapping[str, Any], bundle: DomainBundle) -> list[Scenar
             raise ConfigError(f"suite domain must be a string, not {domain!r}")
         if domain and domain != bundle.name:
             raise ConfigError(f"suite declares domain {domain!r} but bundle is {bundle.name!r}")
-        items = enumerate(raw["scenarios"])
+        items = enumerate(json_container(raw["scenarios"], list, "suite: scenarios"))
         scenarios = [_scenario_from_dict(item, position, bundle) for position, item in items]
     seen: set[str] = set()
     for scenario in scenarios:
@@ -464,13 +465,12 @@ def inject_illegal(
     injected = LabeledMessage(
         text=_message_text_for(bundle, intent),
         expected_legal=False,
-        scenario_id=scenario.scenario_id,
         turn_index=position,
         track=track0,
     )
     sid = f"{scenario.scenario_id}-inj"
     spliced = [*scenario.messages[:position], injected, *scenario.messages[position:]]
-    messages = tuple(replace(msg, scenario_id=sid, turn_index=i) for i, msg in enumerate(spliced))
+    messages = tuple(replace(msg, turn_index=i) for i, msg in enumerate(spliced))
     return replace(scenario, scenario_id=sid, type="illegal", messages=messages)
 
 
@@ -506,8 +506,7 @@ def convert_dialogues(
     intent_map = dict(intent_map or {})
     scenarios: list[Scenario] = []
     for index, dialogue in enumerate(dialogues):
-        if type(dialogue) is not dict:
-            raise not_an_object(f"dialogue at position {index}", dialogue)
+        json_container(dialogue, dict, f"dialogue at position {index}")
         did = dialogue.get("dialogue_id", "")
         if type(did) is not str:
             raise ConfigError(f"dialogue {did!r}: dialogue_id must be a string")
@@ -543,7 +542,6 @@ def convert_dialogues(
                     LabeledMessage(
                         text=text,
                         expected_legal=True,  # placeholder, relabeled below
-                        scenario_id=did,
                         turn_index=len(messages),
                         label_intent=label_intent,
                     )
@@ -558,14 +556,10 @@ def convert_dialogues(
 # -- latent violations --------------------------------------------------------------
 
 
-def detect_latent(steps: Iterable[StepRecord], scenarios: Sequence[Scenario]) -> list[StepRecord]:
+def detect_latent(steps: Iterable[StepRecord]) -> list[StepRecord]:
     """The run's own blocked steps inside normal-split scenarios, in step order.
 
     Only scenarios of type ``normal`` contribute, which is exactly the
     stage-order conflicts appearing outside any injected-illegal set.
     """
-    normal = {s.scenario_id for s in scenarios if s.type == "normal"}
-    return [
-        step for step in steps
-        if step.message.scenario_id in normal and step.outcome in BLOCK_OUTCOMES
-    ]
+    return [step for step in steps if step.scenario.type == "normal" and step.outcome in BLOCK_OUTCOMES]

@@ -28,7 +28,7 @@ def _tiny_dict() -> dict:
 
 
 def _tiny() -> WorkflowAutomaton:
-    return automaton_from_dict(_tiny_dict(), name="tiny")
+    return automaton_from_dict(_tiny_dict())
 
 
 def test_hr_definition_validates_clean(hr_bundle):
@@ -38,7 +38,6 @@ def test_hr_definition_validates_clean(hr_bundle):
 def test_initial_missing_is_reported():
     auto = _tiny()
     broken = WorkflowAutomaton(
-        name="x",
         stages=auto.stages,
         initial="zz",
         transitions=auto.transitions,
@@ -55,7 +54,6 @@ def test_intent_missing_from_binding_is_reported():
     binding = dict(auto.binding)
     del binding["stay"]
     broken = WorkflowAutomaton(
-        name="x",
         stages=auto.stages,
         initial=auto.initial,
         transitions=auto.transitions,
@@ -105,7 +103,6 @@ def test_empty_binding_is_warning_not_error():
     binding["stay"] = frozenset()
     errors, warnings = validate_definition(
         WorkflowAutomaton(
-            name="x",
             stages=auto.stages,
             initial=auto.initial,
             transitions=auto.transitions,
@@ -168,7 +165,7 @@ def test_legality_grid_matches_bruteforce():
     rng = random.Random(7)
     for _ in range(25):
         domain = random_domain(rng)
-        auto = automaton_from_dict(domain["automaton"], name="rnd")
+        auto = automaton_from_dict(domain["automaton"])
         for intent in auto.intents:
             for stage in auto.stages:
                 expected = stage in domain["automaton"]["binding"][intent]
@@ -179,7 +176,7 @@ def test_transition_grid_matches_bruteforce():
     rng = random.Random(8)
     for _ in range(25):
         domain = random_domain(rng)
-        auto = automaton_from_dict(domain["automaton"], name="rnd")
+        auto = automaton_from_dict(domain["automaton"])
         declared = {tuple(p) for p in domain["automaton"]["transitions"]}
         for a in auto.stages:
             for b in auto.stages:
@@ -236,5 +233,5 @@ def test_terminal_stages_have_no_outgoing_edges(hr_bundle):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_random_definitions_validate_clean(seed):
     domain = random_domain(random.Random(seed))
-    auto = automaton_from_dict(domain["automaton"], name="rnd")
+    auto = automaton_from_dict(domain["automaton"])
     assert validate_definition(auto)[0] == []

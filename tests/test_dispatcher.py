@@ -623,7 +623,7 @@ def test_decide_stage_preserving_intent_stays(hr_bundle):
 
 def test_dispatch_results_and_steps_are_tuples_in_field_order(hr_run):
     assert DispatchResult._fields == ("event", "detail")
-    assert StepRecord._fields == ("goal_id", "message", "result")
+    assert StepRecord._fields == ("scenario", "message", "result")
     step = hr_run.steps[0]
     assert type(step) is StepRecord and isinstance(step, tuple)
     assert type(step.result) is DispatchResult and isinstance(step.result, tuple)
@@ -631,7 +631,7 @@ def test_dispatch_results_and_steps_are_tuples_in_field_order(hr_run):
     assert tuple(result) == (result.event, result.detail)
     assert set(result.detail) == {"routing", "timing_ns"}
     assert (step.event, step.outcome) == (result.event, result.outcome)
-    assert step.goal_id == f"{step.message.scenario_id}-t{step.message.track}"
+    assert step.goal_id == f"{step.scenario.scenario_id}-t{step.message.track}"
 
 
 def test_dispatch_result_properties_read_its_event(hr_bundle, hr_suite):

@@ -90,6 +90,13 @@ def test_report_rejects_unaligned_steps_and_labels(case, hr_run, hr_bundle):
         compute_report(breaker(hr_run), hr_bundle)
 
 
+def test_renamed_scenarios_report_as_the_originals(hr_bundle, hr_suite, hr_report):
+    """A step joins its label through the scenario it holds, so a renamed scenario's steps still match."""
+    renamed = [replace(s, scenario_id=s.scenario_id + "-copy") for s in hr_suite]
+    report = compute_report(run_suite(hr_bundle, renamed), hr_bundle)
+    assert report.to_dict() == hr_report.to_dict()
+
+
 def test_report_distribution_matches_recount(hr_run, hr_report):
     distribution = hr_report.distribution
     recount = Counter(step.outcome for step in hr_run.steps)

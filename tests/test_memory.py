@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import codecs
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -192,7 +193,6 @@ def test_goal_on_a_one_stage_automaton_is_closed_from_creation():
     automaton = automaton_from_dict(
         {"stages": ["only"], "initial": "only", "transitions": [], "intents": ["q"],
          "binding": {"q": ["only"]}, "stage_map": {"q": None}},
-        name="one",
     )
     manager = GoalManager()
     manager.add_domain("one", automaton, None)
@@ -600,12 +600,16 @@ _BAD_PRECONDITIONS = (["x", 1], [1, True], ["x"], ["x", True, 1], "xy", 1, None,
 
 def test_each_field_at_each_json_type_reads_as_the_reference_reader(tmp_path):
     """Every field missing, at every JSON type, or holding each malformed precondition entry;
-    a leading BOM, CRLF line ends with a blank line, and a byte that is not UTF-8."""
+    every pair of fields both missing and both at a wrong type, so the first fault of each pair
+    is named; a leading BOM, CRLF line ends with a blank line, and a byte that is not UTF-8."""
     event = json.loads(_event("g", 1).to_line()) | {"precondition_results": [["ok", True]]}
     raws = [event, event | {"extra": [1]}]
     for key in event:
         raws.append({k: v for k, v in event.items() if k != key})
         raws.extend(event | {key: sample} for sample in _JSON_SAMPLES)
+    for pair in itertools.combinations(event, 2):  # an object is no field's type
+        raws.append({k: v for k, v in event.items() if k not in pair})
+        raws.append(event | dict.fromkeys(pair, {"x": 1}))
     raws.extend(event | {"precondition_results": [["ok", True], bad]} for bad in _BAD_PRECONDITIONS)
     raws.append({k: v for k, v in event.items() if k != "outcome"} | {"seq": True})  # first fault first
     raws.append({k: v for k, v in event.items() if k != "payload_digest"}

@@ -33,7 +33,6 @@ def tiny_automaton():
             "binding": {"q": ["init", "src", "close"], "pull": ["init", "src"], "screen": ["src"]},
             "stage_map": {"q": None, "pull": "src", "screen": "src"},
         },
-        name="tiny",
     )
 
 
@@ -106,7 +105,7 @@ def test_selection_matches_linear_scan_oracle():
     level_order = {"L0": 0, "L1": 1, "L2": 2}
     for _ in range(30):
         domain = random_domain(rng)
-        automaton = automaton_from_dict(domain["automaton"], name="rnd")
+        automaton = automaton_from_dict(domain["automaton"])
         registry = build_registry(domain["skills"], automaton)
         for intent in automaton.intents:
             for stage in automaton.stages:
@@ -142,15 +141,14 @@ def test_precondition_first_failure_points_at_missing_data(hr_bundle):
     registry = hr_bundle.registry
     screen = registry.get("screen")
     ctx = DispatchContext(goal_id="g", business_state={"position_exists": True})
-    report = registry.check_preconditions(screen, ctx)
-    assert not report.satisfied
-    assert report.results == (("position_exists", True), ("candidates_pulled", False))
+    pairs = registry.check_preconditions(screen, ctx)
+    assert not all(held for _, held in pairs)
+    assert pairs == (("position_exists", True), ("candidates_pulled", False))
 
 
 def test_empty_preconditions_vacuously_satisfied(hr_bundle):
     skill = hr_bundle.registry.get("get_job_list")
-    report = hr_bundle.registry.check_preconditions(skill, DispatchContext(goal_id="g"))
-    assert report.satisfied and report.results == ()
+    assert hr_bundle.registry.check_preconditions(skill, DispatchContext(goal_id="g")) == ()
 
 
 def test_every_unguarded_skill_is_satisfied_with_no_results_whatever_the_state(hr_bundle):
@@ -159,8 +157,7 @@ def test_every_unguarded_skill_is_satisfied_with_no_results_whatever_the_state(h
     state = {"position_exists": False, "candidates_pulled": True}
     for skill in unguarded:
         for ctx in (DispatchContext(goal_id="g"), DispatchContext("g", dict(state))):
-            report = hr_bundle.registry.check_preconditions(skill, ctx)
-            assert (report.satisfied, report.results) == (True, ())
+            assert hr_bundle.registry.check_preconditions(skill, ctx) == ()
 
 
 def test_precondition_check_is_pure(hr_bundle):
@@ -181,8 +178,9 @@ def test_report_satisfied_equals_fold_and(state, pre_names):
     registry = SkillRegistry()
     spec = _spec("s", "q", RiskLevel.L1, (), pre=tuple(pre_names))
     ctx = DispatchContext(goal_id="g", business_state=dict(state))
-    report = registry.check_preconditions(spec, ctx)
-    assert report.satisfied == all(state.get(n, False) for n in pre_names)
+    pairs = registry.check_preconditions(spec, ctx)
+    assert pairs == tuple((n, bool(state.get(n, False))) for n in pre_names)
+    assert all(held for _, held in pairs) == all(state.get(n, False) for n in pre_names)
 
 
 # -- postconditions ---------------------------------------------------------------

@@ -137,7 +137,6 @@ def test_validate_table_reports_ambiguity_and_foreign_intents():
             "binding": {"a": ["s"]},
             "stage_map": {"a": None},
         },
-        name="t",
     )
     errors = validate_table(_table({"intent": "ghost", "patterns": ["x"]}), auto)
     assert any(line.startswith("unknown_intent: ") for line in errors)

@@ -80,6 +80,16 @@ def test_every_precondition_flag_of_a_shipped_bundle_is_set_by_some_skill():
     ("automaton", lambda a: a["binding"]["create_demand"].append(3), "binding of 'create_demand'"),
     ("automaton", lambda a: a["stage_map"].update(create_demand=3), "stage_map of 'create_demand'"),
     ("automaton", lambda a: a.update(initial=0), "initial must be a stage, not 0"),
+    ("skills", lambda s: s.append(["x"]), "skill config must be an object, not list"),
+    ("skills", lambda s: s[3].update(post={"op": "set"}), "skill 'create_demand': 'post' must be a list, not dict"),
+    ("skills", lambda s: s[3]["post"].append(["set", "f"]),
+     "skill 'create_demand': an effect must be an object, not list"),
+    ("patterns", lambda p: p.append(["x"]), "pattern entry must be an object, not list"),
+    ("automaton", lambda a: a.update(transitions="ab"), "transitions must be a list, not str"),
+    ("automaton", lambda a: a["transitions"].append(["init", "src", "int"]),
+     "a transition must name two stages, not ['init', 'src', 'int']"),
+    ("automaton", lambda a: a.update(binding=[]), "binding must be an object, not list"),
+    ("automaton", lambda a: a.update(stage_map=[["q", None]]), "stage_map must be an object, not list"),
 ])
 def test_bundle_fields_load_only_at_their_exact_json_type(part, edit, reported):
     parts = {key: read_json(hr_domain_dir() / name) for key, name in BUNDLE_FILES.items()}
@@ -87,6 +97,19 @@ def test_bundle_fields_load_only_at_their_exact_json_type(part, edit, reported):
     errors, _ = check_bundle("hr", parts)
     assert [where for where, _ in errors] == [part]
     assert errors[0][1].startswith(reported)
+
+
+@pytest.mark.parametrize("part, value, reported", [
+    ("automaton", [], "automaton config must be an object, not list"),
+    ("skills", {"id": "create_demand"}, "skills must be a list, not dict"),
+    ("skills", "create_demand", "skills must be a list, not str"),
+    ("patterns", {"intent": "create_demand"}, "pattern table must be a list, not dict"),
+    ("patterns", "create_demand", "pattern table must be a list, not str"),
+])
+def test_a_bundle_part_of_the_wrong_json_type_is_refused_by_its_type(part, value, reported):
+    parts = {key: read_json(hr_domain_dir() / name) for key, name in BUNDLE_FILES.items()}
+    errors, _ = check_bundle("hr", parts | {part: value})
+    assert errors == [(part, reported)]
 
 
 def test_hotels_bundle_is_two_stage_search_then_reserve():
@@ -242,6 +265,11 @@ def _bad_suite():
      "scenario 'bad': message at position 1 must be an object, not list"),
     (lambda raw: raw["scenarios"][0]["messages"].insert(0, None),
      "scenario 'bad': message at position 0 must be an object, not NoneType"),
+    (lambda raw: raw.update(scenarios="ab"), "suite: scenarios must be a list, not str"),
+    (lambda raw: raw.update(scenarios={"x": 1}), "suite: scenarios must be a list, not dict"),
+    (lambda raw: raw["scenarios"][0].update(messages="hi"), "scenario 'bad': messages must be a list, not str"),
+    (lambda raw: raw["scenarios"][0].update(messages={"x": 1}),
+     "scenario 'bad': messages must be a list, not dict"),
 ])
 def test_suite_refusals(hr_bundle, edit, reported):
     raw = _bad_suite()
@@ -250,6 +278,13 @@ def test_suite_refusals(hr_bundle, edit, reported):
     with pytest.raises(ConfigError) as caught:
         suite_from_dict(raw, hr_bundle)
     assert str(caught.value) == reported
+
+
+@pytest.mark.parametrize("raw", [[_bad_suite()], "suite", None])
+def test_a_suite_that_is_not_an_object_is_refused_by_its_type(hr_bundle, raw):
+    with pytest.raises(ConfigError) as caught:
+        suite_from_dict(raw, hr_bundle)
+    assert str(caught.value) == f"suite must be an object, not {type(raw).__name__}"
 
 
 def test_a_suite_may_hold_no_scenarios(hr_bundle):
@@ -398,7 +433,6 @@ def test_injection_is_deterministic_and_labeled_illegal(build_data):
     assert len(a.messages) == len(normal.messages) + 1
     assert sum(1 for m in a.messages if not m.expected_legal) >= 1
     assert [m.turn_index for m in a.messages] == list(range(len(a.messages)))
-    assert {m.scenario_id for m in a.messages} == {a.scenario_id}  # labels align with steps
 
 
 def test_premature_terminal_opens_with_the_blocked_action(build_data):
@@ -419,7 +453,7 @@ def test_injected_messages_are_blocked_when_run(build_data):
     variants = [inject_illegal(s, bundle, "stage_skip", seed=i) for i, s in enumerate(normals)]
     run = run_suite(bundle, variants)
     blocked_turns = {
-        (s.message.scenario_id, s.message.turn_index)
+        (s.scenario.scenario_id, s.message.turn_index)
         for s in run.steps if s.outcome == "ILLEGAL_TRANSITION"
     }
     for variant in variants:
@@ -441,7 +475,7 @@ def test_generated_injections_blocked_on_all_domains(build_data):
             inject_illegal(s, bundle, "stage_skip", seed=i) for i, s in enumerate(normals[:20])
         ]
         run = run_suite(bundle, variants)
-        outcomes = {(s.message.scenario_id, s.message.turn_index): s.outcome for s in run.steps}
+        outcomes = {(s.scenario.scenario_id, s.message.turn_index): s.outcome for s in run.steps}
         for variant in variants:
             for message in variant.messages:
                 if not message.expected_legal:
@@ -483,7 +517,7 @@ def test_injection_fails_on_single_stage_domain():
     scenario = Scenario(
         scenario_id="s",
         type="normal",
-        messages=(LabeledMessage("ping", True, "s", 0),),
+        messages=(LabeledMessage("ping", True, 0),),
         expected_final_stage={0: "only"},
     )
     with pytest.raises(GenerationFault):
@@ -512,7 +546,7 @@ def test_dispatch_and_simulation_agree_without_label_intent(hr_bundle, hr_suite)
             if step.message.label_intent is not None:
                 continue
             live = (step.outcome, step.result.stage_after)
-            assert live == simulated[(step.message.scenario_id, step.message.turn_index)], step
+            assert live == simulated[(step.scenario.scenario_id, step.message.turn_index)], step
             compared += 1
     assert compared == 2613
 
@@ -584,7 +618,7 @@ def test_convert_dialogues_from_schema_guided_form():
     assert not second.messages[0].expected_legal
     assert second.expected_final_stage == {0: "SearchHotel"}
     run = run_suite(bundle, scenarios)
-    assert detect_latent(run.steps, scenarios)[0].message.scenario_id == "conv-002"
+    assert detect_latent(run.steps)[0].scenario.scenario_id == "conv-002"
 
 
 def test_convert_dialogues_rejects_empty_user_turns():
@@ -641,11 +675,11 @@ def test_latent_detection_counts_equal_blocked_normal_events():
     bundle = load_domain(sgd_domain_dir("Hotels_1"))
     suite = load_suite(sgd_suite_path("Hotels_1"), bundle)
     run = run_suite(bundle, suite)
-    latent = detect_latent(run.steps, suite)
+    latent = detect_latent(run.steps)
     by_id = {s.scenario_id: s for s in suite}
     expected = [
         s for s in run.steps
-        if by_id[s.message.scenario_id].type == "normal"
+        if by_id[s.scenario.scenario_id].type == "normal"
         and s.outcome in ("ILLEGAL_TRANSITION", "PRECONDITION_FAIL")
     ]
     assert latent == expected
@@ -656,17 +690,17 @@ def test_latent_detection_reads_unlogged_events():
     """With audit off nothing is logged, yet every step's event still names its conflict."""
     bundle = load_domain(sgd_domain_dir("Hotels_1"))
     suite = load_suite(sgd_suite_path("Hotels_1"), bundle)
-    full = _latent_keys(detect_latent(run_suite(bundle, suite).steps, suite))
+    full = _latent_keys(detect_latent(run_suite(bundle, suite).steps))
     unaudited = run_suite(bundle, suite, toggles=DispatchToggles(audit=False))
     assert unaudited.events() == []
-    assert _latent_keys(detect_latent(unaudited.steps, suite)) == full
+    assert _latent_keys(detect_latent(unaudited.steps)) == full
     assert len(full) == 38
 
 
 def _latent_keys(steps):
     """What names a conflict; the steps themselves differ by timestamp and timing."""
     return [
-        (s.message.scenario_id, s.message.turn_index, s.event.intent, s.event.stage_before,
+        (s.scenario.scenario_id, s.message.turn_index, s.event.intent, s.event.stage_before,
          s.event.outcome)
         for s in steps
     ]
@@ -679,8 +713,8 @@ def test_latent_detection_does_not_depend_on_the_suite_naming_its_domain():
     named = suite_from_dict(raw, bundle)
     unnamed = suite_from_dict({k: v for k, v in raw.items() if k != "domain"}, bundle)
     assert unnamed == named
-    assert _latent_keys(detect_latent(run_suite(bundle, unnamed).steps, unnamed)) == _latent_keys(
-        detect_latent(run_suite(bundle, named).steps, named)
+    assert _latent_keys(detect_latent(run_suite(bundle, unnamed).steps)) == _latent_keys(
+        detect_latent(run_suite(bundle, named).steps)
     )
 
 
@@ -688,4 +722,4 @@ def test_latent_detection_empty_when_no_stage_skips():
     bundle = load_domain(sgd_domain_dir("Homes_1"))
     suite = load_suite(sgd_suite_path("Homes_1"), bundle)
     run = run_suite(bundle, suite)
-    assert detect_latent(run.steps, suite) == []
+    assert detect_latent(run.steps) == []
