@@ -13,10 +13,12 @@ the process.  The interface leaves room for a SQL backend.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple
 
@@ -26,6 +28,7 @@ from .errors import ConfigError, ConflictFault, IntegrityFault, LookupFault, fil
 from .registry import SkillRegistry, apply_postconditions
 
 _STR, _STR_OR_NULL, _PAIRS = (str,), (str, type(None)), (list,)
+_ARRAYS = (tuple, list)  # the Python sequences an event's pairs, and each pair, may be
 # The event's one schema: every ProcessEvent field in order, with the exact JSON types its
 # trace line holds; ``_PAIRS`` is a list of [name, passed] pairs, a string and a bool each.
 _EVENT_FIELD_TYPES = {
@@ -36,7 +39,7 @@ _EVENT_FIELD_TYPES = {
 
 
 # one shared encoder: ``json.dumps`` with any option set builds a new one per call
-_LINE = json.JSONEncoder(separators=(",", ":")).encode
+_SNAPSHOT = json.JSONEncoder(sort_keys=True, indent=2).encode
 _APPEND = os.O_WRONLY | os.O_CREAT | os.O_APPEND
 _REPLACE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
 
@@ -102,8 +105,56 @@ class ProcessEvent(NamedTuple):
         return cls(*values)
 
     def to_line(self) -> str:
-        """The trace line: a JSON object of the fields in order, pairs written as arrays."""
-        return _LINE(self._asdict())
+        """The trace line: a JSON object of the fields in order, pairs written as arrays.
+
+        Its text is ``json.dumps(self._asdict(), separators=(",", ":"))``, formatted here with
+        the escaper and number reprs ``json`` uses.  An event with a field outside its exact
+        types in ``_EVENT_FIELD_TYPES`` (the pairs a tuple or list of ``(str, bool)``
+        tuples or lists), or a timestamp that is not finite, is refused with TypeError or
+        ValueError: no line is written that is not JSON or that ``from_dict`` refuses.
+        """
+        seq, timestamp, goal_id, intent, before, after, skill_id, outcome, sub_reason, pairs, digest = self
+        if not (type(seq) is int and type(timestamp) in (int, float)
+                and type(goal_id) is type(intent) is type(before) is type(after) is type(outcome) is str
+                and type(skill_id) in _STR_OR_NULL and type(sub_reason) in _STR_OR_NULL
+                and type(digest) in _STR_OR_NULL and type(pairs) in _ARRAYS):
+            raise _misfit(self)
+        if type(timestamp) is int:
+            stamp = int.__repr__(timestamp)
+        elif math.isfinite(timestamp):
+            stamp = float.__repr__(timestamp)
+        else:
+            raise ValueError(f"timestamp {timestamp!r} is not finite")
+        return (
+            f'{{"seq":{int.__repr__(seq)},"timestamp":{stamp},"goal_id":{_json_str(goal_id)},'
+            f'"intent":{_json_str(intent)},"stage_before":{_json_str(before)},'
+            f'"stage_after":{_json_str(after)},'
+            f'"skill_id":{"null" if skill_id is None else _json_str(skill_id)},'
+            f'"outcome":{_json_str(outcome)},'
+            f'"sub_reason":{"null" if sub_reason is None else _json_str(sub_reason)},'
+            f'"precondition_results":[{_pairs_text(pairs) if pairs else ""}],'
+            f'"payload_digest":{"null" if digest is None else _json_str(digest)}}}'
+        )
+
+
+def _misfit(event: ProcessEvent) -> TypeError:
+    """The refusal of *event*'s first field, in field order, outside its exact types."""
+    name, value = next((name, value) for (name, types), value in zip(_EVENT_FIELD_TYPES.items(), event)
+                       if type(value) not in (_ARRAYS if types is _PAIRS else types))
+    return TypeError(f"{name} has type {type(value).__name__}")
+
+
+def _pairs_text(pairs: Iterable[Any]) -> str:
+    """``precondition_results`` inside its array brackets; a pair not ``(str, bool)`` is refused."""
+    items = []
+    for pair in pairs:
+        if type(pair) not in _ARRAYS or len(pair) != 2:
+            raise ValueError(f"precondition pair {pair!r} is not [name, passed]")
+        name, held = pair
+        _typed(name, _STR, "precondition name")
+        _typed(held, (bool,), "precondition result")
+        items.append(f"[{_json_str(name)},{'true' if held else 'false'}]")
+    return ",".join(items)
 
 
 @dataclass
@@ -173,7 +224,7 @@ class FileEventStore:
         return None
 
     def write_snapshot(self, goal_id: str, snapshot: Mapping[str, Any]) -> None:
-        text = json.dumps(snapshot, sort_keys=True, indent=2) + "\n"
+        text = _SNAPSHOT(snapshot) + "\n"
         _write(f"{self._prefix}{goal_id}.snapshot.json", _REPLACE, text.encode())
 
 

@@ -478,7 +478,7 @@ def inject_illegal(
 
 
 def convert_dialogues(
-    dialogues: Sequence[Mapping[str, Any]],
+    dialogues: list[Mapping[str, Any]],
     bundle: DomainBundle,
     intent_map: Mapping[str, str] | None = None,
 ) -> list[Scenario]:
@@ -497,15 +497,16 @@ def convert_dialogues(
     labeling intent; unmapped or absent intents fall back to routing the
     utterance text.  Labels and expected final stages come from the forward
     simulation, exactly as for authored suites.  Fields are read at their
-    exact JSON types, nothing coerced: a ``dialogue_id``, ``utterance`` or
-    ``active_intent`` that is not a string is a ConfigError naming the
-    dialogue and, for the last two, the turn's position in ``turns``; so is
-    a turn, frame or state that is not an object, and a dialogue that is
-    not one names its position in *dialogues*.
+    exact JSON types, nothing coerced: *dialogues*, ``turns`` and ``frames``
+    must be lists, and each dialogue, turn, frame and ``state`` an object.
+    A field of the wrong type is a ConfigError naming the dialogue and, from
+    its ``turns`` inward, the turn's position; a dialogue that is not an
+    object names its position in *dialogues*, and a ``dialogue_id``,
+    ``utterance`` or ``active_intent`` that is not a string is refused too.
     """
     intent_map = dict(intent_map or {})
     scenarios: list[Scenario] = []
-    for index, dialogue in enumerate(dialogues):
+    for index, dialogue in enumerate(json_container(dialogues, list, "dialogues")):
         json_container(dialogue, dict, f"dialogue at position {index}")
         did = dialogue.get("dialogue_id", "")
         if type(did) is not str:
@@ -514,38 +515,34 @@ def convert_dialogues(
             raise ConfigError("dialogue missing dialogue_id")
         file_safe_id(did, "dialogue_id")
         messages: list[LabeledMessage] = []
-        with parsing(f"dialogue {did!r}"):  # a turn, frame or state that is no object
-            for position, turn in enumerate(dialogue.get("turns", [])):
-                if turn.get("speaker") != "USER":
-                    continue
-                if "utterance" not in turn:
-                    raise ConfigError(
-                        f"dialogue {did!r}: turn {position}: USER turn missing utterance"
-                    )
-                text = turn["utterance"]
-                if type(text) is not str:
-                    raise ConfigError(
-                        f"dialogue {did!r}: turn {position}: utterance must be a string"
-                    )
-                active = None
-                for frame in turn.get("frames", []):
-                    state = frame.get("state", {})
-                    active = state.get("active_intent")
-                    if "active_intent" in state and type(active) is not str:
-                        raise ConfigError(
-                            f"dialogue {did!r}: turn {position}: active_intent must be a string"
-                        )
-                    if active:
-                        break
-                label_intent = intent_map.get(active) if active else None
-                messages.append(
-                    LabeledMessage(
-                        text=text,
-                        expected_legal=True,  # placeholder, relabeled below
-                        turn_index=len(messages),
-                        label_intent=label_intent,
-                    )
+        turns = json_container(dialogue.get("turns", []), list, f"dialogue {did!r}: turns")
+        for position, turn in enumerate(turns):
+            where = f"dialogue {did!r}: turn {position}"
+            if json_container(turn, dict, where).get("speaker") != "USER":
+                continue
+            if "utterance" not in turn:
+                raise ConfigError(f"{where}: USER turn missing utterance")
+            text = turn["utterance"]
+            if type(text) is not str:
+                raise ConfigError(f"{where}: utterance must be a string")
+            active = None
+            for frame in json_container(turn.get("frames", []), list, f"{where}: frames"):
+                json_container(frame, dict, f"{where}: a frame")
+                state = json_container(frame.get("state", {}), dict, f"{where}: state")
+                active = state.get("active_intent")
+                if "active_intent" in state and type(active) is not str:
+                    raise ConfigError(f"{where}: active_intent must be a string")
+                if active:
+                    break
+            label_intent = intent_map.get(active) if active else None
+            messages.append(
+                LabeledMessage(
+                    text=text,
+                    expected_legal=True,  # placeholder, relabeled below
+                    turn_index=len(messages),
+                    label_intent=label_intent,
                 )
+            )
         if not messages:
             raise ConfigError(f"dialogue {did!r} has no USER turns")
         scenario = Scenario(did, "normal", tuple(messages))

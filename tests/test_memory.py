@@ -637,6 +637,57 @@ def test_load_trace_reads_as_the_reference_reader(tmp_path, data):
     assert _read_outcome(load_trace, path) == _read_outcome(reference_load_trace, path)
 
 
+# any code point, lone surrogates included, with the characters JSON escapes drawn often
+_ANY_TEXT = st.text(st.integers(0, sys.maxunicode).map(chr) | st.sampled_from('"\\\0\n\x1f\x7f\u2028\ud800\udfff'),
+                    max_size=8)
+_WRITER_FIELDS = _VALID_FIELDS | {
+    "seq": _VALID_FIELDS["seq"] | st.integers(2**62, 2**66) | st.integers(),
+    "timestamp": _VALID_FIELDS["timestamp"] | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from((-0.0, 5e-324, 2.2250738585072014e-308, 1e300, 1e16)),
+    **dict.fromkeys(("goal_id", "intent", "stage_before", "stage_after", "outcome"), _ANY_TEXT),
+    **dict.fromkeys(("skill_id", "sub_reason", "payload_digest"), st.none() | _ANY_TEXT),
+    "precondition_results": st.lists(st.tuples(_ANY_TEXT, st.booleans()), max_size=3).map(tuple),
+}
+
+
+def _as_json_reads(value):
+    """*value* as JSON reads it back: a high surrogate then a low one, each escaped, are one character."""
+    if type(value) is str:
+        return value.encode("utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
+    return tuple(map(_as_json_reads, value)) if type(value) is tuple else value
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.fixed_dictionaries(_WRITER_FIELDS))
+def test_the_trace_line_is_what_json_dumps_writes(raw):
+    """Any event at its exact field types: the line json writes, read back as the event and written
+    again as the same line."""
+    event = ProcessEvent(**raw)
+    line = event.to_line()
+    assert line == json.dumps(event._asdict(), separators=(",", ":"))
+    read = ProcessEvent.from_dict(json.loads(line))
+    assert read == ProcessEvent(*map(_as_json_reads, event))
+    assert read.to_line() == line
+
+
+@pytest.mark.parametrize(("fields", "fault", "reported"), [
+    ({"seq": True}, TypeError, "seq has type bool"),
+    ({"timestamp": float("nan")}, ValueError, "timestamp nan is not finite"),
+    ({"timestamp": float("inf")}, ValueError, "timestamp inf is not finite"),
+    ({"timestamp": float("-inf")}, ValueError, "timestamp -inf is not finite"),
+    ({"precondition_results": (("position_exists", 1),)}, TypeError, "precondition result has type int"),
+    ({"goal_id": 7}, TypeError, "goal_id has type int"),
+], ids=["bool-seq", "nan-timestamp", "inf-timestamp", "minus-inf-timestamp", "int-flag", "int-goal-id"])
+def test_the_file_store_refuses_an_event_it_cannot_write_exactly(tmp_path, fields, fault, reported):
+    """An event json would write differently, or from_dict would refuse, raises before a byte is written."""
+    store = FileEventStore(tmp_path)
+    store.append(_event("g", 1))
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    with pytest.raises(fault, match=f"^{reported}$"):
+        store.append(_event("g", 2)._replace(**fields))
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 def test_concurrent_multi_goal_logging_stays_gapless(hr_bundle):
     manager = _manager(hr_bundle)
     goals = [manager.create_goal("hr").goal_id for _ in range(4)]

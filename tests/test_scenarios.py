@@ -653,22 +653,39 @@ def _user_turn(utterance, active_intent=None):
         ({"dialogue_id": "d", "turns": [{"speaker": "USER", "utterance": "check my balance",
                                          "frames": [{"state": {"active_intent": None}}]}]},
          r"^dialogue 'd': turn 0: active_intent must be a string$"),
-        ({"dialogue_id": "d", "turns": ["check my balance"]}, r"^malformed dialogue 'd': "),
+        ({"dialogue_id": "d", "turns": ["check my balance"]},
+         r"^dialogue 'd': turn 0 must be an object, not str$"),
         ({"dialogue_id": "d", "turns": [{"speaker": "USER", "utterance": "check my balance",
                                          "frames": [{"state": "CheckBalance"}]}]},
-         r"^malformed dialogue 'd': "),
+         r"^dialogue 'd': turn 0: state must be an object, not str$"),
+        ({"dialogue_id": "d", "turns": [_user_turn("check my balance") | {"frames": ["CheckBalance"]}]},
+         r"^dialogue 'd': turn 0: a frame must be an object, not str$"),
+        ({"dialogue_id": "x", "turns": "ab"}, r"^dialogue 'x': turns must be a list, not str$"),
+        ({"dialogue_id": "x", "turns": {"0": _user_turn("check my balance")}},
+         r"^dialogue 'x': turns must be a list, not dict$"),
+        ({"dialogue_id": "x", "turns": [_user_turn("hi"), _user_turn("check my balance") | {"frames": "ab"}]},
+         r"^dialogue 'x': turn 1: frames must be a list, not str$"),
         (["d", []], r"^dialogue at position 0 must be an object, not list$"),
         ("d", r"^dialogue at position 0 must be an object, not str$"),
         (7, r"^dialogue at position 0 must be an object, not int$"),
     ],
     ids=["integer-id", "empty-id", "integer-utterance", "list-active-intent", "null-active-intent",
-         "string-turn", "string-state", "list-dialogue", "string-dialogue", "integer-dialogue"],
+         "string-turn", "string-state", "string-frame", "string-turns", "object-turns", "string-frames",
+         "list-dialogue", "string-dialogue", "integer-dialogue"],
 )
 def test_convert_dialogues_reads_exact_types(dialogue, reported):
-    """Nothing is coerced: a field that is not a string names its dialogue and turn."""
+    """Nothing is coerced: a field of the wrong type names its dialogue and turn."""
     bundle = load_domain(sgd_domain_dir("Banks_1"))
     with pytest.raises(ConfigError, match=reported):
         convert_dialogues([dialogue], bundle, {"CheckBalance": "check_balance"})
+
+
+@pytest.mark.parametrize("dialogues", [{"x": {"dialogue_id": "x", "turns": []}}, "ab", ({"dialogue_id": "x"},)],
+                         ids=["object", "string", "tuple"])
+def test_convert_dialogues_takes_a_list(dialogues):
+    bundle = load_domain(sgd_domain_dir("Banks_1"))
+    with pytest.raises(ConfigError, match=rf"^dialogues must be a list, not {type(dialogues).__name__}$"):
+        convert_dialogues(dialogues, bundle)
 
 
 def test_latent_detection_counts_equal_blocked_normal_events():
