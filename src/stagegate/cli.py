@@ -2,8 +2,9 @@
 
 Exit codes are stable across commands: 0 success, 1 validation failure or
 replay divergence, 2 input fault (missing or unusable artifacts), 3 runtime
-fault mid-run.  Commands raise; ``main`` alone prints a refusal or fault as
-one stderr line and returns its code.  Metric values never affect exit codes.
+fault mid-run (a package fault, or an OS error such as a full disk).
+Commands raise; ``main`` alone prints a refusal or fault as one stderr line
+and returns its code.  Metric values never affect exit codes.
 
 Primary artifacts (report, traces) are byte-reproducible for identical
 inputs; wall-clock data is isolated to the manifest, trace
@@ -144,15 +145,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         "started_at": time.time(),
         "output_dir": str(out_dir),
     }
-    (out_dir / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
-
-    store = FileEventStore(traces)
     try:
-        run = run_suite(bundle, scenarios, toggles=toggles, store=store)
+        (out_dir / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
+        run = run_suite(bundle, scenarios, toggles=toggles, store=FileEventStore(traces))
         report = compute_report(run, bundle)
         latency = _latency_ms(run)
         _write_run_artifacts(out_dir, run, report, latency, bundle)
-    except StagegateError as exc:
+    except (StagegateError, OSError) as exc:  # OSError: the disk fills or a write fails mid-run
         line = f"runtime fault: {exc} (partial traces kept in {traces})"
         raise CommandError(line, EXIT_RUNTIME) from None
     print(report.to_text())
@@ -236,9 +235,9 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     _make_dir(out_dir)
     try:
         comparison = compare_configs(bundle, scenarios, ABLATION_CONFIGS)
-    except StagegateError as exc:
+        table_path.write_text(_json_text(comparison.to_dict()), encoding="utf-8")
+    except (StagegateError, OSError) as exc:
         raise CommandError(f"runtime fault: {exc}", EXIT_RUNTIME) from None
-    table_path.write_text(_json_text(comparison.to_dict()), encoding="utf-8")
     print(comparison.to_text())
     print(f"\nablation table written to {table_path}")
     return EXIT_OK

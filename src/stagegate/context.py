@@ -1,4 +1,4 @@
-"""Goal-scoped dispatch context and the canonical bytes of skill results."""
+"""The executor's copy of a goal's business state, and the canonical bytes of skill results."""
 
 from __future__ import annotations
 
@@ -10,18 +10,16 @@ from typing import Any
 
 @dataclass(slots=True)
 class DispatchContext:
-    """Business state whose flags the preconditions consult.
+    """A goal's business state as the executor sees it; every layer below takes the dict itself.
 
     ``business_state`` is a flat dict of JSON scalars that evolves only
-    through postcondition effects (or goal-manager mediated writes), so a
-    shallow copy is a full copy.
+    through postcondition effects, so a shallow copy is a full copy.
     """
 
-    goal_id: str
     business_state: dict[str, Any] = field(default_factory=dict)
 
     def clone(self) -> "DispatchContext":
-        return DispatchContext(self.goal_id, dict(self.business_state))
+        return DispatchContext(dict(self.business_state))
 
 
 _CANON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str).encode

@@ -17,10 +17,11 @@ but nothing is committed).  No blocked dispatch mutates business state or
 stage.  A SUCCESS step whose executor failed (``execution_error``) commits
 nothing either; only a SUCCESS without a sub-reason moves state, live and in
 replay.  Effects cannot fault: a bundle that loads sets only JSON scalars.
-Each step works on its own copy of the goal's state: the gates read it, the
-effects write it and the commit takes it.  The executor, the one piece of
-caller code that sees state, is handed a copy of that copy, so nothing it
-writes is ever committed.
+Each step works on its own copy of the goal's business-state dict: the gates
+read it, the effects write it and the commit takes it.  The executor, the one
+piece of caller code that sees state, is handed a ``DispatchContext`` holding
+a copy of that copy, so nothing it writes is ever committed.  A goal is
+dispatched only with the automaton and registry its domain was wired to.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def decide(
     automaton: WorkflowAutomaton,
     registry: SkillRegistry,
     stage: StageId,
-    ctx: DispatchContext,
+    state: Mapping[str, Any],
     intent: str,
     toggles: DispatchToggles = FULL,
 ) -> Decision:
@@ -160,7 +161,7 @@ def decide(
     if skill is None:
         return Decision("SKILL_NOT_FOUND", stage, stage, "no_matching_skill")
 
-    pre_results = registry.check_preconditions(skill, ctx)
+    pre_results = registry.check_preconditions(skill, state)
     # Lists, not generators, here and in check_preconditions: a generator costs more than its few flags.
     if toggles.precondition_check and pre_results and not all([held for _, held in pre_results]):
         return Decision("PRECONDITION_FAIL", stage, stage, None, skill, pre_results)
@@ -183,6 +184,8 @@ def dispatch(
 ) -> DispatchResult:
     """Run one message through the full pipeline for the given goal.
 
+    A goal whose domain the manager holds wired to another automaton or
+    registry than *deps* is refused with ConfigError before anything is built.
     Dispatches for the same goal are serialized; the goal's lock is held for
     the whole step.  Gate time (the ``decide`` kernel) and executor time are
     recorded separately in ``detail["timing_ns"]`` so dispatcher-internal
@@ -190,6 +193,12 @@ def dispatch(
     """
     manager = deps.manager
     live = manager.live(goal_id)
+    automaton, registry = manager.wiring(live.record.domain)
+    if automaton is not deps.automaton or registry is not deps.registry:
+        raise ConfigError(
+            f"goal {goal_id!r}: its domain {live.record.domain!r} is wired to another "
+            "automaton or registry than the dispatch deps"
+        )
     with live.lock:
         stage = live.record.current_stage
         ctx = manager.context(goal_id)  # the step's own copy, committed on success
@@ -197,7 +206,7 @@ def dispatch(
         t0 = time.perf_counter_ns()
         route = identify(message, deps.table, deps.fallback)
         t1 = time.perf_counter_ns()
-        decision = decide(deps.automaton, deps.registry, stage, ctx, route.intent, toggles)
+        decision = decide(automaton, registry, stage, ctx.business_state, route.intent, toggles)
         timing = {"route_ns": t1 - t0, "gate_ns": time.perf_counter_ns() - t1}
 
         outcome, sub_reason, stage_after = decision.outcome, decision.sub_reason, decision.stage_after
@@ -218,7 +227,7 @@ def dispatch(
             digest = payload_digest(body)
             if outcome == "SUCCESS" and sub_reason is None:
                 payload = body
-                apply_postconditions(decision.skill, ctx, digest)
+                apply_postconditions(decision.skill, ctx.business_state, digest)
 
         skill_id = decision.skill.id if decision.skill else None
         event = ProcessEvent(

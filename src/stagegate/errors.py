@@ -50,9 +50,17 @@ def unknown_keys(what: str, raw: Mapping[str, Any], allowed: AbstractSet[str]) -
 
 
 def file_safe_id(value: str, what: str) -> None:
-    """Refuse an id that names a trace file outside its directory: one with ``/``, ``\\`` or NUL."""
+    """Refuse an id that cannot name a trace file in its directory.
+
+    Such an id holds ``/``, ``\\`` or NUL, or does not encode as UTF-8 (a
+    lone surrogate), which ``os.open`` would refuse mid-run.
+    """
     if "/" in value or "\\" in value or "\0" in value:
         raise ConfigError(f"{what} {value!r} must not contain '/', '\\' or NUL")
+    try:
+        value.encode()
+    except UnicodeEncodeError:
+        raise ConfigError(f"{what} {value!r} must encode as UTF-8") from None
 
 
 class LookupFault(StagegateError):

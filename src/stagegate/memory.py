@@ -1,6 +1,6 @@
 """Goal-scoped governance memory: goal records, append-only events, and replay.
 
-The GoalManager owns each goal's record, business context and event log.
+The GoalManager owns each goal's record, business state and event log.
 Stage changes go through validated advancement, every dispatch step appends
 exactly one immutable ProcessEvent, and any goal can be reconstructed by
 folding its event log from the beginning.
@@ -322,9 +322,13 @@ class GoalManager:
     def goal_ids(self) -> list[str]:
         return sorted(self._states)
 
+    def wiring(self, domain: str) -> tuple[WorkflowAutomaton, SkillRegistry]:
+        """The automaton and registry ``add_domain`` wired to *domain*."""
+        return self._domains[domain]
+
     def context(self, goal_id: str) -> DispatchContext:
-        """Copy of the goal's live context; commit changes via commit_context."""
-        return DispatchContext(goal_id, dict(self.live(goal_id).business_state))
+        """Copy of the goal's live business state; commit changes via commit_context."""
+        return DispatchContext(dict(self.live(goal_id).business_state))
 
     def commit_context(self, goal_id: str, ctx: DispatchContext) -> None:
         """Make *ctx*'s business state the goal's live state, taking ownership.
@@ -425,7 +429,7 @@ def replay_events(
     first bad seq.
     """
     stage = automaton.initial
-    ctx = DispatchContext(goal_id=goal_id)
+    state: dict[str, Any] = {}
     last_seq = 0
     for event in events:
         seq, after = event.seq, event.stage_after
@@ -458,8 +462,8 @@ def replay_events(
         if payload is not None and event.payload_digest is not None:
             if payload_digest(payload) != event.payload_digest:
                 raise IntegrityFault(f"payload digest mismatch at seq {seq}", seq=seq)
-        apply_postconditions(skill, ctx, event.payload_digest or "")
+        apply_postconditions(skill, state, event.payload_digest or "")
         stage = after
 
     record = GoalRecord(goal_id, domain, stage, automaton.terminal_stages())
-    return GoalState(record, ctx.business_state, last_seq)
+    return GoalState(record, state, last_seq)

@@ -2,8 +2,8 @@
 
 Skills are declarative records.  Each one serves a single intent, applies at
 a declared set of stages, and is guarded by preconditions: names of business
-flags that must all be truthy in the goal's context.  Postconditions are
-restricted to declarative context mutations so that replay stays
+flags that must all be truthy in the goal's business state.  Postconditions
+are restricted to declarative writes into that state so that replay stays
 deterministic.
 """
 
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .automaton import StageId, IntentId, WorkflowAutomaton
-from .context import DispatchContext
 from .errors import ConfigError, ConflictFault, json_container, parsing, string_list, unknown_keys
 
 _SKILL_KEYS = {"id", "intent", "level", "stages", "pre", "post", "risk", "disclosure"}
@@ -39,7 +38,7 @@ class RiskLevel(enum.IntEnum):
 
 @dataclass(frozen=True)
 class Effect:
-    """One declarative context mutation applied after successful execution.
+    """One declarative business-state write applied after successful execution.
 
     ``set`` writes its ``value``, a literal JSON scalar; ``set_from_result``
     holds no value and stores the digest of the skill result payload, so the
@@ -121,8 +120,8 @@ class SkillRegistry:
                 return spec
         return None
 
-    def check_preconditions(self, skill: SkillSpec, ctx: DispatchContext) -> tuple[tuple[str, bool], ...]:
-        """The ``(flag, held)`` pair of each guard of *skill*, read from *ctx* without mutating it.
+    def check_preconditions(self, skill: SkillSpec, state: Mapping[str, Any]) -> tuple[tuple[str, bool], ...]:
+        """The ``(flag, held)`` pair of each guard of *skill*, read from *state* without mutating it.
 
         Each guard holds when its business flag is truthy; an absent flag is
         false.  Evaluation is total (all guards, declared order) and cannot
@@ -130,7 +129,6 @@ class SkillRegistry:
         """
         if not skill.preconditions:
             return ()
-        state = ctx.business_state
         return tuple([(name, bool(state.get(name, False))) for name in skill.preconditions])
 
     def validate_against(self, automaton: WorkflowAutomaton) -> list[str]:
@@ -167,15 +165,14 @@ class SkillRegistry:
         return errors
 
 
-def apply_postconditions(skill: SkillSpec, ctx: DispatchContext, result_digest: str) -> None:
-    """Apply the skill's effects to *ctx* in place, in declared order.
+def apply_postconditions(skill: SkillSpec, state: dict[str, Any], result_digest: str) -> None:
+    """Apply the skill's effects to the business *state* dict in place, in declared order.
 
     The one effect rule, shared by dispatch, the labeler and replay;
     ``set_from_result`` stores *result_digest*.  Total: it cannot fail.  The
-    caller owns *ctx*: dispatch applies the effects to the step's own copy of
-    the goal's state and commits it only when the whole dispatch succeeds.
+    caller owns *state*: dispatch applies the effects to the step's own copy
+    of the goal's state and commits it only when the whole dispatch succeeds.
     """
-    state = ctx.business_state
     for effect in skill.postconditions:
         state[effect.field] = effect.value if effect.op == "set" else result_digest
 

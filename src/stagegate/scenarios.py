@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from .automaton import StageId, WorkflowAutomaton, automaton_from_dict, validate_definition
-from .context import DispatchContext
 from .dispatcher import BLOCK_OUTCOMES, Decision, MockExecutor, decide
 from .errors import (
     ConfigError, GenerationFault, StagegateError, file_safe_id, json_container, parsing, unknown_keys,
@@ -366,22 +365,19 @@ def simulate_scenario(
         routed = {}
     tracks = scenario.tracks()
     stages: dict[int, StageId] = dict.fromkeys(tracks, automaton.initial)
-    contexts: dict[int, DispatchContext] = {
-        t: DispatchContext(goal_id=f"sim-{scenario.scenario_id}-{t}") for t in tracks
-    }
+    states: dict[int, dict[str, Any]] = {t: {} for t in tracks}
     decisions: list[Decision] = []
 
     for msg in scenario.messages:
         track = msg.track
-        ctx = contexts[track]
         intent = msg.label_intent
         if not intent:
             intent = routed.get(msg.text)
             if intent is None:
                 intent = routed[msg.text] = identify(msg.text, table).intent
-        decision = decide(automaton, registry, stages[track], ctx, intent)
+        decision = decide(automaton, registry, stages[track], states[track], intent)
         if decision.outcome == "SUCCESS":
-            apply_postconditions(decision.skill, ctx, "simulated")
+            apply_postconditions(decision.skill, states[track], "simulated")
             stages[track] = decision.stage_after
         decisions.append(decision)
 
@@ -494,17 +490,22 @@ def convert_dialogues(
 
     Only USER turns are kept.  ``intent_map`` translates the dialogue's
     active-intent names to this domain's intents and becomes the message's
-    labeling intent; unmapped or absent intents fall back to routing the
-    utterance text.  Labels and expected final stages come from the forward
-    simulation, exactly as for authored suites.  Fields are read at their
-    exact JSON types, nothing coerced: *dialogues*, ``turns`` and ``frames``
-    must be lists, and each dialogue, turn, frame and ``state`` an object.
-    A field of the wrong type is a ConfigError naming the dialogue and, from
-    its ``turns`` inward, the turn's position; a dialogue that is not an
-    object names its position in *dialogues*, and a ``dialogue_id``,
-    ``utterance`` or ``active_intent`` that is not a string is refused too.
+    labeling intent; a value that is not a string naming one of the
+    bundle's intents is a ConfigError naming its key.  Unmapped or absent
+    intents fall back to routing the utterance text.  Labels and expected
+    final stages come from the forward simulation, exactly as for authored
+    suites.  Fields are read at their exact JSON types, nothing coerced:
+    *dialogues*, ``turns`` and ``frames`` must be lists, and each dialogue,
+    turn, frame and ``state`` an object.  A field of the wrong type is a
+    ConfigError naming the dialogue and, from its ``turns`` inward, the
+    turn's position; a dialogue that is not an object names its position in
+    *dialogues*, and a ``dialogue_id``, ``utterance`` or ``active_intent``
+    that is not a string is refused too.
     """
     intent_map = dict(intent_map or {})
+    for key, intent in intent_map.items():
+        if type(intent) is not str or intent not in bundle.automaton.intents:
+            raise ConfigError(f"intent_map {key!r}: {intent!r} is not an intent of the domain")
     scenarios: list[Scenario] = []
     for index, dialogue in enumerate(json_container(dialogues, list, "dialogues")):
         json_container(dialogue, dict, f"dialogue at position {index}")

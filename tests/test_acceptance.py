@@ -24,7 +24,6 @@ from stagegate.evaluation import (
 )
 from stagegate.memory import GoalManager
 from stagegate.router import identify
-from stagegate.context import DispatchContext
 from stagegate.runner import run_suite
 from stagegate.scenarios import bundle_from_dicts, detect_latent, load_domain, load_suite
 from stagegate.suites import (
@@ -262,12 +261,12 @@ def test_criterion_8_legality_check_latency(hr_bundle, hr_run):
         applicable_stages=frozenset({"init"}),
         preconditions=tuple(f"g{i}" for i in range(4)),
     )
-    ctx = DispatchContext(goal_id="bench", business_state={f"g{i}": True for i in range(4)})
+    state = {f"g{i}": True for i in range(4)}
     heavy_samples = []
     for _ in range(500):
         t0 = time.perf_counter_ns()
         hr_bundle.automaton.is_stage_legal("query_status", "init")
-        pairs = bench_registry.check_preconditions(heavy, ctx)
+        pairs = bench_registry.check_preconditions(heavy, state)
         heavy_samples.append(time.perf_counter_ns() - t0)
         assert all(held for _, held in pairs)
     heavy_median_ms = statistics.median(heavy_samples) / 1e6

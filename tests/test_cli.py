@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -453,6 +454,11 @@ def _replay_without_manifest_domain(run: Path) -> list[str]:
     return ["replay", str(_trace(run))]
 
 
+def _replay_without_manifest(run: Path) -> list[str]:
+    (run / "manifest.json").unlink()
+    return ["replay", str(_trace(run))]
+
+
 def _replay_integer_manifest_domain(run: Path) -> list[str]:
     _edit_json(run / "manifest.json", lambda data: data.update(domain=5))
     return ["replay", str(_trace(run))]
@@ -555,6 +561,14 @@ def _inject_count(run: Path, count: int, out: Path | None = None) -> list[str]:
             "--count", str(count), "--out", str(out or run / "variants.json")]
 
 
+def _inject_without_legal_normals(run: Path) -> list[str]:
+    suite = json.loads(hr_suite_path().read_text())
+    suite["scenarios"] = [s for s in suite["scenarios"] if s["type"] != "normal"]
+    (run / "suite.json").write_text(json.dumps(suite))
+    return ["inject", "--domain", str(hr_domain_dir()), "--suite", str(run / "suite.json"),
+            "--out", str(run / "variants.json")]
+
+
 def _inject_out_under_file(run: Path) -> list[str]:
     (run / "afile").write_text("")
     return _inject_count(run, 1, run / "afile" / "x.json")
@@ -627,6 +641,10 @@ MALFORMED = {
     "replay-snapshot-without-status": (
         lambda run: _replay_with_snapshot(run, drop="status"), 2, "error: "),
     "replay-manifest-without-domain": (_replay_without_manifest_domain, 2, "error: "),
+    "replay-without-manifest-or-domain": (
+        _replay_without_manifest, 2, "error: --domain required (no manifest.json next to traces)"),
+    "replay-missing-trace": (
+        lambda run: ["replay", str(run / "traces" / "absent.jsonl")], 2, "error: "),
     "replay-integer-manifest-domain": (_replay_integer_manifest_domain, 2, "error: "),
     "replay-string-seq": (
         lambda run: _replay_with_first_line(run, lambda line: line.replace('"seq":1,', '"seq":"x",')),
@@ -674,6 +692,8 @@ MALFORMED = {
     "run-phantom-track": (_run_phantom_track, 2, "error: "),
     "run-scenario-id-with-slash": (lambda run: _run_scenario_id(run, "../../escaped"), 2, "error: "),
     "run-scenario-id-with-nul": (lambda run: _run_scenario_id(run, "a\0b"), 2, "error: "),
+    "run-scenario-id-with-lone-surrogate": (  # json.dumps writes it as the escape "\ud800"
+        lambda run: _run_scenario_id(run, "lone\ud800id"), 2, "error: scenario_id 'lone\\ud800id' must"),
     "run-non-string-pre": (
         lambda run: _run_edited(run, "skills.json", _skill_edit("pull_parse", pre=[True, 5])),
         2, "error: "),
@@ -689,6 +709,11 @@ MALFORMED = {
     "inject-count-negative": (lambda run: _inject_count(run, -95), 2, "error: "),
     "inject-out-under-file": (_inject_out_under_file, 2, "error: "),
     "inject-out-is-directory": (_inject_out_is_directory, 2, "error: "),
+    "inject-without-legal-normals": (
+        _inject_without_legal_normals, 2, "error: suite contains no fully-legal normal scenarios"),
+    "inject-premature-terminal-on-hr": (  # every hr normal scenario ends at a terminal stage
+        lambda run: _inject_count(run, 1) + ["--strategy", "premature_terminal"],
+        1, "error: scenario 'normal-001': no injectable position for premature_terminal"),
     "validate-effect-without-op": (
         lambda run: _validate_edited(run, "skills.json", _drop_effect_op), 1, "error: skills.json: "),
     "validate-list-effect-field": (
@@ -746,3 +771,90 @@ def test_malformed_artifacts_exit_without_traceback(case, tmp_path, finished_run
     captured = capsys.readouterr()
     assert any(row.startswith(reported) for row in (captured.out + captured.err).splitlines())
     assert (sorted(run.rglob("*")), _files(run)) == before
+
+
+def test_validate_prints_a_warning_line_and_still_exits_zero(tmp_path, capsys):
+    domain = tmp_path / "hr"
+    shutil.copytree(hr_domain_dir(), domain)
+
+    def idle_intent(automaton):
+        automaton["intents"].append("idle")
+        automaton["binding"]["idle"] = []
+        automaton["stage_map"]["idle"] = None
+
+    _edit_json(domain / "automaton.json", idle_intent)
+    assert main(["validate", str(domain)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "warning: automaton.json: binding_empty: intent 'idle' is bound to no stage",
+        "hr: bundle is valid",
+    ]
+
+
+def test_replay_without_a_snapshot_prints_the_state_and_exits_zero(tmp_path, finished_run, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    expected = json.loads(_trace(run).with_name("normal-001-t0.snapshot.json").read_text())
+    _trace(run).with_name("normal-001-t0.snapshot.json").unlink()
+    capsys.readouterr()
+    assert main(["replay", str(_trace(run))]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {key: value for key, value in expected.items() if key != "domain"}
+    assert captured.err == ""
+
+
+def _enospc_on_call(monkeypatch, n: int) -> list[str]:
+    """Make the *n*-th write of a trace or snapshot file fail as a full disk does; the paths written."""
+    from stagegate import memory
+
+    write, calls = memory._write, []
+
+    def failing(path, flags, data):
+        calls.append(path)
+        if len(calls) == n:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+        write(path, flags, data)
+
+    monkeypatch.setattr(memory, "_write", failing)
+    return calls
+
+
+def test_a_full_disk_mid_run_is_a_runtime_fault(tmp_path, small_suite, monkeypatch, capsys):
+    written = _enospc_on_call(monkeypatch, 50)
+    out_dir = tmp_path / "run"
+    code = main(["run", "--domain", str(hr_domain_dir()), "--suite", str(small_suite), "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert len(written) == 50
+    assert captured.err == (
+        f"runtime fault: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: {written[-1]!r}"
+        f" (partial traces kept in {out_dir / 'traces'})\n"
+    )
+    assert not (out_dir / "report.json").exists()
+
+
+def test_ablate_runtime_faults_exit_three(tmp_path, small_suite, monkeypatch, capsys):
+    from stagegate import cli
+    from stagegate.errors import IntegrityFault
+
+    argv = ["ablate", "--domain", str(hr_domain_dir()), "--suite", str(small_suite),
+            "--out", str(tmp_path / "ablate")]
+    write_text = Path.write_text
+
+    def full_disk(path, *args, **kwargs):
+        if path.name == "ablation.json":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"runtime fault: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+    def broken(*args, **kwargs):
+        raise IntegrityFault("seq gap", seq=4)
+
+    monkeypatch.setattr(cli, "compare_configs", broken)
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "runtime fault: seq gap\n"
+    assert not (tmp_path / "ablate" / "ablation.json").exists()

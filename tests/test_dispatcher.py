@@ -10,7 +10,7 @@ import random
 import sys
 import threading
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +36,8 @@ from stagegate.memory import (
     load_trace,
     replay_events,
 )
-from stagegate import router
+from stagegate import registry, router, scenarios
+from stagegate.registry import Effect, SkillRegistry
 from stagegate.router import UNKNOWN, normalize
 from stagegate.runner import StepRecord, run_suite
 from stagegate.scenarios import (
@@ -323,7 +324,7 @@ def test_a_non_bytes_payload_is_contained_like_an_executor_exception(hr_bundle, 
 def test_an_injected_failure_raises_and_ends_as_its_error_digest(hr_bundle):
     executor = hr_bundle.build_executor(fail_ids=["create_demand"])
     with pytest.raises(RuntimeError, match="^injected failure for create_demand$"):
-        executor(hr_bundle.registry.get("create_demand"), DispatchContext(goal_id="g"))
+        executor(hr_bundle.registry.get("create_demand"), DispatchContext())
     deps = _deps(hr_bundle, executor=executor)
     result = dispatch("create a hiring demand", _goal(deps, "hr"), deps)
     assert (result.outcome, result.event.sub_reason) == ("SUCCESS", "execution_error")
@@ -347,6 +348,60 @@ def test_what_the_executor_and_predicates_write_to_their_context_is_never_commit
     live = deps.manager.state(gid)
     assert set(live["business_state"]) == {"position_exists", "candidates_pulled", "candidates_ref"}
     assert deps.manager.replay(gid).state() == live
+
+
+def test_below_the_executor_business_state_is_a_plain_dict(hr_bundle, monkeypatch):
+    """The context names no goal: the manager hands out one copy, the executor gets one clone of it
+    and the commit takes the copy; the gate and the effects read and write its dict."""
+    assert [f.name for f in fields(DispatchContext)] == ["business_state"]
+    assert not hasattr(registry, "DispatchContext") and not hasattr(scenarios, "DispatchContext")
+    calls = Counter()
+
+    def counted(name, original):
+        return lambda *args: calls.update([name]) or original(*args)
+
+    for name in ("context", "commit_context"):
+        monkeypatch.setattr(GoalManager, name, counted(name, getattr(GoalManager, name)))
+    monkeypatch.setattr(DispatchContext, "clone", counted("clone", DispatchContext.clone))
+    executor, seen = hr_bundle.build_executor(), []
+    deps = _deps(hr_bundle, executor=lambda skill, ctx: seen.append(ctx) or executor(skill, ctx))
+    gid = _goal(deps, "hr")
+    assert dispatch("create a hiring demand", gid, deps).outcome == "SUCCESS"
+    assert calls == {"context": 1, "clone": 1, "commit_context": 1}
+    assert seen == [DispatchContext({})]
+    assert deps.manager.context(gid) == DispatchContext({"position_exists": True})
+
+
+def _registry_where(bundle, skill_id, **changes):
+    """*bundle*'s registry with one skill's fields changed."""
+    skills = SkillRegistry()
+    for spec in bundle.registry:
+        skills.register(replace(spec, **changes) if spec.id == skill_id else spec, bundle.automaton)
+    return skills
+
+
+@pytest.mark.parametrize("case", ["automaton-lacks-init-src", "create-demand-unsets-position"])
+def test_a_goal_wired_to_another_automaton_or_registry_is_refused(hr_bundle, case):
+    """Gating with the deps' copy and committing or replaying with the manager's would part live
+    state from its replay; the goal is refused before any event is built."""
+    deps = _deps(hr_bundle)
+    gid = _goal(deps, "hr")
+    if case == "automaton-lacks-init-src":  # "pull candidates" would log init -> src, then fail to advance
+        deps.manager.commit_context(gid, DispatchContext({"position_exists": True}))
+        automaton = replace(hr_bundle.automaton, transitions=hr_bundle.automaton.transitions - {("init", "src")})
+        deps.manager.add_domain("hr", automaton, hr_bundle.registry)
+        message = "pull candidates"
+    else:  # live state would read position_exists true, its replay false
+        unset = (Effect("set", "position_exists", False),)
+        skills = _registry_where(hr_bundle, "create_demand", postconditions=unset)
+        deps.manager.add_domain("hr", hr_bundle.automaton, skills)
+        message = "create a hiring demand"
+    before = deps.manager.state(gid)
+    refusal = rf"^goal '{gid}': its domain 'hr' is wired to another automaton or registry than the dispatch deps$"
+    with pytest.raises(ConfigError, match=refusal):
+        dispatch(message, gid, deps)
+    assert deps.manager.store.events_for(gid) == []
+    assert deps.manager.state(gid) == before
 
 
 def test_a_raising_fallback_leaves_the_intent_unresolved_with_its_error(hr_bundle):
@@ -564,9 +619,9 @@ def test_dispatch_timing_fields_present(hr_bundle):
 
 
 def _decide(bundle, stage, intent, toggles=FULL, state=None):
-    ctx = DispatchContext(goal_id="g", business_state=dict(state or {}))
-    decision = decide(bundle.automaton, bundle.registry, stage, ctx, intent, toggles)
-    assert ctx.business_state == dict(state or {})  # decide never mutates
+    flags = dict(state or {})
+    decision = decide(bundle.automaton, bundle.registry, stage, flags, intent, toggles)
+    assert flags == dict(state or {})  # decide never mutates
     assert decision.stage_before == stage
     return decision
 
@@ -723,4 +778,4 @@ def test_threaded_dispatch_keeps_each_goal_log_linear(hr_bundle, hr_suite, tmp_p
 def test_mock_executor_refuses_a_skill_without_a_fixture(hr_bundle):
     executor = MockExecutor({})
     with pytest.raises(ConfigError, match="^no fixture for skill 'create_demand'$"):
-        executor(hr_bundle.registry.get("create_demand"), DispatchContext("g"))
+        executor(hr_bundle.registry.get("create_demand"), DispatchContext())

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from stagegate import memory
 from stagegate.automaton import automaton_from_dict
 from stagegate.context import DispatchContext, canonical, payload_digest
 from stagegate.dispatcher import DispatchDeps, dispatch
@@ -63,13 +64,15 @@ def test_create_goal_starts_at_initial_stage(hr_bundle):
     assert manager.last_seq(record.goal_id) == 0
 
 
-@pytest.mark.parametrize("goal_id", ["../escaped-t0", "a/b", "a\\b", "a\0b"])
+@pytest.mark.parametrize("goal_id", ["../escaped-t0", "a/b", "a\\b", "a\0b", "lone\ud800id"])
 def test_a_goal_id_that_could_name_a_path_is_refused(hr_bundle, tmp_path, goal_id):
     manager = _manager(hr_bundle, store=FileEventStore(tmp_path / "traces"))
-    with pytest.raises(ConfigError, match=r"^goal id .* must not contain"):
+    rule = "must encode as UTF-8" if "lone" in goal_id else "must not contain"
+    with pytest.raises(ConfigError, match=rf"^goal id .* {rule}"):
         manager.create_goal("hr", goal_id=goal_id)
     assert manager.goal_ids() == []
     assert not any(tmp_path.rglob("*escaped*"))
+    assert not any((tmp_path / "traces").iterdir())
 
 
 def test_a_goal_id_is_created_once(hr_bundle):
@@ -200,14 +203,23 @@ def test_goal_on_a_one_stage_automaton_is_closed_from_creation():
 
 
 def test_replay_folds_one_context_without_copying_it(hr_run, monkeypatch):
-    """Replay owns the context it folds, so effects apply to it in place."""
-    clones = []
-    clone = DispatchContext.clone
+    """Replay owns the state dict it folds, so effects apply to it in place and nothing is copied:
+    every effect writes the one dict the rebuilt state holds."""
+    clones, folded = [], []
+    clone, apply = DispatchContext.clone, memory.apply_postconditions
     monkeypatch.setattr(DispatchContext, "clone", lambda ctx: clones.append(ctx) or clone(ctx))
+    monkeypatch.setattr(memory, "apply_postconditions",
+                        lambda skill, state, digest: folded.append(state) or apply(skill, state, digest))
     manager = hr_run.manager
+    applied = 0
     for gid in manager.goal_ids():
-        assert manager.replay(gid).state() == manager.state(gid)
+        folded.clear()
+        rebuilt = manager.replay(gid)
+        assert rebuilt.state() == manager.state(gid)
+        assert all(state is rebuilt.business_state for state in folded)
+        applied += len(folded)
     assert len(manager.goal_ids()) == 215
+    assert applied > 215
     assert clones == []
 
 
@@ -670,6 +682,10 @@ def test_the_trace_line_is_what_json_dumps_writes(raw):
     assert read.to_line() == line
 
 
+class _Text(str):
+    """A ``str`` subclass: json writes it as a string, but from_dict reads no such type."""
+
+
 @pytest.mark.parametrize(("fields", "fault", "reported"), [
     ({"seq": True}, TypeError, "seq has type bool"),
     ({"timestamp": float("nan")}, ValueError, "timestamp nan is not finite"),
@@ -677,9 +693,25 @@ def test_the_trace_line_is_what_json_dumps_writes(raw):
     ({"timestamp": float("-inf")}, ValueError, "timestamp -inf is not finite"),
     ({"precondition_results": (("position_exists", 1),)}, TypeError, "precondition result has type int"),
     ({"goal_id": 7}, TypeError, "goal_id has type int"),
-], ids=["bool-seq", "nan-timestamp", "inf-timestamp", "minus-inf-timestamp", "int-flag", "int-goal-id"])
+    # one row per _EVENT_FIELD_TYPES entry, each field at a type outside its own
+    ({"seq": 1.0}, TypeError, "seq has type float"),
+    ({"timestamp": "1.5"}, TypeError, "timestamp has type str"),
+    ({"goal_id": _Text("g")}, TypeError, "goal_id has type _Text"),
+    ({"intent": None}, TypeError, "intent has type NoneType"),
+    ({"stage_before": 1}, TypeError, "stage_before has type int"),
+    ({"stage_after": b"init"}, TypeError, "stage_after has type bytes"),
+    ({"skill_id": 5}, TypeError, "skill_id has type int"),
+    ({"outcome": _Text("SUCCESS")}, TypeError, "outcome has type _Text"),
+    ({"sub_reason": ["x"]}, TypeError, "sub_reason has type list"),
+    ({"precondition_results": "ab"}, TypeError, "precondition_results has type str"),
+    ({"payload_digest": 1.0}, TypeError, "payload_digest has type float"),
+], ids=["bool-seq", "nan-timestamp", "inf-timestamp", "minus-inf-timestamp", "int-flag", "int-goal-id",
+        "float-seq", "str-timestamp", "str-subclass-goal-id", "null-intent", "int-stage-before",
+        "bytes-stage-after", "int-skill-id", "str-subclass-outcome", "list-sub-reason", "str-pairs",
+        "float-payload-digest"])
 def test_the_file_store_refuses_an_event_it_cannot_write_exactly(tmp_path, fields, fault, reported):
-    """An event json would write differently, or from_dict would refuse, raises before a byte is written."""
+    """An event json would write differently, or from_dict would refuse, raises before a byte is written;
+    a refused type names its field."""
     store = FileEventStore(tmp_path)
     store.append(_event("g", 1))
     before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stagegate.automaton import automaton_from_dict
-from stagegate.context import DispatchContext, canonical, payload_digest
+from stagegate.context import canonical, payload_digest
 from stagegate.errors import ConfigError, ConflictFault
 from stagegate.registry import (
     Effect,
@@ -140,15 +140,14 @@ def test_selection_only_returns_applicable_skills(hr_bundle):
 def test_precondition_first_failure_points_at_missing_data(hr_bundle):
     registry = hr_bundle.registry
     screen = registry.get("screen")
-    ctx = DispatchContext(goal_id="g", business_state={"position_exists": True})
-    pairs = registry.check_preconditions(screen, ctx)
+    pairs = registry.check_preconditions(screen, {"position_exists": True})
     assert not all(held for _, held in pairs)
     assert pairs == (("position_exists", True), ("candidates_pulled", False))
 
 
 def test_empty_preconditions_vacuously_satisfied(hr_bundle):
     skill = hr_bundle.registry.get("get_job_list")
-    assert hr_bundle.registry.check_preconditions(skill, DispatchContext(goal_id="g")) == ()
+    assert hr_bundle.registry.check_preconditions(skill, {}) == ()
 
 
 def test_every_unguarded_skill_is_satisfied_with_no_results_whatever_the_state(hr_bundle):
@@ -156,19 +155,19 @@ def test_every_unguarded_skill_is_satisfied_with_no_results_whatever_the_state(h
     assert unguarded
     state = {"position_exists": False, "candidates_pulled": True}
     for skill in unguarded:
-        for ctx in (DispatchContext(goal_id="g"), DispatchContext("g", dict(state))):
-            assert hr_bundle.registry.check_preconditions(skill, ctx) == ()
+        for flags in ({}, state):
+            assert hr_bundle.registry.check_preconditions(skill, flags) == ()
 
 
 def test_precondition_check_is_pure(hr_bundle):
     registry = hr_bundle.registry
     screen = registry.get("screen")
-    ctx = DispatchContext(goal_id="g", business_state={"position_exists": True})
-    before = dict(ctx.business_state)
-    first = registry.check_preconditions(screen, ctx)
-    second = registry.check_preconditions(screen, ctx)
+    state = {"position_exists": True}
+    before = dict(state)
+    first = registry.check_preconditions(screen, state)
+    second = registry.check_preconditions(screen, state)
     assert first == second
-    assert ctx.business_state == before
+    assert state == before
 
 
 @settings(max_examples=120, deadline=None)
@@ -177,8 +176,7 @@ def test_precondition_check_is_pure(hr_bundle):
 def test_report_satisfied_equals_fold_and(state, pre_names):
     registry = SkillRegistry()
     spec = _spec("s", "q", RiskLevel.L1, (), pre=tuple(pre_names))
-    ctx = DispatchContext(goal_id="g", business_state=dict(state))
-    pairs = registry.check_preconditions(spec, ctx)
+    pairs = registry.check_preconditions(spec, dict(state))
     assert pairs == tuple((n, bool(state.get(n, False))) for n in pre_names)
     assert all(held for _, held in pairs) == all(state.get(n, False) for n in pre_names)
 
@@ -191,35 +189,35 @@ def test_postconditions_apply_in_order_in_place():
         "s", "q", RiskLevel.L1, (),
         post=(Effect("set", "a", 1), Effect("set", "a", 2), Effect("set", "b", True)),
     )
-    ctx = DispatchContext(goal_id="g")
-    apply_postconditions(spec, ctx, payload_digest(canonical({})))
-    assert ctx.business_state == {"a": 2, "b": True}
+    state = {}
+    apply_postconditions(spec, state, payload_digest(canonical({})))
+    assert state == {"a": 2, "b": True}
 
 
 def test_empty_postconditions_leave_context_structurally_equal():
     spec = _spec("s", "q", RiskLevel.L1, ())
-    ctx = DispatchContext(goal_id="g", business_state={"x": [1, 2]})
-    apply_postconditions(spec, ctx, payload_digest(canonical(None)))
-    assert ctx.business_state == {"x": [1, 2]}
+    state = {"x": [1, 2]}
+    apply_postconditions(spec, state, payload_digest(canonical(None)))
+    assert state == {"x": [1, 2]}
 
 
 def test_flag_set_effects_are_idempotent():
     spec = _spec("s", "q", RiskLevel.L1, (), post=(Effect("set", "flag", True),))
-    ctx = DispatchContext(goal_id="g")
-    apply_postconditions(spec, ctx, payload_digest(canonical(None)))
-    once = dict(ctx.business_state)
-    apply_postconditions(spec, ctx, payload_digest(canonical(None)))
-    assert ctx.business_state == once
+    state = {}
+    apply_postconditions(spec, state, payload_digest(canonical(None)))
+    once = dict(state)
+    apply_postconditions(spec, state, payload_digest(canonical(None)))
+    assert state == once
 
 
 def test_set_from_result_stores_payload_digest():
     spec = _spec("s", "q", RiskLevel.L1, (), post=(Effect("set_from_result", "ref"),))
-    a, b, c = (DispatchContext(goal_id="g") for _ in range(3))
+    a, b, c = {}, {}, {}
     apply_postconditions(spec, a, payload_digest(canonical({"x": 1})))
     apply_postconditions(spec, b, payload_digest(canonical({"x": 1})))
     apply_postconditions(spec, c, payload_digest(canonical({"x": 2})))
-    assert a.business_state["ref"] == b.business_state["ref"]
-    assert a.business_state["ref"] != c.business_state["ref"]
+    assert a["ref"] == b["ref"]
+    assert a["ref"] != c["ref"]
 
 
 # -- config parsing / cross validation --------------------------------------------------

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from stagegate import suites
+from stagegate import scenarios, suites
 from stagegate.context import DispatchContext
 from stagegate.dispatcher import BLOCK_OUTCOMES, DispatchToggles
 from stagegate.errors import ConfigError, GenerationFault
@@ -210,14 +211,21 @@ def test_scenario_fields_load_only_at_their_exact_json_type(hr_bundle, field, va
         suite_from_dict({"domain": "hr", "scenarios": [scenario | {field: value}]}, hr_bundle)
 
 
-UNSAFE_IDS = ["../../escaped", "a/b", "a\\b", "a\0b"]
+# each id that cannot name a trace file in its directory, with the rule it breaks
+UNSAFE_IDS = {
+    "../../escaped": "must not contain '/', '\\' or NUL",
+    "a/b": "must not contain '/', '\\' or NUL",
+    "a\\b": "must not contain '/', '\\' or NUL",
+    "a\0b": "must not contain '/', '\\' or NUL",
+    "lone\ud800id": "must encode as UTF-8",  # a lone surrogate, as the JSON escape "\ud800" reads
+}
 
 
 @pytest.mark.parametrize("sid", UNSAFE_IDS)
 def test_a_scenario_id_that_could_name_a_path_is_refused(hr_bundle, sid):
     scenario = {"scenario_id": sid, "type": "normal", "expected_final_stage": "init",
                 "messages": [{"turn_index": 0, "text": "help", "expected_legal": True}]}
-    with pytest.raises(ConfigError, match=r"^scenario_id .* must not contain '/', '\\' or NUL$"):
+    with pytest.raises(ConfigError, match=rf"^scenario_id .* {re.escape(UNSAFE_IDS[sid])}$"):
         suite_from_dict({"domain": "hr", "scenarios": [scenario]}, hr_bundle)
 
 
@@ -225,7 +233,7 @@ def test_a_scenario_id_that_could_name_a_path_is_refused(hr_bundle, sid):
 def test_a_dialogue_id_that_could_name_a_path_is_refused(did):
     bundle = load_domain(sgd_domain_dir("Banks_1"))
     dialogue = {"dialogue_id": did, "turns": [_user_turn("check my balance")]}
-    with pytest.raises(ConfigError, match=r"^dialogue_id .* must not contain '/', '\\' or NUL$"):
+    with pytest.raises(ConfigError, match=rf"^dialogue_id .* {re.escape(UNSAFE_IDS[did])}$"):
         convert_dialogues([dialogue], bundle)
 
 
@@ -400,10 +408,18 @@ def test_labels_match_simulation_legality(hr_bundle, hr_suite):
 
 
 def test_simulation_applies_effects_to_its_own_contexts_in_place(hr_bundle, hr_suite, monkeypatch):
-    clones = []
-    clone = DispatchContext.clone
+    """Each track's state dict is the simulation's own, so nothing is copied: a scenario's effects
+    write at most one dict per track."""
+    clones, folded = [], []
+    clone, apply = DispatchContext.clone, scenarios.apply_postconditions
     monkeypatch.setattr(DispatchContext, "clone", lambda ctx: clones.append(ctx) or clone(ctx))
-    decisions = [d for scenario in hr_suite for d in simulate_scenario(hr_bundle, scenario)]
+    monkeypatch.setattr(scenarios, "apply_postconditions",
+                        lambda skill, state, digest: folded.append(state) or apply(skill, state, digest))
+    decisions = []
+    for scenario in hr_suite:
+        folded.clear()  # the dicts stay referenced until here, so no two share an id
+        decisions += simulate_scenario(hr_bundle, scenario)
+        assert len({id(state) for state in folded}) <= len(scenario.tracks())
     assert any(d.outcome == "SUCCESS" and d.skill.postconditions for d in decisions)
     assert clones == []
 
@@ -639,45 +655,58 @@ def _user_turn(utterance, active_intent=None):
     return turn
 
 
+BANKS_MAP = {"CheckBalance": "check_balance"}
+BALANCE = {"dialogue_id": "d", "turns": [_user_turn("check my balance", "CheckBalance")]}
+
+
 @pytest.mark.parametrize(
-    ("dialogue", "reported"),
+    ("dialogue", "intent_map", "reported"),
     [
-        ({"dialogue_id": 7, "turns": [{"speaker": "USER", "utterance": 5}]},
+        ({"dialogue_id": 7, "turns": [{"speaker": "USER", "utterance": 5}]}, BANKS_MAP,
          r"^dialogue 7: dialogue_id must be a string$"),
-        ({"dialogue_id": "", "turns": [_user_turn("check my balance")]},
+        ({"dialogue_id": "", "turns": [_user_turn("check my balance")]}, BANKS_MAP,
          r"^dialogue missing dialogue_id$"),
         ({"dialogue_id": "d", "turns": [{"speaker": "SYSTEM", "utterance": "hi"}, _user_turn(5)]},
-         r"^dialogue 'd': turn 1: utterance must be a string$"),
-        ({"dialogue_id": "d", "turns": [_user_turn("check my balance", ["CheckBalance"])]},
+         BANKS_MAP, r"^dialogue 'd': turn 1: utterance must be a string$"),
+        ({"dialogue_id": "d", "turns": [_user_turn("check my balance", ["CheckBalance"])]}, BANKS_MAP,
          r"^dialogue 'd': turn 0: active_intent must be a string$"),
         ({"dialogue_id": "d", "turns": [{"speaker": "USER", "utterance": "check my balance",
                                          "frames": [{"state": {"active_intent": None}}]}]},
-         r"^dialogue 'd': turn 0: active_intent must be a string$"),
-        ({"dialogue_id": "d", "turns": ["check my balance"]},
+         BANKS_MAP, r"^dialogue 'd': turn 0: active_intent must be a string$"),
+        ({"dialogue_id": "d", "turns": ["check my balance"]}, BANKS_MAP,
          r"^dialogue 'd': turn 0 must be an object, not str$"),
         ({"dialogue_id": "d", "turns": [{"speaker": "USER", "utterance": "check my balance",
                                          "frames": [{"state": "CheckBalance"}]}]},
-         r"^dialogue 'd': turn 0: state must be an object, not str$"),
+         BANKS_MAP, r"^dialogue 'd': turn 0: state must be an object, not str$"),
         ({"dialogue_id": "d", "turns": [_user_turn("check my balance") | {"frames": ["CheckBalance"]}]},
-         r"^dialogue 'd': turn 0: a frame must be an object, not str$"),
-        ({"dialogue_id": "x", "turns": "ab"}, r"^dialogue 'x': turns must be a list, not str$"),
-        ({"dialogue_id": "x", "turns": {"0": _user_turn("check my balance")}},
+         BANKS_MAP, r"^dialogue 'd': turn 0: a frame must be an object, not str$"),
+        ({"dialogue_id": "x", "turns": "ab"}, BANKS_MAP, r"^dialogue 'x': turns must be a list, not str$"),
+        ({"dialogue_id": "x", "turns": {"0": _user_turn("check my balance")}}, BANKS_MAP,
          r"^dialogue 'x': turns must be a list, not dict$"),
         ({"dialogue_id": "x", "turns": [_user_turn("hi"), _user_turn("check my balance") | {"frames": "ab"}]},
-         r"^dialogue 'x': turn 1: frames must be a list, not str$"),
-        (["d", []], r"^dialogue at position 0 must be an object, not list$"),
-        ("d", r"^dialogue at position 0 must be an object, not str$"),
-        (7, r"^dialogue at position 0 must be an object, not int$"),
+         BANKS_MAP, r"^dialogue 'x': turn 1: frames must be a list, not str$"),
+        (["d", []], BANKS_MAP, r"^dialogue at position 0 must be an object, not list$"),
+        ("d", BANKS_MAP, r"^dialogue at position 0 must be an object, not str$"),
+        (7, BANKS_MAP, r"^dialogue at position 0 must be an object, not int$"),
+        (BALANCE, {"CheckBalance": 5}, r"^intent_map 'CheckBalance': 5 is not an intent of the domain$"),
+        (BALANCE, {"CheckBalance": "nope"},
+         r"^intent_map 'CheckBalance': 'nope' is not an intent of the domain$"),
+        (BALANCE, {"CheckBalance": None},
+         r"^intent_map 'CheckBalance': None is not an intent of the domain$"),
+        (BALANCE, BANKS_MAP | {"Unused": ["transfer_money"]},
+         r"^intent_map 'Unused': \['transfer_money'\] is not an intent of the domain$"),
     ],
     ids=["integer-id", "empty-id", "integer-utterance", "list-active-intent", "null-active-intent",
          "string-turn", "string-state", "string-frame", "string-turns", "object-turns", "string-frames",
-         "list-dialogue", "string-dialogue", "integer-dialogue"],
+         "list-dialogue", "string-dialogue", "integer-dialogue", "integer-intent", "unknown-intent",
+         "null-intent", "unused-list-intent"],
 )
-def test_convert_dialogues_reads_exact_types(dialogue, reported):
-    """Nothing is coerced: a field of the wrong type names its dialogue and turn."""
+def test_convert_dialogues_reads_exact_types(dialogue, intent_map, reported):
+    """Nothing is coerced: a field of the wrong type names its dialogue and turn, an intent_map
+    value that is no intent of the domain its key."""
     bundle = load_domain(sgd_domain_dir("Banks_1"))
     with pytest.raises(ConfigError, match=reported):
-        convert_dialogues([dialogue], bundle, {"CheckBalance": "check_balance"})
+        convert_dialogues([dialogue], bundle, intent_map)
 
 
 @pytest.mark.parametrize("dialogues", [{"x": {"dialogue_id": "x", "turns": []}}, "ab", ({"dialogue_id": "x"},)],
