@@ -48,31 +48,26 @@ class WorkflowAutomaton:
         object.__setattr__(self, "_terminal", frozenset(s for s in self.stages if s not in outgoing))
         object.__setattr__(self, "_stage_set", frozenset(self.stages))
 
-    def _require_stage(self, stage: StageId) -> None:
-        if stage not in self._stage_set:
-            raise LookupFault("stage", stage)
-
-    def _require_intent(self, intent: IntentId) -> None:
-        if intent not in self.binding:
-            raise LookupFault("intent", intent)
-
     def is_stage_legal(self, intent: IntentId, stage: StageId) -> bool:
         """True iff *intent* may execute while the workflow sits at *stage*."""
         bound = self.binding.get(intent)
         if bound is None:
             raise LookupFault("intent", intent)
-        self._require_stage(stage)
+        if stage not in self._stage_set:
+            raise LookupFault("stage", stage)
         return stage in bound
 
     def can_transition(self, from_stage: StageId, to_stage: StageId) -> bool:
         """True iff the stage change is declared legal (self-stay always is)."""
-        self._require_stage(from_stage)
-        self._require_stage(to_stage)
+        stages = self._stage_set
+        if from_stage not in stages or to_stage not in stages:
+            raise LookupFault("stage", to_stage if from_stage in stages else from_stage)
         return from_stage == to_stage or (from_stage, to_stage) in self.transitions
 
     def target_stage(self, intent: IntentId) -> StageId | None:
         """Post-success stage for *intent*; None for stage-preserving intents."""
-        self._require_intent(intent)
+        if intent not in self.binding:
+            raise LookupFault("intent", intent)
         return self.stage_map[intent]
 
     def terminal_stages(self) -> frozenset[StageId]:

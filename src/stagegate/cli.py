@@ -264,7 +264,10 @@ def cmd_inject(args: argparse.Namespace) -> int:
         ]
     except StagegateError as exc:
         raise CommandError(f"error: {exc}", EXIT_VALIDATION) from None
-    save_suite(out_path, f"{Path(args.suite).stem}-injected", bundle.name, variants)
+    try:
+        save_suite(out_path, f"{Path(args.suite).stem}-injected", bundle.name, variants)
+    except OSError as exc:  # the disk fills or --out cannot be written
+        raise CommandError(f"runtime fault: {exc}", EXIT_RUNTIME) from None
     print(f"wrote {len(variants)} adversarial variants to {out_path}")
     return EXIT_OK
 

@@ -203,8 +203,9 @@ def compute_report(run: RunResult, bundle: DomainBundle) -> EvalReport:
     :func:`simulate_scenario` by ``(scenario_id, turn_index)``; one
     ``routed`` dict serves every scenario, so each distinct text is routed
     once per report.  Each step pops its key and fills every step-level
-    number from its own message and event.  A step with no key to pop, or a
-    key no step popped, is an :class:`IntegrityFault` naming the key.
+    number from its own message and event.  A step with no key to pop, a key
+    no step popped, or a step whose outcome is not in ``TALLY_ORDER`` is an
+    :class:`IntegrityFault` naming the key.
     """
     manager = run.manager
     per_type: dict[str, TypeBreakdown] = {}
@@ -252,7 +253,10 @@ def compute_report(run: RunResult, bundle: DomainBundle) -> EvalReport:
             raise IntegrityFault(
                 f"step {key} matches no label: its scenario is not in the run, or it repeats a step"
             ) from None
-        counts[outcome] = counts.get(outcome, 0) + 1
+        try:
+            counts[outcome] += 1
+        except KeyError:
+            raise IntegrityFault(f"step {key} has outcome {outcome!r}, which no tally holds") from None
         row.steps += 1
         sta_hits += move == (event.stage_before, event.stage_after)
         trc_steps += consistent.get(event.goal_id, False)

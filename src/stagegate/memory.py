@@ -290,15 +290,29 @@ class GoalManager:
     # -- domain wiring -----------------------------------------------------
 
     def add_domain(self, name: str, automaton: WorkflowAutomaton, registry: SkillRegistry) -> None:
-        self._domains[name] = (automaton, registry)
+        """Wire *name* to *automaton* and *registry*; wiring the same pair again does nothing.
+
+        While a goal of *name* exists, wiring it to another automaton or registry
+        (compared with ``is``) raises ConflictFault: those goals were logged under
+        the old pair, and replay and advancement would read the new one.
+        """
+        with self._table_lock:
+            wired = self._domains.get(name, (automaton, registry))
+            if (wired[0] is not automaton or wired[1] is not registry) and any(
+                live.record.domain == name for live in self._states.values()
+            ):
+                raise ConflictFault(
+                    f"domain {name!r} has goals; it cannot be wired to another automaton or registry"
+                )
+            self._domains[name] = (automaton, registry)
 
     # -- goal lifecycle ------------------------------------------------------
 
     def create_goal(self, domain: str, goal_id: str | None = None) -> GoalRecord:
-        if domain not in self._domains:
-            raise ConfigError(f"unknown domain: {domain!r}")
-        automaton = self._domains[domain][0]
         with self._table_lock:
+            if domain not in self._domains:
+                raise ConfigError(f"unknown domain: {domain!r}")
+            automaton = self._domains[domain][0]
             if goal_id is None:
                 self._goal_counter += 1
                 goal_id = f"{domain}-{self._goal_counter:04d}"

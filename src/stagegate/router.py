@@ -7,9 +7,10 @@ pluggable resolver; the shipped fallback is a table-driven token-overlap
 matcher so suites run fully offline.
 
 A table is compiled once, by :func:`table_from_list`, into indexes over its
-one scan order: an exact-text dict, one list per other kind, and token
-postings.  :func:`identify` takes the first scan position any index hits, and
-the fallback scores only the patterns that share a token with the message.
+one scan order (an exact-text dict, one list per other kind, token postings)
+and ``decisions``, one routing decision per position.  :func:`identify` returns
+the decision of the first position any index hits, and the fallback scores
+only the patterns that share a token with the message.
 """
 
 from __future__ import annotations
@@ -104,6 +105,7 @@ class PatternTable:
     ``(position, text)`` and ``(position, tokens)`` in scan order, and
     ``postings`` maps each token to the ascending positions of the patterns
     that hold it.  Empty expressions never match, so no index holds them.
+    ``decisions`` holds the one frozen ``RoutingDecision`` every hit at a position returns.
     """
 
     entries: tuple[IntentPattern, ...]
@@ -114,6 +116,7 @@ class PatternTable:
         init=False, repr=False, compare=False
     )
     postings: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    decisions: tuple[RoutingDecision, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         flat = [
@@ -143,6 +146,7 @@ class PatternTable:
         object.__setattr__(self, "substrings", tuple(substrings))
         object.__setattr__(self, "token_sets", tuple(token_sets))
         object.__setattr__(self, "postings", {t: tuple(p) for t, p in postings.items()})
+        object.__setattr__(self, "decisions", tuple(RoutingDecision(i, "pattern", e.text) for i, e in scan))
 
     def __iter__(self) -> Iterator[IntentPattern]:
         return iter(self.entries)
@@ -156,8 +160,8 @@ def identify(
 ) -> RoutingDecision:
     """Resolve a message to an intent, or UNKNOWN.
 
-    The decision is the first ``scan`` entry whose expression matches: the
-    exact dict, then each kind's list up to the best position found so far.
+    The decision is ``table.decisions`` at the first ``scan`` position that matches:
+    the exact dict, then each kind's list up to the best position found so far.
     The message is normalized once; on a miss the fallback resolver gets that
     normalized text.  It must never abort dispatch: a resolver fault degrades
     to UNKNOWN with the error annotated on the decision.
@@ -181,8 +185,7 @@ def identify(
                     first = pos
                     break
         if first < len(scan):
-            intent, expr = scan[first]
-            return RoutingDecision(intent=intent, mode="pattern", matched_pattern=expr.text)
+            return table.decisions[first]
     if fallback is not None:
         try:
             return fallback(norm)
@@ -199,11 +202,13 @@ class TokenOverlapFallback:
     ``FALLBACK_THRESHOLD``.  Shared-token counts are summed from the table's
     postings, so only patterns sharing a token are scored; they are scored
     in scan order and a later one wins only on a strictly higher score.
+    Each scan position's fallback-mode decision is built once, here.
     Deterministic, so suite runs stay reproducible offline.
     """
 
     def __init__(self, table: PatternTable) -> None:
         self.table = table
+        self.decisions = tuple(RoutingDecision(i, "fallback", e.text) for i, e in table.scan)
 
     def __call__(self, norm: str) -> RoutingDecision:
         tokens = set(norm.split())
@@ -221,10 +226,7 @@ class TokenOverlapFallback:
             score = shared / (size + len(scan[pos][1].tokens) - shared)
             if score > best_score:
                 best_score, best_pos = score, pos
-        if best_score >= FALLBACK_THRESHOLD:
-            intent, expr = scan[best_pos]
-            return RoutingDecision(intent=intent, mode="fallback", matched_pattern=expr.text)
-        return _UNRESOLVED
+        return self.decisions[best_pos] if best_score >= FALLBACK_THRESHOLD else _UNRESOLVED
 
 
 def validate_table(

@@ -834,6 +834,25 @@ def test_a_full_disk_mid_run_is_a_runtime_fault(tmp_path, small_suite, monkeypat
     assert not (out_dir / "report.json").exists()
 
 
+def test_inject_runtime_faults_exit_three(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "variants.json"
+    write_text = Path.write_text
+
+    def full_disk(path, *args, **kwargs):
+        if path == out:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    argv = ["inject", "--domain", str(hr_domain_dir()), "--suite", str(hr_suite_path()),
+            "--count", "1", "--out", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"runtime fault: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_ablate_runtime_faults_exit_three(tmp_path, small_suite, monkeypatch, capsys):
     from stagegate import cli
     from stagegate.errors import IntegrityFault

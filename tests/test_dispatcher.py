@@ -27,7 +27,7 @@ from stagegate.dispatcher import (
     decide,
     dispatch,
 )
-from stagegate.errors import ConfigError, LookupFault
+from stagegate.errors import ConfigError, ConflictFault, LookupFault
 from stagegate.memory import (
     FileEventStore,
     GoalManager,
@@ -380,6 +380,17 @@ def _registry_where(bundle, skill_id, **changes):
     return skills
 
 
+def _rewirings(bundle):
+    """An automaton lacking ``init -> src`` and a ``create_demand`` that unsets ``position_exists``."""
+    automaton = replace(bundle.automaton, transitions=bundle.automaton.transitions - {("init", "src")})
+    unset = (Effect("set", "position_exists", False),)
+    return {
+        "automaton-lacks-init-src": (automaton, bundle.registry),
+        "create-demand-unsets-position": (
+            bundle.automaton, _registry_where(bundle, "create_demand", postconditions=unset)),
+    }
+
+
 @pytest.mark.parametrize("case", ["automaton-lacks-init-src", "create-demand-unsets-position"])
 def test_a_goal_wired_to_another_automaton_or_registry_is_refused(hr_bundle, case):
     """Gating with the deps' copy and committing or replaying with the manager's would part live
@@ -388,20 +399,46 @@ def test_a_goal_wired_to_another_automaton_or_registry_is_refused(hr_bundle, cas
     gid = _goal(deps, "hr")
     if case == "automaton-lacks-init-src":  # "pull candidates" would log init -> src, then fail to advance
         deps.manager.commit_context(gid, DispatchContext({"position_exists": True}))
-        automaton = replace(hr_bundle.automaton, transitions=hr_bundle.automaton.transitions - {("init", "src")})
-        deps.manager.add_domain("hr", automaton, hr_bundle.registry)
         message = "pull candidates"
     else:  # live state would read position_exists true, its replay false
-        unset = (Effect("set", "position_exists", False),)
-        skills = _registry_where(hr_bundle, "create_demand", postconditions=unset)
-        deps.manager.add_domain("hr", hr_bundle.automaton, skills)
         message = "create a hiring demand"
+    automaton, skills = _rewirings(hr_bundle)[case]
+    deps = replace(deps, automaton=automaton, registry=skills)
     before = deps.manager.state(gid)
     refusal = rf"^goal '{gid}': its domain 'hr' is wired to another automaton or registry than the dispatch deps$"
     with pytest.raises(ConfigError, match=refusal):
         dispatch(message, gid, deps)
     assert deps.manager.store.events_for(gid) == []
     assert deps.manager.state(gid) == before
+
+
+@pytest.mark.parametrize("case", ["automaton-lacks-init-src", "create-demand-unsets-position"])
+def test_a_domain_with_goals_is_not_rewired_and_its_goals_still_replay(hr_bundle, case):
+    """Its goals were logged under the pair it holds: re-wiring it would replay them against other rules."""
+    deps = _deps(hr_bundle)
+    gid = _goal(deps, "hr")
+    for message in ("create a hiring demand", "pull candidates"):
+        assert dispatch(message, gid, deps).outcome == "SUCCESS"
+    assert deps.manager.goal(gid).current_stage == "src"
+    refusal = r"^domain 'hr' has goals; it cannot be wired to another automaton or registry$"
+    with pytest.raises(ConflictFault, match=refusal):
+        deps.manager.add_domain("hr", *_rewirings(hr_bundle)[case])
+    automaton, skills = deps.manager.wiring("hr")
+    assert automaton is hr_bundle.automaton and skills is hr_bundle.registry
+    assert deps.manager.replay(gid).state() == deps.manager.state(gid)
+    deps.manager.add_domain("hr", hr_bundle.automaton, hr_bundle.registry)  # the same pair: nothing changes
+    assert dispatch("get the job list", gid, deps).event.seq == 3
+    assert deps.manager.replay(gid).state() == deps.manager.state(gid)
+
+
+def test_a_domain_without_goals_may_be_wired_again(hr_bundle):
+    manager = GoalManager()
+    manager.add_domain("hr", hr_bundle.automaton, hr_bundle.registry)
+    manager.add_domain("other", hr_bundle.automaton, hr_bundle.registry)
+    manager.create_goal("other")  # another domain's goal does not hold hr's wiring
+    for pair in _rewirings(hr_bundle).values():
+        manager.add_domain("hr", *pair)
+        assert all(a is b for a, b in zip(manager.wiring("hr"), pair))
 
 
 def test_a_raising_fallback_leaves_the_intent_unresolved_with_its_error(hr_bundle):

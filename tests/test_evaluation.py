@@ -90,6 +90,15 @@ def test_report_rejects_unaligned_steps_and_labels(case, hr_run, hr_bundle):
         compute_report(breaker(hr_run), hr_bundle)
 
 
+def test_report_refuses_an_outcome_outside_the_tally(hr_run, hr_bundle):
+    """An outcome that is not in ``TALLY_ORDER`` is a broken run, not a fifth column."""
+    step = hr_run.steps[0]
+    bogus = step._replace(result=step.result._replace(event=step.event._replace(outcome="BOGUS")))
+    refusal = r"^step \('normal-001', 0\) has outcome 'BOGUS', which no tally holds$"
+    with pytest.raises(IntegrityFault, match=refusal):
+        compute_report(replace(hr_run, steps=[bogus, *hr_run.steps[1:]]), hr_bundle)
+
+
 def test_renamed_scenarios_report_as_the_originals(hr_bundle, hr_suite, hr_report):
     """A step joins its label through the scenario it holds, so a renamed scenario's steps still match."""
     renamed = [replace(s, scenario_id=s.scenario_id + "-copy") for s in hr_suite]

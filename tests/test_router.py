@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import time
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -361,3 +362,73 @@ def test_shipped_suites_route_like_the_reference(hr_bundle, hr_suite):
             modes.add((routed.mode, routed.intent == UNKNOWN))
     assert len(cases) == 9
     assert modes == {("pattern", False), ("fallback", False), ("fallback", True)}
+
+
+# -- one decision per scan position, built at load --------------------------------
+
+
+def _first_position(message, table):
+    """The first scan position whose expression matches, or None."""
+    norm = normalize(message)
+    return next((pos for pos, (_, expr) in enumerate(table.scan) if expr.matches(norm)), None)
+
+
+def _fallback_position(message, table):
+    """The scan position whose Jaccard score the fallback resolves on, or None."""
+    tokens = set(normalize(message).split())
+    best_score, best = 0.0, None
+    for pos, (_, expr) in enumerate(table.scan):
+        union = tokens | expr.tokens
+        score = len(tokens & expr.tokens) / len(union) if union else 0.0
+        if score > best_score:
+            best_score, best = score, pos
+    return best if best_score >= FALLBACK_THRESHOLD else None
+
+
+def test_a_pattern_hit_returns_the_decision_built_for_its_scan_position(hr_bundle, hr_suite):
+    """Every hiring message and every SGD message: a hit is ``table.decisions[pos]`` itself."""
+    cases = [(hr_bundle.table, [m.text for scenario in hr_suite for m in scenario.messages])]
+    for domain in SGD_DOMAINS:
+        bundle = load_domain(sgd_domain_dir(domain))
+        suite = load_suite(sgd_suite_path(domain), bundle)
+        cases.append((bundle.table, [m.text for scenario in suite for m in scenario.messages]))
+    hits = 0
+    for table, messages in cases:
+        assert len(table.decisions) == len(table.scan)
+        for message in messages:
+            pos = _first_position(message, table)
+            if pos is None:
+                continue
+            decision = identify(message, table)
+            assert decision is table.decisions[pos], message
+            assert identify(message, table) is decision
+            intent, expr = table.scan[pos]
+            assert (decision.intent, decision.mode, decision.matched_pattern) == (intent, "pattern", expr.text)
+            hits += 1
+    assert hits > 2000
+
+
+def test_a_fallback_hit_returns_the_decision_built_for_its_scan_position(hr_bundle, hr_suite):
+    texts = [m.text for scenario in hr_suite for m in scenario.messages]
+    table, fallback = hr_bundle.table, hr_bundle.fallback
+    assert len(fallback.decisions) == len(table.scan)
+    resolved = 0
+    for message in paraphrased(texts, (1, 2, 3)):
+        pos = _fallback_position(message, table)
+        if _first_position(message, table) is not None or pos is None:
+            continue
+        decision = identify(message, table, fallback)
+        assert decision is fallback.decisions[pos], message
+        assert fallback(normalize(message)) is decision
+        assert (decision.intent, decision.mode, decision.matched_pattern) == (
+            table.scan[pos][0], "fallback", table.scan[pos][1].text)
+        resolved += 1
+    assert resolved > 100
+
+
+def test_shared_decisions_cannot_be_edited(hr_bundle):
+    for decision in (hr_bundle.table.decisions[0], hr_bundle.fallback.decisions[0]):
+        with pytest.raises(FrozenInstanceError):
+            decision.intent = "someone_else"
+        with pytest.raises(FrozenInstanceError):
+            decision.error = "edited"
