@@ -18,9 +18,10 @@ import json
 import statistics
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .dispatcher import DispatchToggles
 from .errors import ConfigError, IntegrityFault, StagegateError, parsing
@@ -92,6 +93,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _looking_at_paths() -> Iterator[None]:
+    """Refuse an OS error from looking at a user-given path (a name too long, say) as an input fault."""
+    try:
+        yield
+    except OSError as exc:
+        raise CommandError(f"error: {exc}") from None
+
+
 def _make_dir(path: Path) -> None:
     """Create *path* and its parents; refuse when a file is in the way."""
     try:
@@ -128,12 +138,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     bundle, scenarios = _load_inputs(args)
     out_dir = Path(args.out)
     traces = out_dir / "traces"
-    if traces.is_dir() and any(traces.iterdir()):
-        # Appending would corrupt the earlier run's traces; never delete them.
-        raise CommandError(f"error: {traces} already holds a run; choose another --out")
-    for name in ("manifest.json", "report.json", "timing.json", "goals.json"):
-        if (out_dir / name).is_dir():
-            raise CommandError(f"error: {out_dir / name} is a directory; run writes its {name} there")
+    with _looking_at_paths():
+        if traces.is_dir() and any(traces.iterdir()):
+            # Appending would corrupt the earlier run's traces; never delete them.
+            raise CommandError(f"error: {traces} already holds a run; choose another --out")
+        for name in ("manifest.json", "report.json", "timing.json", "goals.json"):
+            if (out_dir / name).is_dir():
+                raise CommandError(f"error: {out_dir / name} is a directory; run writes its {name} there")
     _make_dir(traces)  # --out or its traces/ is a file: refuse before any write
     toggles = _toggles_from_args(args)
     manifest = {
@@ -166,14 +177,16 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     trace_path = Path(args.trace)
-    if not trace_path.exists():
-        raise CommandError(f"error: {trace_path} not found")
-
     goal_id = trace_path.stem
-    snapshot_path = trace_path.with_name(f"{goal_id}.snapshot.json")
     domain_path = args.domain
-    manifest_path = trace_path.resolve().parent.parent / "manifest.json"
-    if domain_path is None and manifest_path.exists():
+    with _looking_at_paths():
+        if not trace_path.exists():
+            raise CommandError(f"error: {trace_path} not found")
+        snapshot_path = trace_path.parent / f"{goal_id}.snapshot.json"  # "." and "/" have no name to replace
+        manifest_path = trace_path.resolve().parent.parent / "manifest.json"
+        read_manifest = domain_path is None and manifest_path.exists()
+        has_snapshot = snapshot_path.exists()
+    if read_manifest:
         manifest = read_json(manifest_path)
         if not isinstance(manifest, dict) or type(manifest.get("domain")) is not str:
             raise ConfigError(f"{manifest_path}: no 'domain' entry")
@@ -181,7 +194,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if domain_path is None:
         raise ConfigError("--domain required (no manifest.json next to traces)")
     bundle = load_domain(domain_path)
-    snapshot = read_json(snapshot_path) if snapshot_path.exists() else None
+    snapshot = read_json(snapshot_path) if has_snapshot else None
 
     try:
         result = replay_events(
@@ -230,8 +243,9 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     bundle, scenarios = _load_inputs(args)
     out_dir = Path(args.out)
     table_path = out_dir / "ablation.json"
-    if table_path.is_dir():  # refuse before four configurations run for nothing
-        raise CommandError(f"error: {table_path} is a directory; ablate writes its table there")
+    with _looking_at_paths():
+        if table_path.is_dir():  # refuse before four configurations run for nothing
+            raise CommandError(f"error: {table_path} is a directory; ablate writes its table there")
     _make_dir(out_dir)
     try:
         comparison = compare_configs(bundle, scenarios, ABLATION_CONFIGS)
@@ -248,8 +262,9 @@ def cmd_inject(args: argparse.Namespace) -> int:
         raise CommandError(f"error: --count must be at least 1, got {args.count}")
     bundle, scenarios = _load_inputs(args)
     out_path = Path(args.out)
-    if out_path.is_dir():
-        raise CommandError(f"error: {out_path} is a directory; --out names the suite file")
+    with _looking_at_paths():
+        if out_path.is_dir():
+            raise CommandError(f"error: {out_path} is a directory; --out names the suite file")
     _make_dir(out_path.parent)
     normals = [
         s for s in scenarios

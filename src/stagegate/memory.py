@@ -19,6 +19,7 @@ import threading
 from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple
 
@@ -36,10 +37,9 @@ _EVENT_FIELD_TYPES = {
     "stage_before": _STR, "stage_after": _STR, "skill_id": _STR_OR_NULL, "outcome": _STR,
     "sub_reason": _STR_OR_NULL, "precondition_results": _PAIRS, "payload_digest": _STR_OR_NULL,
 }
-
-
-# one shared encoder: ``json.dumps`` with any option set builds a new one per call
-_SNAPSHOT = json.JSONEncoder(sort_keys=True, indent=2).encode
+_FIELD_VALUES = itemgetter(*_EVENT_FIELD_TYPES)  # a line's eleven values, in field order
+# ``json``'s encoder for one business-state scalar: its C path, NaN and Infinity as json writes them
+_SCALAR = json.JSONEncoder().encode
 _APPEND = os.O_WRONLY | os.O_CREAT | os.O_APPEND
 _REPLACE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
 
@@ -88,21 +88,28 @@ class ProcessEvent(NamedTuple):
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "ProcessEvent":
-        """The event a trace line's object holds: every field at its exact type, else TypeError."""
-        values = []
-        for key, types in _EVENT_FIELD_TYPES.items():
-            if types is _PAIRS:  # checked last: load_trace names a line's first fault in this order
-                pairs_key, pairs_at = key, len(values)
-                continue
-            value = raw[key]
-            if type(value) not in types:
-                raise TypeError(f"{key} has type {type(value).__name__}")
-            values.append(value)
-        values.insert(pairs_at, tuple(
-            (_typed(n, _STR, "precondition name"), _typed(p, (bool,), "precondition result"))
-            for n, p in _typed(raw[pairs_key], _PAIRS, pairs_key)
-        ))
-        return cls(*values)
+        """The event a trace line's object holds: every field at its exact type, else its first fault.
+
+        The eleven keys are read at once and the line is accepted through one exact-type
+        guard, the mirror of ``to_line``'s, pairs included; a line the guard refuses is
+        named by ``_line_fault``, in field order with the pairs last.
+        """
+        try:
+            seq, timestamp, goal_id, intent, before, after, skill_id, outcome, sub_reason, pairs, digest = (
+                _FIELD_VALUES(raw))
+        except (KeyError, TypeError):
+            pass
+        else:
+            if (type(seq) is int and type(timestamp) in (int, float)
+                    and type(goal_id) is type(intent) is type(before) is type(after) is type(outcome) is str
+                    and type(skill_id) in _STR_OR_NULL and type(sub_reason) in _STR_OR_NULL
+                    and type(digest) in _STR_OR_NULL and type(pairs) is list
+                    and (not pairs or all(type(pair) in _ARRAYS and len(pair) == 2
+                                          and type(pair[0]) is str and type(pair[1]) is bool
+                                          for pair in pairs))):
+                return cls._make((seq, timestamp, goal_id, intent, before, after, skill_id, outcome,
+                                  sub_reason, tuple(map(tuple, pairs)) if pairs else (), digest))
+        raise _line_fault(raw)
 
     def to_line(self) -> str:
         """The trace line: a JSON object of the fields in order, pairs written as arrays.
@@ -142,6 +149,20 @@ def _misfit(event: ProcessEvent) -> TypeError:
     name, value = next((name, value) for (name, types), value in zip(_EVENT_FIELD_TYPES.items(), event)
                        if type(value) not in (_ARRAYS if types is _PAIRS else types))
     return TypeError(f"{name} has type {type(value).__name__}")
+
+
+def _line_fault(raw: Any) -> AssertionError:
+    """Raise the first fault of a line ``from_dict``'s guard refused: each field but the pairs
+    in field order, missing or outside its exact types, then the pairs.  A line with no fault
+    here is one the guard must not have refused, returned as an AssertionError to raise.
+    """
+    for key, types in _EVENT_FIELD_TYPES.items():
+        if types is not _PAIRS:
+            _typed(raw[key], types, key)
+    for name, held in _typed(raw["precondition_results"], _PAIRS, "precondition_results"):
+        _typed(name, _STR, "precondition name")
+        _typed(held, (bool,), "precondition result")
+    return AssertionError(f"from_dict's guard refused a line with no fault: {raw!r}")
 
 
 def _pairs_text(pairs: Iterable[Any]) -> str:
@@ -223,9 +244,24 @@ class FileEventStore:
     def payload_for(self, goal_id: str, seq: int) -> bytes | None:
         return None
 
-    def write_snapshot(self, goal_id: str, snapshot: Mapping[str, Any]) -> None:
-        text = _SNAPSHOT(snapshot) + "\n"
-        _write(f"{self._prefix}{goal_id}.snapshot.json", _REPLACE, text.encode())
+    def write_snapshot(self, goal: GoalState) -> None:
+        """Replace *goal*'s snapshot file with its ids and observable state as JSON.
+
+        The text is ``json.dumps(snapshot, sort_keys=True, indent=2) + "\\n"`` of the
+        snapshot ``goal_id``, ``domain`` and ``goal.state()`` make, formatted here: each
+        string through the escaper ``json`` uses and each business-state value, a JSON
+        scalar, through ``json``'s own encoder, so NaN, Infinity and big ints come out
+        as ``json`` writes them.
+        """
+        record, state = goal.record, goal.business_state
+        items = ",\n".join([f"    {_json_str(key)}: {_SCALAR(state[key])}" for key in sorted(state)])
+        business = f"{{\n{items}\n  }}" if items else "{}"
+        text = (
+            f'{{\n  "business_state": {business},\n  "current_stage": {_json_str(record.current_stage)},\n'
+            f'  "domain": {_json_str(record.domain)},\n  "goal_id": {_json_str(record.goal_id)},\n'
+            f'  "last_seq": {int.__repr__(goal.last_seq)},\n  "status": {_json_str(record.status)}\n}}\n'
+        )
+        _write(f"{self._prefix}{record.goal_id}.snapshot.json", _REPLACE, text.encode())
 
 
 def load_trace(path: str | Path) -> list[ProcessEvent]:
@@ -417,9 +453,8 @@ class GoalManager:
     def write_snapshots(self) -> None:
         if not isinstance(self.store, FileEventStore):
             return
-        for goal_id in self.goal_ids():
-            snapshot = {"goal_id": goal_id, "domain": self.goal(goal_id).domain}
-            self.store.write_snapshot(goal_id, snapshot | self.state(goal_id))
+        for live in list(self._states.values()):
+            self.store.write_snapshot(live)
 
 
 def replay_events(

@@ -773,6 +773,35 @@ def test_malformed_artifacts_exit_without_traceback(case, tmp_path, finished_run
     assert (sorted(run.rglob("*")), _files(run)) == before
 
 
+@pytest.mark.parametrize("command", ["run", "ablate", "inject", "replay", "replay-snapshot"])
+def test_a_path_name_too_long_is_an_input_fault(tmp_path, capsys, command):
+    """A 300-character --out or trace name, or a 245-character trace whose snapshot name is too long,
+    makes looking at the path fail (ENAMETOOLONG): one error line, exit 2, nothing written."""
+    name = str(tmp_path / ("x" * 300))
+    trace = tmp_path / ("x" * 245 + ".jsonl")
+    trace.write_text("")
+    inputs = ["--domain", str(hr_domain_dir()), "--suite", str(hr_suite_path())]
+    argv = {"run": ["run", *inputs, "--out", name], "ablate": ["ablate", *inputs, "--out", name],
+            "inject": ["inject", *inputs, "--count", "1", "--out", name],
+            "replay": ["replay", f"{name}.jsonl"],
+            "replay-snapshot": ["replay", str(trace), "--domain", str(hr_domain_dir())]}[command]
+    before = _files(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: [Errno {errno.ENAMETOOLONG}] ")
+    assert captured.err.count("\n") == 1
+    assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize("trace", [".", "/"])
+def test_replay_of_a_directory_without_a_name_is_an_input_fault(trace, capsys):
+    assert main(["replay", trace, "--domain", str(hr_domain_dir())]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {trace}: unreadable: ")
+
+
 def test_validate_prints_a_warning_line_and_still_exits_zero(tmp_path, capsys):
     domain = tmp_path / "hr"
     shutil.copytree(hr_domain_dir(), domain)

@@ -25,6 +25,8 @@ from stagegate.memory import (
     _EVENT_FIELD_TYPES,
     FileEventStore,
     GoalManager,
+    GoalRecord,
+    GoalState,
     ProcessEvent,
     load_trace,
     replay_events,
@@ -54,6 +56,18 @@ def _event(goal_id, seq, intent="get_job_list", before="init", after="init",
         outcome=outcome,
         sub_reason=sub_reason,
     )
+
+
+def _goal(goal_id, business_state=None, last_seq=0, domain="hr", stage="init", closed=False):
+    """A goal state as replay builds it: no lock; *closed* makes its stage terminal."""
+    record = GoalRecord(goal_id, domain, stage, frozenset({stage} if closed else ()))
+    return GoalState(record, business_state or {}, last_seq)
+
+
+def _snapshot_text(goal):
+    """The snapshot ``json`` writes for *goal*: its ids and observable state, keys sorted."""
+    snapshot = {"goal_id": goal.record.goal_id, "domain": goal.record.domain} | goal.state()
+    return json.dumps(snapshot, sort_keys=True, indent=2) + "\n"
 
 
 def test_create_goal_starts_at_initial_stage(hr_bundle):
@@ -430,7 +444,7 @@ def test_file_store_writes_the_line_and_the_snapshot_text_exactly(tmp_path, hr_b
     events = [_event("g", 1), _event("g", 2)]
     for event in events:
         manager.log_event(event)
-    manager.store.write_snapshot("g", {"padding": "x" * 1000})
+    manager.store.write_snapshot(_goal("g", {"padding": "x" * 1000}))
     manager.write_snapshots()  # replaces the longer text, leaving no tail behind
     lines = "".join(event.to_line() + "\n" for event in events)
     assert (tmp_path / "g.jsonl").read_bytes() == lines.encode()
@@ -445,7 +459,7 @@ def test_file_store_modes_are_those_open_gives(tmp_path, umask):
     previous = os.umask(umask)
     try:
         store.append(_event("g", 1))
-        store.write_snapshot("g", {"last_seq": 1})
+        store.write_snapshot(_goal("g", last_seq=1))
         with open(tmp_path / "reference.jsonl", "a"):
             pass
     finally:
@@ -462,10 +476,11 @@ def test_file_store_finishes_short_writes(tmp_path, monkeypatch):
     events = [_event("g", seq) for seq in range(1, 4)]
     for event in events:
         store.append(event)
-    store.write_snapshot("g", {"last_seq": 3})
+    goal = _goal("g", {"position_exists": True}, last_seq=3)
+    store.write_snapshot(goal)
     monkeypatch.undo()
     assert load_trace(tmp_path / "g.jsonl") == events
-    assert json.loads((tmp_path / "g.snapshot.json").read_text()) == {"last_seq": 3}
+    assert (tmp_path / "g.snapshot.json").read_text() == _snapshot_text(goal)
 
 
 def test_trace_reads_finish_one_byte_reads(tmp_path, monkeypatch):
@@ -518,7 +533,7 @@ def test_file_store_leaves_no_descriptor_open(tmp_path):
     before = len(os.listdir("/proc/self/fd"))
     for seq in range(1, 101):
         store.append(_event("g", seq))
-    store.write_snapshot("g", {"last_seq": 100})
+    store.write_snapshot(_goal("g", last_seq=100))
     assert len(os.listdir("/proc/self/fd")) == before
 
 
@@ -680,6 +695,45 @@ def test_the_trace_line_is_what_json_dumps_writes(raw):
     read = ProcessEvent.from_dict(json.loads(line))
     assert read == ProcessEvent(*map(_as_json_reads, event))
     assert read.to_line() == line
+
+
+def test_a_line_the_guard_refuses_and_the_walk_accepts_is_an_error():
+    """from_dict's guard takes a pair that is a list or a tuple; any other pair the key-by-key walk
+    would unpack cleanly is refused loudly, never read as an event."""
+    raw = json.loads(_event("g", 1).to_line())
+    read = ProcessEvent.from_dict(raw | {"precondition_results": [("ok", True), ["no", False]]})
+    assert read.precondition_results == (("ok", True), ("no", False))
+    with pytest.raises(AssertionError, match="^from_dict's guard refused a line with no fault: "):
+        ProcessEvent.from_dict(raw | {"precondition_results": [{"ok": 1, True: 2}]})
+
+
+# a JSON scalar of every kind: any string, ints past 64 bits, the floats json spells oddly
+_SCALARS = (
+    _ANY_TEXT | st.integers() | st.integers(2**63, 2**70) | st.integers(-(2**70), -(2**63)) | st.floats()
+    | st.sampled_from((-0.0, 5e-324, 1e16, float("nan"), float("inf"), float("-inf")))
+    | st.booleans() | st.none()
+)
+# keys whose code-point order is not their case-folded order
+_STATE_KEYS = _ANY_TEXT | st.sampled_from(("a", "B", "b", "_", "Z", "\u00e9", "\u00c9", "\u00df", "aB", "Ab"))
+# a name a file can have, with the characters JSON escapes drawn often
+_FILE_NAME = st.text(
+    st.integers(0, sys.maxunicode).map(chr).filter(lambda c: c not in "/\0" and not "\ud800" <= c <= "\udfff")
+    | st.sampled_from('"\\\n\x1f\x7f\u2028\u00e9\U0001f600'),
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(goal_id=_FILE_NAME, domain=_ANY_TEXT, stage=_ANY_TEXT, closed=st.booleans(),
+       state=st.dictionaries(_STATE_KEYS, _SCALARS, max_size=6), last_seq=st.integers(0, 2**70))
+def test_the_snapshot_is_what_json_dumps_writes(tmp_path, goal_id, domain, stage, closed, state, last_seq):
+    """Any goal, active or closed, with a business state of JSON scalars (the empty one among them):
+    the snapshot file holds exactly the text json writes."""
+    goal = _goal(goal_id, state, last_seq, domain, stage, closed)
+    FileEventStore(tmp_path).write_snapshot(goal)
+    data = (tmp_path / f"{goal_id}.snapshot.json").read_bytes()
+    assert data == _snapshot_text(goal).encode()
+    assert json.loads(data)["status"] == ("closed" if closed else "active")
 
 
 class _Text(str):
