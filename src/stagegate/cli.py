@@ -4,7 +4,9 @@ Exit codes are stable across commands: 0 success, 1 validation failure or
 replay divergence, 2 input fault (missing or unusable artifacts), 3 runtime
 fault mid-run (a package fault, or an OS error such as a full disk).
 Commands raise; ``main`` alone prints a refusal or fault as one stderr line
-and returns its code.  Metric values never affect exit codes.
+and returns its code.  An OS error a command lets through, from looking at
+or creating a path before its first write, is an input fault like a
+ConfigError.  Metric values never affect exit codes.
 
 Primary artifacts (report, traces) are byte-reproducible for identical
 inputs; wall-clock data is isolated to the manifest, trace
@@ -18,10 +20,9 @@ import json
 import statistics
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .dispatcher import DispatchToggles
 from .errors import ConfigError, IntegrityFault, StagegateError, parsing
@@ -93,23 +94,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@contextmanager
-def _looking_at_paths() -> Iterator[None]:
-    """Refuse an OS error from looking at a user-given path (a name too long, say) as an input fault."""
-    try:
-        yield
-    except OSError as exc:
-        raise CommandError(f"error: {exc}") from None
-
-
-def _make_dir(path: Path) -> None:
-    """Create *path* and its parents; refuse when a file is in the way."""
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CommandError(f"error: cannot create {path}: {exc}") from None
-
-
 def _load_inputs(args: argparse.Namespace) -> tuple[DomainBundle, list]:
     bundle = load_domain(args.domain)
     return bundle, load_suite(args.suite, bundle)
@@ -138,14 +122,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     bundle, scenarios = _load_inputs(args)
     out_dir = Path(args.out)
     traces = out_dir / "traces"
-    with _looking_at_paths():
-        if traces.is_dir() and any(traces.iterdir()):
-            # Appending would corrupt the earlier run's traces; never delete them.
-            raise CommandError(f"error: {traces} already holds a run; choose another --out")
-        for name in ("manifest.json", "report.json", "timing.json", "goals.json"):
-            if (out_dir / name).is_dir():
-                raise CommandError(f"error: {out_dir / name} is a directory; run writes its {name} there")
-    _make_dir(traces)  # --out or its traces/ is a file: refuse before any write
+    if traces.is_dir() and any(traces.iterdir()):
+        # Appending would corrupt the earlier run's traces; never delete them.
+        raise CommandError(f"error: {traces} already holds a run; choose another --out")
+    for name in ("manifest.json", "report.json", "timing.json", "goals.json"):
+        if (out_dir / name).is_dir():
+            raise CommandError(f"error: {out_dir / name} is a directory; run writes its {name} there")
+    traces.mkdir(parents=True, exist_ok=True)  # --out or its traces/ is a file: refuse before any write
     toggles = _toggles_from_args(args)
     manifest = {
         "run_id": f"{Path(args.suite).stem}-seed{args.seed}",
@@ -179,14 +162,11 @@ def cmd_replay(args: argparse.Namespace) -> int:
     trace_path = Path(args.trace)
     goal_id = trace_path.stem
     domain_path = args.domain
-    with _looking_at_paths():
-        if not trace_path.exists():
-            raise CommandError(f"error: {trace_path} not found")
-        snapshot_path = trace_path.parent / f"{goal_id}.snapshot.json"  # "." and "/" have no name to replace
-        manifest_path = trace_path.resolve().parent.parent / "manifest.json"
-        read_manifest = domain_path is None and manifest_path.exists()
-        has_snapshot = snapshot_path.exists()
-    if read_manifest:
+    if not trace_path.exists():
+        raise CommandError(f"error: {trace_path} not found")
+    snapshot_path = trace_path.parent / f"{goal_id}.snapshot.json"  # "." and "/" have no name to replace
+    manifest_path = trace_path.resolve().parent.parent / "manifest.json"
+    if domain_path is None and manifest_path.exists():
         manifest = read_json(manifest_path)
         if not isinstance(manifest, dict) or type(manifest.get("domain")) is not str:
             raise ConfigError(f"{manifest_path}: no 'domain' entry")
@@ -194,7 +174,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if domain_path is None:
         raise ConfigError("--domain required (no manifest.json next to traces)")
     bundle = load_domain(domain_path)
-    snapshot = read_json(snapshot_path) if has_snapshot else None
+    snapshot = read_json(snapshot_path) if snapshot_path.exists() else None
 
     try:
         result = replay_events(
@@ -243,10 +223,9 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     bundle, scenarios = _load_inputs(args)
     out_dir = Path(args.out)
     table_path = out_dir / "ablation.json"
-    with _looking_at_paths():
-        if table_path.is_dir():  # refuse before four configurations run for nothing
-            raise CommandError(f"error: {table_path} is a directory; ablate writes its table there")
-    _make_dir(out_dir)
+    if table_path.is_dir():  # refuse before four configurations run for nothing
+        raise CommandError(f"error: {table_path} is a directory; ablate writes its table there")
+    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         comparison = compare_configs(bundle, scenarios, ABLATION_CONFIGS)
         table_path.write_text(_json_text(comparison.to_dict()), encoding="utf-8")
@@ -262,10 +241,9 @@ def cmd_inject(args: argparse.Namespace) -> int:
         raise CommandError(f"error: --count must be at least 1, got {args.count}")
     bundle, scenarios = _load_inputs(args)
     out_path = Path(args.out)
-    with _looking_at_paths():
-        if out_path.is_dir():
-            raise CommandError(f"error: {out_path} is a directory; --out names the suite file")
-    _make_dir(out_path.parent)
+    if out_path.is_dir():
+        raise CommandError(f"error: {out_path} is a directory; --out names the suite file")
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     normals = [
         s for s in scenarios
         if s.type == "normal" and all(m.expected_legal for m in s.messages)
@@ -345,7 +323,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:  # unusable input, from any command
+    except (ConfigError, OSError) as exc:  # unusable input, or a path the OS refuses, from any command
         line, code = f"error: {exc}", EXIT_INPUT
     except CommandError as exc:
         line, code = str(exc), exc.code

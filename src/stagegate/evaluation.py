@@ -230,13 +230,12 @@ def compute_report(run: RunResult, bundle: DomainBundle) -> EvalReport:
             )
 
     # Replayable-trace coverage: a step counts when its goal's log replays to
-    # exactly the live state.  Replays run apart from the simulations above:
+    # exactly the live state (``GoalState`` equality: ids, stage, business state
+    # and last seq, not the lock).  Replays run apart from the simulations above:
     # interleaving the two made compute_report ~12% slower on the SGD suites.
     consistent: dict[str, bool] = {}
     if run.toggles.audit:
-        consistent = {
-            gid: manager.replay(gid).state() == manager.live(gid).state() for gid in goal_ids
-        }
+        consistent = {gid: manager.replay(gid) == manager.live(gid) for gid in goal_ids}
 
     counts = dict.fromkeys(TALLY_ORDER, 0)
     cells: Counter[tuple[bool, bool]] = Counter()  # (blocked, expected_legal) -> steps

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import threading
 from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
@@ -40,6 +41,8 @@ _EVENT_FIELD_TYPES = {
 _FIELD_VALUES = itemgetter(*_EVENT_FIELD_TYPES)  # a line's eleven values, in field order
 # ``json``'s encoder for one business-state scalar: its C path, NaN and Infinity as json writes them
 _SCALAR = json.JSONEncoder().encode
+# a high surrogate then a low one: json writes two escapes and reads them back as one character
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
 _APPEND = os.O_WRONLY | os.O_CREAT | os.O_APPEND
 _REPLACE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
 
@@ -118,7 +121,9 @@ class ProcessEvent(NamedTuple):
         the escaper and number reprs ``json`` uses.  An event with a field outside its exact
         types in ``_EVENT_FIELD_TYPES`` (the pairs a tuple or list of ``(str, bool)``
         tuples or lists), or a timestamp that is not finite, is refused with TypeError or
-        ValueError: no line is written that is not JSON or that ``from_dict`` refuses.
+        ValueError: no line is written that is not JSON or that ``from_dict`` refuses.  A
+        string holding a high surrogate followed by a low one is refused with ValueError,
+        as JSON reads the pair back as one character; a lone surrogate is written.
         """
         seq, timestamp, goal_id, intent, before, after, skill_id, outcome, sub_reason, pairs, digest = self
         if not (type(seq) is int and type(timestamp) in (int, float)
@@ -132,7 +137,7 @@ class ProcessEvent(NamedTuple):
             stamp = float.__repr__(timestamp)
         else:
             raise ValueError(f"timestamp {timestamp!r} is not finite")
-        return (
+        line = (
             f'{{"seq":{int.__repr__(seq)},"timestamp":{stamp},"goal_id":{_json_str(goal_id)},'
             f'"intent":{_json_str(intent)},"stage_before":{_json_str(before)},'
             f'"stage_after":{_json_str(after)},'
@@ -142,6 +147,9 @@ class ProcessEvent(NamedTuple):
             f'"precondition_results":[{_pairs_text(pairs) if pairs else ""}],'
             f'"payload_digest":{"null" if digest is None else _json_str(digest)}}}'
         )
+        if "\\" in line:  # every surrogate is written escaped, so a line without one holds no pair
+            _refuse_surrogate_pairs(self)
+        return line
 
 
 def _misfit(event: ProcessEvent) -> TypeError:
@@ -149,6 +157,14 @@ def _misfit(event: ProcessEvent) -> TypeError:
     name, value = next((name, value) for (name, types), value in zip(_EVENT_FIELD_TYPES.items(), event)
                        if type(value) not in (_ARRAYS if types is _PAIRS else types))
     return TypeError(f"{name} has type {type(value).__name__}")
+
+
+def _refuse_surrogate_pairs(event: ProcessEvent) -> None:
+    """Raise ValueError naming *event*'s first string, in field order, that holds a surrogate pair."""
+    flags = [("precondition name", name) for name, _ in event.precondition_results]
+    for name, value in [*zip(ProcessEvent._fields, event), *flags]:
+        if type(value) is str and _SURROGATE_PAIR.search(value):
+            raise ValueError(f"{name} holds a high surrogate then a low one, read back as one character")
 
 
 def _line_fault(raw: Any) -> AssertionError:
@@ -386,17 +402,12 @@ class GoalManager:
         No copy is made: the caller hands over a context no one else holds
         (the dispatcher commits the step's own copy from ``context``, with the
         effects applied) and must not touch it afterwards.  Readers still get
-        copies, through ``context`` and ``state``.
+        copies, through ``context``.
         """
         self.live(goal_id).business_state = ctx.business_state
 
     def last_seq(self, goal_id: str) -> int:
         return self.live(goal_id).last_seq
-
-    def state(self, goal_id: str) -> dict[str, Any]:
-        """The goal's live observable state, with a copy of its business state."""
-        live = self.live(goal_id)
-        return live.state() | {"business_state": dict(live.business_state)}
 
     # -- validated mutation --------------------------------------------------
 

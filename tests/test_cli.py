@@ -773,23 +773,29 @@ def test_malformed_artifacts_exit_without_traceback(case, tmp_path, finished_run
     assert (sorted(run.rglob("*")), _files(run)) == before
 
 
-@pytest.mark.parametrize("command", ["run", "ablate", "inject", "replay", "replay-snapshot"])
+@pytest.mark.parametrize(
+    "command", ["validate", "run", "ablate", "inject", "replay", "replay-snapshot", "report"])
 def test_a_path_name_too_long_is_an_input_fault(tmp_path, capsys, command):
-    """A 300-character --out or trace name, or a 245-character trace whose snapshot name is too long,
-    makes looking at the path fail (ENAMETOOLONG): one error line, exit 2, nothing written."""
+    """A 300-character bundle, --out, trace or run directory name, or a 245-character trace whose
+    snapshot name is too long, makes looking at the path fail (ENAMETOOLONG): one error line, exit 2,
+    nothing written."""
     name = str(tmp_path / ("x" * 300))
     trace = tmp_path / ("x" * 245 + ".jsonl")
     trace.write_text("")
     inputs = ["--domain", str(hr_domain_dir()), "--suite", str(hr_suite_path())]
-    argv = {"run": ["run", *inputs, "--out", name], "ablate": ["ablate", *inputs, "--out", name],
+    argv = {"validate": ["validate", name],
+            "run": ["run", *inputs, "--out", name], "ablate": ["ablate", *inputs, "--out", name],
             "inject": ["inject", *inputs, "--count", "1", "--out", name],
             "replay": ["replay", f"{name}.jsonl"],
-            "replay-snapshot": ["replay", str(trace), "--domain", str(hr_domain_dir())]}[command]
+            "replay-snapshot": ["replay", str(trace), "--domain", str(hr_domain_dir())],
+            "report": ["report", name]}[command]
+    # report reads its one file through read_json, which names the file it could not read
+    prefix = f"{name}/report.json: unreadable: " if command == "report" else ""
     before = _files(tmp_path)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: [Errno {errno.ENAMETOOLONG}] ")
+    assert captured.err.startswith(f"error: {prefix}[Errno {errno.ENAMETOOLONG}] ")
     assert captured.err.count("\n") == 1
     assert _files(tmp_path) == before
 

@@ -76,6 +76,13 @@ def _goal(deps, domain):
     return deps.manager.create_goal(domain).goal_id
 
 
+def _live_state(manager, goal_id):
+    """The goal's live observable state with its own copy of the business state, so a later in-place
+    change to the live dict shows against it."""
+    live = manager.live(goal_id)
+    return live.state() | {"business_state": dict(live.business_state)}
+
+
 FLOW = [
     "create a hiring demand",
     "pull candidates",
@@ -251,7 +258,7 @@ def test_a_set_effect_loads_exactly_when_it_writes_a_scalar_to_a_named_field(fie
     deps = _deps(bundle_from_dicts("effect", parts))
     gid = _goal(deps, "effect")
     assert dispatch("go", gid, deps).outcome == "SUCCESS"
-    live = deps.manager.state(gid)
+    live = _live_state(deps.manager, gid)
     assert live["business_state"] == {field: value}
     assert deps.manager.replay(gid).state() == live
 
@@ -285,12 +292,12 @@ def test_a_failed_append_leaves_the_goal_unchanged(hr_bundle):
     gid = _goal(deps, "hr")
     for message in FLOW[:2]:
         dispatch(message, gid, deps)
-    before = deps.manager.state(gid)
+    before = _live_state(deps.manager, gid)
     store.full = True
     for message in ["create a new hiring demand", *FLOW[2:]]:
         with pytest.raises(OSError):
             dispatch(message, gid, deps)
-        assert deps.manager.state(gid) == before, message
+        assert _live_state(deps.manager, gid) == before, message
     assert deps.manager.replay(gid).state() == before
 
 
@@ -315,7 +322,7 @@ def test_a_non_bytes_payload_is_contained_like_an_executor_exception(hr_bundle, 
     assert (result.outcome, result.event.sub_reason) == ("SUCCESS", "execution_error")
     error = f"executor payload is {type(payload).__name__}, not bytes"
     assert result.event.payload_digest == payload_digest(canonical({"error": error}))
-    assert deps.manager.state(gid) == {
+    assert _live_state(deps.manager, gid) == {
         "current_stage": "init", "status": "active", "business_state": {}, "last_seq": 1,
     }
     assert deps.manager.store.payload_for(gid, 1) is None
@@ -343,9 +350,9 @@ def test_what_the_executor_and_predicates_write_to_their_context_is_never_commit
     deps = _deps(hr_bundle, executor=smuggling)
     gid = _goal(deps, "hr")
     assert dispatch("create a hiring demand", gid, deps).outcome == "SUCCESS"
-    assert deps.manager.state(gid)["business_state"] == {"position_exists": True}
+    assert _live_state(deps.manager, gid)["business_state"] == {"position_exists": True}
     assert dispatch("pull candidates", gid, deps).outcome == "SUCCESS"
-    live = deps.manager.state(gid)
+    live = _live_state(deps.manager, gid)
     assert set(live["business_state"]) == {"position_exists", "candidates_pulled", "candidates_ref"}
     assert deps.manager.replay(gid).state() == live
 
@@ -404,12 +411,12 @@ def test_a_goal_wired_to_another_automaton_or_registry_is_refused(hr_bundle, cas
         message = "create a hiring demand"
     automaton, skills = _rewirings(hr_bundle)[case]
     deps = replace(deps, automaton=automaton, registry=skills)
-    before = deps.manager.state(gid)
+    before = _live_state(deps.manager, gid)
     refusal = rf"^goal '{gid}': its domain 'hr' is wired to another automaton or registry than the dispatch deps$"
     with pytest.raises(ConfigError, match=refusal):
         dispatch(message, gid, deps)
     assert deps.manager.store.events_for(gid) == []
-    assert deps.manager.state(gid) == before
+    assert _live_state(deps.manager, gid) == before
 
 
 @pytest.mark.parametrize("case", ["automaton-lacks-init-src", "create-demand-unsets-position"])
@@ -425,10 +432,10 @@ def test_a_domain_with_goals_is_not_rewired_and_its_goals_still_replay(hr_bundle
         deps.manager.add_domain("hr", *_rewirings(hr_bundle)[case])
     automaton, skills = deps.manager.wiring("hr")
     assert automaton is hr_bundle.automaton and skills is hr_bundle.registry
-    assert deps.manager.replay(gid).state() == deps.manager.state(gid)
+    assert deps.manager.replay(gid).state() == _live_state(deps.manager, gid)
     deps.manager.add_domain("hr", hr_bundle.automaton, hr_bundle.registry)  # the same pair: nothing changes
     assert dispatch("get the job list", gid, deps).event.seq == 3
-    assert deps.manager.replay(gid).state() == deps.manager.state(gid)
+    assert deps.manager.replay(gid).state() == _live_state(deps.manager, gid)
 
 
 def test_a_domain_without_goals_may_be_wired_again(hr_bundle):
@@ -451,7 +458,7 @@ def test_a_raising_fallback_leaves_the_intent_unresolved_with_its_error(hr_bundl
     assert (result.outcome, result.event.sub_reason) == ("SKILL_NOT_FOUND", "intent_unresolved")
     assert result.event.intent == UNKNOWN
     assert result.detail["routing"] == {"mode": "fallback", "error": "fallback_error: resolver down"}
-    assert deps.manager.state(gid) == {
+    assert _live_state(deps.manager, gid) == {
         "current_stage": "init", "status": "active", "business_state": {}, "last_seq": 1,
     }
 
@@ -520,14 +527,14 @@ def test_contexts_handed_out_stay_detached_from_goal_state(hr_bundle):
     for text in ("create a hiring demand", "pull candidates", "screen resumes",
                  "schedule interview", "reopen sourcing"):
         assert dispatch(text, gid, deps).outcome == "SUCCESS"
-    live = deps.manager.state(gid)
+    live = _live_state(deps.manager, gid)
     assert deps.manager.replay(gid).state() == live
     assert len(kept) == 5
 
     for ctx in kept:
         ctx.business_state.clear()
         ctx.business_state["tampered"] = True
-    assert deps.manager.state(gid) == live
+    assert _live_state(deps.manager, gid) == live
     assert deps.manager.replay(gid).state() == live
 
 
