@@ -2,7 +2,8 @@
 
 Exit codes are stable across commands: 0 success, 1 validation failure or
 replay divergence, 2 input fault (missing or unusable artifacts), 3 runtime
-fault mid-run (a package fault, or an OS error such as a full disk).
+fault mid-run (a package fault, or an OS error such as a full disk), 141
+stdout closed by its reader (as with ``| head``), with nothing on stderr.
 Commands raise; ``main`` alone prints a refusal or fault as one stderr line
 and returns its code.  An OS error a command lets through, from looking at
 or creating a path before its first write, is an input fault like a
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import sys
 import time
@@ -44,6 +46,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INPUT = 2
 EXIT_RUNTIME = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a tool whose reader went away
 
 
 def _toggles_from_args(args: argparse.Namespace) -> DispatchToggles:
@@ -322,7 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:  # stdout's reader went away: nothing to report, and nowhere to report it
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # the flush at exit writes what is left there, quietly
+        os.close(devnull)
+        return EXIT_PIPE
     except (ConfigError, OSError) as exc:  # unusable input, or a path the OS refuses, from any command
         line, code = f"error: {exc}", EXIT_INPUT
     except CommandError as exc:

@@ -29,10 +29,9 @@ from .context import DispatchContext, payload_digest
 from .errors import ConfigError, ConflictFault, IntegrityFault, LookupFault, file_safe_id
 from .registry import SkillRegistry, apply_postconditions
 
-_STR, _STR_OR_NULL, _PAIRS = (str,), (str, type(None)), (list,)
-_ARRAYS = (tuple, list)  # the Python sequences an event's pairs, and each pair, may be
-# The event's one schema: every ProcessEvent field in order, with the exact JSON types its
-# trace line holds; ``_PAIRS`` is a list of [name, passed] pairs, a string and a bool each.
+_STR, _STR_OR_NULL, _PAIRS = (str,), (str, type(None)), (tuple, list)
+# The event's one schema: every ProcessEvent field in order, with the exact types its trace
+# line holds; the pairs, and each [name, passed] pair in them, are a sequence of ``_PAIRS``.
 _EVENT_FIELD_TYPES = {
     "seq": (int,), "timestamp": (int, float), "goal_id": _STR, "intent": _STR,
     "stage_before": _STR, "stage_after": _STR, "skill_id": _STR_OR_NULL, "outcome": _STR,
@@ -74,6 +73,19 @@ def _typed(value: Any, types: tuple[type, ...], name: str) -> Any:
     return value
 
 
+def _fits(values: tuple) -> bool:
+    """Whether an event's eleven values, in field order, are each at an exact type of
+    ``_EVENT_FIELD_TYPES``, every pair a two-item list or tuple of a str then a bool: the
+    trace line's one guard, which ``to_line`` and ``from_dict`` share."""
+    seq, timestamp, goal_id, intent, before, after, skill_id, outcome, sub_reason, pairs, digest = values
+    return (type(seq) is int and type(timestamp) in (int, float)
+            and type(goal_id) is type(intent) is type(before) is type(after) is type(outcome) is str
+            and type(skill_id) in _STR_OR_NULL and type(sub_reason) in _STR_OR_NULL
+            and type(digest) in _STR_OR_NULL and type(pairs) in _PAIRS
+            and (not pairs or all(type(pair) in _PAIRS and len(pair) == 2
+                                  and type(pair[0]) is str and type(pair[1]) is bool for pair in pairs)))
+
+
 class ProcessEvent(NamedTuple):
     """One append-only audit record; the unit of trace grading and replay."""
 
@@ -93,50 +105,41 @@ class ProcessEvent(NamedTuple):
     def from_dict(cls, raw: Mapping[str, Any]) -> "ProcessEvent":
         """The event a trace line's object holds: every field at its exact type, else its first fault.
 
-        The eleven keys are read at once and the line is accepted through one exact-type
-        guard, the mirror of ``to_line``'s, pairs included; a line the guard refuses is
-        named by ``_line_fault``, in field order with the pairs last.
+        The eleven keys are read at once and accepted through ``_fits``; a line it refuses
+        is named by ``_line_fault``, in field order with the pairs last.
         """
         try:
-            seq, timestamp, goal_id, intent, before, after, skill_id, outcome, sub_reason, pairs, digest = (
-                _FIELD_VALUES(raw))
+            values = _FIELD_VALUES(raw)
         except (KeyError, TypeError):
             pass
         else:
-            if (type(seq) is int and type(timestamp) in (int, float)
-                    and type(goal_id) is type(intent) is type(before) is type(after) is type(outcome) is str
-                    and type(skill_id) in _STR_OR_NULL and type(sub_reason) in _STR_OR_NULL
-                    and type(digest) in _STR_OR_NULL and type(pairs) is list
-                    and (not pairs or all(type(pair) in _ARRAYS and len(pair) == 2
-                                          and type(pair[0]) is str and type(pair[1]) is bool
-                                          for pair in pairs))):
-                return cls._make((seq, timestamp, goal_id, intent, before, after, skill_id, outcome,
-                                  sub_reason, tuple(map(tuple, pairs)) if pairs else (), digest))
+            if _fits(values):
+                seq, stamp, goal, intent, before, after, skill, outcome, reason, pairs, digest = values
+                return cls._make((seq, stamp, goal, intent, before, after, skill, outcome, reason,
+                                  tuple(map(tuple, pairs)) if pairs else (), digest))
         raise _line_fault(raw)
 
     def to_line(self) -> str:
         """The trace line: a JSON object of the fields in order, pairs written as arrays.
 
         Its text is ``json.dumps(self._asdict(), separators=(",", ":"))``, formatted here with
-        the escaper and number reprs ``json`` uses.  An event with a field outside its exact
-        types in ``_EVENT_FIELD_TYPES`` (the pairs a tuple or list of ``(str, bool)``
-        tuples or lists), or a timestamp that is not finite, is refused with TypeError or
-        ValueError: no line is written that is not JSON or that ``from_dict`` refuses.  A
-        string holding a high surrogate followed by a low one is refused with ValueError,
-        as JSON reads the pair back as one character; a lone surrogate is written.
+        the escaper and number reprs ``json`` uses.  An event ``_fits`` refuses raises the fault
+        ``from_dict`` raises for the same values, and a timestamp that is not finite raises
+        ValueError: no line is written that is not JSON or that ``from_dict`` refuses.  So does
+        a string holding a high surrogate then a low one, which JSON reads back as one
+        character; a lone surrogate is written.
         """
+        if not _fits(self):
+            raise _line_fault(self._asdict())
         seq, timestamp, goal_id, intent, before, after, skill_id, outcome, sub_reason, pairs, digest = self
-        if not (type(seq) is int and type(timestamp) in (int, float)
-                and type(goal_id) is type(intent) is type(before) is type(after) is type(outcome) is str
-                and type(skill_id) in _STR_OR_NULL and type(sub_reason) in _STR_OR_NULL
-                and type(digest) in _STR_OR_NULL and type(pairs) in _ARRAYS):
-            raise _misfit(self)
         if type(timestamp) is int:
             stamp = int.__repr__(timestamp)
         elif math.isfinite(timestamp):
             stamp = float.__repr__(timestamp)
         else:
             raise ValueError(f"timestamp {timestamp!r} is not finite")
+        flags = (",".join([f"[{_json_str(name)},{'true' if held else 'false'}]" for name, held in pairs])
+                 if pairs else "")
         line = (
             f'{{"seq":{int.__repr__(seq)},"timestamp":{stamp},"goal_id":{_json_str(goal_id)},'
             f'"intent":{_json_str(intent)},"stage_before":{_json_str(before)},'
@@ -144,19 +147,12 @@ class ProcessEvent(NamedTuple):
             f'"skill_id":{"null" if skill_id is None else _json_str(skill_id)},'
             f'"outcome":{_json_str(outcome)},'
             f'"sub_reason":{"null" if sub_reason is None else _json_str(sub_reason)},'
-            f'"precondition_results":[{_pairs_text(pairs) if pairs else ""}],'
+            f'"precondition_results":[{flags}],'
             f'"payload_digest":{"null" if digest is None else _json_str(digest)}}}'
         )
         if "\\" in line:  # every surrogate is written escaped, so a line without one holds no pair
             _refuse_surrogate_pairs(self)
         return line
-
-
-def _misfit(event: ProcessEvent) -> TypeError:
-    """The refusal of *event*'s first field, in field order, outside its exact types."""
-    name, value = next((name, value) for (name, types), value in zip(_EVENT_FIELD_TYPES.items(), event)
-                       if type(value) not in (_ARRAYS if types is _PAIRS else types))
-    return TypeError(f"{name} has type {type(value).__name__}")
 
 
 def _refuse_surrogate_pairs(event: ProcessEvent) -> None:
@@ -168,9 +164,9 @@ def _refuse_surrogate_pairs(event: ProcessEvent) -> None:
 
 
 def _line_fault(raw: Any) -> AssertionError:
-    """Raise the first fault of a line ``from_dict``'s guard refused: each field but the pairs
-    in field order, missing or outside its exact types, then the pairs.  A line with no fault
-    here is one the guard must not have refused, returned as an AssertionError to raise.
+    """Raise the first fault of the values ``_fits`` refused, a line's object or an event's fields:
+    each field but the pairs in field order, missing or outside its exact types, then the pairs.
+    Values with no fault here are returned as an AssertionError to raise: ``_fits`` erred.
     """
     for key, types in _EVENT_FIELD_TYPES.items():
         if types is not _PAIRS:
@@ -178,20 +174,7 @@ def _line_fault(raw: Any) -> AssertionError:
     for name, held in _typed(raw["precondition_results"], _PAIRS, "precondition_results"):
         _typed(name, _STR, "precondition name")
         _typed(held, (bool,), "precondition result")
-    return AssertionError(f"from_dict's guard refused a line with no fault: {raw!r}")
-
-
-def _pairs_text(pairs: Iterable[Any]) -> str:
-    """``precondition_results`` inside its array brackets; a pair not ``(str, bool)`` is refused."""
-    items = []
-    for pair in pairs:
-        if type(pair) not in _ARRAYS or len(pair) != 2:
-            raise ValueError(f"precondition pair {pair!r} is not [name, passed]")
-        name, held = pair
-        _typed(name, _STR, "precondition name")
-        _typed(held, (bool,), "precondition result")
-        items.append(f"[{_json_str(name)},{'true' if held else 'false'}]")
-    return ",".join(items)
+    return AssertionError(f"the trace line's guard refused values with no fault: {raw!r}")
 
 
 @dataclass

@@ -800,6 +800,27 @@ def test_a_path_name_too_long_is_an_input_fault(tmp_path, capsys, command):
     assert _files(tmp_path) == before
 
 
+@pytest.mark.parametrize("command", ["report", "replay", "run"])
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(tmp_path, finished_run, small_suite, command):
+    """The reader of stdout went away before the command wrote (as ``| head`` does when done): the
+    command still does its work, says nothing on stderr and exits 141, as a shell reports SIGPIPE."""
+    out_dir = tmp_path / "run"
+    argv = {"report": ["report", str(finished_run)], "replay": ["replay", str(_trace(finished_run))],
+            "run": ["run", "--domain", str(hr_domain_dir()), "--suite", str(small_suite),
+                    "--out", str(out_dir)]}[command]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(stagegate.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "stagegate.cli", *argv],
+                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=300)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, b"")
+    assert (out_dir / "report.json").exists() == (command == "run")
+
+
 @pytest.mark.parametrize("trace", [".", "/"])
 def test_replay_of_a_directory_without_a_name_is_an_input_fault(trace, capsys):
     assert main(["replay", trace, "--domain", str(hr_domain_dir())]) == 2

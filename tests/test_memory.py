@@ -627,7 +627,9 @@ def _read_outcome(reader, path):
         return f"IntegrityFault: {exc}"
 
 
-# one value of each JSON type, and precondition entries that are not [name, passed]
+# the fields that are always strings, and one value of each JSON type, and precondition entries
+# that are not [name, passed]
+_STRING_FIELDS = ("goal_id", "intent", "stage_before", "stage_after", "outcome")
 _JSON_SAMPLES = (None, True, 1, 1.5, "x", ["x"], {"x": 1})
 _BAD_PRECONDITIONS = (["x", 1], [1, True], ["x"], ["x", True, 1], "xy", 1, None, {"x": 1, "y": True})
 
@@ -646,6 +648,8 @@ def test_each_field_at_each_json_type_reads_as_the_reference_reader(tmp_path):
         raws.append(event | dict.fromkeys(pair, {"x": 1}))
     raws.extend(event | {"precondition_results": [["ok", True], bad]} for bad in _BAD_PRECONDITIONS)
     raws.append({k: v for k, v in event.items() if k != "outcome"} | {"seq": True})  # first fault first
+    for end in range(1, 6):  # the first one to five string fields all at one other type
+        raws.append(event | dict.fromkeys(_STRING_FIELDS[:end], 1))
     raws.append({k: v for k, v in event.items() if k != "payload_digest"}
                 | {"precondition_results": [[1, True]]})  # the pairs are checked last
     path = tmp_path / "g.jsonl"
@@ -709,14 +713,41 @@ def test_the_trace_line_is_what_json_dumps_writes(raw):
     assert read.to_line() == line
 
 
-def test_a_line_the_guard_refuses_and_the_walk_accepts_is_an_error():
-    """from_dict's guard takes a pair that is a list or a tuple; any other pair the key-by-key walk
-    would unpack cleanly is refused loudly, never read as an event."""
+def test_a_line_the_guard_refuses_and_the_walk_accepts_is_an_error(tmp_path):
+    """The guard takes a pair that is a list or a tuple; any other pair the key-by-key walk would
+    unpack cleanly is refused loudly, never read as an event nor written as a line."""
     raw = json.loads(_event("g", 1).to_line())
     read = ProcessEvent.from_dict(raw | {"precondition_results": [("ok", True), ["no", False]]})
     assert read.precondition_results == (("ok", True), ("no", False))
-    with pytest.raises(AssertionError, match="^from_dict's guard refused a line with no fault: "):
+    refused = "^the trace line's guard refused values with no fault: "
+    with pytest.raises(AssertionError, match=refused):
         ProcessEvent.from_dict(raw | {"precondition_results": [{"ok": 1, True: 2}]})
+    with pytest.raises(AssertionError, match=refused):
+        FileEventStore(tmp_path).append(_event("g", 1)._replace(precondition_results=({"ok": 1, True: 2},)))
+    assert list(tmp_path.iterdir()) == []
+
+
+def _outcome(call):
+    """What *call* returns, or the type and text of what it raises."""
+    try:
+        return call()
+    except (TypeError, ValueError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+def test_the_writer_refuses_exactly_what_the_reader_refuses():
+    """Every field at every JSON type, and every malformed precondition pair: the event the writer
+    is handed and the line the reader is handed are both accepted or both refused with one fault."""
+    event = json.loads(_event("g", 1).to_line()) | {"precondition_results": [["ok", True]]}
+    raws = [event | {key: sample} for key in event for sample in _JSON_SAMPLES]
+    raws += [event | {"precondition_results": [["ok", True], bad]} for bad in _BAD_PRECONDITIONS]
+    assert len(raws) == 85
+    for raw in raws:
+        written = _outcome(lambda: ProcessEvent(**raw).to_line())
+        read = _outcome(lambda: ProcessEvent.from_dict(raw))
+        if isinstance(written, str) and isinstance(read, ProcessEvent):
+            continue
+        assert written == read, raw
 
 
 # a JSON scalar of every kind: any string, ints past 64 bits, the floats json spells oddly
@@ -771,6 +802,7 @@ class _Text(str):
     ({"sub_reason": ["x"]}, TypeError, "sub_reason has type list"),
     ({"precondition_results": "ab"}, TypeError, "precondition_results has type str"),
     ({"payload_digest": 1.0}, TypeError, "payload_digest has type float"),
+    (dict.fromkeys(_STRING_FIELDS, _Text("g")), TypeError, "goal_id has type _Text"),
     # a high surrogate then a low one: json writes two escapes and reads back one character
     ({"intent": "a\ud800\udfffb"}, ValueError,
      "intent holds a high surrogate then a low one, read back as one character"),
@@ -779,7 +811,7 @@ class _Text(str):
 ], ids=["bool-seq", "nan-timestamp", "inf-timestamp", "minus-inf-timestamp", "int-flag", "int-goal-id",
         "float-seq", "str-timestamp", "str-subclass-goal-id", "null-intent", "int-stage-before",
         "bytes-stage-after", "int-skill-id", "str-subclass-outcome", "list-sub-reason", "str-pairs",
-        "float-payload-digest", "surrogate-pair-intent", "surrogate-pair-flag"])
+        "float-payload-digest", "str-subclass-strings", "surrogate-pair-intent", "surrogate-pair-flag"])
 def test_the_file_store_refuses_an_event_it_cannot_write_exactly(tmp_path, fields, fault, reported):
     """An event json would write differently, or from_dict would refuse, raises before a byte is written;
     a refused type names its field."""
