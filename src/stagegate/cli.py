@@ -3,7 +3,8 @@
 Exit codes are stable across commands: 0 success, 1 validation failure or
 replay divergence, 2 input fault (missing or unusable artifacts), 3 runtime
 fault mid-run (a package fault, or an OS error such as a full disk), 141
-stdout closed by its reader (as with ``| head``), with nothing on stderr.
+stdout closed by its reader (as with ``| head``), with nothing on stderr,
+unless ``replay`` has a snapshot's refusal to give.
 Commands raise; ``main`` alone prints a refusal or fault as one stderr line
 and returns its code.  An OS error a command lets through, from looking at
 or creating a path before its first write, is an input fault like a
@@ -194,20 +195,31 @@ def cmd_replay(args: argparse.Namespace) -> int:
         raise CommandError(f"error: {trace_path}: unreadable: {exc.strerror or exc}") from None
 
     state = result.state()
-    print(json.dumps({"goal_id": goal_id, **state}, indent=2, sort_keys=True))
-    if snapshot is None:
-        return EXIT_OK
+    verdict = None if snapshot is None else _snapshot_verdict(snapshot, snapshot_path, state, result.last_seq)
+    try:  # the verdict is settled before the state is printed, so a closed stdout cannot lose it
+        print(json.dumps({"goal_id": goal_id, **state}, indent=2, sort_keys=True), flush=True)
+    except BrokenPipeError:
+        if verdict is None:
+            raise
+        _drop_stdout()
+    if verdict is not None:
+        raise verdict
+    if snapshot is not None:
+        print("replay matches snapshot")
+    return EXIT_OK
+
+
+def _snapshot_verdict(snapshot: object, snapshot_path: Path, state: dict, last_seq: int) -> CommandError | None:
+    """The refusal a snapshot earns against the replayed *state*: keys it lacks, else keys that differ."""
     missing = [key for key in state if not isinstance(snapshot, dict) or key not in snapshot]
     if missing:
-        raise CommandError(f"error: {snapshot_path}: snapshot lacks {', '.join(missing)}")
+        return CommandError(f"error: {snapshot_path}: snapshot lacks {', '.join(missing)}")
     mismatches = [key for key, value in state.items() if snapshot[key] != value]
     if mismatches:
-        raise CommandError(
-            f"divergence from snapshot after seq {result.last_seq}: {', '.join(mismatches)}",
-            EXIT_VALIDATION,
+        return CommandError(
+            f"divergence from snapshot after seq {last_seq}: {', '.join(mismatches)}", EXIT_VALIDATION
         )
-    print("replay matches snapshot")
-    return EXIT_OK
+    return None
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -322,6 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _drop_stdout() -> None:
+    """Point fd 1 at ``os.devnull``: the flush at exit writes what is left in stdout there, quietly."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -329,9 +348,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
         return code
     except BrokenPipeError:  # stdout's reader went away: nothing to report, and nowhere to report it
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())  # the flush at exit writes what is left there, quietly
-        os.close(devnull)
+        _drop_stdout()
         return EXIT_PIPE
     except (ConfigError, OSError) as exc:  # unusable input, or a path the OS refuses, from any command
         line, code = f"error: {exc}", EXIT_INPUT

@@ -40,6 +40,8 @@ _EVENT_FIELD_TYPES = {
 _FIELD_VALUES = itemgetter(*_EVENT_FIELD_TYPES)  # a line's eleven values, in field order
 # ``json``'s encoder for one business-state scalar: its C path, NaN and Infinity as json writes them
 _SCALAR = json.JSONEncoder().encode
+# ``json``'s scanner for one value at an index, C where it is built: ``load_trace``'s parse
+_SCAN = json.JSONDecoder().scan_once
 # a high surrogate then a low one: json writes two escapes and reads them back as one character
 _SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
 _APPEND = os.O_WRONLY | os.O_CREAT | os.O_APPEND
@@ -61,7 +63,10 @@ def _read(path: str | Path) -> bytes:
     """All of *path*'s bytes, read through one descriptor until ``os.read`` returns none."""
     fd = os.open(path, os.O_RDONLY)
     try:
-        return b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+        return b"".join(chunks)
     finally:
         os.close(fd)
 
@@ -78,12 +83,15 @@ def _fits(values: tuple) -> bool:
     ``_EVENT_FIELD_TYPES``, every pair a two-item list or tuple of a str then a bool: the
     trace line's one guard, which ``to_line`` and ``from_dict`` share."""
     seq, timestamp, goal_id, intent, before, after, skill_id, outcome, sub_reason, pairs, digest = values
-    return (type(seq) is int and type(timestamp) in (int, float)
+    if not (type(seq) is int and type(timestamp) in (int, float)
             and type(goal_id) is type(intent) is type(before) is type(after) is type(outcome) is str
             and type(skill_id) in _STR_OR_NULL and type(sub_reason) in _STR_OR_NULL
-            and type(digest) in _STR_OR_NULL and type(pairs) in _PAIRS
-            and (not pairs or all(type(pair) in _PAIRS and len(pair) == 2
-                                  and type(pair[0]) is str and type(pair[1]) is bool for pair in pairs)))
+            and type(digest) in _STR_OR_NULL and type(pairs) in _PAIRS):
+        return False
+    for pair in pairs:
+        if not (type(pair) in _PAIRS and len(pair) == 2 and type(pair[0]) is str and type(pair[1]) is bool):
+            return False
+    return True
 
 
 class ProcessEvent(NamedTuple):
@@ -270,6 +278,15 @@ def load_trace(path: str | Path) -> list[ProcessEvent]:
     Bytes that are not UTF-8 raise IntegrityFault "undecodable trace"; a
     non-blank line that is not an event, IntegrityFault "unparseable trace
     line N"; a missing file, FileNotFoundError; any other read failure, OSError.
+
+    Each non-blank line is read by ``json``'s scanner from index 0, and through
+    ``json.loads`` only when the scanner finds no value there (StopIteration) or
+    stops before the line's end: JSON whitespace around the value, more data
+    after it, or a BOM.  The object or fault is ``json.loads(line)``'s, since
+    ``json.loads`` is that same scan from the end of any leading whitespace, then
+    a check that only whitespace follows: a line that starts with no whitespace
+    is scanned from 0 by both, so a scan that reaches the end returns the same
+    object, and a scan that raises JSONDecodeError partway raises the same one.
     """
     try:
         text = _read(path).decode()
@@ -280,7 +297,13 @@ def load_trace(path: str | Path) -> list[ProcessEvent]:
         if not line.strip():
             continue
         try:
-            events.append(ProcessEvent.from_dict(json.loads(line)))
+            try:
+                raw, end = _SCAN(line, 0)
+            except StopIteration:  # no value at index 0: leading whitespace, a BOM or no JSON
+                end = -1
+            if end != len(line):
+                raw = json.loads(line)  # whitespace or data beside the value: json.loads rules on it
+            events.append(ProcessEvent.from_dict(raw))
         except (ValueError, KeyError, TypeError) as exc:
             raise IntegrityFault(f"unparseable trace line {lineno} in {path}: {exc}") from exc
     return events

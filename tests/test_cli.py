@@ -808,6 +808,31 @@ def test_a_closed_stdout_exits_141_with_nothing_on_stderr(tmp_path, finished_run
     argv = {"report": ["report", str(finished_run)], "replay": ["replay", str(_trace(finished_run))],
             "run": ["run", "--domain", str(hr_domain_dir()), "--suite", str(small_suite),
                     "--out", str(out_dir)]}[command]
+    assert _into_a_closed_stdout(argv) == (141, b"")
+    assert (out_dir / "report.json").exists() == (command == "run")
+
+
+@pytest.mark.parametrize("edit, code", [
+    (lambda snapshot: snapshot.update(last_seq=snapshot["last_seq"] + 1), 1),
+    (lambda snapshot: snapshot.pop("status"), 2),
+], ids=["diverging", "lacking-a-key"])
+def test_a_closed_stdout_keeps_the_snapshot_verdict(tmp_path, finished_run, capsys, edit, code):
+    """A replay whose snapshot diverges or lacks a key exits with the code and the one stderr line
+    it gives on a live stdout, though its reader went away before the state was printed."""
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    _edit_json(_trace(run).with_name("normal-001-t0.snapshot.json"), edit)
+    argv = ["replay", str(_trace(run))]
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert _into_a_closed_stdout(argv) == (code, err.encode())
+
+
+def _into_a_closed_stdout(argv: list[str]) -> tuple[int, bytes]:
+    """The exit code and stderr of ``stagegate`` *argv*, warnings as errors, with stdout a pipe
+    whose reader closed before it started."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(stagegate.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
     read, write = os.pipe()
@@ -817,8 +842,7 @@ def test_a_closed_stdout_exits_141_with_nothing_on_stderr(tmp_path, finished_run
                               stdout=write, stderr=subprocess.PIPE, env=env, timeout=300)
     finally:
         os.close(write)
-    assert (done.returncode, done.stderr) == (141, b"")
-    assert (out_dir / "report.json").exists() == (command == "run")
+    return done.returncode, done.stderr
 
 
 @pytest.mark.parametrize("trace", [".", "/"])

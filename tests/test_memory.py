@@ -581,11 +581,14 @@ _VALID_FIELDS = {
 _BAD_PRECONDITION = st.one_of(
     st.tuples(_ANY_JSON, _ANY_JSON).map(list), st.lists(_ANY_JSON, max_size=4), _ANY_JSON)
 _FAULTS = ("swapped", "missing", "extra", "bad-precondition")
+# text around an event's JSON: none, JSON whitespace that ends no line, or data after the value
+_DRESSINGS = (("", ""),) * 4 + ((" ", ""), ("", "\t"), ("\t ", " "), ("", "x"), ("", " {}"), ("", "]"))
 
 
 @st.composite
 def _trace_line(draw) -> str:
-    """One trace line: an event with up to two faults, a blank line or junk."""
+    """One trace line: an event with up to two faults, maybe padded or followed by junk; a blank
+    line or junk."""
     kind = draw(st.sampled_from(("event", "event", "event", "blank", "junk")))
     if kind == "blank":
         return draw(st.sampled_from(("", " ", "\t ")))
@@ -604,7 +607,8 @@ def _trace_line(draw) -> str:
             raw |= draw(extra)
         else:
             raw["precondition_results"] = draw(st.lists(_BAD_PRECONDITION, min_size=1, max_size=3))
-    return json.dumps(raw, ensure_ascii=draw(st.booleans()))
+    before, after = draw(st.sampled_from(_DRESSINGS))
+    return before + json.dumps(raw, ensure_ascii=draw(st.booleans())) + after
 
 
 @st.composite
@@ -637,7 +641,9 @@ _BAD_PRECONDITIONS = (["x", 1], [1, True], ["x"], ["x", True, 1], "xy", 1, None,
 def test_each_field_at_each_json_type_reads_as_the_reference_reader(tmp_path):
     """Every field missing, at every JSON type, or holding each malformed precondition entry;
     every pair of fields both missing and both at a wrong type, so the first fault of each pair
-    is named; a leading BOM, CRLF line ends with a blank line, and a byte that is not UTF-8."""
+    is named; a leading BOM, CRLF line ends with a blank line, and a byte that is not UTF-8; an
+    event led or trailed by JSON whitespace or followed by data, and a raw U+2028 in a string,
+    which ends the line there."""
     event = json.loads(_event("g", 1).to_line()) | {"precondition_results": [["ok", True]]}
     raws = [event, event | {"extra": [1]}]
     for key in event:
@@ -661,7 +667,10 @@ def test_each_field_at_each_json_type_reads_as_the_reference_reader(tmp_path):
         outcomes.add(outcome if isinstance(outcome, str) else "events")
     assert len(outcomes) > 40  # each fault names its own field and type
     line = json.dumps(event).encode()
-    for data in (codecs.BOM_UTF8 + line, line + b"\r\n\r\n" + line, line + b"\n\xff"):
+    split = json.dumps(event | {"goal_id": "a\u2028b"}, ensure_ascii=False).encode()
+    for data in (codecs.BOM_UTF8 + line, line + b"\r\n\r\n" + line, line + b"\n\xff",
+                 b" " + line, line + b"\t", line + b"x", line + line,
+                 line + b"\n" + codecs.BOM_UTF8 + line, split):
         path.write_bytes(data)
         assert _read_outcome(load_trace, path) == _read_outcome(reference_load_trace, path), data
 
