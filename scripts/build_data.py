@@ -4,7 +4,7 @@
 Every bundle is hand-authored JSON and is this script's input, never its
 output: ``data/hr/*.json`` for the hiring domain and ``data/sgd/<D>/*.json``
 for the eight service domains.  Each suite is generated from templates,
-labeled by the forward simulator and self-checked against its authored
+labeled by ``label_scenario`` and self-checked against its authored
 structure before it is written, so the shipped JSON cannot drift from the
 documented shape.  Rerun this script after editing a bundle to relabel its
 suite; running it twice produces byte-identical files.
@@ -21,17 +21,18 @@ from __future__ import annotations
 
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
-from stagegate.errors import ConfigError  # noqa: E402
+from stagegate.dispatcher import BLOCK_OUTCOMES  # noqa: E402
+from stagegate.errors import ConfigError, file_safe_id, json_container  # noqa: E402
 from stagegate.scenarios import (  # noqa: E402
     DomainBundle,
     LabeledMessage,
     Scenario,
-    label_scenario,
     load_domain,
     save_suite,
     simulate_scenario,
@@ -321,6 +322,102 @@ def build_sgd_suite(domain: str, bundle: DomainBundle, seed: int = 1207) -> list
             f"({total_turns} vs {SGD_NORMAL_TURNS[domain] + 20})"
         )
     return scenarios
+
+
+# -- labeling and schema-guided dialogue conversion -----------------------------
+
+
+def label_scenario(bundle: DomainBundle, scenario: Scenario) -> Scenario:
+    """Set expected_legal and expected_final_stage from one forward simulation.
+
+    A track's final stage is where its last decision leaves it.
+    """
+    final = dict.fromkeys(scenario.tracks(), bundle.automaton.initial)
+    messages = []
+    for msg, decision in zip(scenario.messages, simulate_scenario(bundle, scenario)):
+        final[msg.track] = decision.stage_after
+        messages.append(replace(msg, expected_legal=decision.outcome not in BLOCK_OUTCOMES))
+    return replace(scenario, messages=tuple(messages), expected_final_stage=final)
+
+
+def convert_dialogues(
+    dialogues: list[Mapping[str, Any]],
+    bundle: DomainBundle,
+    intent_map: Mapping[str, str] | None = None,
+) -> list[Scenario]:
+    """Convert schema-guided service dialogues into labeled scenarios.
+
+    Thin converter for holders of the original dataset.  Documented input
+    subset, per dialogue::
+
+        {"dialogue_id": str,
+         "turns": [{"speaker": "USER" | "SYSTEM",
+                    "utterance": str,
+                    "frames": [{"state": {"active_intent": str}}, ...]}, ...]}
+
+    Only USER turns are kept.  ``intent_map`` translates the dialogue's
+    active-intent names to this domain's intents and becomes the message's
+    labeling intent; a value that is not a string naming one of the
+    bundle's intents is a ConfigError naming its key.  Unmapped or absent
+    intents fall back to routing the utterance text.  Labels and expected
+    final stages come from the forward simulation, exactly as for authored
+    suites.  Fields are read at their exact JSON types, nothing coerced:
+    *dialogues*, ``turns`` and ``frames`` must be lists, and each dialogue,
+    turn, frame and ``state`` an object.  A field of the wrong type is a
+    ConfigError naming the dialogue and, from its ``turns`` inward, the
+    turn's position; a dialogue that is not an object names its position in
+    *dialogues*, and a ``dialogue_id``, ``utterance`` or ``active_intent``
+    that is not a string is refused too, and so is a ``dialogue_id`` that an
+    earlier dialogue already took, since it becomes the scenario id.
+    """
+    intent_map = dict(intent_map or {})
+    for key, intent in intent_map.items():
+        if type(intent) is not str or intent not in bundle.automaton.intents:
+            raise ConfigError(f"intent_map {key!r}: {intent!r} is not an intent of the domain")
+    scenarios: dict[str, Scenario] = {}
+    for index, dialogue in enumerate(json_container(dialogues, list, "dialogues")):
+        json_container(dialogue, dict, f"dialogue at position {index}")
+        did = dialogue.get("dialogue_id", "")
+        if type(did) is not str:
+            raise ConfigError(f"dialogue {did!r}: dialogue_id must be a string")
+        if not did:
+            raise ConfigError("dialogue missing dialogue_id")
+        file_safe_id(did, "dialogue_id")
+        if did in scenarios:
+            raise ConfigError(f"duplicate dialogue_id {did!r}")
+        messages: list[LabeledMessage] = []
+        turns = json_container(dialogue.get("turns", []), list, f"dialogue {did!r}: turns")
+        for position, turn in enumerate(turns):
+            where = f"dialogue {did!r}: turn {position}"
+            if json_container(turn, dict, where).get("speaker") != "USER":
+                continue
+            if "utterance" not in turn:
+                raise ConfigError(f"{where}: USER turn missing utterance")
+            text = turn["utterance"]
+            if type(text) is not str:
+                raise ConfigError(f"{where}: utterance must be a string")
+            active = None
+            for frame in json_container(turn.get("frames", []), list, f"{where}: frames"):
+                json_container(frame, dict, f"{where}: a frame")
+                state = json_container(frame.get("state", {}), dict, f"{where}: state")
+                active = state.get("active_intent")
+                if "active_intent" in state and type(active) is not str:
+                    raise ConfigError(f"{where}: active_intent must be a string")
+                if active:
+                    break
+            label_intent = intent_map.get(active) if active else None
+            messages.append(
+                LabeledMessage(
+                    text=text,
+                    expected_legal=True,  # placeholder, relabeled below
+                    turn_index=len(messages),
+                    label_intent=label_intent,
+                )
+            )
+        if not messages:
+            raise ConfigError(f"dialogue {did!r} has no USER turns")
+        scenarios[did] = label_scenario(bundle, Scenario(did, "normal", tuple(messages)))
+    return list(scenarios.values())
 
 
 def main() -> int:

@@ -81,10 +81,8 @@ from .scenarios import (
     Scenario,
     bundle_from_dicts,
     check_bundle,
-    convert_dialogues,
     detect_latent,
     inject_illegal,
-    label_scenario,
     load_domain,
     load_suite,
     save_suite,

@@ -258,7 +258,6 @@ def cmd_inject(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     if out_path.is_dir():
         raise CommandError(f"error: {out_path} is a directory; --out names the suite file")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     normals = [
         s for s in scenarios
         if s.type == "normal" and all(m.expected_legal for m in s.messages)
@@ -272,6 +271,7 @@ def cmd_inject(args: argparse.Namespace) -> int:
         ]
     except StagegateError as exc:
         raise CommandError(f"error: {exc}", EXIT_VALIDATION) from None
+    out_path.parent.mkdir(parents=True, exist_ok=True)  # only once there is something to write
     try:
         save_suite(out_path, f"{Path(args.suite).stem}-injected", bundle.name, variants)
     except OSError as exc:  # the disk fills or --out cannot be written

@@ -1,4 +1,4 @@
-"""Scenario and domain-bundle ingestion, labeling, and adversarial variants.
+"""Scenario and domain-bundle ingestion, forward simulation, and adversarial variants.
 
 A domain bundle is a directory of four JSON files (automaton, skills,
 patterns, fixtures) that must cross-validate before anything runs.  Suites
@@ -7,7 +7,9 @@ Ground-truth legality labels come from a forward simulator that folds the
 gate kernel ``decide`` over the declarative configs without executing
 anything and returns its own ``Decision`` per message, so labels never
 depend on the executor, the router's fallback or the goal store of the
-dispatcher under test.
+dispatcher under test.  The labels are set offline, by
+``scripts/build_data.py``; the runtime reads them from suite files, and
+``inject_illegal`` labels its own variants.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ class Scenario:
     scenario_id: str
     type: str
     messages: tuple[LabeledMessage, ...]
-    expected_final_stage: Mapping[int, StageId] = field(default_factory=dict)  # set by label_scenario
+    expected_final_stage: Mapping[int, StageId] = field(default_factory=dict)  # labeled by scripts/build_data.py
 
     def tracks(self) -> list[int]:
         return sorted({m.track for m in self.messages})
@@ -384,19 +386,6 @@ def simulate_scenario(
     return decisions
 
 
-def label_scenario(bundle: DomainBundle, scenario: Scenario) -> Scenario:
-    """Set expected_legal and expected_final_stage from one forward simulation.
-
-    A track's final stage is where its last decision leaves it.
-    """
-    final = dict.fromkeys(scenario.tracks(), bundle.automaton.initial)
-    messages = []
-    for msg, decision in zip(scenario.messages, simulate_scenario(bundle, scenario)):
-        final[msg.track] = decision.stage_after
-        messages.append(replace(msg, expected_legal=decision.outcome not in BLOCK_OUTCOMES))
-    return replace(scenario, messages=tuple(messages), expected_final_stage=final)
-
-
 # -- adversarial variants --------------------------------------------------------
 
 
@@ -468,87 +457,6 @@ def inject_illegal(
     spliced = [*scenario.messages[:position], injected, *scenario.messages[position:]]
     messages = tuple(replace(msg, turn_index=i) for i, msg in enumerate(spliced))
     return replace(scenario, scenario_id=sid, type="illegal", messages=messages)
-
-
-# -- schema-guided dialogue conversion ---------------------------------------------
-
-
-def convert_dialogues(
-    dialogues: list[Mapping[str, Any]],
-    bundle: DomainBundle,
-    intent_map: Mapping[str, str] | None = None,
-) -> list[Scenario]:
-    """Convert schema-guided service dialogues into labeled scenarios.
-
-    Thin converter for holders of the original dataset.  Documented input
-    subset, per dialogue::
-
-        {"dialogue_id": str,
-         "turns": [{"speaker": "USER" | "SYSTEM",
-                    "utterance": str,
-                    "frames": [{"state": {"active_intent": str}}, ...]}, ...]}
-
-    Only USER turns are kept.  ``intent_map`` translates the dialogue's
-    active-intent names to this domain's intents and becomes the message's
-    labeling intent; a value that is not a string naming one of the
-    bundle's intents is a ConfigError naming its key.  Unmapped or absent
-    intents fall back to routing the utterance text.  Labels and expected
-    final stages come from the forward simulation, exactly as for authored
-    suites.  Fields are read at their exact JSON types, nothing coerced:
-    *dialogues*, ``turns`` and ``frames`` must be lists, and each dialogue,
-    turn, frame and ``state`` an object.  A field of the wrong type is a
-    ConfigError naming the dialogue and, from its ``turns`` inward, the
-    turn's position; a dialogue that is not an object names its position in
-    *dialogues*, and a ``dialogue_id``, ``utterance`` or ``active_intent``
-    that is not a string is refused too.
-    """
-    intent_map = dict(intent_map or {})
-    for key, intent in intent_map.items():
-        if type(intent) is not str or intent not in bundle.automaton.intents:
-            raise ConfigError(f"intent_map {key!r}: {intent!r} is not an intent of the domain")
-    scenarios: list[Scenario] = []
-    for index, dialogue in enumerate(json_container(dialogues, list, "dialogues")):
-        json_container(dialogue, dict, f"dialogue at position {index}")
-        did = dialogue.get("dialogue_id", "")
-        if type(did) is not str:
-            raise ConfigError(f"dialogue {did!r}: dialogue_id must be a string")
-        if not did:
-            raise ConfigError("dialogue missing dialogue_id")
-        file_safe_id(did, "dialogue_id")
-        messages: list[LabeledMessage] = []
-        turns = json_container(dialogue.get("turns", []), list, f"dialogue {did!r}: turns")
-        for position, turn in enumerate(turns):
-            where = f"dialogue {did!r}: turn {position}"
-            if json_container(turn, dict, where).get("speaker") != "USER":
-                continue
-            if "utterance" not in turn:
-                raise ConfigError(f"{where}: USER turn missing utterance")
-            text = turn["utterance"]
-            if type(text) is not str:
-                raise ConfigError(f"{where}: utterance must be a string")
-            active = None
-            for frame in json_container(turn.get("frames", []), list, f"{where}: frames"):
-                json_container(frame, dict, f"{where}: a frame")
-                state = json_container(frame.get("state", {}), dict, f"{where}: state")
-                active = state.get("active_intent")
-                if "active_intent" in state and type(active) is not str:
-                    raise ConfigError(f"{where}: active_intent must be a string")
-                if active:
-                    break
-            label_intent = intent_map.get(active) if active else None
-            messages.append(
-                LabeledMessage(
-                    text=text,
-                    expected_legal=True,  # placeholder, relabeled below
-                    turn_index=len(messages),
-                    label_intent=label_intent,
-                )
-            )
-        if not messages:
-            raise ConfigError(f"dialogue {did!r} has no USER turns")
-        scenario = Scenario(did, "normal", tuple(messages))
-        scenarios.append(label_scenario(bundle, scenario))
-    return scenarios
 
 
 # -- latent violations --------------------------------------------------------------

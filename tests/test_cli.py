@@ -773,6 +773,18 @@ def test_malformed_artifacts_exit_without_traceback(case, tmp_path, finished_run
     assert (sorted(run.rglob("*")), _files(run)) == before
 
 
+@pytest.mark.parametrize("case", ["inject-without-legal-normals", "inject-premature-terminal-on-hr"])
+def test_a_refused_inject_makes_no_directory(case, tmp_path, capsys):
+    """``--out``'s parents are made only once there are variants to write."""
+    breaker, code, reported = MALFORMED[case]
+    argv = breaker(tmp_path)
+    argv[argv.index("--out") + 1] = str(tmp_path / "injout" / "a" / "b" / "v.json")
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == code
+    assert capsys.readouterr().err.startswith(reported)
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize(
     "command", ["validate", "run", "ablate", "inject", "replay", "replay-snapshot", "report"])
 def test_a_path_name_too_long_is_an_input_fault(tmp_path, capsys, command):

@@ -18,7 +18,6 @@ from stagegate.scenarios import (
     LabeledMessage,
     Scenario,
     check_bundle,
-    convert_dialogues,
     detect_latent,
     inject_illegal,
     load_domain,
@@ -230,11 +229,11 @@ def test_a_scenario_id_that_could_name_a_path_is_refused(hr_bundle, sid):
 
 
 @pytest.mark.parametrize("did", UNSAFE_IDS)
-def test_a_dialogue_id_that_could_name_a_path_is_refused(did):
+def test_a_dialogue_id_that_could_name_a_path_is_refused(build_data, did):
     bundle = load_domain(sgd_domain_dir("Banks_1"))
     dialogue = {"dialogue_id": did, "turns": [_user_turn("check my balance")]}
     with pytest.raises(ConfigError, match=rf"^dialogue_id .* {re.escape(UNSAFE_IDS[did])}$"):
-        convert_dialogues([dialogue], bundle)
+        build_data.convert_dialogues([dialogue], bundle)
 
 
 def test_a_suite_domain_must_be_a_string(hr_bundle, hr_suite):
@@ -600,9 +599,7 @@ def test_shared_routing_dict_leaves_simulation_unchanged(name, hr_bundle, hr_sui
 # -- latent detection -----------------------------------------------------------------
 
 
-def test_convert_dialogues_from_schema_guided_form():
-    from stagegate.scenarios import convert_dialogues
-
+def test_convert_dialogues_from_schema_guided_form(build_data):
     bundle = load_domain(sgd_domain_dir("Hotels_1"))
     dialogues = [
         {
@@ -624,7 +621,7 @@ def test_convert_dialogues_from_schema_guided_form():
         },
     ]
     intent_map = {"FindHotel": "search_hotel", "ReserveHotel": "reserve_hotel"}
-    scenarios = convert_dialogues(dialogues, bundle, intent_map)
+    scenarios = build_data.convert_dialogues(dialogues, bundle, intent_map)
     assert [s.scenario_id for s in scenarios] == ["conv-001", "conv-002"]
     first, second = scenarios
     assert len(first.messages) == 2  # SYSTEM turn dropped
@@ -637,12 +634,10 @@ def test_convert_dialogues_from_schema_guided_form():
     assert detect_latent(run.steps)[0].scenario.scenario_id == "conv-002"
 
 
-def test_convert_dialogues_rejects_empty_user_turns():
-    from stagegate.scenarios import convert_dialogues
-
+def test_convert_dialogues_rejects_empty_user_turns(build_data):
     bundle = load_domain(sgd_domain_dir("Hotels_1"))
     with pytest.raises(ConfigError, match="no USER turns"):
-        convert_dialogues(
+        build_data.convert_dialogues(
             [{"dialogue_id": "x", "turns": [{"speaker": "SYSTEM", "utterance": "hi"}]}],
             bundle,
         )
@@ -701,20 +696,28 @@ BALANCE = {"dialogue_id": "d", "turns": [_user_turn("check my balance", "CheckBa
          "list-dialogue", "string-dialogue", "integer-dialogue", "integer-intent", "unknown-intent",
          "null-intent", "unused-list-intent"],
 )
-def test_convert_dialogues_reads_exact_types(dialogue, intent_map, reported):
+def test_convert_dialogues_reads_exact_types(build_data, dialogue, intent_map, reported):
     """Nothing is coerced: a field of the wrong type names its dialogue and turn, an intent_map
     value that is no intent of the domain its key."""
     bundle = load_domain(sgd_domain_dir("Banks_1"))
     with pytest.raises(ConfigError, match=reported):
-        convert_dialogues([dialogue], bundle, intent_map)
+        build_data.convert_dialogues([dialogue], bundle, intent_map)
 
 
 @pytest.mark.parametrize("dialogues", [{"x": {"dialogue_id": "x", "turns": []}}, "ab", ({"dialogue_id": "x"},)],
                          ids=["object", "string", "tuple"])
-def test_convert_dialogues_takes_a_list(dialogues):
+def test_convert_dialogues_takes_a_list(build_data, dialogues):
     bundle = load_domain(sgd_domain_dir("Banks_1"))
     with pytest.raises(ConfigError, match=rf"^dialogues must be a list, not {type(dialogues).__name__}$"):
-        convert_dialogues(dialogues, bundle)
+        build_data.convert_dialogues(dialogues, bundle)
+
+
+def test_convert_dialogues_refuses_a_repeated_dialogue_id(build_data):
+    """The dialogue id becomes the scenario id, which a suite and a run both need unique."""
+    bundle = load_domain(sgd_domain_dir("Banks_1"))
+    other = BALANCE | {"dialogue_id": "e"}
+    with pytest.raises(ConfigError, match=r"^duplicate dialogue_id 'd'$"):
+        build_data.convert_dialogues([BALANCE, other, BALANCE], bundle, BANKS_MAP)
 
 
 def test_latent_detection_counts_equal_blocked_normal_events():
