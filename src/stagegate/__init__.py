@@ -35,9 +35,6 @@ from .errors import (
 )
 from .evaluation import (
     ABLATION_CONFIGS,
-    BlockingMetrics,
-    ConfigComparison,
-    Confusion,
     EvalReport,
     blocking_metrics,
     compare_configs,

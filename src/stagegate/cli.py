@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .dispatcher import DispatchToggles
 from .errors import ConfigError, IntegrityFault, StagegateError, parsing
-from .evaluation import ABLATION_CONFIGS, EvalReport, compare_configs, compute_report, render_report
+from .evaluation import EvalReport, compare_configs, comparison_text, compute_report, render_report
 from .memory import FileEventStore, load_trace, replay_events
 from .runner import RunResult, goal_id_for, run_suite
 from .scenarios import (
@@ -240,13 +240,16 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     table_path = out_dir / "ablation.json"
     if table_path.is_dir():  # refuse before four configurations run for nothing
         raise CommandError(f"error: {table_path} is a directory; ablate writes its table there")
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        comparison = compare_configs(bundle, scenarios, ABLATION_CONFIGS)
-        table_path.write_text(_json_text(comparison.to_dict()), encoding="utf-8")
-    except (StagegateError, OSError) as exc:
+        comparison = compare_configs(bundle, scenarios)
+    except StagegateError as exc:
         raise CommandError(f"runtime fault: {exc}", EXIT_RUNTIME) from None
-    print(comparison.to_text())
+    out_dir.mkdir(parents=True, exist_ok=True)  # only once there is a table to write
+    try:
+        table_path.write_text(_json_text(comparison), encoding="utf-8")
+    except OSError as exc:  # the disk fills or the table cannot be written
+        raise CommandError(f"runtime fault: {exc}", EXIT_RUNTIME) from None
+    print(comparison_text(comparison))
     print(f"\nablation table written to {table_path}")
     return EXIT_OK
 

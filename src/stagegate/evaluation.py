@@ -1,5 +1,8 @@
 """Governance metrics over completed runs: rates, confusion, comparisons.
 
+Each part of a report is the JSON it is written as: ``blocking``, the ``per_type``
+rows and the ``ablation.json`` object are plain dicts, and the text forms read them.
+
 A report is one walk over the run's steps, each read through its scenario,
 message and event; a step and its label join by ``(scenario_id, turn_index)``.
 The blocking confusion treats ILLEGAL_TRANSITION and PRECONDITION_FAIL as
@@ -17,13 +20,16 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Any, Mapping, Sequence
 
-from .dispatcher import BLOCK_OUTCOMES, FULL, DispatchToggles
+from .dispatcher import BLOCK_OUTCOMES, DispatchToggles
 from .errors import IntegrityFault
 from .memory import ProcessEvent
 from .runner import RunResult, goal_id_for, run_suite
 from .scenarios import DomainBundle, Scenario, simulate_scenario
 
 TALLY_ORDER = ("SUCCESS", "ILLEGAL_TRANSITION", "PRECONDITION_FAIL", "SKILL_NOT_FOUND")
+# One scenario type's counts; "violations" are its stage-gate blocks (illegal transitions).
+_TYPE_TALLY = ("n", "completed", "steps", "blocked", "violations", "precondition_failures",
+               "violating_steps", "scenarios_with_violation")
 
 
 def _pct(value: float | None) -> str:
@@ -33,42 +39,23 @@ def _pct(value: float | None) -> str:
 # -- confusion arithmetic -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Confusion:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
-
-@dataclass(frozen=True)
-class BlockingMetrics:
-    confusion: Confusion
-    accuracy: float | None
-    precision: float
-    recall: float
-    f1: float
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-
-def blocking_metrics(confusion: Confusion) -> BlockingMetrics:
-    """Derived rates with the empty-denominator conventions pinned.
+def blocking_metrics(tp: int, fp: int, fn: int, tn: int) -> dict[str, Any]:
+    """``report.json``'s ``blocking`` object, with the empty-denominator conventions pinned.
 
     precision = 1.0 when tp+fp = 0, recall = 1.0 when tp+fn = 0, f1 = 0 when
     precision+recall = 0, accuracy undefined (None) on an empty matrix.
     """
-    tp, fp, fn, tn = confusion.tp, confusion.fp, confusion.fn, confusion.tn
+    total = tp + fp + fn + tn
     precision = 1.0 if tp + fp == 0 else tp / (tp + fp)
     recall = 1.0 if tp + fn == 0 else tp / (tp + fn)
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
-    accuracy = None if confusion.total == 0 else (tp + tn) / confusion.total
-    return BlockingMetrics(confusion, accuracy, precision, recall, f1)
+    return {
+        "confusion": {"tp": tp, "fp": fp, "fn": fn, "tn": tn},
+        "accuracy": None if total == 0 else (tp + tn) / total,
+        "precision": precision,
+        "recall": recall,
+        "f1": f1,
+    }
 
 
 # -- outcome tally ------------------------------------------------------------
@@ -96,29 +83,6 @@ class TraceDistribution:
 
 
 @dataclass
-class TypeBreakdown:
-    n: int = 0
-    completed: int = 0
-    steps: int = 0
-    blocked: int = 0
-    violations: int = 0  # stage-gate blocks (illegal transitions)
-    precondition_failures: int = 0
-    violating_steps: int = 0
-    scenarios_with_violation: int = 0
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "tcr": None if self.n == 0 else self.completed / self.n,
-            "cvr": None if self.steps == 0 else self.violating_steps / self.steps,
-            "cvr_scenarios": None if self.n == 0 else self.scenarios_with_violation / self.n,
-            "blocked": self.blocked,
-            "violations": self.violations,
-            "precondition_failures": self.precondition_failures,
-        }
-
-
-@dataclass
 class EvalReport:
     n_scenarios: int
     n_messages: int
@@ -126,13 +90,13 @@ class EvalReport:
     cvr: float | None
     sta: float | None
     trc: float | None
-    blocking: BlockingMetrics
+    blocking: dict[str, Any]
     distribution: TraceDistribution
     blocked_total: int
     blocked_stage_gate: int
     blocked_precondition: int
-    per_type: dict[str, TypeBreakdown]
-    toggles: DispatchToggles = FULL
+    per_type: dict[str, dict[str, Any]]
+    toggles: DispatchToggles
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -145,9 +109,9 @@ class EvalReport:
             "blocked_total": self.blocked_total,
             "blocked_stage_gate": self.blocked_stage_gate,
             "blocked_precondition": self.blocked_precondition,
-            "blocking": self.blocking.to_dict(),
+            "blocking": self.blocking,
             "trace_distribution": self.distribution.to_dict(),
-            "per_type": {k: v.to_dict() for k, v in sorted(self.per_type.items())},
+            "per_type": self.per_type,
             "toggles": asdict(self.toggles),
         }
 
@@ -208,13 +172,13 @@ def compute_report(run: RunResult, bundle: DomainBundle) -> EvalReport:
     :class:`IntegrityFault` naming the key.
     """
     manager = run.manager
-    per_type: dict[str, TypeBreakdown] = {}
-    expected: dict[tuple[str, int], tuple[TypeBreakdown, tuple[str, str]]] = {}
+    tallies = {name: dict.fromkeys(_TYPE_TALLY, 0) for name in sorted({s.type for s in run.scenarios})}
+    expected: dict[tuple[str, int], tuple[dict[str, int], tuple[str, str]]] = {}
     routed: dict[str, str] = {}
     goal_ids: list[str] = []
     for scenario in run.scenarios:
-        row = per_type.setdefault(scenario.type, TypeBreakdown())
-        row.n += 1
+        tally = tallies[scenario.type]
+        tally["n"] += 1
         # Completion: every track of the scenario ends at its expected stage.
         completed = True
         for track in scenario.tracks():
@@ -222,11 +186,11 @@ def compute_report(run: RunResult, bundle: DomainBundle) -> EvalReport:
             goal_ids.append(gid)
             if manager.goal(gid).current_stage != scenario.expected_final_stage.get(track):
                 completed = False
-        row.completed += completed
+        tally["completed"] += completed
         # State-transition accuracy is judged against the forward simulation.
         for msg, decision in zip(scenario.messages, simulate_scenario(bundle, scenario, routed)):
             expected[scenario.scenario_id, msg.turn_index] = (
-                row, (decision.stage_before, decision.stage_after)
+                tally, (decision.stage_before, decision.stage_after)
             )
 
     # Replayable-trace coverage: a step counts when its goal's log replays to
@@ -247,7 +211,7 @@ def compute_report(run: RunResult, bundle: DomainBundle) -> EvalReport:
         scenario_id = scenario.scenario_id
         key = (scenario_id, message.turn_index)
         try:
-            row, move = expected.pop(key)
+            tally, move = expected.pop(key)
         except KeyError:
             raise IntegrityFault(
                 f"step {key} matches no label: its scenario is not in the run, or it repeats a step"
@@ -256,46 +220,52 @@ def compute_report(run: RunResult, bundle: DomainBundle) -> EvalReport:
             counts[outcome] += 1
         except KeyError:
             raise IntegrityFault(f"step {key} has outcome {outcome!r}, which no tally holds") from None
-        row.steps += 1
+        tally["steps"] += 1
         sta_hits += move == (event.stage_before, event.stage_after)
         trc_steps += consistent.get(event.goal_id, False)
         blocked = outcome in BLOCK_OUTCOMES
         cells[blocked, message.expected_legal] += 1
         if blocked:
-            row.blocked += 1
-            if outcome == "ILLEGAL_TRANSITION":
-                row.violations += 1
-            else:
-                row.precondition_failures += 1
+            tally["blocked"] += 1
+            tally["violations" if outcome == "ILLEGAL_TRANSITION" else "precondition_failures"] += 1
         if step_is_violation(event, bundle):
-            row.violating_steps += 1
+            tally["violating_steps"] += 1
             if scenario_id not in violating_ids:
                 violating_ids.add(scenario_id)
-                row.scenarios_with_violation += 1
+                tally["scenarios_with_violation"] += 1
     if expected:
         raise IntegrityFault(
             f"{len(expected)} labelled message(s) have no step, first {next(iter(expected))}"
         )
 
     total = len(run.steps)
-    rows = per_type.values()
+    sums = {key: sum(t[key] for t in tallies.values()) for key in _TYPE_TALLY}
     return EvalReport(
         n_scenarios=len(run.scenarios),
         n_messages=total,
-        tcr=None if not run.scenarios else sum(r.completed for r in rows) / len(run.scenarios),
-        cvr=None if total == 0 else sum(r.violating_steps for r in rows) / total,
+        tcr=None if not run.scenarios else sums["completed"] / len(run.scenarios),
+        cvr=None if total == 0 else sums["violating_steps"] / total,
         sta=None if total == 0 else sta_hits / total,
         trc=None if total == 0 else trc_steps / total,
         blocking=blocking_metrics(
-            Confusion(
-                tp=cells[True, False], fp=cells[True, True], fn=cells[False, False], tn=cells[False, True]
-            )
+            tp=cells[True, False], fp=cells[True, True], fn=cells[False, False], tn=cells[False, True]
         ),
         distribution=TraceDistribution(counts=counts, total=total),
-        blocked_total=sum(r.blocked for r in rows),
-        blocked_stage_gate=sum(r.violations for r in rows),
-        blocked_precondition=sum(r.precondition_failures for r in rows),
-        per_type=per_type,
+        blocked_total=sums["blocked"],
+        blocked_stage_gate=sums["violations"],
+        blocked_precondition=sums["precondition_failures"],
+        per_type={  # a type has a tally only if a scenario has it, so n >= 1
+            name: {
+                "n": t["n"],
+                "tcr": t["completed"] / t["n"],
+                "cvr": None if t["steps"] == 0 else t["violating_steps"] / t["steps"],
+                "cvr_scenarios": t["scenarios_with_violation"] / t["n"],
+                "blocked": t["blocked"],
+                "violations": t["violations"],
+                "precondition_failures": t["precondition_failures"],
+            }
+            for name, t in tallies.items()
+        },
         toggles=run.toggles,
     )
 
@@ -310,48 +280,38 @@ ABLATION_CONFIGS: tuple[tuple[str, DispatchToggles], ...] = (
 )
 
 
-@dataclass
-class ConfigComparison:
-    reports: dict[str, EvalReport]
-    baseline: str = "full"
-
-    def deltas(self) -> dict[str, dict[str, float | None]]:
-        base = self.reports[self.baseline]
-        out: dict[str, dict[str, float | None]] = {}
-        for name, report in self.reports.items():
-            row: dict[str, float | None] = {"blocked_total": report.blocked_total - base.blocked_total}
-            for key in ("cvr", "tcr", "trc"):
-                value, ref = getattr(report, key), getattr(base, key)
-                row[key] = None if value is None or ref is None else value - ref
-            out[name] = row
-        return out
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "baseline": self.baseline,
-            "reports": {name: report.to_dict() for name, report in self.reports.items()},
-            "deltas": self.deltas(),
-        }
-
-    def to_text(self) -> str:
-        lines = [f"{'config':<18}{'TCR':>9}{'CVR':>9}{'TRC':>9}{'Blk':>6}"]
-        for name, report in self.reports.items():
-            lines.append(
-                f"{name:<18}{_pct(report.tcr):>9}{_pct(report.cvr):>9}"
-                f"{_pct(report.trc):>9}{report.blocked_total:>6}"
-            )
-        return "\n".join(lines)
-
-
 def compare_configs(
     bundle: DomainBundle,
     scenarios: Sequence[Scenario],
     configs: Sequence[tuple[str, DispatchToggles]] = ABLATION_CONFIGS,
-) -> ConfigComparison:
-    """Run the same suite under each toggle set and report side by side."""
-    reports: dict[str, EvalReport] = {}
-    for name, toggles in configs:
-        run = run_suite(bundle, scenarios, toggles=toggles)
-        reports[name] = compute_report(run, bundle)
+) -> dict[str, Any]:
+    """Run the same suite under each toggle set: the ``ablation.json`` object.
+
+    ``reports`` holds each configuration's ``report.json`` object by name; each
+    ``deltas`` entry is its report minus the first one's, null where a rate is.
+    """
+    reports = {
+        name: compute_report(run_suite(bundle, scenarios, toggles=toggles), bundle).to_dict()
+        for name, toggles in configs
+    }
     baseline = configs[0][0]
-    return ConfigComparison(reports=reports, baseline=baseline)
+    base = reports[baseline]
+    deltas = {
+        name: {
+            key: None if report[key] is None or base[key] is None else report[key] - base[key]
+            for key in ("blocked_total", "cvr", "tcr", "trc")
+        }
+        for name, report in reports.items()
+    }
+    return {"baseline": baseline, "reports": reports, "deltas": deltas}
+
+
+def comparison_text(payload: Mapping[str, Any]) -> str:
+    """Text form of an ablation payload: ``compare_configs``' object or a read-back ``ablation.json``."""
+    lines = [f"{'config':<18}{'TCR':>9}{'CVR':>9}{'TRC':>9}{'Blk':>6}"]
+    for name, report in payload["reports"].items():
+        lines.append(
+            f"{name:<18}{_pct(report['tcr']):>9}{_pct(report['cvr']):>9}"
+            f"{_pct(report['trc']):>9}{report['blocked_total']:>6}"
+        )
+    return "\n".join(lines)

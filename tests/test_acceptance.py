@@ -17,7 +17,6 @@ from stagegate.cli import main
 from stagegate.dispatcher import DispatchDeps, dispatch
 from stagegate.evaluation import (
     ABLATION_CONFIGS,
-    Confusion,
     blocking_metrics,
     compare_configs,
     compute_report,
@@ -43,12 +42,12 @@ def _announce(number: int, label: str, detail: str) -> None:
 
 def test_criterion_1_metric_arithmetic_reproduction():
     start = time.perf_counter()
-    metrics = blocking_metrics(Confusion(tp=22, fp=0, fn=3, tn=857))
+    metrics = blocking_metrics(tp=22, fp=0, fn=3, tn=857)
     values = {
-        "accuracy": 100 * metrics.accuracy,
-        "precision": 100 * metrics.precision,
-        "recall": 100 * metrics.recall,
-        "f1": 100 * metrics.f1,
+        "accuracy": 100 * metrics["accuracy"],
+        "precision": 100 * metrics["precision"],
+        "recall": 100 * metrics["recall"],
+        "f1": 100 * metrics["f1"],
     }
     expected = {"accuracy": 99.7, "precision": 100.0, "recall": 88.0, "f1": 93.6}
     for key, target in expected.items():
@@ -165,26 +164,26 @@ def test_criterion_4_oracle_equivalence():
 def test_criterion_5_ablation_directions(hr_bundle, hr_suite):
     start = time.perf_counter()
     comparison = compare_configs(hr_bundle, hr_suite, ABLATION_CONFIGS)
-    full = comparison.reports["full"]
-    no_stage = comparison.reports["no_stage_check"]
-    no_pre = comparison.reports["no_precondition"]
-    no_audit = comparison.reports["no_audit"]
+    full = comparison["reports"]["full"]
+    no_stage = comparison["reports"]["no_stage_check"]
+    no_pre = comparison["reports"]["no_precondition"]
+    no_audit = comparison["reports"]["no_audit"]
 
-    assert no_stage.blocked_total > full.blocked_total, "w/o StageCheck must block strictly more"
-    assert no_stage.cvr > full.cvr, "w/o StageCheck must raise CVR strictly"
-    assert no_pre.blocked_total <= full.blocked_total, "w/o Precondition must not block more"
-    assert no_pre.cvr > full.cvr, "w/o Precondition must raise CVR strictly"
-    assert no_audit.trc == 0.0
-    assert no_audit.blocked_total == full.blocked_total
-    assert dict(no_audit.distribution.counts) == dict(full.distribution.counts)
-    assert no_audit.tcr == full.tcr and no_audit.cvr == full.cvr
+    assert no_stage["blocked_total"] > full["blocked_total"], "w/o StageCheck must block strictly more"
+    assert no_stage["cvr"] > full["cvr"], "w/o StageCheck must raise CVR strictly"
+    assert no_pre["blocked_total"] <= full["blocked_total"], "w/o Precondition must not block more"
+    assert no_pre["cvr"] > full["cvr"], "w/o Precondition must raise CVR strictly"
+    assert no_audit["trc"] == 0.0
+    assert no_audit["blocked_total"] == full["blocked_total"]
+    assert no_audit["trace_distribution"]["counts"] == full["trace_distribution"]["counts"]
+    assert no_audit["tcr"] == full["tcr"] and no_audit["cvr"] == full["cvr"]
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     _announce(
         5, "ablation direction",
-        f"blocked full={full.blocked_total} no-stage={no_stage.blocked_total} "
-        f"no-precondition={no_pre.blocked_total}; CVR {100 * full.cvr:.1f}% -> "
-        f"{100 * no_stage.cvr:.1f}%; no-audit TRC 0.0 with identical outcomes, {elapsed:.1f}s",
+        f"blocked full={full['blocked_total']} no-stage={no_stage['blocked_total']} "
+        f"no-precondition={no_pre['blocked_total']}; CVR {100 * full['cvr']:.1f}% -> "
+        f"{100 * no_stage['cvr']:.1f}%; no-audit TRC 0.0 with identical outcomes, {elapsed:.1f}s",
     )
 
 
@@ -217,7 +216,7 @@ def test_criterion_7_cross_domain_blocking():
         suite = load_suite(sgd_suite_path(domain), bundle)
         run = run_suite(bundle, suite)
         report = compute_report(run, bundle)
-        false_positives += report.blocking.confusion.fp
+        false_positives += report.blocking["confusion"]["fp"]
         by_id = {s.scenario_id: s for s in suite}
         for step in run.steps:
             if by_id[step.scenario.scenario_id].type == "illegal":

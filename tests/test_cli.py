@@ -343,6 +343,33 @@ def test_trace_and_snapshot_bytes_are_pinned(tmp_path, domain):
     assert digest.hexdigest() == TRACE_DIGESTS[domain]
 
 
+# sha256 of the hiring suite's text forms, as first recorded: `report`'s stdout for a `run --seed 1207`
+# directory, and `ablate`'s stdout up to its "ablation table written to" line
+TEXT_DIGESTS = {
+    "ablate": "89fc77fef4b15aa61c3014192b44c56e83937eb3052c479ccb7448c6525a25ef",
+    "report": "8f85db7cf4227959d14bbaab6e316194dfea97dd52d3cc9a721ab7429ae8e905",
+}
+
+
+def test_report_text_is_the_block_run_printed_and_is_pinned(tmp_path, capsys):
+    out_dir = tmp_path / "hr"
+    assert main(["run", "--domain", str(hr_domain_dir()), "--suite", str(hr_suite_path()),
+                 "--seed", "1207", "--out", str(out_dir)]) == 0
+    printed = capsys.readouterr().out
+    assert main(["report", str(out_dir)]) == 0
+    text = capsys.readouterr().out
+    assert text == printed[: printed.index("latency:")]
+    assert hashlib.sha256(text.encode()).hexdigest() == TEXT_DIGESTS["report"]
+
+
+def test_ablate_table_text_is_pinned(tmp_path, capsys):
+    assert main(["ablate", "--domain", str(hr_domain_dir()), "--suite", str(hr_suite_path()),
+                 "--out", str(tmp_path / "ablate")]) == 0
+    printed = capsys.readouterr().out
+    table = printed[: printed.index("ablation table written to")]
+    assert hashlib.sha256(table.encode()).hexdigest() == TEXT_DIGESTS["ablate"]
+
+
 def _files(root: Path) -> dict[Path, bytes]:
     return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
@@ -969,3 +996,18 @@ def test_ablate_runtime_faults_exit_three(tmp_path, small_suite, monkeypatch, ca
     assert main(argv) == 3
     assert capsys.readouterr().err == "runtime fault: seq gap\n"
     assert not (tmp_path / "ablate" / "ablation.json").exists()
+
+
+def test_a_faulted_ablation_makes_no_directory(tmp_path, small_suite, monkeypatch, capsys):
+    """``--out`` and its parents are made only once there is a table to write."""
+    from stagegate import cli
+    from stagegate.errors import IntegrityFault
+
+    def broken(*args, **kwargs):
+        raise IntegrityFault("seq gap", seq=4)
+
+    monkeypatch.setattr(cli, "compare_configs", broken)
+    assert main(["ablate", "--domain", str(hr_domain_dir()), "--suite", str(small_suite),
+                 "--out", str(tmp_path / "abl" / "x" / "y")]) == 3
+    assert capsys.readouterr().err == "runtime fault: seq gap\n"
+    assert list(tmp_path.iterdir()) == []

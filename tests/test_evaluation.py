@@ -12,9 +12,9 @@ from stagegate.dispatcher import DispatchToggles
 from stagegate.errors import IntegrityFault
 from stagegate.evaluation import (
     ABLATION_CONFIGS,
-    Confusion,
     blocking_metrics,
     compare_configs,
+    comparison_text,
     compute_report,
 )
 from stagegate.router import identify
@@ -24,21 +24,21 @@ from stagegate.suites import sgd_domain_dir, sgd_suite_path
 
 
 def test_paper_shaped_confusion_reproduces_reported_metrics():
-    metrics = blocking_metrics(Confusion(tp=22, fp=0, fn=3, tn=857))
-    assert round(100 * metrics.accuracy, 1) == 99.7
-    assert round(100 * metrics.precision, 1) == 100.0
-    assert round(100 * metrics.recall, 1) == 88.0
-    assert round(100 * metrics.f1, 1) == 93.6
+    metrics = blocking_metrics(tp=22, fp=0, fn=3, tn=857)
+    assert round(100 * metrics["accuracy"], 1) == 99.7
+    assert round(100 * metrics["precision"], 1) == 100.0
+    assert round(100 * metrics["recall"], 1) == 88.0
+    assert round(100 * metrics["f1"], 1) == 93.6
 
 
 def test_empty_positive_conventions():
-    metrics = blocking_metrics(Confusion(tp=0, fp=0, fn=0, tn=50))
-    assert metrics.precision == 1.0
-    assert metrics.recall == 1.0
-    assert metrics.accuracy == 1.0
-    empty = blocking_metrics(Confusion(0, 0, 0, 0))
-    assert empty.accuracy is None
-    assert empty.precision == 1.0 and empty.recall == 1.0
+    metrics = blocking_metrics(tp=0, fp=0, fn=0, tn=50)
+    assert metrics["precision"] == 1.0
+    assert metrics["recall"] == 1.0
+    assert metrics["accuracy"] == 1.0
+    empty = blocking_metrics(0, 0, 0, 0)
+    assert empty["accuracy"] is None
+    assert empty["precision"] == 1.0 and empty["recall"] == 1.0
 
 
 @settings(max_examples=150, deadline=None)
@@ -59,16 +59,16 @@ def test_confusion_matches_bruteforce_counter(pairs):
             tally["fn"] += 1
         else:
             tally["tn"] += 1
-    metrics = blocking_metrics(Confusion(**tally))
-    assert metrics.confusion.total == len(pairs)
+    metrics = blocking_metrics(**tally)
+    assert sum(metrics["confusion"].values()) == len(pairs)
     if tally["tp"] + tally["fp"]:
-        assert metrics.precision == tally["tp"] / (tally["tp"] + tally["fp"])
+        assert metrics["precision"] == tally["tp"] / (tally["tp"] + tally["fp"])
     else:
-        assert metrics.precision == 1.0
+        assert metrics["precision"] == 1.0
 
 
 def test_report_blocking_on_shipped_run(hr_report):
-    assert hr_report.blocking.confusion == Confusion(tp=22, fp=0, fn=3, tn=857)
+    assert hr_report.blocking["confusion"] == {"tp": 22, "fp": 0, "fn": 3, "tn": 857}
 
 
 # case -> (the run with one step/label join broken, the key the fault must name)
@@ -125,13 +125,13 @@ def test_report_fields_on_shipped_suite(hr_report):
     assert hr_report.trc == 1.0
     assert hr_report.tcr == 1.0
     assert round(100 * hr_report.cvr, 1) == 2.5
-    illegal = hr_report.per_type["illegal"].to_dict()
+    illegal = hr_report.per_type["illegal"]
     assert illegal["n"] == 25
     assert illegal["blocked"] == 22
     assert illegal["violations"] == 16
     assert illegal["precondition_failures"] == 6
     for name in ("normal", "rollback", "multi", "abort", "concurrent"):
-        assert hr_report.per_type[name].to_dict()["blocked"] == 0
+        assert hr_report.per_type[name]["blocked"] == 0
 
 
 def test_report_six_type_keys_for_hr(hr_report):
@@ -147,7 +147,7 @@ def test_report_two_type_keys_for_sgd():
 
 
 def test_per_type_blocked_sums_to_total(hr_report):
-    assert sum(row.blocked for row in hr_report.per_type.values()) == hr_report.blocked_total
+    assert sum(row["blocked"] for row in hr_report.per_type.values()) == hr_report.blocked_total
 
 
 def test_empty_suite_report_uses_conventions(hr_bundle):
@@ -155,8 +155,8 @@ def test_empty_suite_report_uses_conventions(hr_bundle):
     report = compute_report(run, hr_bundle)
     assert report.n_scenarios == 0 and report.n_messages == 0
     assert report.tcr is None and report.cvr is None and report.sta is None and report.trc is None
-    assert report.blocking.precision == 1.0 and report.blocking.recall == 1.0
-    assert report.blocking.accuracy is None
+    assert report.blocking["precision"] == 1.0 and report.blocking["recall"] == 1.0
+    assert report.blocking["accuracy"] is None
 
 
 def test_tcr_counts_the_scenarios_a_failing_executor_leaves_incomplete(hr_bundle, hr_suite):
@@ -173,7 +173,7 @@ def test_tcr_counts_the_scenarios_a_failing_executor_leaves_incomplete(hr_bundle
     assert 0 < sum(complete.values()) < len(hr_suite)
     assert report.tcr == sum(complete.values()) / len(hr_suite) < 1
     for name, row in report.per_type.items():
-        assert row.completed == complete[name], name
+        assert row["tcr"] == complete[name] / row["n"], name  # tcr is the type's completed / n
 
 
 def test_audit_off_zeroes_trc_only(hr_bundle, hr_suite, hr_report):
@@ -188,29 +188,44 @@ def test_audit_off_zeroes_trc_only(hr_bundle, hr_suite, hr_report):
 
 def test_ablation_directions_on_shipped_suite(hr_bundle, hr_suite):
     comparison = compare_configs(hr_bundle, hr_suite, ABLATION_CONFIGS)
-    full = comparison.reports["full"]
-    no_stage = comparison.reports["no_stage_check"]
-    no_pre = comparison.reports["no_precondition"]
-    no_audit = comparison.reports["no_audit"]
+    full = comparison["reports"]["full"]
+    no_stage = comparison["reports"]["no_stage_check"]
+    no_pre = comparison["reports"]["no_precondition"]
+    no_audit = comparison["reports"]["no_audit"]
 
-    assert no_stage.blocked_total > full.blocked_total
-    assert no_stage.cvr > full.cvr
-    assert no_pre.blocked_total <= full.blocked_total
-    assert no_audit.trc == 0.0
-    assert no_audit.blocked_total == full.blocked_total
-    assert dict(no_audit.distribution.counts) == dict(full.distribution.counts)
+    assert no_stage["blocked_total"] > full["blocked_total"]
+    assert no_stage["cvr"] > full["cvr"]
+    assert no_pre["blocked_total"] <= full["blocked_total"]
+    assert no_audit["trc"] == 0.0
+    assert no_audit["blocked_total"] == full["blocked_total"]
+    assert no_audit["trace_distribution"]["counts"] == full["trace_distribution"]["counts"]
 
-    deltas = comparison.deltas()
+    deltas = comparison["deltas"]
     assert deltas["full"]["blocked_total"] == 0
     assert deltas["full"]["cvr"] == 0.0
 
 
 def test_identical_configs_produce_identical_reports(hr_bundle, hr_suite):
     twice = compare_configs(hr_bundle, hr_suite, (("a", DispatchToggles()), ("b", DispatchToggles())))
-    a = twice.reports["a"].to_dict()
-    b = twice.reports["b"].to_dict()
+    a = twice["reports"]["a"]
+    b = twice["reports"]["b"]
     a.pop("toggles"), b.pop("toggles")
     assert a == b
+
+
+def test_an_empty_ablation_has_null_rate_deltas(hr_bundle):
+    """With no scenarios every rate is null, so every rate delta is too, and the table prints n/a."""
+    comparison = compare_configs(hr_bundle, [])
+    names = [name for name, _ in ABLATION_CONFIGS]
+    assert comparison["baseline"] == "full"
+    assert list(comparison["reports"]) == names
+    assert comparison["deltas"] == {
+        name: {"blocked_total": 0, "cvr": None, "tcr": None, "trc": None} for name in names
+    }
+    assert comparison_text(comparison).splitlines() == [
+        "config                  TCR      CVR      TRC   Blk",
+        *(f"{name:<18}      n/a      n/a      n/a     0" for name in names),
+    ]
 
 
 def test_report_text_rendering_mentions_key_numbers(hr_report):
