@@ -15,12 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .errors import ConfigError, LookupFault, json_container, parsing, string_list, unknown_keys
+from .errors import LIST, OBJECT, REQUIRED, STRING, STRINGS, ConfigError, LookupFault, read_rows, string_list
 
 StageId = str
 IntentId = str
 
-_CONFIG_KEYS = {"stages", "initial", "transitions", "intents", "binding", "stage_map"}
+_AUTOMATON = {  # the automaton config's shape
+    "stages": (STRINGS, REQUIRED), "initial": (STRING, REQUIRED), "transitions": (LIST, REQUIRED),
+    "intents": (STRINGS, REQUIRED), "binding": (OBJECT, REQUIRED), "stage_map": (OBJECT, REQUIRED),
+}
 
 
 @dataclass(frozen=True)
@@ -135,40 +138,21 @@ def validate_definition(definition: WorkflowAutomaton) -> tuple[list[str], list[
 
 
 def automaton_from_dict(raw: Mapping[str, Any]) -> WorkflowAutomaton:
-    """Build an automaton from its JSON config form.
-
-    Unknown top-level keys are rejected by name.  Names must be JSON strings;
-    ``stage_map`` values may be ``null`` for stage-preserving intents.
-    """
-    with parsing("automaton config"):
-        json_container(raw, dict, "automaton config")
-        if not raw.keys() <= _CONFIG_KEYS:
-            raise unknown_keys("automaton config", raw, _CONFIG_KEYS)
-        missing = sorted(_CONFIG_KEYS - raw.keys())
-        if missing:
-            raise ConfigError(f"missing automaton config keys: {', '.join(missing)}")
-        stages = string_list(raw["stages"], "stages")
-        intents = string_list(raw["intents"], "intents")
-        transitions: set[tuple[StageId, StageId]] = set()
-        for pair in json_container(raw["transitions"], list, "transitions"):
-            if len(string_list(pair, "a transition")) != 2:
-                raise ConfigError(f"a transition must name two stages, not {pair!r}")
-            transitions.add(tuple(pair))
-        binding = {
-            i: frozenset(string_list(ss, f"binding of {i!r}"))
-            for i, ss in json_container(raw["binding"], dict, "binding").items()
-        }
-        for intent, target in json_container(raw["stage_map"], dict, "stage_map").items():
-            if target is not None and type(target) is not str:
-                raise ConfigError(f"stage_map of {intent!r} must be a stage or null, not {target!r}")
-        if type(raw["initial"]) is not str:
-            raise ConfigError(f"initial must be a stage, not {raw['initial']!r}")
+    """Build an automaton from its JSON config form: ``_AUTOMATON``'s keys, each transition a list of
+    two stages, each ``binding`` value a list of stages and each ``stage_map`` value a stage or null."""
+    ((stages, initial, transitions, intents, binding, stage_map),) = read_rows(
+        [raw], _AUTOMATON, lambda _: "automaton config")
+    for pair in transitions:
+        if len(string_list(pair, "a transition")) != 2:
+            raise ConfigError(f"a transition must name two stages, not {pair!r}")
+    for intent, target in stage_map.items():
+        if target is not None and type(target) is not str:
+            raise ConfigError(f"stage_map of {intent!r} must be a stage or null, not {target!r}")
     return WorkflowAutomaton(
-        stages=stages,
-        initial=raw["initial"],
-        transitions=frozenset(transitions),
-        intents=intents,
-        binding=binding,
-        stage_map=dict(raw["stage_map"]),
+        stages=tuple(stages),
+        initial=initial,
+        transitions=frozenset(map(tuple, transitions)),
+        intents=tuple(intents),
+        binding={i: frozenset(string_list(ss, f"binding of {i!r}")) for i, ss in binding.items()},
+        stage_map=dict(stage_map),
     )
-

@@ -8,7 +8,8 @@ continue past (bad lookups, broken configs, corrupted logs).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import AbstractSet, Any, Iterator, Mapping
+from itertools import chain, repeat
+from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 
 class StagegateError(Exception):
@@ -44,9 +45,74 @@ def json_container(value: Any, kind: type[list] | type[dict], what: str) -> Any:
     return value
 
 
-def unknown_keys(what: str, raw: Mapping[str, Any], allowed: AbstractSet[str]) -> ConfigError:
-    """The refusal of *raw*, a JSON object holding keys outside *allowed*; it names each one."""
-    return ConfigError(f"{what}: unknown keys: {', '.join(sorted(raw.keys() - allowed))}")
+class Kind(NamedTuple):
+    """What a key of an input object may hold: its exact JSON types, as Python types, its name in a
+    refusal, and the exact type of each item of a list it holds, when the reader checks them."""
+
+    types: frozenset[type]
+    name: str
+    items: type | None = None
+
+
+STRING = Kind(frozenset({str}), "a string")
+STRING_OR_NULL = Kind(frozenset({str, type(None)}), "a string or null")
+INTEGER = Kind(frozenset({int}), "an integer")  # exact types: true is no integer, 0.0 none either
+BOOLEAN = Kind(frozenset({bool}), "a boolean")
+LIST = Kind(frozenset({list}), "a list")
+OBJECT = Kind(frozenset({dict}), "an object")
+STRINGS = Kind(frozenset({list}), "a list of strings", str)
+REQUIRED: Any = object()  # the default of a key every object must hold
+Shape = Mapping[str, tuple[Kind, Any]]  # each key in order: its kind, then a default of that kind or REQUIRED
+
+
+def read_rows(items: list, shape: Shape, what: Callable[[int], str]) -> list[tuple]:
+    """Each object of *items* as the tuple of its values in *shape*'s key order, defaults filled in.
+
+    The list is checked one key at a time, and *what* runs only on a refusal: the ConfigError of
+    :func:`_row_fault`.  A string held where the items must be strings passes, character by character.
+    """
+    if set(map(type, items)) <= {dict} and set().union(*items) <= shape.keys():
+        columns = []
+        for key, (kind, default) in shape.items():
+            column = list(map(dict.get, items, repeat(key), repeat(default)))
+            if not set(map(type, column)) <= kind.types or (
+                kind.items is not None and not set(map(type, chain.from_iterable(column))) <= {kind.items}
+            ):
+                break
+            columns.append(column)
+        else:
+            return list(zip(*columns))
+    raise _row_fault(items, shape, what)
+
+
+def _row_fault(items: list, shape: Shape, what: Callable[[int], str]) -> Exception:
+    """The refusal of the first object with a fault, named ``what(position)``: not an object, then
+    unknown keys, then each key in order missing or outside its kind.  With none found it is an
+    AssertionError: :func:`read_rows` erred."""
+    for position, item in enumerate(items):
+        if type(item) is not dict:
+            return ConfigError(f"{what(position)} must be an object, not {type(item).__name__}")
+        unknown = item.keys() - shape.keys()
+        if unknown:
+            return ConfigError(f"{what(position)}: unknown keys: {', '.join(sorted(map(str, unknown)))}")
+        for key, (kind, default) in shape.items():
+            value = item.get(key, default)
+            if value is REQUIRED:
+                return ConfigError(f"{what(position)}: missing key {key!r}")
+            if type(value) not in kind.types or (
+                kind.items is not None and any(type(each) is not kind.items for each in value)
+            ):
+                return ConfigError(f"{what(position)}: {key!r} must be {kind.name}, not {value!r}")
+    return AssertionError(f"read_rows refused {len(items)} objects that hold no fault")
+
+
+def naming(items: list, key: str, label: str, anonymous: str) -> Callable[[int], str]:
+    """A ``what`` for :func:`read_rows`: ``<label> '<id>'`` for an object whose *key* holds a string,
+    else *anonymous* formatted with the object's position."""
+    def what(position: int) -> str:
+        name = items[position].get(key) if type(items[position]) is dict else None
+        return f"{label} {name!r}" if type(name) is str else anonymous.format(position)
+    return what
 
 
 def file_safe_id(value: str, what: str) -> None:

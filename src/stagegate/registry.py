@@ -14,11 +14,21 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .automaton import StageId, IntentId, WorkflowAutomaton
-from .errors import ConfigError, ConflictFault, json_container, parsing, string_list, unknown_keys
+from .errors import (
+    LIST, REQUIRED, STRING, STRINGS, ConfigError, ConflictFault, Kind, json_container, naming, read_rows,
+)
 
-_SKILL_KEYS = {"id", "intent", "level", "stages", "pre", "post", "risk", "disclosure"}
-_EFFECT_KEYS = {"set": {"op", "field", "value"}, "set_from_result": {"op", "field"}}  # op -> exact keys
 _SCALARS = (str, int, float, bool, type(None))
+_SKILL = {  # a skill config object's shape; risk and disclosure are read and ignored
+    "id": (STRING, REQUIRED), "intent": (STRING, REQUIRED), "level": (STRING, REQUIRED),
+    "stages": (Kind(frozenset({str, list}), 'a list of strings, or "*"', str), "*"),
+    "pre": (STRINGS, []), "post": (LIST, []), "risk": (STRING, ""), "disclosure": (STRING, ""),
+}
+_EFFECT = {  # an effect object's shape; which keys it holds is set by its op, in _EFFECT_KEYS
+    "op": (STRING, REQUIRED), "field": (STRING, REQUIRED),
+    "value": (Kind(frozenset(_SCALARS), "a string, number, boolean or null"), None),
+}
+_EFFECT_KEYS = {"set": {"op", "field", "value"}, "set_from_result": {"op", "field"}}  # op -> exact keys
 
 
 class RiskLevel(enum.IntEnum):
@@ -27,13 +37,6 @@ class RiskLevel(enum.IntEnum):
     L0 = 0
     L1 = 1
     L2 = 2
-
-    @classmethod
-    def parse(cls, text: str) -> "RiskLevel":
-        try:
-            return cls[text]
-        except KeyError:
-            raise ConfigError(f"unknown risk level: {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -178,50 +181,33 @@ def apply_postconditions(skill: SkillSpec, state: dict[str, Any], result_digest:
 
 
 def skill_from_dict(raw: Mapping[str, Any]) -> SkillSpec:
-    """Parse one skill config object at exact JSON types (``stages`` may be ``"*"`` for all)."""
-    with parsing("skill config"):
-        json_container(raw, dict, "skill config")
-        if not raw.keys() <= _SKILL_KEYS:
-            raise unknown_keys("skill config", raw, _SKILL_KEYS)
-        for key in ("id", "intent", "level"):
-            if key not in raw:
-                raise ConfigError(f"skill config missing key: {key}")
-        sid = raw["id"]
-        for key in ("id", "intent", "level", "risk", "disclosure"):
-            if type(raw.get(key, "")) is not str:
-                raise ConfigError(f"skill {sid!r}: {key!r} must be a string, not {raw[key]!r}")
-        stages = raw.get("stages", "*")
+    """Parse one skill config object at ``_SKILL``'s shape (``stages`` may be ``"*"`` for all)."""
+    return _skills_from_list([raw])[0]
+
+
+def _skills_from_list(raws: list) -> list[SkillSpec]:
+    """Every skill config object of *raws*, read at once; then each one's stages and effects."""
+    specs = []
+    for sid, intent, level, stages, pre, post, _, _ in read_rows(
+            raws, _SKILL, naming(raws, "id", "skill", "skill config")):
+        if level not in RiskLevel.__members__:
+            raise ConfigError(f"unknown risk level: {level!r}")
         if stages == "*":
             stages = ()
-        else:
-            stages = string_list(stages, f"skill {sid!r}: 'stages'")
-            if not stages:  # the empty set is how a spec says every stage
+        elif type(stages) is str or not stages:  # the empty set is how a spec says every stage
+            raise ConfigError(
+                f"skill {sid!r}: 'stages' must name a stage, or be \"*\" for every stage, not {stages!r}")
+        effects = []  # a value under an op but set is refused below, as a key that op may not hold
+        rows = read_rows(post, _EFFECT, lambda position: f"skill {sid!r}: effect {position}")
+        for raw, (op, field, value) in zip(post, rows):
+            effects.append(Effect(op, field, value if op == "set" else None))
+            if raw.keys() != _EFFECT_KEYS[op]:
+                keys = ", ".join(sorted(_EFFECT_KEYS[op]))
                 raise ConfigError(
-                    f"skill {sid!r}: 'stages' must name a stage, or be \"*\" for every stage"
-                )
-        post = json_container(raw.get("post", []), list, f"skill {sid!r}: 'post'")
-        effects = tuple(_effect_from_dict(eff, sid) for eff in post)
-        return SkillSpec(
-            id=sid,
-            intent=raw["intent"],
-            level=RiskLevel.parse(raw["level"]),
-            applicable_stages=frozenset(stages),
-            preconditions=string_list(raw.get("pre", []), f"skill {sid!r}: 'pre'"),
-            postconditions=effects,
-        )
-
-
-def _effect_from_dict(raw: Mapping[str, Any], sid: str) -> Effect:
-    """One effect object: ``op`` and ``field``, and ``value`` exactly when ``op`` is ``set``."""
-    json_container(raw, dict, f"skill {sid!r}: an effect")
-    op = raw["op"]  # a value under any other op is refused below, as an unknown key
-    effect = Effect(op, raw["field"], raw.get("value") if op == "set" else None)
-    if raw.keys() != _EFFECT_KEYS[effect.op]:
-        keys = ", ".join(sorted(_EFFECT_KEYS[effect.op]))
-        raise ConfigError(
-            f"skill {sid!r}: a {effect.op!r} effect holds exactly {keys}, not {', '.join(sorted(raw))}"
-        )
-    return effect
+                    f"skill {sid!r}: a {op!r} effect holds exactly {keys}, not {', '.join(sorted(raw))}")
+        specs.append(
+            SkillSpec(sid, intent, RiskLevel[level], frozenset(stages), tuple(pre), tuple(effects)))
+    return specs
 
 
 def build_registry(
@@ -229,6 +215,6 @@ def build_registry(
 ) -> SkillRegistry:
     """Parse every skill config object, then register them in config order."""
     registry = SkillRegistry()
-    for spec in [skill_from_dict(raw) for raw in json_container(skill_dicts, list, "skills")]:
+    for spec in _skills_from_list(json_container(skill_dicts, list, "skills")):
         registry.register(spec, automaton)
     return registry

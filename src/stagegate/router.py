@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .automaton import WorkflowAutomaton
-from .errors import ConfigError, json_container, parsing, string_list, unknown_keys
+from .errors import INTEGER, REQUIRED, STRING, STRINGS, json_container, naming, read_rows
 
 UNKNOWN = "<unknown>"
 
@@ -28,7 +28,7 @@ _TERMINAL_PUNCT = ".!?;:,"
 
 FALLBACK_THRESHOLD = 0.6  # least Jaccard overlap the shipped fallback resolves on
 
-_ENTRY_KEYS = {"intent", "patterns", "priority"}
+_ENTRY = {"intent": (STRING, REQUIRED), "patterns": (STRINGS, REQUIRED), "priority": (INTEGER, 0)}
 
 
 def normalize(message: str) -> str:
@@ -232,11 +232,17 @@ class TokenOverlapFallback:
 def validate_table(
     table: Iterable[IntentPattern], automaton: WorkflowAutomaton | None = None
 ) -> list[str]:
-    """Ambiguous pattern pairs and intents absent from the automaton, as ``"code: message"`` errors."""
+    """Patterns that can never match, ambiguous pattern pairs and intents absent from the automaton,
+    as ``"code: message"`` errors.  A pattern that normalizes to nothing (``"="``, ``"..."``) never
+    matches, and ``inject`` would write it as an attack of no text."""
     errors: list[str] = []
     seen: dict[tuple[str, int], str] = {}
     for entry in table:
+        if not entry.patterns:
+            errors.append(f"empty_pattern: intent {entry.intent!r} lists no pattern")
         for expr in entry.patterns:
+            if not expr.text:
+                errors.append(f"empty_pattern: a pattern of intent {entry.intent!r} normalizes to nothing")
             key = (expr.text, entry.priority)
             if key in seen and seen[key] != entry.intent:
                 errors.append(
@@ -256,21 +262,8 @@ def validate_table(
 
 
 def table_from_list(raw: list[Mapping[str, Any]]) -> PatternTable:
-    """Parse and compile the pattern table file form: [{intent, patterns, priority}]."""
-    table = []
-    with parsing("pattern table"):
-        for item in json_container(raw, list, "pattern table"):
-            json_container(item, dict, "pattern entry")
-            if not item.keys() <= _ENTRY_KEYS:
-                raise unknown_keys("pattern entry", item, _ENTRY_KEYS)
-            if "intent" not in item or "patterns" not in item:
-                raise ConfigError("pattern entry needs 'intent' and 'patterns'")
-            intent, priority = item["intent"], item.get("priority", 0)
-            if type(intent) is not str:
-                raise ConfigError(f"pattern entry intent must be a string, not {intent!r}")
-            if type(priority) is not int:  # type(), not isinstance: true is no priority
-                raise ConfigError(f"intent {intent!r}: 'priority' must be an integer, not {priority!r}")
-            patterns = string_list(item["patterns"], f"intent {intent!r}: 'patterns'")
-            table.append(IntentPattern(intent, tuple(MatchExpr.parse(p) for p in patterns), priority))
-    return PatternTable(tuple(table))
-
+    """Parse and compile the pattern table file form: a list of ``_ENTRY`` objects."""
+    entries = json_container(raw, list, "pattern table")
+    rows = read_rows(entries, _ENTRY, naming(entries, "intent", "intent", "pattern entry"))
+    return PatternTable(tuple(IntentPattern(intent, tuple(map(MatchExpr.parse, patterns)), priority)
+                              for intent, patterns, priority in rows))

@@ -17,13 +17,15 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field, replace
+from itertools import chain, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from .automaton import StageId, WorkflowAutomaton, automaton_from_dict, validate_definition
 from .dispatcher import BLOCK_OUTCOMES, Decision, MockExecutor, decide
 from .errors import (
-    ConfigError, GenerationFault, StagegateError, file_safe_id, json_container, parsing, unknown_keys,
+    BOOLEAN, INTEGER, LIST, REQUIRED, STRING, STRING_OR_NULL, ConfigError, GenerationFault, Kind,
+    StagegateError, file_safe_id, naming, read_rows,
 )
 from .registry import SkillRegistry, apply_postconditions, build_registry
 from .router import (
@@ -39,9 +41,19 @@ if TYPE_CHECKING:
 
 SCENARIO_TYPES = ("normal", "illegal", "rollback", "multi", "abort", "concurrent")
 
-_SUITE_KEYS = {"suite_name", "domain", "scenarios"}
-_SCENARIO_KEYS = {"scenario_id", "type", "expected_final_stage", "messages"}
-_MESSAGE_KEYS = {"turn_index", "text", "expected_legal", "label_intent", "track"}
+# The suite file's shapes, read and written in this key order.  Exact JSON types throughout,
+# nothing coerced: 5 is not "5", "false" is not False, 0.0 is not 0.
+_SUITE = {"suite_name": (STRING, ""), "domain": (STRING, ""), "scenarios": (LIST, REQUIRED)}
+_FINAL = Kind(frozenset({str, dict}),
+              "a stage, or an object from track numbers (non-negative, no leading zeros) to stages")
+_SCENARIO = {
+    "scenario_id": (STRING, REQUIRED), "type": (STRING, REQUIRED),
+    "expected_final_stage": (_FINAL, REQUIRED), "messages": (LIST, REQUIRED),
+}
+_MESSAGE = {  # each key a LabeledMessage field; suite_to_dict leaves a key out at its default
+    "turn_index": (INTEGER, REQUIRED), "text": (STRING, REQUIRED), "expected_legal": (BOOLEAN, REQUIRED),
+    "label_intent": (STRING_OR_NULL, None), "track": (INTEGER, 0),
+}
 
 BUNDLE_FILES = {
     "automaton": "automaton.json",
@@ -200,64 +212,32 @@ def load_domain(path: str | Path) -> DomainBundle:
 # -- suite loading -------------------------------------------------------------
 
 
-def _scenario_from_dict(raw: Any, position: int, bundle: DomainBundle) -> Scenario:
-    # Exact keys and exact JSON types throughout, nothing coerced: 5 is not "5",
-    # "false" is not False, 0.0 is not 0, and "00" is no track number.
-    if type(raw) is not dict:  # tested first, here and per message: the text is built only on failure
-        json_container(raw, dict, f"scenario at position {position}")
-    sid = raw.get("scenario_id", "")
-    if not raw.keys() <= _SCENARIO_KEYS:
-        raise unknown_keys(f"scenario {sid!r}", raw, _SCENARIO_KEYS)
-    if type(sid) is not str:
-        raise ConfigError(f"scenario {sid!r}: scenario_id must be a string")
+def _scenario(row: tuple, messages: Sequence[LabeledMessage], bundle: DomainBundle) -> Scenario:
+    """The scenario of a ``_SCENARIO`` row whose messages were read as *messages*, after its own rules."""
+    sid, stype, final_raw, _ = row
     if not sid:
-        raise ConfigError("scenario missing scenario_id")
+        raise ConfigError("scenario '': 'scenario_id' must not be empty")
     file_safe_id(sid, "scenario_id")
-    stype = raw.get("type", "")
     if stype not in SCENARIO_TYPES:
         raise ConfigError(f"scenario {sid!r}: unknown type {stype!r}")
-    raw_messages = raw.get("messages", [])
-    if type(raw_messages) is not list or not raw_messages:
-        json_container(raw_messages, list, f"scenario {sid!r}: messages")
+    if not messages:
         raise ConfigError(f"scenario {sid!r}: messages must be non-empty")
-
-    messages = []
-    for position, msg in enumerate(raw_messages):
-        if type(msg) is not dict:
-            json_container(msg, dict, f"scenario {sid!r}: message at position {position}")
-        if not msg.keys() <= _MESSAGE_KEYS:
-            raise unknown_keys(f"scenario {sid!r}: message {position}", msg, _MESSAGE_KEYS)
-        turn, text, legal = msg["turn_index"], msg["text"], msg["expected_legal"]
-        label_intent, track = msg.get("label_intent"), msg.get("track", 0)
-        if not (
-            type(turn) is int and type(text) is str and type(legal) is bool and type(track) is int
-            and (label_intent is None or type(label_intent) is str)
-        ):
+    for position, msg in enumerate(messages):
+        if msg.turn_index != position:
             raise ConfigError(
-                f"scenario {sid!r}: message {position}: turn_index and track must be integers, "
-                "text a string, expected_legal a boolean and label_intent a string or null"
+                f"scenario {sid!r}: turn_index must be gapless from 0 (got {msg.turn_index} at {position})"
             )
-        if turn != position:
-            raise ConfigError(
-                f"scenario {sid!r}: turn_index must be gapless from 0 (got {turn} at {position})"
-            )
-        messages.append(LabeledMessage(text, legal, turn, label_intent, track))
 
-    final_raw = raw.get("expected_final_stage")
-    if final_raw is None:
-        raise ConfigError(f"scenario {sid!r}: expected_final_stage is required")
     if type(final_raw) is str:
         final = {0: final_raw}
-    elif type(final_raw) is dict and all(  # track keys as suite_to_dict writes them
+    elif all(  # track keys as suite_to_dict writes them, so "00" is no track number
         type(track) is str and track.isdecimal() and str(int(track)) == track and type(stage) is str
         for track, stage in final_raw.items()
     ):
         final = {int(track): stage for track, stage in final_raw.items()}
     else:
         raise ConfigError(
-            f"scenario {sid!r}: expected_final_stage must be a stage, or an object from "
-            "track numbers (non-negative, no leading zeros) to stages"
-        )
+            f"scenario {sid!r}: 'expected_final_stage' must be {_FINAL.name}, not {final_raw!r}")
 
     scenario = Scenario(sid, stype, tuple(messages), final)
 
@@ -266,13 +246,11 @@ def _scenario_from_dict(raw: Any, position: int, bundle: DomainBundle) -> Scenar
     if sorted(final) != scenario.tracks():  # a stage for every track, and for no other
         raise ConfigError(f"scenario {sid!r}: expected_final_stage must name tracks {scenario.tracks()}")
 
-    stages = set(bundle.automaton.stages)
-    intents = set(bundle.automaton.intents)
     for stage in final.values():
-        if stage not in stages:
+        if stage not in bundle.automaton.stages:
             raise ConfigError(f"scenario {sid!r}: expected stage {stage!r} not in domain")
     for msg in messages:
-        if msg.label_intent is not None and msg.label_intent not in intents:
+        if msg.label_intent is not None and msg.label_intent not in bundle.automaton.intents:
             raise ConfigError(f"scenario {sid!r}: label_intent {msg.label_intent!r} not in domain")
     return scenario
 
@@ -284,54 +262,46 @@ def load_suite(path: str | Path, bundle: DomainBundle) -> list[Scenario]:
 
 
 def suite_from_dict(raw: Mapping[str, Any], bundle: DomainBundle) -> list[Scenario]:
-    """Parse a suite; its domain (when given), stages and label intents must be *bundle*'s."""
-    with parsing("suite"):
-        json_container(raw, dict, "suite")
-        if not raw.keys() <= _SUITE_KEYS:
-            raise unknown_keys("suite", raw, _SUITE_KEYS)
-        domain = raw.get("domain", "")
-        if type(domain) is not str:
-            raise ConfigError(f"suite domain must be a string, not {domain!r}")
-        if domain and domain != bundle.name:
-            raise ConfigError(f"suite declares domain {domain!r} but bundle is {bundle.name!r}")
-        items = enumerate(json_container(raw["scenarios"], list, "suite: scenarios"))
-        scenarios = [_scenario_from_dict(item, position, bundle) for position, item in items]
-    seen: set[str] = set()
-    for scenario in scenarios:
-        if scenario.scenario_id in seen:
+    """Parse a suite; its domain (when given), stages and label intents must be *bundle*'s.
+
+    The scenarios, then all their messages, are read a list at a time; then each scenario's rules apply.
+    """
+    ((_, domain, items),) = read_rows([raw], _SUITE, lambda _: "suite")
+    if domain and domain != bundle.name:
+        raise ConfigError(f"suite declares domain {domain!r} but bundle is {bundle.name!r}")
+    rows = read_rows(items, _SCENARIO, naming(items, "scenario_id", "scenario", "scenario at position {}"))
+
+    def message_what(position: int) -> str:  # the scenario holding the suite's message at *position*
+        for sid, _, _, held in rows:
+            if position < len(held):
+                return f"scenario {sid!r}: message {position}"
+            position -= len(held)
+
+    raw_messages = list(chain.from_iterable(row[3] for row in rows))
+    messages = iter([LabeledMessage(text, legal, turn, intent, track)
+                     for turn, text, legal, intent, track in read_rows(raw_messages, _MESSAGE, message_what)])
+    scenarios: dict[str, Scenario] = {}
+    for row in rows:
+        scenario = _scenario(row, list(islice(messages, len(row[3]))), bundle)
+        if scenario.scenario_id in scenarios:
             raise ConfigError(f"duplicate scenario_id {scenario.scenario_id!r}")
-        seen.add(scenario.scenario_id)
-    return scenarios
+        scenarios[scenario.scenario_id] = scenario
+    return list(scenarios.values())
 
 
 def suite_to_dict(suite_name: str, domain: str, scenarios: Sequence[Scenario]) -> dict[str, Any]:
+    """The suite file's object, as :func:`suite_from_dict` reads it back."""
     out_scenarios = []
     for scenario in scenarios:
-        messages = []
-        for msg in scenario.messages:
-            entry: dict[str, Any] = {
-                "turn_index": msg.turn_index,
-                "text": msg.text,
-                "expected_legal": msg.expected_legal,
-            }
-            if msg.label_intent is not None:
-                entry["label_intent"] = msg.label_intent
-            if msg.track != 0:
-                entry["track"] = msg.track
-            messages.append(entry)
-        final: Any = (
-            scenario.expected_final_stage[0]
-            if set(scenario.expected_final_stage) == {0}
-            else {str(k): v for k, v in scenario.expected_final_stage.items()}
-        )
-        out_scenarios.append(
-            {
-                "scenario_id": scenario.scenario_id,
-                "type": scenario.type,
-                "expected_final_stage": final,
-                "messages": messages,
-            }
-        )
+        final = scenario.expected_final_stage
+        messages = [{key: value for key, (_, default) in _MESSAGE.items()
+                     if (value := getattr(msg, key)) != default} for msg in scenario.messages]
+        out_scenarios.append({
+            "scenario_id": scenario.scenario_id,
+            "type": scenario.type,
+            "expected_final_stage": final[0] if set(final) == {0} else {str(k): v for k, v in final.items()},
+            "messages": messages,
+        })
     return {"suite_name": suite_name, "domain": domain, "scenarios": out_scenarios}
 
 

@@ -628,6 +628,12 @@ def _run_phantom_track(run: Path) -> list[str]:
     return _run_suite_text(run, json.dumps(suite))
 
 
+def _validate_fixtures_array(run: Path) -> list[str]:
+    domain = _edited_domain(run, "fixtures.json", lambda fixtures: None)
+    (domain / "fixtures.json").write_text("[]")
+    return ["validate", str(domain)]
+
+
 def _drop_effect_op(skills) -> None:
     del next(skill for skill in skills if skill["post"])["post"][0]["op"]
 
@@ -766,7 +772,7 @@ MALFORMED = {
         1, "error: skills.json: skill 'pull_parse': 'pre'"),
     "validate-integer-skill-id": (
         lambda run: _validate_skill_edit(run, "create_demand", id=7),
-        1, "error: skills.json: skill 7: 'id'"),
+        1, "error: skills.json: skill config: 'id' must be a string, not 7"),
     "validate-boolean-priority": (
         lambda run: _validate_edited(run, "patterns.json", lambda p: p[0].update(priority=True)),
         1, "error: patterns.json: intent 'create_demand': 'priority'"),
@@ -775,10 +781,23 @@ MALFORMED = {
         1, "error: patterns.json: intent 'create_demand': 'priority'"),
     "validate-integer-stage": (
         lambda run: _validate_edited(run, "automaton.json", lambda a: a["stages"].append(3)),
-        1, "error: automaton.json: stages"),
+        1, "error: automaton.json: automaton config: 'stages' must be a list of strings, "
+           "not ['init', 'src', 'int', 'off', 'onb', 'close', 3]"),
     "validate-one-element-transition": (
         lambda run: _validate_edited(run, "automaton.json", _one_element_transition),
         1, "error: automaton.json: "),
+    "validate-fixtures-array": (
+        _validate_fixtures_array, 1, "error: fixtures.json: expected an object keyed by skill id"),
+    # each routes nothing through create_demand's entry: no pattern, or one that normalizes to ""
+    "validate-no-pattern": (
+        lambda run: _validate_edited(run, "patterns.json", lambda p: p[0].update(patterns=[])),
+        1, "error: patterns.json: empty_pattern: intent 'create_demand' lists no pattern"),
+    "validate-patterns-normalizing-to-nothing": (
+        lambda run: _validate_edited(run, "patterns.json", lambda p: p[0].update(patterns=["=", "..."])),
+        1, "error: patterns.json: empty_pattern: a pattern of intent 'create_demand' normalizes to nothing"),
+    "validate-empty-first-pattern": (  # inject would write the first pattern's "" as an attack
+        lambda run: _validate_edited(run, "patterns.json", lambda p: p[0]["patterns"].insert(0, "=")),
+        1, "error: patterns.json: empty_pattern: a pattern of intent 'create_demand' normalizes to nothing"),
 }
 
 

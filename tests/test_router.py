@@ -144,10 +144,10 @@ def test_validate_table_reports_ambiguity_and_foreign_intents():
 
 
 @pytest.mark.parametrize("entry, reported", [
-    ({"patterns": ["x"]}, "pattern entry needs 'intent' and 'patterns'"),
-    ({"intent": "a"}, "pattern entry needs 'intent' and 'patterns'"),
-    ({"intent": "a", "patterns": ["x"], "priorty": 5}, "pattern entry: unknown keys: priorty"),
-    ({"intent": "a", "pattern": ["x"], "weight": 1}, "pattern entry: unknown keys: pattern, weight"),
+    ({"patterns": ["x"]}, "pattern entry: missing key 'intent'"),
+    ({"intent": "a"}, "intent 'a': missing key 'patterns'"),
+    ({"intent": "a", "patterns": ["x"], "priorty": 5}, "intent 'a': unknown keys: priorty"),
+    ({"intent": "a", "pattern": ["x"], "weight": 1}, "intent 'a': unknown keys: pattern, weight"),
 ])
 def test_table_from_list_refusals(entry, reported):
     with pytest.raises(ConfigError) as caught:
