@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .errors import LIST, OBJECT, REQUIRED, STRING, STRINGS, ConfigError, LookupFault, read_rows, string_list
+from .errors import LIST, OBJECT, REQUIRED, STRING, STRINGS, ConfigError, LookupFault, clip, read_rows, string_list
 
 StageId = str
 IntentId = str
@@ -144,10 +144,10 @@ def automaton_from_dict(raw: Mapping[str, Any]) -> WorkflowAutomaton:
         [raw], _AUTOMATON, lambda _: "automaton config")
     for pair in transitions:
         if len(string_list(pair, "a transition")) != 2:
-            raise ConfigError(f"a transition must name two stages, not {pair!r}")
+            raise ConfigError(f"a transition must name two stages, not {clip(repr(pair))}")
     for intent, target in stage_map.items():
         if target is not None and type(target) is not str:
-            raise ConfigError(f"stage_map of {intent!r} must be a stage or null, not {target!r}")
+            raise ConfigError(f"stage_map of {intent!r} must be a stage or null, not {clip(repr(target))}")
     return WorkflowAutomaton(
         stages=tuple(stages),
         initial=initial,

@@ -28,7 +28,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .dispatcher import DispatchToggles
-from .errors import ConfigError, IntegrityFault, StagegateError, parsing
+from .context import canonical
+from .errors import ConfigError, IntegrityFault, StagegateError, clip, parsing
 from .evaluation import EvalReport, compare_configs, comparison_text, compute_report, render_report
 from .memory import FileEventStore, load_trace, replay_events
 from .runner import RunResult, goal_id_for, run_suite
@@ -195,7 +196,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
         raise CommandError(f"error: {trace_path}: unreadable: {exc.strerror or exc}") from None
 
     state = result.state()
-    verdict = None if snapshot is None else _snapshot_verdict(snapshot, snapshot_path, state, result.last_seq)
+    expected = {"goal_id": result.record.goal_id, "domain": result.record.domain, **state}
+    verdict = None if snapshot is None else _snapshot_verdict(snapshot, snapshot_path, expected)
     try:  # the verdict is settled before the state is printed, so a closed stdout cannot lose it
         print(json.dumps({"goal_id": goal_id, **state}, indent=2, sort_keys=True), flush=True)
     except BrokenPipeError:
@@ -209,16 +211,20 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _snapshot_verdict(snapshot: object, snapshot_path: Path, state: dict, last_seq: int) -> CommandError | None:
-    """The refusal a snapshot earns against the replayed *state*: keys it lacks, else keys that differ."""
-    missing = [key for key in state if not isinstance(snapshot, dict) or key not in snapshot]
+def _snapshot_verdict(snapshot: object, snapshot_path: Path, expected: dict) -> CommandError | None:
+    """The refusal a snapshot earns against the replayed goal's *expected* one: keys it lacks, then keys
+    it should not hold, else keys whose values differ, each compared at its exact JSON type."""
+    held = snapshot if isinstance(snapshot, dict) else {}
+    missing = [key for key in expected if key not in held]
     if missing:
         return CommandError(f"error: {snapshot_path}: snapshot lacks {', '.join(missing)}")
-    mismatches = [key for key, value in state.items() if snapshot[key] != value]
+    if held.keys() != expected.keys():
+        return CommandError(f"error: {snapshot_path}: snapshot holds unknown keys: "
+                            f"{clip(', '.join(sorted(held.keys() - expected.keys())))}")
+    mismatches = [key for key, value in expected.items() if canonical(snapshot[key]) != canonical(value)]
     if mismatches:
-        return CommandError(
-            f"divergence from snapshot after seq {last_seq}: {', '.join(mismatches)}", EXIT_VALIDATION
-        )
+        return CommandError(f"divergence from snapshot after seq {expected['last_seq']}: "
+                            f"{', '.join(mismatches)}", EXIT_VALIDATION)
     return None
 
 

@@ -30,10 +30,18 @@ def parsing(what: str) -> Iterator[None]:
         raise ConfigError(f"malformed {what}: {reason}") from None
 
 
+CLIP = 100  # the most characters of a refused value that a refusal line shows
+
+
+def clip(text: str) -> str:
+    """*text*, or its first ``CLIP`` characters then ``...``: a refusal names a value, not all of it."""
+    return text if len(text) <= CLIP else f"{text[:CLIP]}..."
+
+
 def string_list(value: Any, what: str) -> tuple[str, ...]:
     """*value*, a JSON list of strings, as a tuple; any other shape is a ConfigError."""
     if type(value) is not list or not all(type(item) is str for item in value):
-        raise ConfigError(f"{what} must be a list of strings, not {value!r}")
+        raise ConfigError(f"{what} must be a list of strings, not {clip(repr(value))}")
     return tuple(value)
 
 
@@ -94,7 +102,7 @@ def _row_fault(items: list, shape: Shape, what: Callable[[int], str]) -> Excepti
             return ConfigError(f"{what(position)} must be an object, not {type(item).__name__}")
         unknown = item.keys() - shape.keys()
         if unknown:
-            return ConfigError(f"{what(position)}: unknown keys: {', '.join(sorted(map(str, unknown)))}")
+            return ConfigError(f"{what(position)}: unknown keys: {clip(', '.join(sorted(map(str, unknown))))}")
         for key, (kind, default) in shape.items():
             value = item.get(key, default)
             if value is REQUIRED:
@@ -102,7 +110,7 @@ def _row_fault(items: list, shape: Shape, what: Callable[[int], str]) -> Excepti
             if type(value) not in kind.types or (
                 kind.items is not None and any(type(each) is not kind.items for each in value)
             ):
-                return ConfigError(f"{what(position)}: {key!r} must be {kind.name}, not {value!r}")
+                return ConfigError(f"{what(position)}: {key!r} must be {kind.name}, not {clip(repr(value))}")
     return AssertionError(f"read_rows refused {len(items)} objects that hold no fault")
 
 

@@ -15,10 +15,9 @@ from typing import Any, Mapping
 
 from .automaton import StageId, IntentId, WorkflowAutomaton
 from .errors import (
-    LIST, REQUIRED, STRING, STRINGS, ConfigError, ConflictFault, Kind, json_container, naming, read_rows,
+    LIST, REQUIRED, STRING, STRINGS, ConfigError, ConflictFault, Kind, clip, json_container, naming, read_rows,
 )
 
-_SCALARS = (str, int, float, bool, type(None))
 _SKILL = {  # a skill config object's shape; risk and disclosure are read and ignored
     "id": (STRING, REQUIRED), "intent": (STRING, REQUIRED), "level": (STRING, REQUIRED),
     "stages": (Kind(frozenset({str, list}), 'a list of strings, or "*"', str), "*"),
@@ -26,7 +25,7 @@ _SKILL = {  # a skill config object's shape; risk and disclosure are read and ig
 }
 _EFFECT = {  # an effect object's shape; which keys it holds is set by its op, in _EFFECT_KEYS
     "op": (STRING, REQUIRED), "field": (STRING, REQUIRED),
-    "value": (Kind(frozenset(_SCALARS), "a string, number, boolean or null"), None),
+    "value": (Kind(frozenset({str, int, float, bool, type(None)}), "a string, number, boolean or null"), None),
 }
 _EFFECT_KEYS = {"set": {"op", "field", "value"}, "set_from_result": {"op", "field"}}  # op -> exact keys
 
@@ -57,9 +56,9 @@ class Effect:
     def __post_init__(self) -> None:
         if type(self.op) is not str or self.op not in _EFFECT_KEYS:
             raise ConfigError(f"unknown postcondition op: {self.op!r}")
-        if not isinstance(self.field, str):
+        if type(self.field) not in _EFFECT["field"][0].types:
             raise ConfigError(f"postcondition field must be a string, not {self.field!r}")
-        if self.op == "set" and not isinstance(self.value, _SCALARS):
+        if self.op == "set" and type(self.value) not in _EFFECT["value"][0].types:
             raise ConfigError(f"postcondition {self.field!r} sets a non-scalar value: {self.value!r}")
         if self.op != "set" and self.value is not None:
             raise ConfigError(f"postcondition {self.field!r}: a {self.op!r} effect holds no value")
@@ -195,8 +194,8 @@ def _skills_from_list(raws: list) -> list[SkillSpec]:
         if stages == "*":
             stages = ()
         elif type(stages) is str or not stages:  # the empty set is how a spec says every stage
-            raise ConfigError(
-                f"skill {sid!r}: 'stages' must name a stage, or be \"*\" for every stage, not {stages!r}")
+            raise ConfigError(f"skill {sid!r}: 'stages' must name a stage, or be \"*\" for every stage, "
+                              f"not {clip(repr(stages))}")
         effects = []  # a value under an op but set is refused below, as a key that op may not hold
         rows = read_rows(post, _EFFECT, lambda position: f"skill {sid!r}: effect {position}")
         for raw, (op, field, value) in zip(post, rows):

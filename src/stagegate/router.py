@@ -1,16 +1,15 @@
 """Dual-mode intent recognition: deterministic patterns plus a fallback hook.
 
-The primary mode is normalized pattern matching (exact phrase, substring,
-or token set) scanned by priority then specificity, so identical inputs
-always produce identical decisions.  Ambiguous messages can be handed to a
-pluggable resolver; the shipped fallback is a table-driven token-overlap
-matcher so suites run fully offline.
+The primary mode is normalized substring matching, scanned by priority then
+specificity, so identical inputs always produce identical decisions.
+Ambiguous messages can be handed to a pluggable resolver; the shipped
+fallback is a table-driven token-overlap matcher so suites run fully offline.
 
 A table is compiled once, by :func:`table_from_list`, into indexes over its
-one scan order (an exact-text dict, one list per other kind, token postings)
-and ``decisions``, one routing decision per position.  :func:`identify` returns
-the decision of the first position any index hits, and the fallback scores
-only the patterns that share a token with the message.
+one scan order (the substring texts, token postings) and ``decisions``, one
+routing decision per position.  :func:`identify` returns the decision of the
+first substring the message holds, and the fallback scores only the patterns
+that share a token with the message.
 """
 
 from __future__ import annotations
@@ -40,13 +39,8 @@ def normalize(message: str) -> str:
 
 @dataclass(frozen=True)
 class MatchExpr:
-    """One match expression.
+    """One pattern: its normalized text, matched as a substring (``=`` and ``&`` are text too)."""
 
-    Config strings map to kinds by prefix: ``=`` exact phrase, ``&`` token
-    set (all tokens present, any order), anything else normalized substring.
-    """
-
-    kind: str  # "exact" | "substring" | "tokens"
     text: str
     tokens: frozenset[str] = field(init=False, repr=False, compare=False)
 
@@ -55,20 +49,10 @@ class MatchExpr:
 
     @classmethod
     def parse(cls, raw: str) -> "MatchExpr":
-        if raw.startswith("="):
-            return cls("exact", normalize(raw[1:]))
-        if raw.startswith("&"):
-            return cls("tokens", normalize(raw[1:]))
-        return cls("substring", normalize(raw))
+        return cls(normalize(raw))
 
     def matches(self, normalized_message: str) -> bool:
-        if not self.text:
-            return False
-        if self.kind == "exact":
-            return normalized_message == self.text
-        if self.kind == "substring":
-            return self.text in normalized_message
-        return self.tokens <= set(normalized_message.split())
+        return bool(self.text) and self.text in normalized_message
 
 
 @dataclass(frozen=True)
@@ -99,22 +83,16 @@ class PatternTable:
     ties break by text, then intent, so decisions are stable across table
     serializations.
 
-    The rest indexes ``scan`` by position, split by kind so that routing
-    never dispatches on ``MatchExpr.kind``: ``exact`` maps each exact text
-    to its first position, ``substrings`` and ``token_sets`` list
-    ``(position, text)`` and ``(position, tokens)`` in scan order, and
-    ``postings`` maps each token to the ascending positions of the patterns
-    that hold it.  Empty expressions never match, so no index holds them.
-    ``decisions`` holds the one frozen ``RoutingDecision`` every hit at a position returns.
+    The rest indexes ``scan`` by position: ``substrings`` lists
+    ``(position, text)`` in scan order, and ``postings`` maps each token to
+    the ascending positions of the patterns that hold it.  Empty expressions
+    never match, so no index holds them.  ``decisions`` holds the one frozen
+    ``RoutingDecision`` every hit at a position returns.
     """
 
     entries: tuple[IntentPattern, ...]
     scan: tuple[tuple[str, MatchExpr], ...] = field(init=False, repr=False, compare=False)
-    exact: dict[str, int] = field(init=False, repr=False, compare=False)
     substrings: tuple[tuple[int, str], ...] = field(init=False, repr=False, compare=False)
-    token_sets: tuple[tuple[int, frozenset[str]], ...] = field(
-        init=False, repr=False, compare=False
-    )
     postings: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
     decisions: tuple[RoutingDecision, ...] = field(init=False, repr=False, compare=False)
 
@@ -126,25 +104,12 @@ class PatternTable:
         ]
         flat.sort(key=lambda item: item[:4])
         scan = tuple((intent, expr) for *_, intent, expr in flat)
-        exact: dict[str, int] = {}
-        substrings: list[tuple[int, str]] = []
-        token_sets: list[tuple[int, frozenset[str]]] = []
         postings: dict[str, list[int]] = {}
         for pos, (_, expr) in enumerate(scan):
-            if not expr.text:
-                continue
-            if expr.kind == "exact":
-                exact.setdefault(expr.text, pos)
-            elif expr.kind == "substring":
-                substrings.append((pos, expr.text))
-            else:
-                token_sets.append((pos, expr.tokens))
             for token in expr.tokens:
                 postings.setdefault(token, []).append(pos)
         object.__setattr__(self, "scan", scan)
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "substrings", tuple(substrings))
-        object.__setattr__(self, "token_sets", tuple(token_sets))
+        object.__setattr__(self, "substrings", tuple((pos, e.text) for pos, (_, e) in enumerate(scan) if e.text))
         object.__setattr__(self, "postings", {t: tuple(p) for t, p in postings.items()})
         object.__setattr__(self, "decisions", tuple(RoutingDecision(i, "pattern", e.text) for i, e in scan))
 
@@ -160,32 +125,15 @@ def identify(
 ) -> RoutingDecision:
     """Resolve a message to an intent, or UNKNOWN.
 
-    The decision is ``table.decisions`` at the first ``scan`` position that matches:
-    the exact dict, then each kind's list up to the best position found so far.
-    The message is normalized once; on a miss the fallback resolver gets that
-    normalized text.  It must never abort dispatch: a resolver fault degrades
-    to UNKNOWN with the error annotated on the decision.
+    The decision is ``table.decisions`` at the first ``substrings`` position whose
+    text the normalized message holds.  The message is normalized once; on a miss
+    the fallback resolver gets that normalized text.  It must never abort dispatch:
+    a resolver fault degrades to UNKNOWN with the error annotated on the decision.
     """
     norm = normalize(message)
-    if norm:
-        scan = table.scan
-        first = table.exact.get(norm, len(scan))
-        for pos, text in table.substrings:
-            if pos >= first:
-                break
-            if text in norm:
-                first = pos
-                break
-        if table.token_sets:
-            words = set(norm.split())
-            for pos, tokens in table.token_sets:
-                if pos >= first:
-                    break
-                if tokens <= words:
-                    first = pos
-                    break
-        if first < len(scan):
-            return table.decisions[first]
+    for pos, text in table.substrings:
+        if text in norm:
+            return table.decisions[pos]
     if fallback is not None:
         try:
             return fallback(norm)
@@ -233,8 +181,8 @@ def validate_table(
     table: Iterable[IntentPattern], automaton: WorkflowAutomaton | None = None
 ) -> list[str]:
     """Patterns that can never match, ambiguous pattern pairs and intents absent from the automaton,
-    as ``"code: message"`` errors.  A pattern that normalizes to nothing (``"="``, ``"..."``) never
-    matches, and ``inject`` would write it as an attack of no text."""
+    as ``"code: message"`` errors.  A pattern that normalizes to nothing (``""``, ``"..."``) never
+    matches, and ``inject`` would write it as an attack of no text; ``"="`` is the text ``=``."""
     errors: list[str] = []
     seen: dict[tuple[str, int], str] = {}
     for entry in table:

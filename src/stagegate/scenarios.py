@@ -25,7 +25,7 @@ from .automaton import StageId, WorkflowAutomaton, automaton_from_dict, validate
 from .dispatcher import BLOCK_OUTCOMES, Decision, MockExecutor, decide
 from .errors import (
     BOOLEAN, INTEGER, LIST, REQUIRED, STRING, STRING_OR_NULL, ConfigError, GenerationFault, Kind,
-    StagegateError, file_safe_id, naming, read_rows,
+    StagegateError, clip, file_safe_id, naming, read_rows,
 )
 from .registry import SkillRegistry, apply_postconditions, build_registry
 from .router import (
@@ -237,7 +237,7 @@ def _scenario(row: tuple, messages: Sequence[LabeledMessage], bundle: DomainBund
         final = {int(track): stage for track, stage in final_raw.items()}
     else:
         raise ConfigError(
-            f"scenario {sid!r}: 'expected_final_stage' must be {_FINAL.name}, not {final_raw!r}")
+            f"scenario {sid!r}: 'expected_final_stage' must be {_FINAL.name}, not {clip(repr(final_raw))}")
 
     scenario = Scenario(sid, stype, tuple(messages), final)
 

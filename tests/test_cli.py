@@ -467,12 +467,12 @@ def _replay_with_first_line(run: Path, first_line) -> list[str]:
     return ["replay", str(_trace(run))]
 
 
-def _replay_with_snapshot(run: Path, text: str | None = None, drop: str | None = None) -> list[str]:
+def _replay_with_snapshot(run: Path, text: str | None = None, edit=None) -> list[str]:
     snapshot = _trace(run).with_name("normal-001-t0.snapshot.json")
     if text is not None:
         snapshot.write_text(text)
     else:
-        _edit_json(snapshot, lambda data: data.pop(drop))
+        _edit_json(snapshot, edit)
     return ["replay", str(_trace(run))]
 
 
@@ -672,7 +672,24 @@ MALFORMED = {
     "replay-unparseable-snapshot": (
         lambda run: _replay_with_snapshot(run, text="{not json"), 2, "error: "),
     "replay-snapshot-without-status": (
-        lambda run: _replay_with_snapshot(run, drop="status"), 2, "error: "),
+        lambda run: _replay_with_snapshot(run, edit=lambda data: data.pop("status")), 2, "error: "),
+    # a snapshot is the replayed goal's only if it holds its six keys, each at its exact JSON type
+    "replay-snapshot-of-another-goal": (
+        lambda run: _replay_with_snapshot(run, edit=lambda data: data.update(goal_id="normal-002-t0")),
+        1, "divergence from snapshot after seq 8: goal_id"),
+    "replay-snapshot-of-another-domain": (
+        lambda run: _replay_with_snapshot(run, edit=lambda data: data.update(domain="Banks_1")),
+        1, "divergence from snapshot after seq 8: domain"),
+    "replay-snapshot-integer-flag": (
+        lambda run: _replay_with_snapshot(
+            run, edit=lambda data: data["business_state"].update(candidates_pulled=1)),
+        1, "divergence from snapshot after seq 8: business_state"),
+    "replay-snapshot-float-last-seq": (
+        lambda run: _replay_with_snapshot(run, edit=lambda data: data.update(last_seq=8.0)),
+        1, "divergence from snapshot after seq 8: last_seq"),
+    "replay-snapshot-with-an-unknown-key": (
+        lambda run: _replay_with_snapshot(run, edit=lambda data: data.update(note="checked")),
+        2, "error: "),
     "replay-manifest-without-domain": (_replay_without_manifest_domain, 2, "error: "),
     "replay-without-manifest-or-domain": (
         _replay_without_manifest, 2, "error: --domain required (no manifest.json next to traces)"),
@@ -796,7 +813,8 @@ MALFORMED = {
         lambda run: _validate_edited(run, "patterns.json", lambda p: p[0].update(patterns=["=", "..."])),
         1, "error: patterns.json: empty_pattern: a pattern of intent 'create_demand' normalizes to nothing"),
     "validate-empty-first-pattern": (  # inject would write the first pattern's "" as an attack
-        lambda run: _validate_edited(run, "patterns.json", lambda p: p[0]["patterns"].insert(0, "=")),
+        lambda run: _validate_edited(
+            run, "patterns.json", lambda p: p[0].update(patterns=["...", "transfer money", "make a transfer"])),
         1, "error: patterns.json: empty_pattern: a pattern of intent 'create_demand' normalizes to nothing"),
 }
 
@@ -927,6 +945,46 @@ def test_validate_prints_a_warning_line_and_still_exits_zero(tmp_path, capsys):
         "warning: automaton.json: binding_empty: intent 'idle' is bound to no stage",
         "hr: bundle is valid",
     ]
+
+
+@pytest.mark.parametrize("unknown, named", [
+    (["note"], "note"),
+    ([f"k{n:05}" for n in range(10_000)], ", ".join(f"k{n:05}" for n in range(12)) + ", k000..."),
+], ids=["one", "ten-thousand"])
+def test_replay_names_a_snapshot_s_unknown_keys_in_one_short_line(tmp_path, finished_run, capsys, unknown, named):
+    run = tmp_path / "run"
+    shutil.copytree(finished_run, run)
+    snapshot = _trace(run).with_name("normal-001-t0.snapshot.json")
+    _edit_json(snapshot, lambda data: data.update(dict.fromkeys(unknown, 0)))
+    capsys.readouterr()
+    assert main(["replay", str(_trace(run))]) == 2
+    assert capsys.readouterr().err == f"error: {snapshot}: snapshot holds unknown keys: {named}\n"
+
+
+def _huge_scenarios(suite: dict) -> None:
+    suite["scenarios"] = {f"s{n}": {} for n in range(10_000)}
+
+
+def _huge_final_stage(suite: dict) -> None:  # 5,000 tracks, one of them no track number
+    suite["scenarios"][0]["expected_final_stage"] = {str(n): "close" for n in range(4_999)} | {"-1": "close"}
+
+
+@pytest.mark.parametrize("edit, start", [
+    (_huge_scenarios, "error: suite: 'scenarios' must be a list, not {'s0': {}, "),
+    (_huge_final_stage, "error: scenario 'normal-001': 'expected_final_stage' must be "),
+], ids=["scenarios-object", "final-stage-tracks"])
+def test_a_refused_value_shows_in_one_short_line(tmp_path, capsys, edit, start):
+    suite = json.loads(hr_suite_path().read_text())
+    edit(suite)
+    (tmp_path / "suite.json").write_text(json.dumps(suite))
+    argv = ["run", "--domain", str(hr_domain_dir()), "--suite", str(tmp_path / "suite.json"),
+            "--out", str(tmp_path / "run")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 300, err[:400]
+    assert err.startswith(start) and err.endswith("...\n"), err
+    assert not (tmp_path / "run").exists()
 
 
 def test_replay_without_a_snapshot_prints_the_state_and_exits_zero(tmp_path, finished_run, capsys):

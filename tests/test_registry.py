@@ -273,6 +273,18 @@ def test_only_a_set_effect_holds_a_value():
     assert Effect("set", "f", 1).value == 1
 
 
+@pytest.mark.parametrize("field, value, reported", [
+    (3, 1, "postcondition field must be a string, not 3"),
+    ("f", [1], "postcondition 'f' sets a non-scalar value: [1]"),
+    ("f", {"a": 1}, "postcondition 'f' sets a non-scalar value: {'a': 1}"),
+    ("f", RiskLevel.L1, "postcondition 'f' sets a non-scalar value: <RiskLevel.L1: 1>"),  # JSON types, exactly
+])
+def test_an_effect_built_in_code_holds_the_types_the_loader_reads(field, value, reported):
+    with pytest.raises(ConfigError) as caught:
+        Effect("set", field, value)
+    assert str(caught.value) == reported
+
+
 def test_skill_from_dict_star_means_all_stages():
     spec = skill_from_dict({"id": "a", "intent": "b", "level": "L0", "stages": "*"})
     assert spec.applicable_stages == frozenset()

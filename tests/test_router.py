@@ -36,15 +36,23 @@ def test_normalization_rules():
     assert normalize("") == ""
 
 
-def test_exact_substring_and_token_kinds():
-    assert MatchExpr.parse("=hello there").kind == "exact"
-    assert MatchExpr.parse("&pull candidates").kind == "tokens"
-    assert MatchExpr.parse("plain phrase").kind == "substring"
-    assert MatchExpr.parse("&screen resumes").matches("please screen all the resumes now") is True
-    assert MatchExpr.parse("&screen resumes").matches("resumes to screen") is True
-    assert MatchExpr.parse("&screen resumes").matches("screen the shortlist") is False
-    assert MatchExpr.parse("=status").matches("status") is True
-    assert MatchExpr.parse("=status").matches("job status") is False
+def test_a_leading_equals_or_ampersand_is_pattern_text():
+    assert MatchExpr.parse("=status").text == "=status"
+    assert MatchExpr.parse("&Screen  Resumes").text == "&screen resumes"
+    assert MatchExpr.parse("plain phrase").matches("a plain phrase here") is True
+    assert MatchExpr.parse("=status").matches("status") is False
+    assert MatchExpr.parse("=status").matches("job =status now") is True
+    assert MatchExpr.parse("&screen resumes").matches("please screen all the resumes now") is False
+    assert MatchExpr.parse("&screen resumes").matches("resumes to screen") is False
+    table = _table(
+        {"intent": "exact", "patterns": ["=status"]},
+        {"intent": "tokens", "patterns": ["&screen resumes"]},
+    )
+    assert identify("status", table).intent == UNKNOWN
+    assert identify("job status", table).intent == UNKNOWN
+    assert identify("screen the resumes", table).intent == UNKNOWN
+    assert identify("Show =STATUS!", table).intent == "exact"
+    assert identify("then &screen resumes", table).intent == "tokens"
 
 
 def test_pattern_hit_names_its_pattern():
@@ -223,18 +231,9 @@ def _reference_identify(message, entries, with_fallback):
         key=lambda item: item[:4],
     )
     norm = normalize(message)
-    if norm:
-        for *_, intent, expr in flat:
-            if not expr.text:
-                continue
-            if expr.kind == "exact":
-                hit = norm == expr.text
-            elif expr.kind == "substring":
-                hit = expr.text in norm
-            else:
-                hit = set(expr.text.split()) <= set(norm.split())
-            if hit:
-                return RoutingDecision(intent, "pattern", matched_pattern=expr.text)
+    for *_, intent, expr in flat:
+        if expr.text and expr.text in norm:
+            return RoutingDecision(intent, "pattern", matched_pattern=expr.text)
     tokens = set(norm.split())
     if not with_fallback or not tokens:
         return _UNRESOLVED
@@ -262,7 +261,7 @@ _raw_table = st.lists(
     max_size=8,
 )
 _message = st.tuples(
-    st.lists(st.sampled_from(_WORDS + ("zz",)), max_size=5).map(" ".join),
+    st.lists(st.sampled_from(_WORDS + ("zz", "=ab", "&cd")), max_size=5).map(" ".join),  # "=", "&": text
     st.sampled_from(("", "!", " ?")),
     st.booleans(),
 ).map(lambda parts: (parts[0].upper() if parts[2] else parts[0]) + parts[1])
@@ -310,7 +309,7 @@ def _full_scan_fallback(message, table):
 def test_indexes_agree_with_a_full_scan(raw, messages):
     table = table_from_list(raw)
     fallback = TokenOverlapFallback(table)
-    # Each pattern's own text too, so exact hits and overlapping kinds are common.
+    # Each pattern's own text too, so hits and overlapping texts are common.
     for message in [*messages, *(expr.text for _, expr in table.scan)]:
         hit = _first_match(message, table)
         decision = identify(message, table)
@@ -321,16 +320,19 @@ def test_indexes_agree_with_a_full_scan(raw, messages):
         assert fallback(normalize(message)) == _full_scan_fallback(message, table)
 
 
-def test_an_earlier_hit_of_one_kind_stops_the_later_kinds():
+def test_the_first_substring_in_scan_order_wins():
     table = _table(
-        {"intent": "exact", "patterns": ["=ab cd ef"]},
-        {"intent": "tokens", "patterns": ["&cd ab"]},
-        {"intent": "substring", "patterns": ["ab"]},
+        {"intent": "longest", "patterns": ["ab cd ef"]},
+        {"intent": "longer", "patterns": ["cd ab"]},
+        {"intent": "short", "patterns": ["ab"]},
+        {"intent": "ranked", "patterns": ["zz"], "priority": 1},
     )
-    assert [expr.kind for _, expr in table.scan] == ["exact", "tokens", "substring"]
-    assert identify("ab cd ef", table).intent == "exact"
-    assert identify("ab cd ef gh", table).intent == "tokens"
-    assert identify("ab ef", table).intent == "substring"
+    assert [intent for intent, _ in table.scan] == ["ranked", "longest", "longer", "short"]
+    assert identify("ab cd ef", table).intent == "longest"
+    assert identify("cd ab cd ef", table).intent == "longest"
+    assert identify("cd ab ef", table).intent == "longer"
+    assert identify("ab ef", table).intent == "short"
+    assert identify("ab cd ef zz", table).intent == "ranked"
 
 
 def test_fallback_tie_goes_to_the_earlier_pattern_whatever_the_token_order():
