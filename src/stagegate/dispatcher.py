@@ -50,6 +50,8 @@ digest is that of ``canonical({"error": str(exc)})``.
 
 BLOCK_OUTCOMES = ("ILLEGAL_TRANSITION", "PRECONDITION_FAIL")
 
+_record = tuple.__new__  # _record(cls, values) builds a NamedTuple from all its values, skipping cls.__new__
+
 
 @dataclass(frozen=True)
 class DispatchToggles:
@@ -230,10 +232,10 @@ def dispatch(
                 apply_postconditions(decision.skill, ctx.business_state, digest)
 
         skill_id = decision.skill.id if decision.skill else None
-        event = ProcessEvent(
+        event = _record(ProcessEvent, (
             live.last_seq + 1, time.time(), goal_id, route.intent, stage, stage_after,
             skill_id, outcome, sub_reason, decision.pre_results, digest,
-        )
+        ))
         if toggles.audit:
             manager.log_event(event, payload)
         # Write-ahead: a committing step, the only one with a payload, moves state
@@ -245,7 +247,7 @@ def dispatch(
     routing = {"mode": route.mode}
     if route.error:
         routing["error"] = route.error
-    return DispatchResult(event, {"routing": routing, "timing_ns": timing})
+    return _record(DispatchResult, (event, {"routing": routing, "timing_ns": timing}))
 
 
 class MockExecutor:

@@ -38,6 +38,11 @@ def clip(text: str) -> str:
     return text if len(text) <= CLIP else f"{text[:CLIP]}..."
 
 
+def named(label: str, value: str) -> str:
+    """``<label> '<value>'``, the ``repr`` clipped: how a refusal names an object by its id."""
+    return f"{label} {clip(repr(value))}"
+
+
 def string_list(value: Any, what: str) -> tuple[str, ...]:
     """*value*, a JSON list of strings, as a tuple; any other shape is a ConfigError."""
     if type(value) is not list or not all(type(item) is str for item in value):
@@ -119,7 +124,7 @@ def naming(items: list, key: str, label: str, anonymous: str) -> Callable[[int],
     else *anonymous* formatted with the object's position."""
     def what(position: int) -> str:
         name = items[position].get(key) if type(items[position]) is dict else None
-        return f"{label} {name!r}" if type(name) is str else anonymous.format(position)
+        return named(label, name) if type(name) is str else anonymous.format(position)
     return what
 
 
@@ -130,11 +135,11 @@ def file_safe_id(value: str, what: str) -> None:
     lone surrogate), which ``os.open`` would refuse mid-run.
     """
     if "/" in value or "\\" in value or "\0" in value:
-        raise ConfigError(f"{what} {value!r} must not contain '/', '\\' or NUL")
+        raise ConfigError(f"{named(what, value)} must not contain '/', '\\' or NUL")
     try:
         value.encode()
     except UnicodeEncodeError:
-        raise ConfigError(f"{what} {value!r} must encode as UTF-8") from None
+        raise ConfigError(f"{named(what, value)} must encode as UTF-8") from None
 
 
 class LookupFault(StagegateError):

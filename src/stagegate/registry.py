@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Any, Mapping
 
 from .automaton import StageId, IntentId, WorkflowAutomaton
 from .errors import (
-    LIST, REQUIRED, STRING, STRINGS, ConfigError, ConflictFault, Kind, clip, json_container, naming, read_rows,
+    LIST, REQUIRED, STRING, STRINGS, ConfigError, ConflictFault, Kind, clip, json_container, named, naming,
+    read_rows,
 )
 
 _SKILL = {  # a skill config object's shape; risk and disclosure are read and ignored
@@ -55,13 +57,14 @@ class Effect:
 
     def __post_init__(self) -> None:
         if type(self.op) is not str or self.op not in _EFFECT_KEYS:
-            raise ConfigError(f"unknown postcondition op: {self.op!r}")
+            raise ConfigError(f"unknown postcondition op: {clip(repr(self.op))}")
         if type(self.field) not in _EFFECT["field"][0].types:
-            raise ConfigError(f"postcondition field must be a string, not {self.field!r}")
+            raise ConfigError(f"postcondition field must be a string, not {clip(repr(self.field))}")
         if self.op == "set" and type(self.value) not in _EFFECT["value"][0].types:
-            raise ConfigError(f"postcondition {self.field!r} sets a non-scalar value: {self.value!r}")
+            raise ConfigError(
+                f"{named('postcondition', self.field)} sets a non-scalar value: {clip(repr(self.value))}")
         if self.op != "set" and self.value is not None:
-            raise ConfigError(f"postcondition {self.field!r}: a {self.op!r} effect holds no value")
+            raise ConfigError(f"{named('postcondition', self.field)}: a {self.op!r} effect holds no value")
 
 
 @dataclass(frozen=True)
@@ -100,11 +103,11 @@ class SkillRegistry:
     def register(self, spec: SkillSpec, automaton: WorkflowAutomaton) -> None:
         """Add a skill after checking its id is new and its stages are the automaton's."""
         if spec.id in self._by_id:
-            raise ConflictFault(f"skill id already registered: {spec.id!r}")
+            raise ConflictFault(f"skill id already registered: {clip(repr(spec.id))}")
         foreign = sorted(spec.applicable_stages - set(automaton.stages))
         if foreign:
             raise ConfigError(
-                f"skill {spec.id!r} declares stages outside the automaton: {', '.join(foreign)}"
+                f"{named('skill', spec.id)} declares stages outside the automaton: {clip(', '.join(foreign))}"
             )
         self._by_id[spec.id] = spec
         candidates = self._by_intent.setdefault(spec.intent, [])
@@ -185,25 +188,34 @@ def skill_from_dict(raw: Mapping[str, Any]) -> SkillSpec:
 
 
 def _skills_from_list(raws: list) -> list[SkillSpec]:
-    """Every skill config object of *raws*, read at once; then each one's stages and effects."""
+    """Every skill config object of *raws*, read at once, then every effect of them all at once; then
+    each skill's level, stages and effects' keys, in order."""
+    rows = read_rows(raws, _SKILL, naming(raws, "id", "skill", "skill config"))
+
+    def effect_what(position: int) -> str:  # the skill holding the file's effect at *position*
+        for sid, *_, post, _, _ in rows:
+            if position < len(post):
+                return f"{named('skill', sid)}: effect {position}"
+            position -= len(post)
+
+    raw_effects = list(chain.from_iterable(row[5] for row in rows))
+    effect_rows = iter(zip(raw_effects, read_rows(raw_effects, _EFFECT, effect_what)))
     specs = []
-    for sid, intent, level, stages, pre, post, _, _ in read_rows(
-            raws, _SKILL, naming(raws, "id", "skill", "skill config")):
+    for sid, intent, level, stages, pre, post, _, _ in rows:
         if level not in RiskLevel.__members__:
-            raise ConfigError(f"unknown risk level: {level!r}")
+            raise ConfigError(f"unknown risk level: {clip(repr(level))}")
         if stages == "*":
             stages = ()
         elif type(stages) is str or not stages:  # the empty set is how a spec says every stage
-            raise ConfigError(f"skill {sid!r}: 'stages' must name a stage, or be \"*\" for every stage, "
+            raise ConfigError(f"{named('skill', sid)}: 'stages' must name a stage, or be \"*\" for every stage, "
                               f"not {clip(repr(stages))}")
         effects = []  # a value under an op but set is refused below, as a key that op may not hold
-        rows = read_rows(post, _EFFECT, lambda position: f"skill {sid!r}: effect {position}")
-        for raw, (op, field, value) in zip(post, rows):
+        for raw, (op, field, value) in islice(effect_rows, len(post)):
             effects.append(Effect(op, field, value if op == "set" else None))
             if raw.keys() != _EFFECT_KEYS[op]:
                 keys = ", ".join(sorted(_EFFECT_KEYS[op]))
                 raise ConfigError(
-                    f"skill {sid!r}: a {op!r} effect holds exactly {keys}, not {', '.join(sorted(raw))}")
+                    f"{named('skill', sid)}: a {op!r} effect holds exactly {keys}, not {', '.join(sorted(raw))}")
         specs.append(
             SkillSpec(sid, intent, RiskLevel[level], frozenset(stages), tuple(pre), tuple(effects)))
     return specs

@@ -6,10 +6,12 @@ Ambiguous messages can be handed to a pluggable resolver; the shipped
 fallback is a table-driven token-overlap matcher so suites run fully offline.
 
 A table is compiled once, by :func:`table_from_list`, into indexes over its
-one scan order (the substring texts, token postings) and ``decisions``, one
-routing decision per position.  :func:`identify` returns the decision of the
-first substring the message holds, and the fallback scores only the patterns
-that share a token with the message.
+one scan order (the substring texts by the longest message they fit, token
+postings) and ``decisions``, one routing decision per position.
+:func:`identify` scans only the substrings no longer than the normalized
+message and returns the decision of the first one it holds.  The fallback
+sorts the postings of the message's tokens into one run and scores each
+position the run names, so only patterns sharing a token are scored.
 """
 
 from __future__ import annotations
@@ -83,8 +85,10 @@ class PatternTable:
     ties break by text, then intent, so decisions are stable across table
     serializations.
 
-    The rest indexes ``scan`` by position: ``substrings`` lists
-    ``(position, text)`` in scan order, and ``postings`` maps each token to
+    The rest indexes ``scan`` by position.  ``fitting[n]`` lists, in scan
+    order, the ``(position, text)`` of every text at most ``n`` characters
+    long, for ``n`` up to the longest text: a longer text is never a
+    substring of an ``n``-character message.  ``postings`` maps each token to
     the ascending positions of the patterns that hold it.  Empty expressions
     never match, so no index holds them.  ``decisions`` holds the one frozen
     ``RoutingDecision`` every hit at a position returns.
@@ -92,7 +96,7 @@ class PatternTable:
 
     entries: tuple[IntentPattern, ...]
     scan: tuple[tuple[str, MatchExpr], ...] = field(init=False, repr=False, compare=False)
-    substrings: tuple[tuple[int, str], ...] = field(init=False, repr=False, compare=False)
+    fitting: tuple[tuple[tuple[int, str], ...], ...] = field(init=False, repr=False, compare=False)
     postings: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
     decisions: tuple[RoutingDecision, ...] = field(init=False, repr=False, compare=False)
 
@@ -109,12 +113,25 @@ class PatternTable:
             for token in expr.tokens:
                 postings.setdefault(token, []).append(pos)
         object.__setattr__(self, "scan", scan)
-        object.__setattr__(self, "substrings", tuple((pos, e.text) for pos, (_, e) in enumerate(scan) if e.text))
+        substrings = tuple((pos, e.text) for pos, (_, e) in enumerate(scan) if e.text)
+        object.__setattr__(self, "fitting", _fitting(substrings))
         object.__setattr__(self, "postings", {t: tuple(p) for t, p in postings.items()})
         object.__setattr__(self, "decisions", tuple(RoutingDecision(i, "pattern", e.text) for i, e in scan))
 
     def __iter__(self) -> Iterator[IntentPattern]:
         return iter(self.entries)
+
+
+def _fitting(substrings: tuple[tuple[int, str], ...]) -> tuple[tuple[tuple[int, str], ...], ...]:
+    """Entry ``n`` is *substrings* kept to texts of at most ``n`` characters, for ``n`` up to the longest:
+    built longest first, each entry filtered from the one above, or that one itself when no text has
+    ``n + 1`` characters."""
+    lengths = {len(text) for _, text in substrings}
+    index = [substrings]
+    for n in range(max(lengths, default=0) - 1, -1, -1):
+        above = index[-1]
+        index.append(tuple([item for item in above if len(item[1]) <= n]) if n + 1 in lengths else above)
+    return tuple(reversed(index))
 
 
 _UNRESOLVED = RoutingDecision(intent=UNKNOWN, mode="fallback")
@@ -125,13 +142,16 @@ def identify(
 ) -> RoutingDecision:
     """Resolve a message to an intent, or UNKNOWN.
 
-    The decision is ``table.decisions`` at the first ``substrings`` position whose
-    text the normalized message holds.  The message is normalized once; on a miss
-    the fallback resolver gets that normalized text.  It must never abort dispatch:
-    a resolver fault degrades to UNKNOWN with the error annotated on the decision.
+    The decision is ``table.decisions`` at the first position, in scan order, whose
+    text the normalized message holds.  Only the texts that fit in the message are
+    tried, which filters the scan order and never reorders it.  The message is
+    normalized once; on a miss the fallback resolver gets that normalized text.
+    It must never abort dispatch: a resolver fault degrades to UNKNOWN with the
+    error annotated on the decision.
     """
     norm = normalize(message)
-    for pos, text in table.substrings:
+    fitting, n = table.fitting, len(norm)
+    for pos, text in fitting[n] if n < len(fitting) else fitting[-1]:  # a conditional costs less than min()
         if text in norm:
             return table.decisions[pos]
     if fallback is not None:
@@ -147,33 +167,41 @@ class TokenOverlapFallback:
 
     Called with the normalized message.  Scores patterns by Jaccard overlap
     with the message tokens and resolves when the best score reaches
-    ``FALLBACK_THRESHOLD``.  Shared-token counts are summed from the table's
-    postings, so only patterns sharing a token are scored; they are scored
-    in scan order and a later one wins only on a strictly higher score.
-    Each scan position's fallback-mode decision is built once, here.
+    ``FALLBACK_THRESHOLD``.  The postings of the message's tokens are
+    concatenated and sorted once: each run of one position in that list is
+    the count of tokens the pattern there shares, so only patterns sharing a
+    token are scored.  The runs come in scan order and a later position wins
+    only on a strictly higher score.  Each scan position's token count
+    (``sizes``) and fallback-mode decision are built once, here.
     Deterministic, so suite runs stay reproducible offline.
     """
 
     def __init__(self, table: PatternTable) -> None:
         self.table = table
+        self.sizes = tuple(len(e.tokens) for _, e in table.scan)
         self.decisions = tuple(RoutingDecision(i, "fallback", e.text) for i, e in table.scan)
 
     def __call__(self, norm: str) -> RoutingDecision:
         tokens = set(norm.split())
         postings = self.table.postings
-        shared_at: dict[int, int] = {}
+        run: list[int] = []
         for token in tokens:
-            for pos in postings.get(token, ()):
-                shared_at[pos] = shared_at.get(pos, 0) + 1
-        scan = self.table.scan
+            run += postings.get(token, ())
+        run.sort()
+        run.append(-1)  # no position: it ends the last run
+        sizes = self.sizes
         size = len(tokens)
         best_score = 0.0
         best_pos = -1
-        for pos in sorted(shared_at):
-            shared = shared_at[pos]
-            score = shared / (size + len(scan[pos][1].tokens) - shared)
+        prev, shared = run[0], 0
+        for pos in run:
+            if pos == prev:
+                shared += 1
+                continue
+            score = shared / (size + sizes[prev] - shared)
             if score > best_score:
-                best_score, best_pos = score, pos
+                best_score, best_pos = score, prev
+            prev, shared = pos, 1
         return self.decisions[best_pos] if best_score >= FALLBACK_THRESHOLD else _UNRESOLVED
 
 

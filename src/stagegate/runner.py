@@ -9,6 +9,8 @@ from .dispatcher import FULL, DispatchDeps, DispatchResult, DispatchToggles, dis
 from .memory import FileEventStore, GoalManager, InMemoryEventStore, ProcessEvent
 from .scenarios import DomainBundle, LabeledMessage, Scenario
 
+_record = tuple.__new__  # _record(cls, values) builds a NamedTuple from all its values, skipping cls.__new__
+
 
 class StepRecord(NamedTuple):
     """One dispatched message, with the scenario it belongs to and what its dispatch did."""
@@ -81,7 +83,7 @@ def run_suite(
     for scenario in scenarios:
         for msg in scenario.messages:
             gid = goal_id_for(scenario, msg.track)
-            steps.append(StepRecord(scenario, msg, dispatch(msg.text, gid, deps, toggles)))
+            steps.append(_record(StepRecord, (scenario, msg, dispatch(msg.text, gid, deps, toggles))))
 
     manager.write_snapshots()
     return RunResult(

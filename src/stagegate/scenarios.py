@@ -25,7 +25,7 @@ from .automaton import StageId, WorkflowAutomaton, automaton_from_dict, validate
 from .dispatcher import BLOCK_OUTCOMES, Decision, MockExecutor, decide
 from .errors import (
     BOOLEAN, INTEGER, LIST, REQUIRED, STRING, STRING_OR_NULL, ConfigError, GenerationFault, Kind,
-    StagegateError, clip, file_safe_id, naming, read_rows,
+    StagegateError, clip, file_safe_id, named, naming, read_rows,
 )
 from .registry import SkillRegistry, apply_postconditions, build_registry
 from .router import (
@@ -219,13 +219,13 @@ def _scenario(row: tuple, messages: Sequence[LabeledMessage], bundle: DomainBund
         raise ConfigError("scenario '': 'scenario_id' must not be empty")
     file_safe_id(sid, "scenario_id")
     if stype not in SCENARIO_TYPES:
-        raise ConfigError(f"scenario {sid!r}: unknown type {stype!r}")
+        raise ConfigError(f"{named('scenario', sid)}: unknown type {clip(repr(stype))}")
     if not messages:
-        raise ConfigError(f"scenario {sid!r}: messages must be non-empty")
+        raise ConfigError(f"{named('scenario', sid)}: messages must be non-empty")
     for position, msg in enumerate(messages):
         if msg.turn_index != position:
             raise ConfigError(
-                f"scenario {sid!r}: turn_index must be gapless from 0 (got {msg.turn_index} at {position})"
+                f"{named('scenario', sid)}: turn_index must be gapless from 0 (got {msg.turn_index} at {position})"
             )
 
     if type(final_raw) is str:
@@ -237,21 +237,21 @@ def _scenario(row: tuple, messages: Sequence[LabeledMessage], bundle: DomainBund
         final = {int(track): stage for track, stage in final_raw.items()}
     else:
         raise ConfigError(
-            f"scenario {sid!r}: 'expected_final_stage' must be {_FINAL.name}, not {clip(repr(final_raw))}")
+            f"{named('scenario', sid)}: 'expected_final_stage' must be {_FINAL.name}, not {clip(repr(final_raw))}")
 
     scenario = Scenario(sid, stype, tuple(messages), final)
 
     if stype == "illegal" and all(m.expected_legal for m in messages):
-        raise ConfigError(f"scenario {sid!r}: illegal type requires an expected_legal=false message")
+        raise ConfigError(f"{named('scenario', sid)}: illegal type requires an expected_legal=false message")
     if sorted(final) != scenario.tracks():  # a stage for every track, and for no other
-        raise ConfigError(f"scenario {sid!r}: expected_final_stage must name tracks {scenario.tracks()}")
+        raise ConfigError(f"{named('scenario', sid)}: expected_final_stage must name tracks {scenario.tracks()}")
 
     for stage in final.values():
         if stage not in bundle.automaton.stages:
-            raise ConfigError(f"scenario {sid!r}: expected stage {stage!r} not in domain")
+            raise ConfigError(f"{named('scenario', sid)}: expected stage {clip(repr(stage))} not in domain")
     for msg in messages:
         if msg.label_intent is not None and msg.label_intent not in bundle.automaton.intents:
-            raise ConfigError(f"scenario {sid!r}: label_intent {msg.label_intent!r} not in domain")
+            raise ConfigError(f"{named('scenario', sid)}: label_intent {clip(repr(msg.label_intent))} not in domain")
     return scenario
 
 
@@ -268,13 +268,13 @@ def suite_from_dict(raw: Mapping[str, Any], bundle: DomainBundle) -> list[Scenar
     """
     ((_, domain, items),) = read_rows([raw], _SUITE, lambda _: "suite")
     if domain and domain != bundle.name:
-        raise ConfigError(f"suite declares domain {domain!r} but bundle is {bundle.name!r}")
+        raise ConfigError(f"suite declares domain {clip(repr(domain))} but bundle is {bundle.name!r}")
     rows = read_rows(items, _SCENARIO, naming(items, "scenario_id", "scenario", "scenario at position {}"))
 
     def message_what(position: int) -> str:  # the scenario holding the suite's message at *position*
         for sid, _, _, held in rows:
             if position < len(held):
-                return f"scenario {sid!r}: message {position}"
+                return f"{named('scenario', sid)}: message {position}"
             position -= len(held)
 
     raw_messages = list(chain.from_iterable(row[3] for row in rows))
@@ -284,7 +284,7 @@ def suite_from_dict(raw: Mapping[str, Any], bundle: DomainBundle) -> list[Scenar
     for row in rows:
         scenario = _scenario(row, list(islice(messages, len(row[3]))), bundle)
         if scenario.scenario_id in scenarios:
-            raise ConfigError(f"duplicate scenario_id {scenario.scenario_id!r}")
+            raise ConfigError(f"duplicate {named('scenario_id', scenario.scenario_id)}")
         scenarios[scenario.scenario_id] = scenario
     return list(scenarios.values())
 

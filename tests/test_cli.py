@@ -987,6 +987,66 @@ def test_a_refused_value_shows_in_one_short_line(tmp_path, capsys, edit, start):
     assert not (tmp_path / "run").exists()
 
 
+_LONG = "x" * 50_000
+
+
+def _first_scenario(**fields):
+    return lambda suite, skills: suite["scenarios"][0].update(fields)
+
+
+def _first_skill(**fields):
+    return lambda suite, skills: skills[0].update(fields)
+
+
+def _long_message_text(suite, skills):  # a message of a scenario with a long id holds no string
+    suite["scenarios"][0]["scenario_id"] = _LONG
+    suite["scenarios"][0]["messages"][1]["text"] = 7
+
+
+def _two_long_scenario_ids(suite, skills):
+    for scenario in suite["scenarios"][:2]:
+        scenario["scenario_id"] = _LONG
+
+
+@pytest.mark.parametrize("edit, shows", [
+    (_first_scenario(scenario_id=_LONG, messages=[]), "error: scenario 'xxx"),
+    (_first_scenario(type=_LONG), "error: scenario 'normal-001': unknown type 'xxx"),
+    (_first_scenario(expected_final_stage=_LONG), "error: scenario 'normal-001': expected stage 'xxx"),
+    (lambda suite, skills: suite["scenarios"][0]["messages"][0].update(label_intent=_LONG),
+     "error: scenario 'normal-001': label_intent 'xxx"),
+    (_first_skill(level=_LONG), "skills.json: unknown risk level: 'xxx"),
+    (_first_scenario(scenario_id=_LONG + "/"), "error: scenario_id 'xxx"),
+    (_first_scenario(scenario_id=_LONG, type=7), "error: scenario 'xxx"),
+    (_first_skill(id=_LONG, pre=7), "skills.json: skill 'xxx"),
+    (_long_message_text, "error: scenario 'xxx"),
+    (_two_long_scenario_ids, "error: duplicate scenario_id 'xxx"),
+    (lambda suite, skills: suite.update(domain=_LONG), "error: suite declares domain 'xxx"),
+    (_first_skill(id=_LONG, stages=[]), "skills.json: skill 'xxx"),
+    (_first_skill(id=_LONG, post=[{"op": "set", "field": "f"}]), "skills.json: skill 'xxx"),
+    (_first_skill(post=[{"op": _LONG, "field": "f"}]), "skills.json: unknown postcondition op: 'xxx"),
+    (_first_skill(stages=[_LONG]), "declares stages outside the automaton: xxx"),
+], ids=["scenario-prefix", "unknown-type", "expected-stage", "label-intent", "risk-level", "file-safe-id",
+        "naming", "skill-naming", "message-prefix", "duplicate-scenario", "suite-domain", "skill-stages",
+        "effect-prefix", "effect-op", "foreign-stages"])
+def test_a_refusal_clips_every_name_it_prints(tmp_path, capsys, edit, shows):
+    """Each refusal that names an id or a value shows at most ``errors.CLIP`` characters of it."""
+    domain = tmp_path / "hr"
+    shutil.copytree(hr_domain_dir(), domain)
+    suite = json.loads(hr_suite_path().read_text())
+    skills = json.loads((domain / "skills.json").read_text())
+    edit(suite, skills)
+    (domain / "skills.json").write_text(json.dumps(skills))
+    (tmp_path / "suite.json").write_text(json.dumps(suite))
+    argv = ["run", "--domain", str(domain), "--suite", str(tmp_path / "suite.json"),
+            "--out", str(tmp_path / "run")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) <= 301, err[:400]  # one line of at most 300 characters
+    assert err.startswith("error: ") and shows in err and "xxx..." in err, err
+    assert not (tmp_path / "run").exists()
+
+
 def test_replay_without_a_snapshot_prints_the_state_and_exits_zero(tmp_path, finished_run, capsys):
     run = tmp_path / "run"
     shutil.copytree(finished_run, run)

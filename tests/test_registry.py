@@ -260,6 +260,34 @@ def test_skill_from_dict_names_a_missing_key(key, reported):
     assert str(caught.value) == reported
 
 
+def _three_skills():
+    return [
+        {"id": "a", "intent": "q", "level": "L1", "post": [{"op": "set", "field": "f", "value": 1}]},
+        {"id": "b", "intent": "q", "level": "L1"},
+        {"id": "c", "intent": "pull", "level": "L1", "stages": ["init"],
+         "post": [{"op": "set_from_result", "field": "g"}, {"op": "set", "field": "h", "value": "x"}]},
+    ]
+
+
+def test_a_skills_file_s_effects_stay_with_their_skills(tiny_automaton):
+    registry = build_registry(_three_skills(), tiny_automaton)
+    assert [spec.postconditions for spec in registry] == [
+        (Effect("set", "f", 1),), (), (Effect("set_from_result", "g"), Effect("set", "h", "x"))]
+
+
+@pytest.mark.parametrize("skill, effect, reported", [
+    (0, 0, "skill 'a': effect 0: 'field' must be a string, not 3"),
+    (2, 0, "skill 'c': effect 0: 'field' must be a string, not 3"),
+    (2, 1, "skill 'c': effect 1: 'field' must be a string, not 3"),
+])
+def test_an_effect_fault_names_its_skill_and_its_place_there(tiny_automaton, skill, effect, reported):
+    skills = _three_skills()
+    skills[skill]["post"][effect]["field"] = 3
+    with pytest.raises(ConfigError) as caught:
+        build_registry(skills, tiny_automaton)
+    assert str(caught.value) == reported
+
+
 def test_effects_load_with_exactly_their_keys():
     post = [{"op": "set", "field": "f", "value": None}, {"op": "set_from_result", "field": "g"}]
     spec = skill_from_dict(_BASE_SKILL | {"post": post})

@@ -251,7 +251,10 @@ def _reference_identify(message, entries, with_fallback):
 
 
 _phrase = st.lists(st.sampled_from(_WORDS), max_size=3).map(" ".join)
-_raw_pattern = st.tuples(st.sampled_from(("", "=", "&")), _phrase).map("".join)
+# Up to 39 characters, 40 with its "=" or "&": a message can be shorter than every pattern, as
+# long as one, or longer than the longest.
+_long_phrase = st.lists(st.sampled_from(_WORDS), min_size=4, max_size=10).map(" ".join)
+_raw_pattern = st.tuples(st.sampled_from(("", "=", "&")), st.one_of(_phrase, _long_phrase)).map("".join)
 _raw_table = st.lists(
     st.fixed_dictionaries({
         "intent": st.sampled_from(("i1", "i2", "i3", "i4")),
@@ -261,7 +264,7 @@ _raw_table = st.lists(
     max_size=8,
 )
 _message = st.tuples(
-    st.lists(st.sampled_from(_WORDS + ("zz", "=ab", "&cd")), max_size=5).map(" ".join),  # "=", "&": text
+    st.lists(st.sampled_from(_WORDS + ("zz", "=ab", "&cd")), max_size=12).map(" ".join),  # "=", "&": text
     st.sampled_from(("", "!", " ?")),
     st.booleans(),
 ).map(lambda parts: (parts[0].upper() if parts[2] else parts[0]) + parts[1])
@@ -318,6 +321,63 @@ def test_indexes_agree_with_a_full_scan(raw, messages):
         else:
             assert decision == RoutingDecision(hit[0], "pattern", matched_pattern=hit[1])
         assert fallback(normalize(message)) == _full_scan_fallback(message, table)
+
+
+def _substrings(table):
+    """``(position, text)`` of every scan entry with a text, in scan order."""
+    return [(pos, expr.text) for pos, (_, expr) in enumerate(table.scan) if expr.text]
+
+
+def test_each_length_index_entry_is_the_scan_kept_to_texts_that_fit(hr_bundle):
+    tables = [hr_bundle.table, *(load_domain(sgd_domain_dir(domain)).table for domain in SGD_DOMAINS)]
+    for table in tables:
+        substrings = _substrings(table)
+        longest = max(len(text) for _, text in substrings)
+        assert len(table.fitting) == longest + 1
+        for n, entry in enumerate(table.fitting):
+            assert list(entry) == [(pos, text) for pos, text in substrings if len(text) <= n], n
+    assert len(hr_bundle.table.fitting) == 39
+    assert len(tables) == 9
+
+
+def test_a_text_longer_than_the_message_is_skipped_and_the_scan_order_kept():
+    table = _table(
+        {"intent": "long", "patterns": ["ab cd ef gh"]},
+        {"intent": "short", "patterns": ["cd"]},
+        {"intent": "ranked", "patterns": ["ab"], "priority": 2},
+        {"intent": "empty", "patterns": ["..."]},
+    )
+    assert [text for _, text in table.fitting[-1]] == ["ab", "ab cd ef gh", "cd"]
+    assert [list(entry) for entry in table.fitting[:2]] == [[], []]
+    assert identify("ab cd ef gh", table).intent == "ranked"  # as long as the longest pattern
+    assert identify("cd ef gh ab cd ef gh", table).intent == "ranked"  # longer than it
+    assert identify("xx ab cd ef gh", table).intent == "ranked"
+    assert identify("cd ef gh", table).intent == "short"  # shorter than the long one: it is skipped
+    assert identify("cd", table).intent == "short"  # exactly the short one's length
+    assert identify("c", table).intent == UNKNOWN  # shorter than every pattern
+    assert identify("", table).intent == UNKNOWN
+    assert identify("  CD!", table).intent == "short"  # the length is the normalized message's
+    empty = _table()
+    assert empty.fitting == ((),)
+    assert identify("anything", empty) == _UNRESOLVED
+
+
+def test_the_fallback_scores_each_position_by_its_own_token_count(hr_bundle):
+    table = hr_bundle.table
+    assert hr_bundle.fallback.sizes == tuple(len(set(expr.text.split())) for _, expr in table.scan)
+    table = _table(
+        {"intent": "three", "patterns": ["ab cd ef"]},
+        {"intent": "two", "patterns": ["ab cd ab"]},  # two tokens, one of them twice
+        {"intent": "one", "patterns": ["gh"]},
+    )
+    fallback = TokenOverlapFallback(table)
+    assert [intent for intent, _ in table.scan] == ["two", "three", "one"]
+    assert fallback.sizes == (2, 3, 1)
+    assert fallback("cd ef ab zz").intent == "three"  # 3/4 beats the earlier 2/4
+    assert fallback("cd gh ab").intent == "two"  # 2/3 beats 2/4 and 1/3
+    assert fallback("gh") is fallback.decisions[2]
+    assert fallback("zz") == _UNRESOLVED
+    assert fallback("") == _UNRESOLVED
 
 
 def test_the_first_substring_in_scan_order_wins():
